@@ -32,7 +32,7 @@ int main() {
   for (const std::size_t t : {1u, 2u, 4u, 6u}) {
     core::ModelConfig mc = base.model;
     mc.iterations = t;
-    core::ExtendedRouteNet model(mc);
+    core::Model model(core::ModelKind::kExtended, mc);
     core::Trainer trainer(model, base.train);
     util::Stopwatch w;
     const auto history = trainer.fit(ds.train, scaler);

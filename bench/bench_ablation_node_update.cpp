@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "util/table.hpp"
 
@@ -51,7 +51,7 @@ int main() {
     core::ModelConfig mc = base.model;
     mc.node_rule = v.rule;
     mc.node_mean_aggregation = v.mean;
-    core::ExtendedRouteNet model(mc);
+    core::Model model(core::ModelKind::kExtended, mc);
     core::Trainer trainer(model, base.train);
     (void)trainer.fit(ds.train, scaler);
     const auto g = eval::summarize(eval::predict_dataset(

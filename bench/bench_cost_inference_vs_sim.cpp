@@ -9,7 +9,7 @@
 // claim is about.
 #include <benchmark/benchmark.h>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/generator.hpp"
 #include "sim/simulator.hpp"
 #include "topo/routing.hpp"
@@ -53,7 +53,7 @@ void BM_RouteNetExtInference(benchmark::State& state) {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.iterations = static_cast<std::size_t>(state.range(0));
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const nn::NoGradGuard guard;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

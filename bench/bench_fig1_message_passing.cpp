@@ -9,8 +9,7 @@
 
 #include "bench_common.hpp"
 #include "core/plan.hpp"
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/table.hpp"
@@ -70,8 +69,8 @@ int main() {
   core::ModelConfig mc;
   mc.state_dim = 16;
   mc.iterations = 4;
-  const core::RouteNet orig(mc);
-  const core::ExtendedRouteNet ext(mc);
+  const core::Model orig(core::ModelKind::kOriginal, mc);
+  const core::Model ext(core::ModelKind::kExtended, mc);
 
   auto time_forward = [&](const core::Model& m) {
     const nn::NoGradGuard guard;

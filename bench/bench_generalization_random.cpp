@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "topo/zoo.hpp"
 #include "util/table.hpp"
@@ -28,7 +28,7 @@ int main() {
   const data::Scaler scaler =
       data::Scaler::fit(ds.train.samples(), base.train.min_delivered);
 
-  core::ExtendedRouteNet model(base.model);
+  core::Model model(core::ModelKind::kExtended, base.model);
   core::Trainer trainer(model, base.train);
   std::cout << "training on GEANT2 (" << ds.train.size() << " samples)...\n";
   (void)trainer.fit(ds.train, scaler);
@@ -74,7 +74,7 @@ int main() {
   std::cout << "\nexpected shape: graceful degradation with topology-size\n"
                "distance from the 24-node training distribution; correlation\n"
                "stays clearly positive everywhere (the GNN transfers).\n";
-  result.set_config("GEANT2-trained ExtendedRouteNet, " +
+  result.set_config("GEANT2-trained extended RouteNet, " +
                     std::to_string(ds.train.size()) + " train samples, " +
                     std::to_string(base.train.epochs) +
                     " epochs; random_connected eval at n=10/16/24/32");

@@ -21,7 +21,7 @@
 #include "bench_common.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
@@ -70,7 +70,7 @@ int main() {
 
   const data::Scaler scaler =
       data::Scaler::fit(train.samples(), tc.min_delivered);
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::Trainer trainer(model, tc);
   std::cout << "training on " << train.size()
             << " samples over BA{20,30,40,50}...\n";
@@ -130,7 +130,7 @@ int main() {
   result.add("plan_cache_peak_bytes", static_cast<double>(cs.peak_bytes));
   result.add("plan_cache_evictions", static_cast<double>(cs.evictions));
   result.set_config(
-      "ExtendedRouteNet(state_dim 10, iters 3, scale-invariant), " +
+      "extended RouteNet(state_dim 10, iters 3, scale-invariant), " +
       std::to_string(train.size()) + " train samples on BA{20..50}, " +
       std::to_string(tc.epochs) + " epochs; eval on BA up to " +
       std::to_string(sizes.back()) + " nodes, plan cache " +

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "util/table.hpp"
 
@@ -31,7 +31,7 @@ int main() {
                      "Pearson r"});
   for (const auto target :
        {core::PredictionTarget::kDelay, core::PredictionTarget::kJitter}) {
-    core::ExtendedRouteNet model(base.model);
+    core::Model model(core::ModelKind::kExtended, base.model);
     core::TrainConfig tc = base.train;
     tc.target = target;
     core::Trainer trainer(model, tc);

@@ -16,7 +16,7 @@
 
 #include "bench_common.hpp"
 #include "core/plan_cache.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
@@ -56,7 +56,7 @@ double train_samples_per_sec(const BenchSetup& setup, std::size_t threads,
   mc.readout_hidden = 24;
   mc.iterations = 3;
   mc.fused_gru = fused;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = setup.epochs;
   tc.batch_samples = 4;
@@ -76,7 +76,7 @@ double inference_paths_per_sec(const BenchSetup& setup, std::size_t threads) {
   mc.state_dim = 12;
   mc.readout_hidden = 24;
   mc.iterations = 3;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::PlanCache cache;
   model.set_plan_cache(&cache);
   util::ThreadPool pool(threads);

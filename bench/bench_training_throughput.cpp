@@ -3,8 +3,7 @@
 // forward+backward+Adam step, and inference-only forward.
 #include <benchmark/benchmark.h>
 
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
@@ -33,11 +32,10 @@ Fixture& fixture() {
   return f;
 }
 
-template <typename Model>
-void train_step_bench(benchmark::State& state) {
+void train_step_bench(benchmark::State& state, core::ModelKind kind) {
   core::ModelConfig mc;
   mc.state_dim = static_cast<std::size_t>(state.range(0));
-  Model model(mc);
+  core::Model model(kind, mc);
   std::vector<nn::Var> params;
   for (auto& [n, v] : model.named_params()) params.push_back(v);
   nn::Adam opt(params, 1e-3);
@@ -55,22 +53,21 @@ void train_step_bench(benchmark::State& state) {
 }
 
 void BM_TrainStepOriginal(benchmark::State& state) {
-  train_step_bench<core::RouteNet>(state);
+  train_step_bench(state, core::ModelKind::kOriginal);
 }
 BENCHMARK(BM_TrainStepOriginal)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TrainStepExtended(benchmark::State& state) {
-  train_step_bench<core::ExtendedRouteNet>(state);
+  train_step_bench(state, core::ModelKind::kExtended);
 }
 BENCHMARK(BM_TrainStepExtended)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-template <typename Model>
-void inference_bench(benchmark::State& state) {
+void inference_bench(benchmark::State& state, core::ModelKind kind) {
   core::ModelConfig mc;
   mc.state_dim = 16;
-  const Model model(mc);
+  const core::Model model(kind, mc);
   const nn::NoGradGuard guard;
   for (auto _ : state)
     benchmark::DoNotOptimize(
@@ -80,12 +77,12 @@ void inference_bench(benchmark::State& state) {
 }
 
 void BM_InferenceOriginal(benchmark::State& state) {
-  inference_bench<core::RouteNet>(state);
+  inference_bench(state, core::ModelKind::kOriginal);
 }
 BENCHMARK(BM_InferenceOriginal)->Unit(benchmark::kMillisecond);
 
 void BM_InferenceExtended(benchmark::State& state) {
-  inference_bench<core::ExtendedRouteNet>(state);
+  inference_bench(state, core::ModelKind::kExtended);
 }
 BENCHMARK(BM_InferenceExtended)->Unit(benchmark::kMillisecond);
 

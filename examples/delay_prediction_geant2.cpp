@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "eval/metrics.hpp"
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.iterations = 4;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
 
   core::TrainConfig tc;
   tc.epochs = epochs;
@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
       .add_row({"R^2", util::Table::cell(s.r2, 4)});
   table.print(std::cout);
 
-  model.save_weights("routenet_ext_geant2.rnxw");
-  std::cout << "\nweights saved to routenet_ext_geant2.rnxw "
+  model.save_weights("routenet-ext_geant2.rnxw");
+  std::cout << "\nweights saved to routenet-ext_geant2.rnxw "
                "(what_if_queue_upgrade reuses them)\n";
   return 0;
 }

@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "eval/metrics.hpp"
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.iterations = 4;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 15;
   tc.verbose = false;

@@ -10,14 +10,14 @@
 //
 // Run: ./what_if_queue_upgrade
 //      (first run trains a small model and writes
-//      routenet_ext_geant2.rnxb; later runs serve straight from the
+//      routenet-ext_geant2.rnxb; later runs serve straight from the
 //      bundle — no retraining, no dataset regeneration, no scaler
 //      re-fit)
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
@@ -31,7 +31,7 @@ namespace {
 
 using namespace rnx;
 
-constexpr const char* kBundlePath = "routenet_ext_geant2.rnxb";
+constexpr const char* kBundlePath = "routenet-ext_geant2.rnxb";
 
 // Train a small extended model on queue-varied GEANT2 and persist it as
 // a self-contained bundle (weights + scaler moments + config).
@@ -47,7 +47,7 @@ void train_and_save_bundle() {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.iterations = 4;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 30;
   tc.batch_samples = 4;

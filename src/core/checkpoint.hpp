@@ -2,9 +2,8 @@
 //
 // One file captures EVERYTHING the training loop's trajectory depends
 // on: model parameters, Adam moments + step count, the fitted Scaler
-// moments, the shuffle RNG state as of the current epoch's start, the
-// epoch/batch/stream cursors, the in-epoch loss accumulators and the
-// early-stopping state.  Restoring it and re-running therefore produces
+// moments, the epoch/batch cursors, the in-epoch loss accumulators and
+// the early-stopping state.  Restoring it and re-running therefore produces
 // weights BITWISE-IDENTICAL to the uninterrupted run — pinned by the
 // kill-at-every-batch-boundary sweep in tests/checkpoint_test.cpp.
 //
@@ -47,15 +46,20 @@ class CheckpointError : public std::runtime_error {
 };
 
 struct TrainCheckpoint {
-  bool streaming = false;  ///< written by fit_stream (cursor semantics)
+  bool streaming = false;  ///< written by fit_stream (vs fit)
   std::uint64_t config_digest = 0;
 
   // -- trajectory cursors ----------------------------------------------
   std::uint64_t epoch = 0;           ///< epoch in progress (0-based)
   std::uint64_t batch_in_epoch = 0;  ///< optimizer steps done this epoch
-  std::uint64_t samples_done = 0;    ///< stream position (fit_stream)
+  /// Samples consumed this epoch (batch_in_epoch x batch_samples:
+  /// checkpoints fall on full-batch boundaries).  Informational — resume
+  /// reads batch_in_epoch.
+  std::uint64_t samples_done = 0;
   double lr = 0.0;                   ///< optimizer lr currently in effect
-  std::array<std::uint64_t, 4> shuffle_state{};  ///< at epoch START (fit)
+  /// Unused since the in-memory training source replays its shuffles
+  /// from the run seed; written as zeros, kept so the v1 layout holds.
+  std::array<std::uint64_t, 4> shuffle_state{};
 
   // -- in-epoch accumulators + early stopping --------------------------
   double loss_sum = 0.0;

@@ -1,4 +1,4 @@
-// Hyperparameters shared by both RouteNet variants.
+// Hyperparameters of the RouteNet model (both kinds) and its vocabulary.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
-#include "core/routenet.hpp"
+#include "core/model.hpp"
 
+#include <cstdint>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -7,11 +8,10 @@
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "nn/ops.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rnx::core {
-
-// ---- shared Model machinery (declared in model.hpp) --------------------
 
 void Model::save_weights(const std::string& path) const {
   const nn::NamedParams params = named_params();
@@ -37,8 +37,9 @@ void Model::copy_params_from(const Model& src) {
   }
 }
 
-const MpPlan& Model::plan_for(const data::Sample& sample, bool use_nodes,
+const MpPlan& Model::plan_for(const data::Sample& sample,
                               std::shared_ptr<const MpPlan>& local) const {
+  const bool use_nodes = rnn_node_.has_value();
   if (plan_cache_ != nullptr) {
     local = plan_cache_->get(sample, use_nodes);
   } else {
@@ -106,6 +107,56 @@ void require_scenario(const data::Sample& s, std::size_t state_dim) {
         "with rnx_datagen, or use a model without scenario features)");
 }
 
+enum class Entity { kLink, kNode };
+
+// Mean-aggregation normalizer (ModelConfig::link_mean_aggregation,
+// node_mean_aggregation): a constant (entities x H) multiplier whose row
+// e is 1/count(e), or 0 when nothing reaches e.  A link's count is its
+// (path, position) messages — its occurrences across all paths; a
+// node's is its (path, node) incidences.
+nn::Var inv_count_var(const MpPlan& plan, Entity entity,
+                      std::size_t state_dim) {
+  const std::size_t rows =
+      entity == Entity::kLink ? plan.num_links : plan.num_nodes;
+  std::vector<double> counts(rows, 0.0);
+  if (entity == Entity::kLink) {
+    for (std::size_t p = 0; p < plan.num_positions(); ++p) {
+      const PlanPosition pos = plan.position(p);
+      if (pos.is_node) continue;
+      for (const auto l : pos.elem_ids) counts[l] += 1.0;
+    }
+  } else {
+    for (const auto n : plan.inc_node_ids) counts[n] += 1.0;
+  }
+  nn::Tensor inv(rows, state_dim);
+  for (std::size_t e = 0; e < rows; ++e) {
+    const double v = counts[e] > 0.0 ? 1.0 / counts[e] : 0.0;
+    for (std::size_t c = 0; c < state_dim; ++c) inv(e, c) = v;
+  }
+  return nn::constant(std::move(inv));
+}
+
+// Accumulate one position's messages into an entity's (rows x H) sum.
+void accumulate(nn::Var& sum, const nn::Var& msg) {
+  sum = sum.defined() ? nn::add(sum, msg) : msg;
+}
+
+// One entity update: RNN step over the aggregated messages, normalized
+// in place to a mean when `inv_count` is set.  No messages leaves `h` as
+// is.
+void update_entity(nn::Var& h, nn::Var& msg, const nn::Var& inv_count,
+                   const nn::GRUCell& rnn) {
+  if (!msg.defined()) return;
+  if (inv_count.defined()) msg = nn::mul(msg, inv_count);
+  h = rnn.step(msg, h);
+}
+
+nn::GRUCell make_cell(const ModelConfig& cfg, std::uint64_t seed_offset,
+                      const char* name) {
+  util::RngStream rng(cfg.init_seed + seed_offset);
+  return nn::GRUCell(cfg.state_dim, cfg.state_dim, rng, name);
+}
+
 }  // namespace
 
 nn::Var initial_path_states(const data::Sample& s, const data::Scaler& sc,
@@ -166,105 +217,104 @@ nn::Var initial_node_states(const data::Sample& s, const data::Scaler& sc,
   return nn::constant(std::move(t));
 }
 
-// Per-link 1/count multiplier for link_mean_aggregation: count = the
-// number of (path, position) messages summed into each link, i.e. the
-// link's occurrences across all paths.
-nn::Var link_inv_count_var(const MpPlan& plan, std::size_t state_dim) {
-  std::vector<double> counts(plan.num_links, 0.0);
-  for (std::size_t p = 0; p < plan.num_positions(); ++p) {
-    const PlanPosition pos = plan.position(p);
-    if (pos.is_node) continue;
-    for (const auto l : pos.elem_ids) counts[l] += 1.0;
-  }
-  nn::Tensor inv(plan.num_links, state_dim);
-  for (std::size_t l = 0; l < plan.num_links; ++l) {
-    const double v = counts[l] > 0.0 ? 1.0 / counts[l] : 0.0;
-    for (std::size_t c = 0; c < state_dim; ++c) inv(l, c) = v;
-  }
-  return nn::constant(std::move(inv));
-}
+// ---- the model -------------------------------------------------------------
 
-// ---- original RouteNet ---------------------------------------------------
-
-RouteNet::RouteNet(ModelConfig cfg)
-    : cfg_(cfg),
-      rnn_path_([&] {
-        util::RngStream rng(cfg.init_seed);
-        return nn::GRUCell(cfg.state_dim, cfg.state_dim, rng, "rnn_p");
-      }()),
-      rnn_link_([&] {
-        util::RngStream rng(cfg.init_seed + 1);
-        return nn::GRUCell(cfg.state_dim, cfg.state_dim, rng, "rnn_l");
-      }()),
+Model::Model(ModelKind kind, ModelConfig cfg)
+    : kind_(kind),
+      cfg_(cfg),
+      rnn_path_(make_cell(cfg, 0, "rnn_p")),
+      rnn_link_(make_cell(cfg, 1, "rnn_l")),
       readout_([&] {
         util::RngStream rng(cfg.init_seed + 2);
         return nn::Mlp({cfg.state_dim, cfg.readout_hidden, 1},
                        nn::Activation::kRelu, rng, "readout");
       }()) {
+  if (kind_ != ModelKind::kOriginal && kind_ != ModelKind::kExtended)
+    throw std::invalid_argument("Model: invalid model kind");
   if (cfg_.scenario_features && cfg_.state_dim < kScenarioFeatureMinDim)
     throw std::invalid_argument(
-        "RouteNet: scenario features need state_dim >= " +
+        "Model: scenario features need state_dim >= " +
         std::to_string(kScenarioFeatureMinDim));
+  if (kind_ == ModelKind::kExtended) rnn_node_ = make_cell(cfg, 3, "rnn_n");
   rnn_path_.set_fused(cfg_.fused_gru);
   rnn_link_.set_fused(cfg_.fused_gru);
+  if (rnn_node_) rnn_node_->set_fused(cfg_.fused_gru);
 }
 
-ForwardTrace RouteNet::forward_traced(const data::Sample& sample,
-                                      const data::Scaler& scaler) const {
+std::unique_ptr<Model> make_model(ModelKind kind, const ModelConfig& cfg) {
+  return std::make_unique<Model>(kind, cfg);
+}
+
+std::string Model::name() const {
+  return kind_ == ModelKind::kOriginal ? "routenet" : "routenet-ext";
+}
+
+nn::Var Model::forward(const data::Sample& sample,
+                       const data::Scaler& scaler) const {
   std::shared_ptr<const MpPlan> plan_holder;
-  const MpPlan& plan = plan_for(sample, /*use_nodes=*/false, plan_holder);
+  const MpPlan& plan = plan_for(sample, plan_holder);
+  const std::size_t dim = cfg_.state_dim;
   nn::Var h_path = initial_path_states(sample, scaler, cfg_);
   nn::Var h_link = initial_link_states(sample, scaler, cfg_);
+  nn::Var h_node;
+  if (rnn_node_) h_node = initial_node_states(sample, scaler, cfg_);
 
-  // Optional mean normalization of the link aggregation — the symmetric
-  // twin of node_mean_aggregation (see ModelConfig); off leaves the
-  // forward bitwise-unchanged.
-  nn::Var link_inv_count;
+  // Optional mean normalizers (see ModelConfig); off leaves the forward
+  // bitwise-unchanged.
+  nn::Var node_inv_count, link_inv_count;
+  if (rnn_node_ && cfg_.node_mean_aggregation)
+    node_inv_count = inv_count_var(plan, Entity::kNode, dim);
   if (cfg_.link_mean_aggregation)
-    link_inv_count = link_inv_count_var(plan, cfg_.state_dim);
+    link_inv_count = inv_count_var(plan, Entity::kLink, dim);
+  const bool positional_node_msgs =
+      cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
 
   for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
     nn::Var hidden = h_path;
-    nn::Var link_msg;  // accumulated per-position messages, (L x H)
+    nn::Var link_msg;  // (L x H) summed positional messages to links
+    nn::Var node_msg;  // (N x H)
     for (std::size_t p = 0; p < plan.num_positions(); ++p) {
+      // Extended plans interleave: even positions read node states, odd
+      // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
-      const nn::Var x = nn::gather_rows(h_link, pos.elem_ids);
+      const nn::Var x = nn::gather_rows(pos.is_node ? h_node : h_link,
+                                        pos.elem_ids);
       const nn::Var h = nn::gather_rows(hidden, pos.path_rows);
       const nn::Var h2 = rnn_path_.step(x, h);
       hidden = nn::scatter_rows(hidden, pos.path_rows, h2);
-      const nn::Var msg = nn::segment_sum(h2, pos.elem_ids, plan.num_links);
-      link_msg = link_msg.defined() ? nn::add(link_msg, msg) : msg;
+      if (!pos.is_node)
+        accumulate(link_msg,
+                   nn::segment_sum(h2, pos.elem_ids, plan.num_links));
+      else if (positional_node_msgs)
+        accumulate(node_msg,
+                   nn::segment_sum(h2, pos.elem_ids, plan.num_nodes));
     }
     h_path = hidden;
-    if (link_msg.defined()) {
-      if (link_inv_count.defined())
-        link_msg = nn::mul(link_msg, link_inv_count);
-      h_link = rnn_link_.step(link_msg, h_link);
+    update_entity(h_link, link_msg, link_inv_count, rnn_link_);
+    if (!rnn_node_) continue;
+    if (!positional_node_msgs) {
+      // The paper's rule: element-wise sum of the (freshly updated)
+      // states of all paths traversing each node.
+      const nn::Var gathered = nn::gather_rows(h_path, plan.inc_path_rows);
+      node_msg = nn::segment_sum(gathered, plan.inc_node_ids, plan.num_nodes);
     }
+    update_entity(h_node, node_msg, node_inv_count, *rnn_node_);
   }
-
-  ForwardTrace tr;
-  tr.path_states = h_path;
-  tr.link_states = h_link;
-  tr.predictions = readout_.forward(h_path);
-  return tr;
+  return readout_.forward(h_path);
 }
 
-nn::Var RouteNet::forward(const data::Sample& sample,
-                          const data::Scaler& scaler) const {
-  return forward_traced(sample, scaler).predictions;
-}
-
-std::unique_ptr<Model> RouteNet::clone() const {
-  auto copy = std::make_unique<RouteNet>(cfg_);
+std::unique_ptr<Model> Model::clone() const {
+  auto copy = std::make_unique<Model>(kind_, cfg_);
   copy->copy_params_from(*this);
   return copy;
 }
 
-nn::NamedParams RouteNet::named_params() const {
+nn::NamedParams Model::named_params() const {
   nn::NamedParams out;
   for (auto& p : rnn_path_.named_params()) out.push_back(std::move(p));
   for (auto& p : rnn_link_.named_params()) out.push_back(std::move(p));
+  if (rnn_node_)
+    for (auto& p : rnn_node_->named_params()) out.push_back(std::move(p));
   for (auto& p : readout_.named_params()) out.push_back(std::move(p));
   return out;
 }

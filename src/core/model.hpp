@@ -1,13 +1,33 @@
-// Common interface of the two RouteNet variants.
+// RouteNet: one model class for both architectures of the paper.
 //
 // A model maps one dataset sample (topology + routing + traffic [+ queue
 // sizes]) to one prediction per path: the z-scored log mean delay (see
-// data::Scaler).  Both variants are deterministic functions of their
-// weights; all stochasticity lives in initialization and training.
+// data::Scaler).  Per message-passing iteration:
+//   1. path update — RNN_P consumes each path's element sequence
+//      (position-vectorized; see core/plan.hpp); the RNN output at an
+//      element's position is the path's message to that element;
+//   2. link update — RNN_L over the summed positional messages from the
+//      paths crossing the link;
+//   3. node update (extended only) — RNN_N over the element-wise sum of
+//      the states of all paths traversing the node
+//      (ModelConfig::node_rule selects the paper's rule or the
+//      positional-message ablation).
+// After T iterations a feed-forward readout maps each path state to the
+// prediction.
+//
+// The entity set comes from ModelKind.  kOriginal (Rusek et al., SOSR
+// 2019) has paths and links: the path sequence is link1-link2-... and
+// queue sizes are not observable — the gap the Fig. 2 comparison
+// measures.  kExtended (the paper's contribution, §2) adds the node
+// (forwarding device): the path sequence interleaves node1-link1-node2-
+// link2-..., and node features (queue size) enter through the initial
+// node states.  Both kinds are deterministic functions of their weights;
+// all stochasticity lives in initialization and training.
 #pragma once
 
 #include <exception>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +35,8 @@
 #include "core/config.hpp"
 #include "data/normalize.hpp"
 #include "data/sample.hpp"
+#include "nn/gru.hpp"
+#include "nn/layers.hpp"
 #include "nn/serialize.hpp"
 
 namespace rnx::util {
@@ -26,39 +48,35 @@ namespace rnx::core {
 class MpPlan;
 class PlanCache;
 
-/// Intermediate and final products of one forward pass, exposed for
-/// diagnostics (bench_fig1 audits the message-passing structure).
-struct ForwardTrace {
-  nn::Var path_states;  ///< (P x H) after the last iteration
-  nn::Var link_states;  ///< (L x H)
-  nn::Var node_states;  ///< (N x H); undefined Var for the original model
-  nn::Var predictions;  ///< (P x 1) normalized log-delay
-};
-
 class Model {
  public:
-  virtual ~Model() = default;
+  /// A freshly initialized model of `kind`.  Parameters, in
+  /// named_params() order: rnn_p (init_seed), rnn_l (init_seed+1),
+  /// rnn_n (init_seed+3, extended only), readout (init_seed+2).  Throws
+  /// std::invalid_argument for an unknown kind or scenario features on a
+  /// state narrower than kScenarioFeatureMinDim.
+  Model(ModelKind kind, ModelConfig cfg);
+  Model(const Model&) = delete;  // Vars share storage: use clone()
+  Model& operator=(const Model&) = delete;
 
   /// Predictions (P x 1 Var) for every path of the sample, in the
   /// sample's path order.  Differentiable; wrap in nn::NoGradGuard for
   /// inference.
-  [[nodiscard]] virtual nn::Var forward(const data::Sample& sample,
-                                        const data::Scaler& scaler) const = 0;
-  /// As forward(), also exposing final entity states.
-  [[nodiscard]] virtual ForwardTrace forward_traced(
-      const data::Sample& sample, const data::Scaler& scaler) const = 0;
+  [[nodiscard]] nn::Var forward(const data::Sample& sample,
+                                const data::Scaler& scaler) const;
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  /// "routenet" / "routenet-ext" (bench curve keys, log prefixes).
+  [[nodiscard]] std::string name() const;
   /// Stable architecture tag ("orig"/"ext" on disk and CLI); what a
-  /// model bundle persists so load can reconstruct the right class.
-  [[nodiscard]] virtual ModelKind kind() const noexcept = 0;
-  [[nodiscard]] virtual nn::NamedParams named_params() const = 0;
-  [[nodiscard]] virtual const ModelConfig& config() const = 0;
+  /// model bundle persists so load can reconstruct the same entity set.
+  [[nodiscard]] ModelKind kind() const noexcept { return kind_; }
+  [[nodiscard]] nn::NamedParams named_params() const;
+  [[nodiscard]] const ModelConfig& config() const noexcept { return cfg_; }
 
   /// Deep copy: same architecture and current weight values, independent
   /// tape nodes.  The data-parallel trainer clones one replica per lane
   /// so concurrent backward sweeps never share tape state (DESIGN.md §T).
-  [[nodiscard]] virtual std::unique_ptr<Model> clone() const = 0;
+  [[nodiscard]] std::unique_ptr<Model> clone() const;
 
   /// Attach a message-passing plan memo (nullptr detaches).  The cache is
   /// not owned; it must outlive every forward() issued while attached.
@@ -103,22 +121,28 @@ class Model {
   /// must match — same architecture).  Used for replica weight sync.
   void copy_params_from(const Model& src);
 
- protected:
-  /// The plan for (sample, use_nodes): served from the attached cache
-  /// when present, else built into `local` (which owns it either way).
-  [[nodiscard]] const MpPlan& plan_for(const data::Sample& sample,
-                                       bool use_nodes,
-                                       std::shared_ptr<const MpPlan>& local) const;
-
  private:
+  /// The plan for (sample, this kind's entity set): served from the
+  /// attached cache when present, else built into `local` (which owns it
+  /// either way).
+  [[nodiscard]] const MpPlan& plan_for(
+      const data::Sample& sample, std::shared_ptr<const MpPlan>& local) const;
+
+  ModelKind kind_;
+  ModelConfig cfg_;
+  nn::GRUCell rnn_path_;
+  nn::GRUCell rnn_link_;
+  std::optional<nn::GRUCell> rnn_node_;  ///< extended only
+  nn::Mlp readout_;
   PlanCache* plan_cache_ = nullptr;
 };
 
 /// RAII guard restoring a model's attached plan cache on scope exit —
-/// every code path that attaches a run-scoped cache (Trainer::fit) or
-/// detaches for transient streamed samples (fit_stream,
-/// eval::predict_source; DESIGN.md §D) must not leave the model
-/// pointing at a dead stack frame's cache when an exception unwinds.
+/// every code path that attaches a run-scoped cache (the training loop)
+/// or detaches for transient streamed samples (training or evaluation
+/// over a streaming source, eval::predict_source; DESIGN.md §D) must not
+/// leave the model pointing at a dead stack frame's cache when an
+/// exception unwinds.
 class PlanCacheScope {
  public:
   explicit PlanCacheScope(Model& model) noexcept
@@ -133,13 +157,12 @@ class PlanCacheScope {
 };
 
 /// Construct-from-config factory: the freshly initialized model of the
-/// given kind (weights from cfg.init_seed, ready for load_weights).
-/// Deserialization and the CLI tools route through this so every
-/// consumer agrees on the kind -> class mapping.
+/// given kind (weights from cfg.init_seed, ready for load_weights), on
+/// the heap so trainers and registries can hold it by pointer.
 [[nodiscard]] std::unique_ptr<Model> make_model(ModelKind kind,
                                                 const ModelConfig& cfg);
 
-// -- shared state builders (implemented in plan.cpp's TU neighbour) ------
+// -- initial entity states ------------------------------------------------
 
 /// (P x H) initial path states: column 0 carries the z-scored offered
 /// traffic — or, with cfg.scale_invariant_features, the dimensionless
@@ -166,9 +189,5 @@ class PlanCacheScope {
 [[nodiscard]] nn::Var initial_node_states(const data::Sample& s,
                                           const data::Scaler& sc,
                                           const ModelConfig& cfg);
-/// (L x H) constant multiplier of per-link 1/message-count — the
-/// link_mean_aggregation normalizer shared by both forwards.
-[[nodiscard]] nn::Var link_inv_count_var(const MpPlan& plan,
-                                         std::size_t state_dim);
 
 }  // namespace rnx::core

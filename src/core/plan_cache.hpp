@@ -8,8 +8,8 @@
 // Identity keying makes the cache O(1) with zero hashing of sample
 // contents, but ties an entry's validity to the sample object's lifetime:
 // callers must invalidate() (or clear()) before a keyed sample is
-// destroyed or mutated.  The intended scope is one Trainer::fit() /
-// evaluation pass over a Dataset that outlives the cache — exactly how
+// destroyed or mutated.  The intended scope is one training run /
+// evaluation pass over samples that outlive the cache — exactly how
 // core::Trainer uses it.
 //
 // Byte budget (DESIGN.md §G): set_byte_budget(B) caps the sum of

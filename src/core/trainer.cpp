@@ -27,13 +27,10 @@ std::vector<nn::Var> trainable(const Model& model) {
   return out;
 }
 
-// Lane replicas + the per-batch optimizer step, shared verbatim by the
-// in-memory and streaming fit paths: both feed it the same kind of
-// sample-pointer batches, so for identical sample sequences the two
-// paths produce bit-identical weights (the streaming-equivalence test's
-// contract).  See the header comment for the determinism argument: per-
-// sample gradients land in per-sample slots and merge in sample order,
-// so results do not depend on which lane computed what.
+// Lane replicas + the per-batch optimizer step of the epoch loop.  See
+// the header comment for the determinism argument: per-sample gradients
+// land in per-sample slots and merge in sample order, so results do not
+// depend on which lane computed what.
 class BatchEngine {
  public:
   BatchEngine(Model& model, const TrainConfig& cfg, nn::Adam& opt,
@@ -154,6 +151,44 @@ class BatchEngine {
   std::size_t loss_count_ = 0;
 };
 
+// The in-memory training source: pass e is the dataset in the run's e-th
+// Fisher-Yates permutation, where each pass shuffles the order the
+// previous pass produced.  The epoch order is therefore a function of the
+// seed and the number of reset() calls alone — what lets a resume reach
+// epoch e by replaying e passes (DESIGN.md §D, §R).
+class ShuffledDatasetSource final : public data::SampleSource {
+ public:
+  /// `ds` must outlive the source.
+  ShuffledDatasetSource(const data::Dataset& ds, std::uint64_t seed)
+      : ds_(ds), rng_(seed), order_(ds.size()) {
+    std::iota(order_.begin(), order_.end(), 0);
+  }
+
+  [[nodiscard]] std::size_t size() const override { return ds_.size(); }
+  void reset() override {
+    for (std::size_t i = order_.size(); i > 1; --i)
+      std::swap(order_[i - 1],
+                order_[static_cast<std::size_t>(rng_.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    pos_ = 0;
+  }
+  [[nodiscard]] std::shared_ptr<const data::Sample> next() override {
+    if (pos_ >= order_.size()) return nullptr;
+    // Non-owning alias into the dataset's storage, as DatasetSource.
+    return std::shared_ptr<const data::Sample>(std::shared_ptr<void>(),
+                                               &ds_[order_[pos_++]]);
+  }
+  [[nodiscard]] bool stable_addresses() const noexcept override {
+    return true;
+  }
+
+ private:
+  const data::Dataset& ds_;
+  util::RngStream rng_;
+  std::vector<std::size_t> order_;
+  std::size_t pos_ = 0;
+};
+
 // ---- crash-safe checkpointing (DESIGN.md §R) ------------------------------
 
 // Everything the training trajectory depends on, folded into one digest.
@@ -175,6 +210,8 @@ std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
   put(static_cast<std::uint8_t>(mc.node_mean_aggregation));
   put(static_cast<std::uint8_t>(mc.fused_gru));
   put(static_cast<std::uint8_t>(mc.scenario_features));
+  put(static_cast<std::uint8_t>(mc.scale_invariant_features));
+  put(static_cast<std::uint8_t>(mc.link_mean_aggregation));
   put(mc.init_seed);
   put(static_cast<std::uint64_t>(cfg.batch_samples));
   put(cfg.lr);
@@ -294,183 +331,30 @@ nn::Var Trainer::sample_loss(const Model& model, const data::Sample& sample,
 std::vector<EpochRecord> Trainer::fit(const data::Dataset& train,
                                       const data::Scaler& scaler,
                                       const data::Dataset* val) {
-  util::RngStream shuffle_rng(cfg_.seed);
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
-  const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
-
-  // Plan memo: one build per (sample, variant) for the whole run.  Keyed
-  // by sample address — `train`/`val` outlive this call, which is the
-  // cache's validity requirement.
-  PlanCache plan_cache;
-  const PlanCacheScope cache_scope(model_);
-  if (cfg_.use_plan_cache) model_.set_plan_cache(&plan_cache);
-
-  std::vector<EpochRecord> history;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::size_t since_best = 0;
-  std::vector<const data::Sample*> batch_ptrs;
-  batch_ptrs.reserve(batch);
-
-  interrupted_ = false;
-  const bool ckpt_on = !cfg_.checkpoint_dir.empty();
-  const std::string ckpt_path =
-      ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/false, train.size());
-
-  std::size_t start_epoch = 0;
-  std::uint64_t resume_batches = 0;
-  double resume_loss_sum = 0.0;
-  std::uint64_t resume_loss_count = 0;
-  if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
-    const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (ck.streaming)
-      throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit_stream, not fit");
-    if (ck.config_digest != digest)
-      throw CheckpointError(
-          "resume refused: " + ckpt_path +
-          " was written under a different model/train config or dataset "
-          "size — delete the checkpoint to start over");
-    verify_scaler(ck, scaler);
-    restore_train_state(model_, opt_, ck);
-    // The checkpoint carries the shuffle stream as of the epoch's START;
-    // re-running Fisher-Yates from it reproduces the exact epoch order.
-    shuffle_rng = util::RngStream::from_state(ck.shuffle_state);
-    start_epoch = static_cast<std::size_t>(ck.epoch);
-    // The permutation CHAINS across epochs: epoch e shuffles the array
-    // epoch e-1 produced, so the stream state alone is not enough —
-    // rebuild the array by replaying the earlier epochs' shuffles from
-    // the run seed (cheap: O(epochs * n); the digest check above pinned
-    // the seed, so the replay is the original run's prefix verbatim).
-    util::RngStream replay(cfg_.seed);
-    for (std::size_t e = 0; e < start_epoch && e < cfg_.epochs; ++e)
-      for (std::size_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1],
-                  order[static_cast<std::size_t>(replay.uniform_int(
-                      0, static_cast<std::int64_t>(i) - 1))]);
-    resume_batches = ck.batch_in_epoch;
-    resume_loss_sum = ck.loss_sum;
-    resume_loss_count = ck.loss_count;
-    best_val = ck.best_val;
-    since_best = static_cast<std::size_t>(ck.since_best);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), ": resumed from ", ckpt_path,
-                     " at epoch ", start_epoch, ", batch ", resume_batches);
-  }
-
-  // Construct the engine AFTER any resume restore: lane replicas deep-copy
-  // the model's weights at construction, so building it earlier would run
-  // the first resumed batch with stale (initial) weights on lanes 1+.
-  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
-                     cfg_.use_plan_cache ? &plan_cache : nullptr);
-
-  const auto snapshot = [&](std::uint64_t epoch, std::uint64_t batch_done,
-                            const std::array<std::uint64_t, 4>& rng_state,
-                            double loss_sum, std::uint64_t loss_count) {
-    TrainCheckpoint ck;
-    ck.streaming = false;
-    ck.config_digest = digest;
-    ck.epoch = epoch;
-    ck.batch_in_epoch = batch_done;
-    ck.shuffle_state = rng_state;
-    ck.loss_sum = loss_sum;
-    ck.loss_count = loss_count;
-    ck.best_val = best_val;
-    ck.since_best = since_best;
-    capture_train_state(model_, opt_, scaler, ck);
-    save_checkpoint(ckpt_path, ck);
-  };
-
-  for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
-    util::Stopwatch watch;
-    // Shuffle stream state at the epoch's start: what a mid-epoch
-    // checkpoint stores so resume can replay this epoch's exact order.
-    const std::array<std::uint64_t, 4> epoch_rng = shuffle_rng.state();
-    // Deterministic Fisher-Yates reshuffle each epoch.
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1],
-                order[static_cast<std::size_t>(shuffle_rng.uniform_int(
-                    0, static_cast<std::int64_t>(i) - 1))]);
-
-    engine.begin_epoch();
-    std::uint64_t batches_done = 0;
-    if (epoch == start_epoch && resume_batches > 0) {
-      // Already-trained batches of the interrupted epoch: skip them and
-      // put back the loss accumulators they contributed.
-      batches_done = resume_batches;
-      engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
-    }
-    for (std::size_t start = static_cast<std::size_t>(batches_done) * batch;
-         start < order.size(); start += batch) {
-      const std::size_t fill = std::min(batch, order.size() - start);
-      batch_ptrs.clear();
-      for (std::size_t i = 0; i < fill; ++i)
-        batch_ptrs.push_back(&train[order[start + i]]);
-      engine.process_batch(batch_ptrs, scaler);
-      ++batches_done;
-      const bool stop = cfg_.stop_requested && cfg_.stop_requested();
-      if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                               batches_done % cfg_.checkpoint_every == 0)))
-        snapshot(epoch, batches_done, epoch_rng, engine.epoch_loss_sum(),
-                 engine.epoch_loss_count());
-      if (stop) {
-        interrupted_ = true;
-        if (cfg_.verbose)
-          util::log_info(model_.name(), ": stop requested at epoch ", epoch,
-                         ", batch ", batches_done,
-                         ckpt_on ? " (checkpoint written)" : "");
-        return history;
-      }
-    }
-    opt_.set_lr(opt_.lr() * cfg_.lr_decay);
-
-    EpochRecord rec;
-    rec.epoch = epoch;
-    rec.train_loss = engine.epoch_mean_loss();
-    rec.val_loss = val ? evaluate_loss(*val, scaler)
-                       : std::numeric_limits<double>::quiet_NaN();
-    rec.seconds = watch.seconds();
-    history.push_back(rec);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), " epoch ", epoch, ": train_loss=",
-                     rec.train_loss, val ? " val_loss=" : "",
-                     val ? std::to_string(rec.val_loss) : std::string(),
-                     " (", rec.seconds, "s)");
-
-    bool early_stop = false;
-    if (val && cfg_.patience > 0) {
-      if (rec.val_loss < best_val - 1e-9) {
-        best_val = rec.val_loss;
-        since_best = 0;
-      } else if (++since_best >= cfg_.patience) {
-        if (cfg_.verbose)
-          util::log_info(model_.name(), ": early stop at epoch ", epoch);
-        early_stop = true;
-      }
-    }
-    // End-of-epoch checkpoint: cursor at the NEXT epoch's start (post-
-    // decay lr, next epoch's shuffle state, zeroed accumulators).  Early
-    // stop and natural completion both park the cursor at cfg_.epochs,
-    // so resuming a finished run retrains nothing.
-    if (ckpt_on)
-      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, shuffle_rng.state(),
-               0.0, 0);
-    if (early_stop) break;
-  }
-  return history;
+  ShuffledDatasetSource src(train, cfg_.seed);
+  std::optional<data::DatasetSource> val_src;
+  if (val != nullptr) val_src.emplace(*val);
+  return run_epochs(src, scaler, val_src ? &*val_src : nullptr,
+                    /*streaming=*/false);
 }
 
 std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
                                              const data::Scaler& scaler,
                                              data::SampleSource* val) {
+  return run_epochs(train, scaler, val, /*streaming=*/true);
+}
+
+std::vector<EpochRecord> Trainer::run_epochs(data::SampleSource& train,
+                                             const data::Scaler& scaler,
+                                             data::SampleSource* val,
+                                             bool streaming) {
   const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
 
-  // Address-keyed plan caching is only sound when the source's sample
-  // objects are stable for the whole run; a streaming source recycles
-  // addresses, so the model runs cache-DETACHED there (correctness over
-  // speed — a stale plan at a reused address would be silently wrong).
+  // Plan memo: one build per (sample, variant) for the whole run.
+  // Address-keyed caching is only sound when the source's sample objects
+  // are stable for the whole run; a streaming source recycles addresses,
+  // so the model runs cache-DETACHED there (correctness over speed — a
+  // stale plan at a reused address would be silently wrong).
   const bool cacheable = cfg_.use_plan_cache && train.stable_addresses();
   PlanCache plan_cache;
   const PlanCacheScope cache_scope(model_);
@@ -487,14 +371,12 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
   batch_ptrs.reserve(batch);
 
   interrupted_ = false;
+  const char* const loop_name = streaming ? "fit_stream" : "fit";
   const bool ckpt_on = !cfg_.checkpoint_dir.empty();
   const std::string ckpt_path =
       ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  // A source has no size before its first pass; the stream identity is
-  // carried by the source itself (the sharded store's own digest guards
-  // dataset/config drift at that layer).
   const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/true, 0);
+      train_digest(model_, cfg_, streaming, train.size());
 
   std::size_t start_epoch = 0;
   std::uint64_t resume_samples = 0;
@@ -502,29 +384,40 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
   std::uint64_t resume_loss_count = 0;
   if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
     const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (!ck.streaming)
+    if (ck.streaming != streaming)
       throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit, not fit_stream");
+                            " was written by " +
+                            (ck.streaming ? "fit_stream" : "fit") +
+                            ", not " + loop_name);
     if (ck.config_digest != digest)
       throw CheckpointError(
           "resume refused: " + ckpt_path +
-          " was written under a different model/train config — delete the "
-          "checkpoint to start over");
+          " was written under a different model/train config or dataset "
+          "size — delete the checkpoint to start over");
     verify_scaler(ck, scaler);
     restore_train_state(model_, opt_, ck);
     start_epoch = static_cast<std::size_t>(ck.epoch);
-    resume_samples = ck.samples_done;
+    // The one resume cursor: mid-epoch checkpoints are written only at
+    // full-batch boundaries.
+    resume_samples = ck.batch_in_epoch * batch;
     resume_loss_sum = ck.loss_sum;
     resume_loss_count = ck.loss_count;
     best_val = ck.best_val;
     since_best = static_cast<std::size_t>(ck.since_best);
+    // A source may order each pass differently — the in-memory source
+    // chains its shuffle across passes — so replay the finished epochs'
+    // passes (the digest pinned the seed).  A streaming source replays
+    // one order every pass; for it these are plain rewinds.
+    if (start_epoch < cfg_.epochs)
+      for (std::size_t e = 0; e < start_epoch; ++e) train.reset();
     if (cfg_.verbose)
       util::log_info(model_.name(), ": resumed from ", ckpt_path,
-                     " at epoch ", start_epoch, ", sample ", resume_samples);
+                     " at epoch ", start_epoch, ", batch ", ck.batch_in_epoch);
   }
 
-  // After the resume restore, for the same reason as in fit(): lane
-  // replicas snapshot the weights when the engine is built.
+  // Construct the engine AFTER any resume restore: lane replicas deep-copy
+  // the model's weights at construction, so building it earlier would run
+  // the first resumed batch with stale (initial) weights on lanes 1+.
   BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
                      cacheable ? &plan_cache : nullptr);
 
@@ -532,7 +425,7 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
                             std::uint64_t batch_done, double loss_sum,
                             std::uint64_t loss_count) {
     TrainCheckpoint ck;
-    ck.streaming = true;
+    ck.streaming = streaming;
     ck.config_digest = digest;
     ck.epoch = epoch;
     ck.batch_in_epoch = batch_done;
@@ -550,48 +443,47 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
     train.reset();
     engine.begin_epoch();
     std::uint64_t samples_done = 0;
-    std::uint64_t batches_done = 0;
     if (epoch == start_epoch && resume_samples > 0) {
-      // The source replays the same deterministic order every pass, so
-      // the cursor is just a count: pull and discard the prefix the
+      // Every pass of a source is a pure function of the run, so the
+      // cursor is just a count: pull and discard the prefix the
       // interrupted run already trained on.
       while (samples_done < resume_samples) {
-        auto sp = train.next();
-        if (!sp)
+        if (!train.next())
           throw CheckpointError(
-              "resume refused: stream ended after " +
+              "resume refused: pass ended after " +
               std::to_string(samples_done) + " samples, checkpoint cursor "
               "is at " + std::to_string(resume_samples) +
-              " (did the training store change?)");
+              " (did the training set change?)");
         ++samples_done;
       }
-      batches_done = samples_done / batch;  // cursor sits on a boundary
       engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
     }
+    std::uint64_t batches_done = samples_done / batch;
     while (auto sp = train.next()) {
       batch_ptrs.push_back(sp.get());
       hold.push_back(std::move(sp));
       ++samples_done;
-      if (batch_ptrs.size() == batch) {
-        engine.process_batch(batch_ptrs, scaler);
-        batch_ptrs.clear();
-        hold.clear();
-        ++batches_done;
-        const bool stop = cfg_.stop_requested && cfg_.stop_requested();
-        if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                                 batches_done % cfg_.checkpoint_every == 0)))
-          snapshot(epoch, samples_done, batches_done,
-                   engine.epoch_loss_sum(), engine.epoch_loss_count());
-        if (stop) {
-          interrupted_ = true;
-          if (cfg_.verbose)
-            util::log_info(model_.name(), ": stop requested at epoch ",
-                           epoch, ", sample ", samples_done,
-                           ckpt_on ? " (checkpoint written)" : "");
-          return history;
-        }
+      if (batch_ptrs.size() < batch) continue;
+      engine.process_batch(batch_ptrs, scaler);
+      batch_ptrs.clear();
+      hold.clear();
+      ++batches_done;
+      const bool stop = cfg_.stop_requested && cfg_.stop_requested();
+      if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
+                               batches_done % cfg_.checkpoint_every == 0)))
+        snapshot(epoch, samples_done, batches_done, engine.epoch_loss_sum(),
+                 engine.epoch_loss_count());
+      if (stop) {
+        interrupted_ = true;
+        if (cfg_.verbose)
+          util::log_info(model_.name(), ": stop requested at epoch ", epoch,
+                         ", batch ", batches_done,
+                         ckpt_on ? " (checkpoint written)" : "");
+        return history;
       }
     }
+    // The trailing partial batch (not a stop point: the cursor stays on
+    // full-batch boundaries).
     engine.process_batch(batch_ptrs, scaler);
     batch_ptrs.clear();
     hold.clear();
@@ -608,7 +500,7 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
       util::log_info(model_.name(), " epoch ", epoch, ": train_loss=",
                      rec.train_loss, val ? " val_loss=" : "",
                      val ? std::to_string(rec.val_loss) : std::string(),
-                     " (", rec.seconds, "s, streaming)");
+                     " (", rec.seconds, streaming ? "s, streaming)" : "s)");
 
     bool early_stop = false;
     if (val && cfg_.patience > 0) {
@@ -621,6 +513,10 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
         early_stop = true;
       }
     }
+    // End-of-epoch checkpoint: cursor at the NEXT epoch's start (post-
+    // decay lr, zeroed accumulators).  Early stop and natural completion
+    // both park the cursor at cfg_.epochs, so resuming a finished run
+    // retrains nothing.
     if (ckpt_on)
       snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, 0, 0.0, 0);
     if (early_stop) break;
@@ -630,39 +526,14 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
 
 double Trainer::evaluate_loss(const data::Dataset& ds,
                               const data::Scaler& scaler) const {
-  // Inference is read-only on the weights, so the lanes can share the
-  // primary model.  Per-sample losses land in slots and are summed in
-  // sample order — same result for any lane count.
-  std::vector<double> losses(ds.size(), 0.0);
-  std::vector<char> defined(ds.size(), 0);
-  const auto eval_one = [&](std::size_t i) {
-    const nn::NoGradGuard guard;
-    const nn::Var loss =
-        sample_loss(model_, ds[i], scaler, cfg_.min_delivered, cfg_.target);
-    if (!loss.defined()) return;
-    losses[i] = loss.value().item();
-    defined[i] = 1;
-  };
-  if (pool_ && ds.size() > 1) {
-    pool_->parallel_for(ds.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < ds.size(); ++i) eval_one(i);
-  }
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    if (!defined[i]) continue;
-    sum += losses[i];
-    ++count;
-  }
-  return count ? sum / static_cast<double>(count)
-               : std::numeric_limits<double>::quiet_NaN();
+  data::DatasetSource src(ds);
+  return evaluate_loss(src, scaler);
 }
 
 double Trainer::evaluate_loss(data::SampleSource& src,
                               const data::Scaler& scaler) const {
   // Streaming sources hand out transient samples: run cache-detached so
-  // no address-keyed plan entry can outlive its sample (see fit_stream).
+  // no address-keyed plan entry can outlive its sample (see run_epochs).
   const PlanCacheScope cache_scope(model_);
   if (!src.stable_addresses()) model_.set_plan_cache(nullptr);
 

@@ -59,7 +59,8 @@ struct TrainConfig {
   /// (CheckpointError otherwise); the resumed trajectory is then
   /// bitwise-identical to the uninterrupted one.
   bool resume = false;
-  /// Polled after every optimizer step; returning true finalizes one
+  /// Polled after every full-batch optimizer step (an epoch's trailing
+  /// partial batch is not a stop point); returning true finalizes one
   /// last checkpoint (if enabled) and exits fit cleanly with
   /// Trainer::interrupted() set — how SIGINT/SIGTERM stop training
   /// without losing the batch in flight.
@@ -78,7 +79,9 @@ class Trainer {
   Trainer(Model& model, TrainConfig cfg);
 
   /// Train on `train`; optionally track loss on `val` each epoch.
-  /// Returns the per-epoch history.
+  /// Returns the per-epoch history.  The epoch loop of fit_stream over an
+  /// in-memory source whose pass e is the run's e-th chained Fisher-Yates
+  /// permutation of `train` (seeded by TrainConfig::seed).
   std::vector<EpochRecord> fit(const data::Dataset& train,
                                const data::Scaler& scaler,
                                const data::Dataset* val = nullptr);
@@ -88,17 +91,19 @@ class Trainer {
   /// peak sample residency bounded by the batch size plus the source's
   /// prefetch window.  Sample ORDER is the source's (the source owns
   /// shuffling); given the same sample sequence, updates are
-  /// bitwise-identical to the in-memory path for any thread count.
-  /// Address-keyed plan caching engages only when the source guarantees
-  /// stable sample addresses; for transient streaming samples the model
-  /// runs cache-detached (caching a recycled address would serve a
-  /// stale plan).
+  /// bitwise-identical to fit for any thread count.  Address-keyed plan
+  /// caching engages only when the source guarantees stable sample
+  /// addresses; for transient streaming samples the model runs
+  /// cache-detached (caching a recycled address would serve a stale
+  /// plan).  A checkpoint records which of fit/fit_stream wrote it, and
+  /// neither resumes the other's.
   std::vector<EpochRecord> fit_stream(data::SampleSource& train,
                                       const data::Scaler& scaler,
                                       data::SampleSource* val = nullptr);
 
   /// Mean per-sample loss without building the tape (inference mode);
-  /// parallel over the trainer's lanes.
+  /// parallel over the trainer's lanes.  One pass of the streaming
+  /// overload over the dataset in index order.
   [[nodiscard]] double evaluate_loss(const data::Dataset& ds,
                                      const data::Scaler& scaler) const;
 
@@ -123,6 +128,13 @@ class Trainer {
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
 
  private:
+  /// The one epoch loop (batching, resume, checkpoints, validation, early
+  /// stop) behind fit and fit_stream; `streaming` tags its checkpoints.
+  std::vector<EpochRecord> run_epochs(data::SampleSource& train,
+                                      const data::Scaler& scaler,
+                                      data::SampleSource* val,
+                                      bool streaming);
+
   Model& model_;
   TrainConfig cfg_;
   nn::Adam opt_;

@@ -1,5 +1,6 @@
 #include "data/sample.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace rnx::data {
@@ -24,8 +25,10 @@ void Sample::validate() const {
   for (const auto& l : links)
     if (l.src >= num_nodes || l.dst >= num_nodes)
       throw std::runtime_error("Sample: link endpoint out of range");
+  // Written so NaN fails every check (NaN compares false to everything).
   for (const auto& c : link_capacity_bps)
-    if (c <= 0.0) throw std::runtime_error("Sample: non-positive capacity");
+    if (!std::isfinite(c) || c <= 0.0)
+      throw std::runtime_error("Sample: non-positive or non-finite capacity");
   for (const auto& q : queue_pkts)
     if (q == 0) throw std::runtime_error("Sample: zero queue");
   try {
@@ -44,7 +47,8 @@ void Sample::validate() const {
       if (links[l].src != p.nodes[i] || links[l].dst != p.nodes[i + 1])
         throw std::runtime_error("Sample: path/link mismatch");
     }
-    if (p.traffic_bps < 0.0 || p.loss_rate < 0.0 || p.loss_rate > 1.0)
+    if (!std::isfinite(p.traffic_bps) || p.traffic_bps < 0.0 ||
+        !(p.loss_rate >= 0.0 && p.loss_rate <= 1.0))
       throw std::runtime_error("Sample: bad path attributes");
     if (p.priority_class >= scenario.priority_classes)
       throw std::runtime_error("Sample: path class out of scenario range");

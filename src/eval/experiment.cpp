@@ -66,8 +66,8 @@ Fig2Result run_fig2(const Fig2Config& cfg) {
   const data::Scaler scaler =
       data::Scaler::fit(ds.train.samples(), cfg.train.min_delivered);
 
-  core::ExtendedRouteNet ext(cfg.model);
-  core::RouteNet orig(cfg.model);
+  core::Model ext(core::ModelKind::kExtended, cfg.model);
+  core::Model orig(core::ModelKind::kOriginal, cfg.model);
 
   util::Stopwatch train_watch;
   {

@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "eval/metrics.hpp"

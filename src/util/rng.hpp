@@ -9,7 +9,6 @@
 // bit-identical datasets and models.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -53,13 +52,6 @@ class RngStream {
   [[nodiscard]] bool bernoulli(double p) noexcept;
   /// Pareto draw with shape alpha (>0) and scale xm (>0): xm / U^{1/alpha}.
   [[nodiscard]] double pareto(double alpha, double xm) noexcept;
-
-  /// Raw engine state, for checkpointing: from_state() reconstructs a
-  /// stream that continues EXACTLY where this one stands (the trainer's
-  /// crash-safe resume relies on restoring the shuffle stream bitwise).
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept;
-  [[nodiscard]] static RngStream from_state(
-      const std::array<std::uint64_t, 4>& s) noexcept;
 
  private:
   RngStream() = default;

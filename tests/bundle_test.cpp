@@ -8,11 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
@@ -73,83 +74,95 @@ void reseal(std::string& file) {
 
 struct SavedBundle {
   std::string path;
-  core::ExtendedRouteNet model;
+  std::unique_ptr<core::Model> model;
   data::Scaler scaler;
 };
 
-SavedBundle make_saved_bundle(const std::string& path) {
+SavedBundle make_saved_bundle(
+    const std::string& path,
+    core::ModelKind kind = core::ModelKind::kExtended) {
   const data::Dataset& ds = test_dataset();
-  SavedBundle out{path, core::ExtendedRouteNet(small_config()),
+  SavedBundle out{path, core::make_model(kind, small_config()),
                   data::Scaler::fit(ds.samples(), 5)};
-  serve::save_bundle(path, out.model, out.scaler,
+  serve::save_bundle(path, *out.model, out.scaler,
                      core::PredictionTarget::kDelay, 5);
   return out;
 }
 
+constexpr core::ModelKind kBothKinds[] = {core::ModelKind::kOriginal,
+                                          core::ModelKind::kExtended};
+
 TEST(Bundle, RoundTripPreservesEverything) {
-  const std::string path = "/tmp/rnx_bundle_roundtrip.rnxb";
-  const SavedBundle saved = make_saved_bundle(path);
+  for (const core::ModelKind kind : kBothKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    const std::string path = "/tmp/rnx_bundle_roundtrip.rnxb";
+    const SavedBundle saved = make_saved_bundle(path, kind);
 
-  const serve::ModelBundle loaded = serve::load_bundle(path);
-  ASSERT_TRUE(loaded.model != nullptr);
-  EXPECT_EQ(loaded.kind(), core::ModelKind::kExtended);
-  EXPECT_EQ(loaded.target, core::PredictionTarget::kDelay);
-  EXPECT_EQ(loaded.min_delivered, 5u);
+    const serve::ModelBundle loaded = serve::load_bundle(path);
+    ASSERT_TRUE(loaded.model != nullptr);
+    EXPECT_EQ(loaded.kind(), kind);
+    EXPECT_EQ(loaded.target, core::PredictionTarget::kDelay);
+    EXPECT_EQ(loaded.min_delivered, 5u);
 
-  const core::ModelConfig& mc = loaded.model->config();
-  EXPECT_EQ(mc.state_dim, 8u);
-  EXPECT_EQ(mc.readout_hidden, 12u);
-  EXPECT_EQ(mc.iterations, 2u);
-  EXPECT_EQ(mc.init_seed, 5u);
+    const core::ModelConfig& mc = loaded.model->config();
+    EXPECT_EQ(mc.state_dim, 8u);
+    EXPECT_EQ(mc.readout_hidden, 12u);
+    EXPECT_EQ(mc.iterations, 2u);
+    EXPECT_EQ(mc.init_seed, 5u);
 
-  // Scaler moments: bitwise.
-  const auto expect_same = [](const data::Moments& a, const data::Moments& b) {
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.stddev, b.stddev);
-  };
-  expect_same(loaded.scaler.traffic_moments(),
-              saved.scaler.traffic_moments());
-  expect_same(loaded.scaler.capacity_moments(),
-              saved.scaler.capacity_moments());
-  expect_same(loaded.scaler.queue_moments(), saved.scaler.queue_moments());
-  expect_same(loaded.scaler.log_delay_moments(),
-              saved.scaler.log_delay_moments());
-  expect_same(loaded.scaler.log_jitter_moments(),
-              saved.scaler.log_jitter_moments());
+    // Scaler moments: bitwise.
+    const auto expect_same = [](const data::Moments& a, const data::Moments& b) {
+      EXPECT_EQ(a.mean, b.mean);
+      EXPECT_EQ(a.stddev, b.stddev);
+    };
+    expect_same(loaded.scaler.traffic_moments(),
+                saved.scaler.traffic_moments());
+    expect_same(loaded.scaler.capacity_moments(),
+                saved.scaler.capacity_moments());
+    expect_same(loaded.scaler.queue_moments(), saved.scaler.queue_moments());
+    expect_same(loaded.scaler.log_delay_moments(),
+                saved.scaler.log_delay_moments());
+    expect_same(loaded.scaler.log_jitter_moments(),
+                saved.scaler.log_jitter_moments());
 
-  // Weights: bitwise.
-  const nn::NamedParams pa = saved.model.named_params();
-  const nn::NamedParams pb = loaded.model->named_params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].first, pb[i].first);
-    const auto& ta = pa[i].second.value();
-    const auto& tb = pb[i].second.value();
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t j = 0; j < ta.size(); ++j)
-      EXPECT_EQ(ta.flat()[j], tb.flat()[j]);
+    // Weights: bitwise.
+    const nn::NamedParams pa = saved.model->named_params();
+    const nn::NamedParams pb = loaded.model->named_params();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_EQ(pa[i].first, pb[i].first);
+      const auto& ta = pa[i].second.value();
+      const auto& tb = pb[i].second.value();
+      ASSERT_EQ(ta.size(), tb.size());
+      for (std::size_t j = 0; j < ta.size(); ++j)
+        EXPECT_EQ(ta.flat()[j], tb.flat()[j]);
+    }
+    std::filesystem::remove(path);
   }
-  std::filesystem::remove(path);
 }
 
 // The regression the bundle subsystem exists for: deployment must not
 // depend on re-fitting the scaler — bundle-loaded inference equals
 // fresh in-memory inference on the training set bit for bit.
 TEST(Bundle, LoadedInferenceBitwiseIdenticalToInMemory) {
-  const std::string path = "/tmp/rnx_bundle_bitwise.rnxb";
-  const SavedBundle saved = make_saved_bundle(path);
-  const data::Dataset& ds = test_dataset();
+  for (const core::ModelKind kind : kBothKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    const std::string path = "/tmp/rnx_bundle_bitwise.rnxb";
+    const SavedBundle saved = make_saved_bundle(path, kind);
+    const data::Dataset& ds = test_dataset();
 
-  const serve::InferenceEngine engine(path);
-  for (const auto& sample : ds.samples()) {
-    const nn::NoGradGuard guard;
-    const nn::Tensor direct = saved.model.forward(sample, saved.scaler).value();
-    const std::vector<double> served = engine.predict(sample);
-    ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
-    for (std::size_t i = 0; i < served.size(); ++i)
-      EXPECT_EQ(served[i], saved.scaler.target_to_delay(direct(i, 0)));
+    const serve::InferenceEngine engine(path);
+    for (const auto& sample : ds.samples()) {
+      const nn::NoGradGuard guard;
+      const nn::Tensor direct =
+          saved.model->forward(sample, saved.scaler).value();
+      const std::vector<double> served = engine.predict(sample);
+      ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
+      for (std::size_t i = 0; i < served.size(); ++i)
+        EXPECT_EQ(served[i], saved.scaler.target_to_delay(direct(i, 0)));
+    }
+    std::filesystem::remove(path);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Bundle, MissingFileRejected) {
@@ -234,7 +247,7 @@ TEST(Bundle, ScenarioFeatureFlagRoundTrips) {
   const data::Dataset& ds = test_dataset();
   core::ModelConfig mc = small_config();
   mc.scenario_features = true;  // state_dim 8 >= kScenarioFeatureMinDim
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
   const serve::ModelBundle loaded = serve::load_bundle(path);
@@ -249,7 +262,7 @@ TEST(Bundle, ScenarioModelRefusesFeaturelessSamples) {
   const data::Dataset& ds = test_dataset();
   core::ModelConfig mc = small_config();
   mc.scenario_features = true;
-  const core::ExtendedRouteNet model(mc);
+  const core::Model model(core::ModelKind::kExtended, mc);
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
 
@@ -272,7 +285,7 @@ TEST(Bundle, ScenarioFeaturesNeedWideEnoughState) {
   core::ModelConfig mc = small_config();
   mc.state_dim = 3;  // < kScenarioFeatureMinDim
   mc.scenario_features = true;
-  EXPECT_THROW(core::ExtendedRouteNet m(mc), std::invalid_argument);
+  EXPECT_THROW(core::Model m(core::ModelKind::kExtended, mc), std::invalid_argument);
   EXPECT_THROW((void)core::make_model(core::ModelKind::kOriginal, mc),
                std::invalid_argument);
 }
@@ -282,9 +295,9 @@ TEST(Bundle, ScenarioFeaturesEnterTheForwardPass) {
   const data::Dataset& ds = test_dataset();
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   core::ModelConfig mc = small_config();
-  const core::ExtendedRouteNet plain(mc);
+  const core::Model plain(core::ModelKind::kExtended, mc);
   mc.scenario_features = true;
-  const core::ExtendedRouteNet featured(mc);
+  const core::Model featured(core::ModelKind::kExtended, mc);
 
   data::Sample drr = ds[0];
   drr.scenario.policy = rnx::sim::SchedulerPolicy::kDrr;
@@ -305,7 +318,7 @@ TEST(Bundle, ScenarioFeaturesEnterTheForwardPass) {
 TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
   const std::string path = "/tmp/rnx_bundle_v1.rnxb";
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
 
   // Mirror save_bundle's v1 writer: v2 minus the scenario byte.
@@ -362,26 +375,29 @@ TEST(Bundle, V1BundlesLoadAndServeBitwiseIdentically) {
 }
 
 TEST(Bundle, V3FeatureFlagsRoundTrip) {
-  const std::string path = "/tmp/rnx_bundle_v3_flags.rnxb";
-  const data::Dataset& ds = test_dataset();
-  core::ModelConfig mc = small_config();
-  mc.scale_invariant_features = true;
-  mc.link_mean_aggregation = true;
-  const core::ExtendedRouteNet model(mc);
-  const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
-  serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
-  const serve::ModelBundle loaded = serve::load_bundle(path);
-  EXPECT_TRUE(loaded.model->config().scale_invariant_features);
-  EXPECT_TRUE(loaded.model->config().link_mean_aggregation);
-  // And the loaded engine serves the scale-invariant forward bitwise.
-  const serve::InferenceEngine engine(path);
-  const nn::NoGradGuard guard;
-  const nn::Tensor direct = model.forward(ds[0], scaler).value();
-  const std::vector<double> served = engine.predict(ds[0]);
-  ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
-  for (std::size_t i = 0; i < served.size(); ++i)
-    EXPECT_EQ(served[i], scaler.target_to_delay(direct(i, 0)));
-  std::filesystem::remove(path);
+  for (const core::ModelKind kind : kBothKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    const std::string path = "/tmp/rnx_bundle_v3_flags.rnxb";
+    const data::Dataset& ds = test_dataset();
+    core::ModelConfig mc = small_config();
+    mc.scale_invariant_features = true;
+    mc.link_mean_aggregation = true;
+    const core::Model model(kind, mc);
+    const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
+    serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5);
+    const serve::ModelBundle loaded = serve::load_bundle(path);
+    EXPECT_TRUE(loaded.model->config().scale_invariant_features);
+    EXPECT_TRUE(loaded.model->config().link_mean_aggregation);
+    // And the loaded engine serves the scale-invariant forward bitwise.
+    const serve::InferenceEngine engine(path);
+    const nn::NoGradGuard guard;
+    const nn::Tensor direct = model.forward(ds[0], scaler).value();
+    const std::vector<double> served = engine.predict(ds[0]);
+    ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
+    for (std::size_t i = 0; i < served.size(); ++i)
+      EXPECT_EQ(served[i], scaler.target_to_delay(direct(i, 0)));
+    std::filesystem::remove(path);
+  }
 }
 
 // Hand-written v2 bundle (scenario byte present, no v3 feature bytes):
@@ -389,7 +405,7 @@ TEST(Bundle, V3FeatureFlagsRoundTrip) {
 TEST(Bundle, V2BundlesLoadWithV3FlagsOff) {
   const std::string path = "/tmp/rnx_bundle_v2.rnxb";
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
 
   std::ostringstream body(std::ios::binary);

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "data/source.hpp"
@@ -58,13 +60,17 @@ class CheckpointTest : public ::testing::Test {
     return core::checkpoint_file(ckpt_dir());
   }
 
-  [[nodiscard]] static std::unique_ptr<core::Model> fresh_model() {
+  [[nodiscard]] static core::ModelConfig model_config() {
     core::ModelConfig mc;
     mc.state_dim = 8;
     mc.readout_hidden = 12;
     mc.iterations = 2;
     mc.init_seed = 5;
-    return std::make_unique<core::ExtendedRouteNet>(mc);
+    return mc;
+  }
+  [[nodiscard]] static std::unique_ptr<core::Model> fresh_model(
+      const core::ModelConfig& mc = model_config()) {
+    return core::make_model(core::ModelKind::kExtended, mc);
   }
 
   [[nodiscard]] static core::TrainConfig base_config(std::size_t threads = 1) {
@@ -390,22 +396,40 @@ TEST_F(CheckpointTest, ResumingAFinishedRunRetrainsNothing) {
 // ---- refusal paths --------------------------------------------------------
 
 TEST_F(CheckpointTest, ResumeRefusesChangedHyperparameters) {
-  auto model = fresh_model();
-  {
+  // Any trajectory-relevant knob refuses, train-side or model-side.
+  using Change = std::function<void(core::ModelConfig&, core::TrainConfig&)>;
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"lr", [](core::ModelConfig&, core::TrainConfig& tc) { tc.lr *= 0.5; }},
+      {"scale_invariant_features",
+       [](core::ModelConfig& mc, core::TrainConfig&) {
+         mc.scale_invariant_features = !mc.scale_invariant_features;
+       }},
+      {"link_mean_aggregation",
+       [](core::ModelConfig& mc, core::TrainConfig&) {
+         mc.link_mean_aggregation = !mc.link_mean_aggregation;
+       }},
+  };
+  for (const auto& [what, change] : changes) {
+    fs::remove(ckpt_path());
+    auto model = fresh_model();
+    {
+      core::TrainConfig tc = base_config();
+      tc.checkpoint_dir = ckpt_dir();
+      auto polled = std::make_shared<std::size_t>(0);
+      tc.stop_requested = stop_after(1, polled);
+      core::Trainer trainer(*model, tc);
+      (void)trainer.fit(*ds_, *scaler_);
+    }
+    core::ModelConfig mc = model_config();
     core::TrainConfig tc = base_config();
     tc.checkpoint_dir = ckpt_dir();
-    auto polled = std::make_shared<std::size_t>(0);
-    tc.stop_requested = stop_after(1, polled);
-    core::Trainer trainer(*model, tc);
-    (void)trainer.fit(*ds_, *scaler_);
+    tc.resume = true;
+    change(mc, tc);
+    auto other = fresh_model(mc);
+    core::Trainer trainer(*other, tc);
+    EXPECT_THROW((void)trainer.fit(*ds_, *scaler_), core::CheckpointError)
+        << what;
   }
-  auto other = fresh_model();
-  core::TrainConfig tc = base_config();
-  tc.checkpoint_dir = ckpt_dir();
-  tc.resume = true;
-  tc.lr = tc.lr * 0.5;  // any trajectory-relevant knob refuses
-  core::Trainer trainer(*other, tc);
-  EXPECT_THROW((void)trainer.fit(*ds_, *scaler_), core::CheckpointError);
 }
 
 TEST_F(CheckpointTest, ResumeRefusesChangedScaler) {

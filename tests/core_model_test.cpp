@@ -1,4 +1,4 @@
-// Tests for the two RouteNet variants: shapes, determinism, feature
+// Tests for the RouteNet model of both kinds: shapes, determinism, feature
 // sensitivity (the architectural point of the paper), gradient flow into
 // every parameter, weight persistence, and trainability.
 #include <gtest/gtest.h>
@@ -6,8 +6,7 @@
 #include <cmath>
 #include <filesystem>
 
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "nn/ops.hpp"
@@ -35,8 +34,8 @@ core::ModelConfig tiny_config() {
 TEST(ModelForward, OutputShapeMatchesPaths) {
   const data::Dataset ds = small_dataset(2);
   const data::Scaler sc = data::Scaler::fit(ds.samples());
-  const core::RouteNet orig(tiny_config());
-  const core::ExtendedRouteNet ext(tiny_config());
+  const core::Model orig(core::ModelKind::kOriginal, tiny_config());
+  const core::Model ext(core::ModelKind::kExtended, tiny_config());
   for (const auto& s : ds.samples()) {
     const nn::NoGradGuard guard;
     const nn::Var a = orig.forward(s, sc);
@@ -51,7 +50,7 @@ TEST(ModelForward, OutputShapeMatchesPaths) {
 TEST(ModelForward, DeterministicGivenWeights) {
   const data::Dataset ds = small_dataset(1);
   const data::Scaler sc = data::Scaler::fit(ds.samples());
-  const core::ExtendedRouteNet m(tiny_config());
+  const core::Model m(core::ModelKind::kExtended, tiny_config());
   const nn::NoGradGuard guard;
   const nn::Var a = m.forward(ds[0], sc);
   const nn::Var b = m.forward(ds[0], sc);
@@ -65,25 +64,11 @@ TEST(ModelForward, InitSeedChangesPredictions) {
   core::ModelConfig c1 = tiny_config();
   core::ModelConfig c2 = tiny_config();
   c2.init_seed = 777;
-  const core::ExtendedRouteNet m1(c1), m2(c2);
+  const core::Model m1(core::ModelKind::kExtended, c1);
+  const core::Model m2(core::ModelKind::kExtended, c2);
   const nn::NoGradGuard guard;
   EXPECT_NE(m1.forward(ds[0], sc).value()(0, 0),
             m2.forward(ds[0], sc).value()(0, 0));
-}
-
-TEST(ModelForward, TracedExposesStates) {
-  const data::Dataset ds = small_dataset(1);
-  const data::Scaler sc = data::Scaler::fit(ds.samples());
-  const nn::NoGradGuard guard;
-  const auto tr_orig = core::RouteNet(tiny_config()).forward_traced(ds[0], sc);
-  EXPECT_EQ(tr_orig.path_states.rows(), ds[0].paths.size());
-  EXPECT_EQ(tr_orig.link_states.rows(), ds[0].num_links());
-  EXPECT_FALSE(tr_orig.node_states.defined());  // original has no nodes
-
-  const auto tr_ext =
-      core::ExtendedRouteNet(tiny_config()).forward_traced(ds[0], sc);
-  EXPECT_EQ(tr_ext.node_states.rows(), static_cast<std::size_t>(ds[0].num_nodes));
-  EXPECT_EQ(tr_ext.node_states.cols(), tiny_config().state_dim);
 }
 
 // The architectural point of the paper: the extended model *sees* queue
@@ -97,8 +82,8 @@ TEST(QueueSensitivity, ExtendedSeesQueuesOriginalDoesNot) {
                                        : topo::kTinyQueuePackets;
 
   const nn::NoGradGuard guard;
-  const core::RouteNet orig(tiny_config());
-  const core::ExtendedRouteNet ext(tiny_config());
+  const core::Model orig(core::ModelKind::kOriginal, tiny_config());
+  const core::Model ext(core::ModelKind::kExtended, tiny_config());
 
   const nn::Var orig_a = orig.forward(ds[0], sc);
   const nn::Var orig_b = orig.forward(flipped, sc);
@@ -120,17 +105,16 @@ TEST(TrafficSensitivity, BothModelsReactToTraffic) {
   data::Sample heavier = ds[0];
   for (auto& p : heavier.paths) p.traffic_bps *= 3.0;
   const nn::NoGradGuard guard;
-  for (const core::Model* m :
-       {static_cast<const core::Model*>(new core::RouteNet(tiny_config())),
-        static_cast<const core::Model*>(
-            new core::ExtendedRouteNet(tiny_config()))}) {
+  for (const core::ModelKind kind :
+       {core::ModelKind::kOriginal, core::ModelKind::kExtended}) {
+    const std::unique_ptr<core::Model> m =
+        core::make_model(kind, tiny_config());
     const nn::Var a = m->forward(ds[0], sc);
     const nn::Var b = m->forward(heavier, sc);
     double diff = 0.0;
     for (std::size_t i = 0; i < a.rows(); ++i)
       diff += std::abs(a.value()(i, 0) - b.value()(i, 0));
     EXPECT_GT(diff, 1e-6) << m->name();
-    delete m;
   }
 }
 
@@ -140,9 +124,9 @@ TEST(ModelGradients, FlowIntoEveryParameter) {
   for (const bool extended : {false, true}) {
     std::unique_ptr<core::Model> m;
     if (extended)
-      m = std::make_unique<core::ExtendedRouteNet>(tiny_config());
+      m = core::make_model(core::ModelKind::kExtended, tiny_config());
     else
-      m = std::make_unique<core::RouteNet>(tiny_config());
+      m = core::make_model(core::ModelKind::kOriginal, tiny_config());
     const nn::Var loss =
         core::Trainer::sample_loss(*m, ds[0], sc, /*min_delivered=*/1);
     ASSERT_TRUE(loss.defined());
@@ -162,7 +146,7 @@ TEST(ModelGradients, NodeRuleVariantsBothTrain) {
                           core::NodeUpdateRule::kPositionalMessages}) {
     core::ModelConfig mc = tiny_config();
     mc.node_rule = rule;
-    const core::ExtendedRouteNet m(mc);
+    const core::Model m(core::ModelKind::kExtended, mc);
     const nn::Var loss = core::Trainer::sample_loss(m, ds[0], sc, 1);
     ASSERT_TRUE(loss.defined());
     loss.backward();
@@ -180,11 +164,11 @@ TEST(ModelPersistence, SaveLoadReproducesPredictions) {
   const data::Dataset ds = small_dataset(1);
   const data::Scaler sc = data::Scaler::fit(ds.samples());
   const std::string path = "/tmp/rnx_model_test.rnxw";
-  core::ExtendedRouteNet a(tiny_config());
+  core::Model a(core::ModelKind::kExtended, tiny_config());
   a.save_weights(path);
   core::ModelConfig other = tiny_config();
   other.init_seed = 999;  // different init, same architecture
-  core::ExtendedRouteNet b(other);
+  core::Model b(core::ModelKind::kExtended, other);
   b.load_weights(path);
   const nn::NoGradGuard guard;
   const nn::Var pa = a.forward(ds[0], sc);
@@ -196,9 +180,9 @@ TEST(ModelPersistence, SaveLoadReproducesPredictions) {
 
 TEST(ModelPersistence, ArchitectureMismatchRejected) {
   const std::string path = "/tmp/rnx_model_test2.rnxw";
-  core::RouteNet orig(tiny_config());
+  core::Model orig(core::ModelKind::kOriginal, tiny_config());
   orig.save_weights(path);
-  core::ExtendedRouteNet ext(tiny_config());
+  core::Model ext(core::ModelKind::kExtended, tiny_config());
   EXPECT_THROW(ext.load_weights(path), std::runtime_error);
   std::filesystem::remove(path);
 }
@@ -206,7 +190,7 @@ TEST(ModelPersistence, ArchitectureMismatchRejected) {
 TEST(Training, LossDecreasesOnSmallDataset) {
   const data::Dataset ds = small_dataset(8, 11);
   const data::Scaler sc = data::Scaler::fit(ds.samples());
-  core::ExtendedRouteNet m(tiny_config());
+  core::Model m(core::ModelKind::kExtended, tiny_config());
   core::TrainConfig tc;
   tc.epochs = 12;
   tc.batch_samples = 2;  // 4 optimizer steps per epoch on 8 samples
@@ -227,7 +211,8 @@ TEST(Training, IterationCountMatters) {
   c1.iterations = 1;
   core::ModelConfig c4 = tiny_config();
   c4.iterations = 4;
-  const core::ExtendedRouteNet m1(c1), m4(c4);
+  const core::Model m1(core::ModelKind::kExtended, c1);
+  const core::Model m4(core::ModelKind::kExtended, c4);
   const nn::NoGradGuard guard;
   EXPECT_NE(m1.forward(ds[0], sc).value()(0, 0),
             m4.forward(ds[0], sc).value()(0, 0));
@@ -264,10 +249,13 @@ TEST(LinkMeanAggregation, NoOpWhenEachLinkCarriesOneMessage) {
   const nn::NoGradGuard guard;
   // Every 1/count factor is exactly 1.0, so both variants of both
   // architectures agree bitwise.
-  const nn::Tensor a0 = core::RouteNet(off).forward(s, sc).value();
-  const nn::Tensor a1 = core::RouteNet(on).forward(s, sc).value();
-  const nn::Tensor b0 = core::ExtendedRouteNet(off).forward(s, sc).value();
-  const nn::Tensor b1 = core::ExtendedRouteNet(on).forward(s, sc).value();
+  const auto predict = [&](core::ModelKind kind, const core::ModelConfig& mc) {
+    return core::Model(kind, mc).forward(s, sc).value();
+  };
+  const nn::Tensor a0 = predict(core::ModelKind::kOriginal, off);
+  const nn::Tensor a1 = predict(core::ModelKind::kOriginal, on);
+  const nn::Tensor b0 = predict(core::ModelKind::kExtended, off);
+  const nn::Tensor b1 = predict(core::ModelKind::kExtended, on);
   for (std::size_t i = 0; i < a0.size(); ++i)
     EXPECT_EQ(a0.flat()[i], a1.flat()[i]);
   for (std::size_t i = 0; i < b0.size(); ++i)
@@ -310,7 +298,7 @@ TEST(ScaleInvariantFeatures, ForwardIgnoresScalerMoments) {
   const data::Scaler fit_b = data::Scaler::fit({&ds.samples()[1], 1});
   core::ModelConfig si = tiny_config();
   si.scale_invariant_features = true;
-  const core::ExtendedRouteNet model(si);
+  const core::Model model(core::ModelKind::kExtended, si);
   const nn::NoGradGuard guard;
   const nn::Tensor pa = model.forward(ds[0], fit_a).value();
   const nn::Tensor pb = model.forward(ds[0], fit_b).value();
@@ -321,7 +309,7 @@ TEST(ScaleInvariantFeatures, ForwardIgnoresScalerMoments) {
   }
   // And the features really enter the pass: z-scored vs scale-invariant
   // inputs give different predictions for the same weights.
-  const core::ExtendedRouteNet plain(tiny_config());
+  const core::Model plain(core::ModelKind::kExtended, tiny_config());
   const nn::Tensor pz = plain.forward(ds[0], fit_a).value();
   bool any_diff = false;
   for (std::size_t i = 0; i < pa.size(); ++i)
@@ -334,7 +322,7 @@ TEST(Training, SampleLossUndefinedWhenNoValidLabels) {
   const data::Scaler sc = data::Scaler::fit(ds.samples());
   data::Sample s = ds[0];
   for (auto& p : s.paths) p.delivered = 0;
-  const core::ExtendedRouteNet m(tiny_config());
+  const core::Model m(core::ModelKind::kExtended, tiny_config());
   EXPECT_FALSE(core::Trainer::sample_loss(m, s, sc, 10).defined());
 }
 
@@ -342,7 +330,7 @@ TEST(Training, EarlyStoppingTriggers) {
   const data::Dataset ds = small_dataset(6, 13);
   const auto [val, train] = ds.split(2);
   const data::Scaler sc = data::Scaler::fit(train.samples());
-  core::ExtendedRouteNet m(tiny_config());
+  core::Model m(core::ModelKind::kExtended, tiny_config());
   core::TrainConfig tc;
   tc.epochs = 50;
   tc.patience = 2;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "data/dataset.hpp"
@@ -285,9 +286,23 @@ TEST(SampleValidate, DetectsCorruption) {
   broken = s;
   broken.paths[0].nodes.front() = broken.paths[0].nodes.back();
   EXPECT_THROW(broken.validate(), std::runtime_error);
-  broken = s;
-  broken.link_capacity_bps[0] = -1.0;
-  EXPECT_THROW(broken.validate(), std::runtime_error);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, kNaN, kInf}) {
+    broken = s;
+    broken.link_capacity_bps[0] = bad;
+    EXPECT_THROW(broken.validate(), std::runtime_error) << bad;
+  }
+  for (const double bad : {-1.0, kNaN, kInf}) {
+    broken = s;
+    broken.paths[0].traffic_bps = bad;
+    EXPECT_THROW(broken.validate(), std::runtime_error) << bad;
+  }
+  for (const double bad : {-0.1, 1.1, kNaN, kInf}) {
+    broken = s;
+    broken.paths[0].loss_rate = bad;
+    EXPECT_THROW(broken.validate(), std::runtime_error) << bad;
+  }
   broken = s;
   broken.paths[0].priority_class = 9;  // >= scenario.priority_classes
   EXPECT_THROW(broken.validate(), std::runtime_error);

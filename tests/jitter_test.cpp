@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/plan.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "eval/metrics.hpp"
@@ -50,7 +50,7 @@ TEST(Jitter, TrainingLearnsJitter) {
   core::ModelConfig mc;
   mc.state_dim = 10;
   mc.iterations = 3;
-  core::ExtendedRouteNet m(mc);
+  core::Model m(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 25;
   tc.batch_samples = 2;
@@ -76,7 +76,7 @@ TEST(Jitter, DelayTargetUnaffectedByPlumbing) {
   core::ModelConfig mc;
   mc.state_dim = 8;
   mc.iterations = 2;
-  const core::ExtendedRouteNet m(mc);
+  const core::Model m(core::ModelKind::kExtended, mc);
   const nn::Var a = core::Trainer::sample_loss(m, ds[0], sc, 10);
   const nn::Var b = core::Trainer::sample_loss(
       m, ds[0], sc, 10, core::PredictionTarget::kDelay);

@@ -6,8 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "topo/zoo.hpp"
@@ -50,7 +49,7 @@ std::vector<nn::Tensor> train_and_snapshot(std::size_t threads,
                                            bool fused = true) {
   core::ModelConfig mc = small_model_config();
   mc.fused_gru = fused;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 3;
   tc.batch_samples = batch_samples;
@@ -94,7 +93,7 @@ TEST(ParallelTrainer, PartialBatchScalesByActualFill) {
 }
 
 TEST(ParallelTrainer, CloneMatchesOriginalForwardAndIsIndependent) {
-  core::ExtendedRouteNet model(small_model_config());
+  core::Model model(core::ModelKind::kExtended, small_model_config());
   const std::unique_ptr<core::Model> copy = model.clone();
   const auto& s = tiny_dataset()[0];
   const nn::NoGradGuard guard;
@@ -111,7 +110,7 @@ TEST(ParallelTrainer, CloneMatchesOriginalForwardAndIsIndependent) {
 }
 
 TEST(ParallelTrainer, ForwardBatchMatchesSequentialForward) {
-  core::RouteNet model(small_model_config());
+  core::Model model(core::ModelKind::kOriginal, small_model_config());
   util::ThreadPool pool(3);
   const auto batched =
       model.forward_batch(tiny_dataset().samples(), tiny_scaler(), &pool);
@@ -127,7 +126,7 @@ TEST(ParallelTrainer, ForwardBatchMatchesSequentialForward) {
 }
 
 TEST(ParallelTrainer, EvaluateLossAgreesAcrossThreadCounts) {
-  core::ExtendedRouteNet model(small_model_config());
+  core::Model model(core::ModelKind::kExtended, small_model_config());
   core::TrainConfig tc;
   tc.min_delivered = 1;
   tc.verbose = false;

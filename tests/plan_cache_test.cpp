@@ -6,8 +6,7 @@
 #include <memory>
 
 #include "core/plan_cache.hpp"
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/normalize.hpp"
 #include "util/thread_pool.hpp"
 
@@ -143,7 +142,7 @@ TEST(PlanCache, ModelForwardIdenticalWithAndWithoutCache) {
   mc.state_dim = 6;
   mc.readout_hidden = 8;
   mc.iterations = 2;
-  core::ExtendedRouteNet model(mc);
+  core::Model model(core::ModelKind::kExtended, mc);
 
   const nn::NoGradGuard guard;
   const nn::Tensor plain = model.forward(s, scaler).value();

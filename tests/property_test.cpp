@@ -12,8 +12,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
@@ -69,9 +68,9 @@ TEST_P(RelabelProperty, PredictionsAreEquivariant) {
   for (const bool extended : {false, true}) {
     std::unique_ptr<core::Model> m;
     if (extended)
-      m = std::make_unique<core::ExtendedRouteNet>(mc);
+      m = core::make_model(core::ModelKind::kExtended, mc);
     else
-      m = std::make_unique<core::RouteNet>(mc);
+      m = core::make_model(core::ModelKind::kOriginal, mc);
     const nn::Var a = m->forward(s, sc);
     const nn::Var b = m->forward(r, sc);
     // Path records keep their order under relabelling, so predictions
@@ -137,7 +136,7 @@ TEST(TrafficScaleProperty, PredictionsChangeMonotonicallyWithLoad) {
   core::ModelConfig mc;
   mc.state_dim = 8;
   mc.iterations = 2;
-  core::ExtendedRouteNet m(mc);
+  core::Model m(core::ModelKind::kExtended, mc);
   core::TrainConfig tc;
   tc.epochs = 15;
   tc.batch_samples = 2;

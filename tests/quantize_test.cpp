@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "nn/init.hpp"
@@ -248,7 +248,7 @@ std::string slurp(const std::string& path) {
 
 TEST(QuantizeBundle, Fp64SaveStaysByteIdenticalV3) {
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
 
   const std::string p_default = "/tmp/rnx_quant_default.rnxb";
@@ -274,7 +274,7 @@ TEST(QuantizeBundle, Fp64SaveStaysByteIdenticalV3) {
 
 TEST(QuantizeBundle, QuantizedRoundTripRecordsEncoding) {
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
 
   for (const WeightEncoding enc :
@@ -314,7 +314,7 @@ TEST(QuantizeBundle, QuantizedRoundTripRecordsEncoding) {
 // not a chore.
 TEST(QuantizeBundle, PredictionDriftWithinPinnedBound) {
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
 
   const std::string p64 = "/tmp/rnx_quant_drift64.rnxb";
@@ -348,7 +348,7 @@ TEST(QuantizeBundle, PredictionDriftWithinPinnedBound) {
 
 TEST(QuantizeBundle, CorruptQuantSectionRejectedByChecksum) {
   const data::Dataset& ds = test_dataset();
-  const core::ExtendedRouteNet model(small_config());
+  const core::Model model(core::ModelKind::kExtended, small_config());
   const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
   const std::string path = "/tmp/rnx_quant_bitrot.rnxb";
   serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5,

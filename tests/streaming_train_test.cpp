@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
 #include "data/shards.hpp"
@@ -68,7 +68,7 @@ class StreamingTrainTest : public ::testing::Test {
     mc.readout_hidden = 12;
     mc.iterations = 2;
     mc.init_seed = 5;
-    return std::make_unique<core::ExtendedRouteNet>(mc);
+    return core::make_model(core::ModelKind::kExtended, mc);
   }
 
   static void expect_identical_weights(const core::Model& a,

@@ -21,8 +21,7 @@
 #include <optional>
 
 #include "cli.hpp"
-#include "core/routenet.hpp"
-#include "core/routenet_ext.hpp"
+#include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/sample_io.hpp"
 #include "data/source.hpp"
