@@ -1,65 +1,46 @@
 #include "core/checkpoint.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "data/sample_io.hpp"
+#include "util/binio.hpp"
 
 namespace rnx::core {
 
 namespace {
 
+constexpr util::EnvelopeFormat kCheckpointFormat{
+    .magic = "RNXC",
+    .min_version = kMinCheckpointVersion,
+    .max_version = kCheckpointVersion,
+    .noun = "checkpoint",
+    .extension = ".rnxc",
+};
+
 // Bounds that keep a corrupt checkpoint from driving huge allocations:
 // far above any real model, far below anything that could hurt.
-constexpr std::uint64_t kMaxBodyBytes = 1ull << 32;
 constexpr std::uint64_t kMaxParams = 1u << 16;
-constexpr std::uint64_t kMaxNameLen = 1u << 12;
+constexpr std::uint32_t kMaxNameLen = 1u << 12;
 constexpr std::uint64_t kMaxTensorElems = 1ull << 28;
 
-template <typename T>
-void put(std::ostream& f, const T& v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <typename T>
-void get(std::istream& f, T& v, const std::string& what) {
-  f.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!f) throw CheckpointError(what + ": truncated checkpoint");
-}
+using Reader = util::Reader<CheckpointError>;
 
 void put_tensor(std::ostream& f, const nn::Tensor& t) {
-  put(f, static_cast<std::uint64_t>(t.rows()));
-  put(f, static_cast<std::uint64_t>(t.cols()));
-  const auto d = t.flat();
-  f.write(reinterpret_cast<const char*>(d.data()),
-          static_cast<std::streamsize>(d.size() * sizeof(double)));
+  util::put(f, static_cast<std::uint64_t>(t.rows()));
+  util::put(f, static_cast<std::uint64_t>(t.cols()));
+  util::put_span(f, t.flat());
 }
 
-nn::Tensor get_tensor(std::istream& f, const std::string& what) {
+nn::Tensor get_tensor(Reader& r) {
   std::uint64_t rows = 0, cols = 0;
-  get(f, rows, what);
-  get(f, cols, what);
+  r.get(rows);
+  r.get(cols);
   if (rows == 0 || cols == 0 || rows * cols > kMaxTensorElems)
-    throw CheckpointError(what + ": implausible tensor shape " +
-                          std::to_string(rows) + "x" + std::to_string(cols));
+    r.fail("implausible tensor shape " + std::to_string(rows) + "x" +
+           std::to_string(cols));
   nn::Tensor t(rows, cols);
-  const auto d = t.flat();
-  f.read(reinterpret_cast<char*>(d.data()),
-         static_cast<std::streamsize>(d.size() * sizeof(double)));
-  if (!f) throw CheckpointError(what + ": truncated tensor");
+  r.get_span(t.flat());
   return t;
-}
-
-void put_moments(std::ostream& f, const data::Moments& m) {
-  put(f, m.mean);
-  put(f, m.stddev);
-}
-
-data::Moments get_moments(std::istream& f, const std::string& what) {
-  data::Moments m;
-  get(f, m.mean, what);
-  get(f, m.stddev, what);
-  return m;
 }
 
 }  // namespace
@@ -69,6 +50,7 @@ std::string checkpoint_file(const std::string& dir) {
 }
 
 void save_checkpoint(const std::string& path, const TrainCheckpoint& c) {
+  using util::put;
   std::ostringstream b(std::ios::binary);
   put(b, static_cast<std::uint8_t>(c.streaming ? 1 : 0));
   put(b, c.config_digest);
@@ -76,102 +58,60 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& c) {
   put(b, c.batch_in_epoch);
   put(b, c.samples_done);
   put(b, c.lr);
-  for (const std::uint64_t s : c.shuffle_state) put(b, s);
+  put(b, c.shuffle_state);
   put(b, c.loss_sum);
   put(b, c.loss_count);
   put(b, c.best_val);
   put(b, c.since_best);
   put(b, c.adam_t);
-  for (const data::Moments& m : c.scaler_moments) put_moments(b, m);
+  put(b, c.scaler_moments);
   put(b, static_cast<std::uint64_t>(c.params.size()));
   for (const TrainCheckpoint::ParamState& p : c.params) {
-    put(b, static_cast<std::uint32_t>(p.name.size()));
-    b.write(p.name.data(), static_cast<std::streamsize>(p.name.size()));
+    util::put_string(b, p.name);
     put_tensor(b, p.value);
     put_tensor(b, p.m);
     put_tensor(b, p.v);
   }
-  const std::string body = b.str();
-
-  data::io::atomic_write_stream(path, [&](std::ostream& f) {
-    f.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    put(f, kCheckpointVersion);
-    put(f, static_cast<std::uint64_t>(body.size()));
-    put(f, data::io::fnv1a64(body));
-    f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  });
+  util::write_envelope(path, kCheckpointFormat, kCheckpointVersion, b.view());
 }
 
 TrainCheckpoint load_checkpoint(const std::string& path) {
   const std::string what = "load_checkpoint(" + path + ")";
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw CheckpointError(what + ": cannot open checkpoint");
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::string_view(magic, 4) !=
-                std::string_view(kCheckpointMagic, 4))
-    throw CheckpointError(what + ": bad magic (not a .rnxc checkpoint)");
-  std::uint32_t version = 0;
-  get(f, version, what);
-  if (version < kMinCheckpointVersion || version > kCheckpointVersion)
-    throw CheckpointError(what + ": unsupported checkpoint version " +
-                          std::to_string(version));
-  std::uint64_t body_size = 0, checksum = 0;
-  get(f, body_size, what);
-  get(f, checksum, what);
-  if (body_size == 0 || body_size > kMaxBodyBytes)
-    throw CheckpointError(what + ": corrupt header (body size " +
-                          std::to_string(body_size) + ")");
-  std::string body(body_size, '\0');
-  f.read(body.data(), static_cast<std::streamsize>(body_size));
-  if (!f || f.gcount() != static_cast<std::streamsize>(body_size))
-    throw CheckpointError(what + ": truncated checkpoint");
-  if (data::io::fnv1a64(body) != checksum)
-    throw CheckpointError(what + ": checksum mismatch (corrupt)");
-
-  std::istringstream bs(body, std::ios::binary);
+  util::Envelope env =
+      util::read_envelope<CheckpointError>(path, kCheckpointFormat, what);
+  std::istringstream bs(std::move(env.body), std::ios::binary);
+  Reader r(bs, what);
   TrainCheckpoint c;
   std::uint8_t streaming = 0;
-  get(bs, streaming, what);
+  r.get(streaming);
   if (streaming > 1)
-    throw CheckpointError(what + ": invalid mode byte " +
-                          std::to_string(streaming));
+    r.fail("invalid mode byte " + std::to_string(streaming));
   c.streaming = streaming != 0;
-  get(bs, c.config_digest, what);
-  get(bs, c.epoch, what);
-  get(bs, c.batch_in_epoch, what);
-  get(bs, c.samples_done, what);
-  get(bs, c.lr, what);
-  for (std::uint64_t& s : c.shuffle_state) get(bs, s, what);
-  get(bs, c.loss_sum, what);
-  get(bs, c.loss_count, what);
-  get(bs, c.best_val, what);
-  get(bs, c.since_best, what);
-  get(bs, c.adam_t, what);
-  for (data::Moments& m : c.scaler_moments) m = get_moments(bs, what);
+  r.get(c.config_digest);
+  r.get(c.epoch);
+  r.get(c.batch_in_epoch);
+  r.get(c.samples_done);
+  r.get(c.lr);
+  r.get(c.shuffle_state);
+  r.get(c.loss_sum);
+  r.get(c.loss_count);
+  r.get(c.best_val);
+  r.get(c.since_best);
+  r.get(c.adam_t);
+  r.get(c.scaler_moments);
   std::uint64_t count = 0;
-  get(bs, count, what);
+  r.get(count);
   if (count > kMaxParams)
-    throw CheckpointError(what + ": implausible parameter count " +
-                          std::to_string(count));
+    r.fail("implausible parameter count " + std::to_string(count));
   c.params.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TrainCheckpoint::ParamState p;
-    std::uint32_t len = 0;
-    get(bs, len, what);
-    if (len == 0 || len > kMaxNameLen)
-      throw CheckpointError(what + ": implausible parameter name length " +
-                            std::to_string(len));
-    p.name.resize(len);
-    bs.read(p.name.data(), len);
-    if (!bs) throw CheckpointError(what + ": truncated parameter name");
-    p.value = get_tensor(bs, what);
-    p.m = get_tensor(bs, what);
-    p.v = get_tensor(bs, what);
-    if (p.m.rows() != p.value.rows() || p.m.cols() != p.value.cols() ||
-        p.v.rows() != p.value.rows() || p.v.cols() != p.value.cols())
-      throw CheckpointError(what + ": moment shape mismatch for parameter '" +
-                            p.name + "'");
+    p.name = r.get_string("parameter name", 1, kMaxNameLen);
+    p.value = get_tensor(r);
+    p.m = get_tensor(r);
+    p.v = get_tensor(r);
+    if (!p.m.same_shape(p.value) || !p.v.same_shape(p.value))
+      r.fail("moment shape mismatch for parameter '" + p.name + "'");
     c.params.push_back(std::move(p));
   }
   return c;

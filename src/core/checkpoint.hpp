@@ -7,11 +7,15 @@
 // weights BITWISE-IDENTICAL to the uninterrupted run — pinned by the
 // kill-at-every-batch-boundary sweep in tests/checkpoint_test.cpp.
 //
-// Framing matches every other rnx on-disk format: magic "RNXC", u32
-// version, u64 body size, u64 FNV-1a-64 body checksum, body.  Writes go
-// through data::io::atomic_write_stream, so a crash mid-checkpoint
-// leaves the previous checkpoint intact — at any instant the checkpoint
-// directory holds one valid .rnxc (or none, before the first boundary).
+// The file is the shared checksummed envelope of util/binio (magic
+// "RNXC", u32 version, u64 body size, u64 FNV-1a-64 body checksum,
+// body), written atomically, so a crash mid-checkpoint leaves the
+// previous checkpoint intact — at any instant the checkpoint directory
+// holds one valid .rnxc (or none, before the first boundary).  The body
+// is the TrainCheckpoint fields in declaration order (the Scaler
+// moments as one 5 x (f64 mean, f64 stddev) block), then per parameter
+// a u32-length name and the value, m and v tensors, each as u64 rows,
+// u64 cols and rows*cols f64.
 //
 // Versioning rule (same as .rnxd/.rnxb): any layout change bumps
 // kCheckpointVersion; readers reject versions outside
@@ -32,7 +36,6 @@
 
 namespace rnx::core {
 
-inline constexpr char kCheckpointMagic[4] = {'R', 'N', 'X', 'C'};
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr std::uint32_t kMinCheckpointVersion = 1;
 

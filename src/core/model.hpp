@@ -113,7 +113,8 @@ class Model {
       std::vector<std::exception_ptr>* errors = nullptr,
       const std::vector<char>* skip = nullptr) const;
 
-  /// Weight persistence via nn::serialize (strict name/shape matching).
+  /// Weight persistence via nn::serialize (strict name/shape matching);
+  /// saves are atomic, so a failed save keeps the previous file.
   void save_weights(const std::string& path) const;
   void load_weights(const std::string& path);
 

@@ -11,9 +11,9 @@
 
 #include "core/checkpoint.hpp"
 #include "core/plan.hpp"
-#include "data/sample_io.hpp"
 #include "data/source.hpp"
 #include "nn/ops.hpp"
+#include "util/binio.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -198,9 +198,7 @@ class ShuffledDatasetSource final : public data::SampleSource {
 std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
                            bool streaming, std::uint64_t train_size) {
   std::ostringstream b(std::ios::binary);
-  const auto put = [&b](const auto& v) {
-    b.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
+  const auto put = [&b](const auto& v) { util::put(b, v); };
   const ModelConfig& mc = model.config();
   put(static_cast<std::uint8_t>(model.kind()));
   put(static_cast<std::uint64_t>(mc.state_dim));
@@ -223,7 +221,7 @@ std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
   put(static_cast<std::uint64_t>(cfg.patience));
   put(static_cast<std::uint8_t>(streaming));
   put(train_size);
-  return data::io::fnv1a64(b.view());
+  return util::fnv1a64(b.view());
 }
 
 // The scaler feeds every forward pass; a checkpointed run resumed under

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "data/sample_io.hpp"
+#include "util/binio.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -43,7 +44,7 @@ void Dataset::save(const std::string& path) const {
   // Stream into a temp file, then rename: a crash or full disk
   // mid-write must never destroy a previously good dataset at `path`,
   // and no second in-memory copy of the serialized bytes is made.
-  io::atomic_write_stream(
+  util::atomic_write_stream(
       path, [this](std::ostream& f) { io::write_dataset_stream(f, samples_); });
 }
 

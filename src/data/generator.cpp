@@ -4,10 +4,10 @@
 #include <optional>
 #include <sstream>
 
-#include "data/sample_io.hpp"
 #include "sim/simulator.hpp"
 #include "topo/traffic.hpp"
 #include "topo/zoo.hpp"
+#include "util/binio.hpp"
 #include "util/log.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
@@ -302,9 +302,7 @@ std::vector<Sample> generate_dataset(
 
 std::uint64_t config_digest(const GeneratorConfig& cfg) {
   std::ostringstream bytes(std::ios::binary);
-  const auto put = [&bytes](const auto& v) {
-    bytes.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
+  const auto put = [&bytes](const auto& v) { util::put(bytes, v); };
   put(cfg.p_tiny_queue);
   for (const double c : cfg.capacity_choices) put(c);
   put(cfg.util_lo);
@@ -322,7 +320,7 @@ std::uint64_t config_digest(const GeneratorConfig& cfg) {
   put(cfg.scenario.onoff_duty);
   put(cfg.scenario.drr_quantum_bits);
   put(static_cast<std::uint8_t>(cfg.mixed_scenarios));
-  return io::fnv1a64(bytes.str());
+  return util::fnv1a64(bytes.view());
 }
 
 }  // namespace rnx::data

@@ -29,6 +29,9 @@ struct Moments {
     return z * stddev + mean;
   }
 };
+// Bundles and checkpoints write a Moments as one POD: f64 mean, f64
+// stddev, no padding.
+static_assert(sizeof(Moments) == 2 * sizeof(double));
 
 class Scaler {
  public:

@@ -1,76 +1,25 @@
 #include "data/sample_io.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "sim/scenario.hpp"
-#include "util/fault.hpp"
+#include "util/binio.hpp"
 
 namespace rnx::data::io {
 
 namespace {
-
-template <typename T>
-void put(std::ostream& f, const T& v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <typename T>
-void get(std::istream& f, T& v, const std::string& what) {
-  f.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!f) throw std::runtime_error(what + ": truncated file");
-}
-void put_string(std::ostream& f, const std::string& s) {
-  put(f, static_cast<std::uint32_t>(s.size()));
-  f.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string get_string(std::istream& f, const std::string& what) {
-  std::uint32_t len = 0;
-  get(f, len, what);
-  if (len > (1u << 20))
-    throw std::runtime_error(what + ": implausible string length");
-  std::string s(len, '\0');
-  f.read(s.data(), len);
-  if (!f) throw std::runtime_error(what + ": truncated string");
-  return s;
-}
-template <typename T>
-void put_vec(std::ostream& f, const std::vector<T>& v) {
-  put(f, static_cast<std::uint64_t>(v.size()));
-  f.write(reinterpret_cast<const char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-template <typename T>
-void get_vec(std::istream& f, std::vector<T>& v, const std::string& what) {
-  std::uint64_t n = 0;
-  get(f, n, what);
-  if (n > (1ull << 28))
-    throw std::runtime_error(what + ": implausible vector length");
-  v.resize(n);
-  f.read(reinterpret_cast<char*>(v.data()),
-         static_cast<std::streamsize>(n * sizeof(T)));
-  if (!f) throw std::runtime_error(what + ": truncated vector");
-}
-
+// Bounds on length fields: far above any real sample, far below an
+// allocation that could hurt.
+constexpr std::uint32_t kMaxNameLen = 1u << 20;
+constexpr std::uint64_t kMaxElems = 1ull << 28;
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t h) noexcept {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  return fnv1a64(bytes, kFnvOffsetBasis);
-}
-
 void write_sample(std::ostream& f, const Sample& s) {
-  put_string(f, s.topo_name);
+  using util::put;
+  using util::put_vec;
+  util::put_string(f, s.topo_name);
   put(f, s.num_nodes);
   put_vec(f, s.links);
   put_vec(f, s.link_capacity_bps);
@@ -100,48 +49,46 @@ void write_sample(std::ostream& f, const Sample& s) {
 
 Sample read_sample(std::istream& f, std::uint32_t version,
                    const std::string& what) {
+  util::Reader<> r(f, what);
   Sample s;
-  s.topo_name = get_string(f, what);
-  get(f, s.num_nodes, what);
-  get_vec(f, s.links, what);
-  get_vec(f, s.link_capacity_bps, what);
-  get_vec(f, s.queue_pkts, what);
-  get(f, s.max_utilization, what);
+  s.topo_name = r.get_string("topology name", 0, kMaxNameLen);
+  r.get(s.num_nodes);
+  r.get_vec(s.links, kMaxElems);
+  r.get_vec(s.link_capacity_bps, kMaxElems);
+  r.get_vec(s.queue_pkts, kMaxElems);
+  r.get(s.max_utilization);
   if (version >= 2) {
     std::uint8_t recorded = 0, policy = 0, traffic = 0;
-    get(f, recorded, what);
-    get(f, policy, what);
-    get(f, traffic, what);
+    r.get(recorded);
+    r.get(policy);
+    r.get(traffic);
     if (policy >= sim::kNumSchedulerPolicies)
-      throw std::runtime_error(what + ": invalid scheduler policy " +
-                               std::to_string(policy));
+      r.fail("invalid scheduler policy " + std::to_string(policy));
     if (traffic >= sim::kNumTrafficProcesses)
-      throw std::runtime_error(what + ": invalid traffic process " +
-                               std::to_string(traffic));
+      r.fail("invalid traffic process " + std::to_string(traffic));
     s.scenario_recorded = recorded != 0;
     s.scenario.policy = static_cast<sim::SchedulerPolicy>(policy);
     s.scenario.traffic = static_cast<sim::TrafficProcess>(traffic);
-    get(f, s.scenario.priority_classes, what);
-    get(f, s.scenario.onoff_burst_pkts, what);
-    get(f, s.scenario.onoff_duty, what);
-    get(f, s.scenario.drr_quantum_bits, what);
+    r.get(s.scenario.priority_classes);
+    r.get(s.scenario.onoff_burst_pkts);
+    r.get(s.scenario.onoff_duty);
+    r.get(s.scenario.drr_quantum_bits);
   }
   std::uint64_t np = 0;
-  get(f, np, what);
-  if (np > (1ull << 28))
-    throw std::runtime_error(what + ": implausible path count");
+  r.get(np);
+  if (np > kMaxElems) r.fail("implausible path count");
   s.paths.resize(np);
   for (auto& p : s.paths) {
-    get(f, p.src, what);
-    get(f, p.dst, what);
-    get_vec(f, p.nodes, what);
-    get_vec(f, p.links, what);
-    get(f, p.traffic_bps, what);
-    if (version >= 2) get(f, p.priority_class, what);
-    get(f, p.mean_delay_s, what);
-    get(f, p.jitter_s2, what);
-    get(f, p.loss_rate, what);
-    get(f, p.delivered, what);
+    r.get(p.src);
+    r.get(p.dst);
+    r.get_vec(p.nodes, kMaxElems);
+    r.get_vec(p.links, kMaxElems);
+    r.get(p.traffic_bps);
+    if (version >= 2) r.get(p.priority_class);
+    r.get(p.mean_delay_s);
+    r.get(p.jitter_s2);
+    r.get(p.loss_rate);
+    r.get(p.delivered);
   }
   return s;
 }
@@ -149,36 +96,32 @@ Sample read_sample(std::istream& f, std::uint32_t version,
 std::uint64_t sample_digest(const Sample& s) {
   std::ostringstream bytes(std::ios::binary);
   write_sample(bytes, s);
-  return fnv1a64(bytes.str());
+  return util::fnv1a64(bytes.view());
 }
 
 void write_dataset_header(std::ostream& f, std::uint64_t count) {
-  f.write(kDatasetMagic, sizeof(kDatasetMagic));
-  put(f, kDatasetVersion);
-  put(f, count);
+  f.write(kDatasetMagic.data(), kDatasetMagic.size());
+  util::put(f, kDatasetVersion);
+  util::put(f, count);
 }
 
 DatasetHeader read_dataset_header(std::istream& f, std::uint64_t file_bytes,
                                   const std::string& what) {
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::string_view(magic, 4) != std::string_view(kDatasetMagic, 4))
-    throw std::runtime_error(what + ": bad magic");
+  util::Reader<> r(f, what);
+  if (!util::read_magic(f, kDatasetMagic)) r.fail("bad magic");
   DatasetHeader h;
-  get(f, h.version, what);
+  r.get(h.version);
   if (h.version < kDatasetMinVersion || h.version > kDatasetVersion)
-    throw std::runtime_error(what + ": unsupported version " +
-                             std::to_string(h.version));
-  get(f, h.count, what);
+    r.fail("unsupported version " + std::to_string(h.version));
+  r.get(h.count);
   // A corrupt/truncated header must not drive a huge reserve(): every
   // sample needs at least kMinSampleBytes, so the claimed count is
   // bounded by the bytes actually present after the prelude.
   const std::uint64_t payload =
       file_bytes > kDatasetHeaderBytes ? file_bytes - kDatasetHeaderBytes : 0;
   if (h.count > payload / kMinSampleBytes)
-    throw std::runtime_error(
-        what + ": implausible sample count " + std::to_string(h.count) +
-        " for a " + std::to_string(file_bytes) + "-byte file");
+    r.fail("implausible sample count " + std::to_string(h.count) +
+           " for a " + std::to_string(file_bytes) + "-byte file");
   return h;
 }
 
@@ -200,75 +143,6 @@ std::vector<Sample> read_dataset_stream(std::istream& f,
     samples.push_back(std::move(s));
   }
   return samples;
-}
-
-void atomic_write_stream(const std::string& path,
-                         const std::function<void(std::ostream&)>& write) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f)
-      throw std::runtime_error("atomic_write_file: cannot open " + tmp);
-    try {
-      write(f);
-    } catch (...) {
-      f.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw;
-    }
-    f.flush();
-    // Injected write failure (io.atomic.write): poison the stream so
-    // the REAL short-write detection below fires — chaos tests exercise
-    // the same cleanup branch a full disk does.
-    if (util::fault_fires("io.atomic.write")) f.setstate(std::ios::badbit);
-    if (!f) {
-      f.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw std::runtime_error("atomic_write_file: write failed on " + tmp);
-    }
-  }
-  std::error_code ec;
-  if (util::fault_fires("io.atomic.rename"))
-    ec = std::make_error_code(std::errc::io_error);  // injected rename failure
-  else
-    std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ec2;
-    std::filesystem::remove(tmp, ec2);
-    throw std::runtime_error("atomic_write_file: cannot rename " + tmp +
-                             " -> " + path + " (" + ec.message() + ")");
-  }
-}
-
-void atomic_write_file(const std::string& path, std::string_view bytes) {
-  atomic_write_stream(path, [bytes](std::ostream& f) {
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  });
-}
-
-std::size_t remove_stale_temps(const std::string& dir) {
-  namespace fs = std::filesystem;
-  static constexpr std::string_view kRnxExtensions[] = {
-      ".rnxd", ".rnxm", ".rnxb", ".rnxw", ".rnxc"};
-  std::error_code ec;
-  fs::directory_iterator it(dir.empty() ? "." : dir, ec);
-  if (ec) return 0;
-  std::size_t removed = 0;
-  for (const fs::directory_entry& e : it) {
-    if (!e.is_regular_file(ec)) continue;
-    const fs::path& p = e.path();
-    if (p.extension() != ".tmp") continue;
-    const std::string inner = p.stem().extension().string();
-    bool known = false;
-    for (const std::string_view ext : kRnxExtensions)
-      if (inner == ext) known = true;
-    if (!known) continue;
-    std::error_code rec;
-    if (fs::remove(p, rec)) ++removed;
-  }
-  return removed;
 }
 
 }  // namespace rnx::data::io

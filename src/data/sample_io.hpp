@@ -1,11 +1,14 @@
-// Shared binary codec for data::Sample and small file-I/O helpers.
+// The .rnxd sample codec, built on the shared POD codec in util/binio.
 //
 // The monolithic dataset file (dataset.cpp) and the sharded store
 // (shards.cpp) serialize samples through exactly one implementation, so
 // a shard file IS a valid .rnxd dataset and a per-sample FNV-1a digest
 // is comparable across monolithic, sharded, serial and parallel
 // outputs — the equivalence the datagen determinism tests and the CI
-// digest diff pin.
+// digest diff pin.  A .rnxd file has no checksummed envelope: it is the
+// plain prelude below followed by the samples, and the shard manifest
+// carries each shard's checksum.  Writes go through
+// util::atomic_write_stream.
 //
 // Versioning follows the dataset format rules (dataset.hpp): v2 appends
 // the scenario block; v1 files still load.  Any layout change bumps
@@ -13,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -23,7 +25,7 @@
 
 namespace rnx::data::io {
 
-inline constexpr char kDatasetMagic[4] = {'R', 'N', 'X', 'D'};
+inline constexpr std::string_view kDatasetMagic = "RNXD";
 // v2 appends the scenario block (policy / traffic process / classes /
 // on-off shape / DRR quantum) per sample and a priority class per path;
 // v1 files (pre-scenario-engine) still load with the default scenario
@@ -40,16 +42,6 @@ inline constexpr std::uint64_t kDatasetHeaderBytes = 16;
 /// not possibly fit in the file — the bound that keeps a truncated or
 /// bit-rotten header from triggering a multi-GB reserve() up front.
 inline constexpr std::uint64_t kMinSampleBytes = 40;
-
-/// FNV-1a 64-bit over raw bytes — the checksum every rnx on-disk format
-/// uses (bundles, shard manifests, per-sample digests).
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-/// Chained form: fold `bytes` into running state `h` (start from
-/// kFnvOffsetBasis), so multi-buffer content checksums without
-/// concatenating into one allocation.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
-                                    std::uint64_t h) noexcept;
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 /// Serialize one sample in the current (v2) layout.
 void write_sample(std::ostream& f, const Sample& s);
@@ -89,25 +81,5 @@ void write_dataset_stream(std::ostream& f,
 /// prefixes error messages (typically the file path).
 [[nodiscard]] std::vector<Sample> read_dataset_stream(
     std::istream& f, std::uint64_t file_bytes, const std::string& what);
-
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// flushed, then renamed over the target.  A crash or full disk
-/// mid-write leaves the previous file (if any) untouched; the temp file
-/// is removed on failure.  Throws std::runtime_error.
-void atomic_write_file(const std::string& path, std::string_view bytes);
-
-/// As atomic_write_file, but the caller streams the content into the
-/// temp file's ostream — O(1) extra memory for large payloads (how
-/// Dataset::save avoids a full serialized copy alongside the samples).
-void atomic_write_stream(const std::string& path,
-                         const std::function<void(std::ostream&)>& write);
-
-/// Remove leftover "*.tmp" files of interrupted atomic writes from `dir`
-/// (non-recursive).  Only names whose stem carries a known rnx extension
-/// (.rnxd/.rnxm/.rnxb/.rnxw/.rnxc) are touched — a crash between open
-/// and rename is the ONLY writer of such names, so deleting them is
-/// always safe.  Returns the number removed; a missing/unreadable dir
-/// removes nothing.
-std::size_t remove_stale_temps(const std::string& dir);
 
 }  // namespace rnx::data::io

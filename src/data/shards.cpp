@@ -2,30 +2,24 @@
 
 #include <filesystem>
 #include <fstream>
-#include <string_view>
 #include <utility>
 
 #include "data/sample_io.hpp"
+#include "util/binio.hpp"
 #include "util/fault.hpp"
 
 namespace rnx::data {
 
 namespace {
 
-constexpr char kManifestMagic[4] = {'R', 'N', 'X', 'M'};
-// A manifest is a few dozen bytes per shard; anything near this bound
-// is certainly corruption, so refuse the allocation.
-constexpr std::uint64_t kMaxManifestBodyBytes = 1ull << 26;
-
-template <typename T>
-void put(std::ostream& f, const T& v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <typename T>
-void get(std::istream& f, T& v, const std::string& what) {
-  f.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!f) throw ManifestError(what + ": truncated manifest");
-}
+constexpr util::EnvelopeFormat kManifestFormat{
+    .magic = "RNXM",
+    .min_version = kMinManifestVersion,
+    .max_version = kManifestVersion,
+    .noun = "manifest",
+    .extension = ".rnxm",
+    .bitflip_site = "io.manifest.bitflip",
+};
 
 std::filesystem::path shard_file_path(const std::string& dir,
                                       const std::string& file) {
@@ -41,11 +35,7 @@ std::string shard_file_name(const std::string& stem, std::size_t index) {
 
 bool is_manifest_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  char magic[4] = {};
-  f.read(magic, sizeof(magic));
-  return f &&
-         std::string_view(magic, 4) == std::string_view(kManifestMagic, 4);
+  return f && util::read_magic(f, kManifestFormat.magic);
 }
 
 // ---- ShardWriter ----------------------------------------------------------
@@ -87,14 +77,12 @@ void ShardWriter::flush_shard() {
   ShardInfo info;
   info.file = shard_file_name(stem_, manifest_.shards.size());
   info.samples = in_shard_;
-  info.checksum = io::fnv1a64(body, io::fnv1a64(head));
-  io::atomic_write_stream(shard_file_path(dir_, info.file).string(),
-                          [&](std::ostream& f) {
-                            f.write(head.data(),
-                                    static_cast<std::streamsize>(head.size()));
-                            f.write(body.data(),
-                                    static_cast<std::streamsize>(body.size()));
-                          });
+  info.checksum = util::fnv1a64(body, util::fnv1a64(head));
+  util::atomic_write_stream(
+      shard_file_path(dir_, info.file).string(), [&](std::ostream& f) {
+        f.write(head.data(), static_cast<std::streamsize>(head.size()));
+        f.write(body.data(), static_cast<std::streamsize>(body.size()));
+      });
 
   manifest_.total_samples += in_shard_;
   manifest_.shards.push_back(std::move(info));
@@ -110,25 +98,17 @@ ShardManifest ShardWriter::finish() {
   finished_ = true;
 
   std::ostringstream b(std::ios::binary);
-  put(b, manifest_.seed);
-  put(b, manifest_.config_digest);
-  put(b, manifest_.total_samples);
-  put(b, static_cast<std::uint64_t>(manifest_.shards.size()));
+  util::put(b, manifest_.seed);
+  util::put(b, manifest_.config_digest);
+  util::put(b, manifest_.total_samples);
+  util::put(b, static_cast<std::uint64_t>(manifest_.shards.size()));
   for (const auto& s : manifest_.shards) {
-    put(b, static_cast<std::uint32_t>(s.file.size()));
-    b.write(s.file.data(), static_cast<std::streamsize>(s.file.size()));
-    put(b, s.samples);
-    put(b, s.checksum);
+    util::put_string(b, s.file);
+    util::put(b, s.samples);
+    util::put(b, s.checksum);
   }
-  const std::string body = b.str();
-
-  std::ostringstream f(std::ios::binary);
-  f.write(kManifestMagic, sizeof(kManifestMagic));
-  put(f, kManifestVersion);
-  put(f, static_cast<std::uint64_t>(body.size()));
-  put(f, io::fnv1a64(body));
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  io::atomic_write_file(manifest_path_, f.str());
+  util::write_envelope(manifest_path_, kManifestFormat, kManifestVersion,
+                       b.view());
   return manifest_;
 }
 
@@ -138,65 +118,30 @@ ShardedReader::ShardedReader(std::string manifest_path)
     : manifest_path_(std::move(manifest_path)) {
   dir_ = std::filesystem::path(manifest_path_).parent_path().string();
   const std::string what = "ShardedReader(" + manifest_path_ + ")";
-  std::ifstream f(manifest_path_, std::ios::binary);
-  if (!f) throw ManifestError(what + ": cannot open manifest");
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f ||
-      std::string_view(magic, 4) != std::string_view(kManifestMagic, 4))
-    throw ManifestError(what + ": bad magic (not a .rnxm manifest)");
-  get(f, manifest_.version, what);
-  if (manifest_.version < kMinManifestVersion ||
-      manifest_.version > kManifestVersion)
-    throw ManifestError(what + ": unsupported manifest version " +
-                        std::to_string(manifest_.version));
-  std::uint64_t body_size = 0, checksum = 0;
-  get(f, body_size, what);
-  get(f, checksum, what);
-  if (body_size == 0 || body_size > kMaxManifestBodyBytes)
-    throw ManifestError(what + ": corrupt header (body size " +
-                        std::to_string(body_size) + ")");
-  std::string body(body_size, '\0');
-  f.read(body.data(), static_cast<std::streamsize>(body_size));
-  if (!f) throw ManifestError(what + ": truncated manifest");
-  // Injected bit rot (io.manifest.bitflip): corrupt one deterministic
-  // bit BEFORE the checksum verify, so the normal detection path fires.
-  if (util::fault_fires("io.manifest.bitflip")) {
-    const std::uint64_t k =
-        util::FaultInjector::instance().fired("io.manifest.bitflip");
-    body[(k * 131) % body.size()] ^= static_cast<char>(1u << (k % 8));
-  }
-  if (io::fnv1a64(body) != checksum)
-    throw ManifestError(what + ": manifest checksum mismatch (corrupt)");
-
-  std::istringstream bs(body, std::ios::binary);
-  get(bs, manifest_.seed, what);
-  get(bs, manifest_.config_digest, what);
-  get(bs, manifest_.total_samples, what);
+  util::Envelope env =
+      util::read_envelope<ManifestError>(manifest_path_, kManifestFormat, what);
+  manifest_.version = env.version;
+  std::istringstream bs(std::move(env.body), std::ios::binary);
+  util::Reader<ManifestError> r(bs, what);
+  r.get(manifest_.seed);
+  r.get(manifest_.config_digest);
+  r.get(manifest_.total_samples);
   std::uint64_t num_shards = 0;
-  get(bs, num_shards, what);
+  r.get(num_shards);
   if (num_shards > (1ull << 20))
-    throw ManifestError(what + ": implausible shard count " +
-                        std::to_string(num_shards));
+    r.fail("implausible shard count " + std::to_string(num_shards));
   std::uint64_t sum = 0;
   for (std::uint64_t i = 0; i < num_shards; ++i) {
     ShardInfo info;
-    std::uint32_t len = 0;
-    get(bs, len, what);
-    if (len == 0 || len > (1u << 12))
-      throw ManifestError(what + ": implausible shard file name length");
-    info.file.resize(len);
-    bs.read(info.file.data(), len);
-    if (!bs) throw ManifestError(what + ": truncated manifest");
-    get(bs, info.samples, what);
-    get(bs, info.checksum, what);
+    info.file = r.get_string("shard file name", 1, 1u << 12);
+    r.get(info.samples);
+    r.get(info.checksum);
     sum += info.samples;
     manifest_.shards.push_back(std::move(info));
   }
   if (sum != manifest_.total_samples)
-    throw ManifestError(what + ": shard sample counts sum to " +
-                        std::to_string(sum) + ", manifest claims " +
-                        std::to_string(manifest_.total_samples));
+    r.fail("shard sample counts sum to " + std::to_string(sum) +
+           ", manifest claims " + std::to_string(manifest_.total_samples));
 }
 
 std::string ShardedReader::shard_path(std::size_t i) const {
@@ -231,7 +176,7 @@ Dataset ShardedReader::load_shard(std::size_t i) const {
         util::FaultInjector::instance().fired("io.shard.bitflip");
     bytes[(k * 769) % bytes.size()] ^= static_cast<char>(1u << (k % 8));
   }
-  if (io::fnv1a64(bytes) != info.checksum)
+  if (util::fnv1a64(bytes) != info.checksum)
     throw ShardChecksumError("ShardedReader: checksum mismatch for shard " +
                              path + " (file corrupt or replaced)");
   const std::uint64_t total = bytes.size();

@@ -9,7 +9,7 @@
 // truncation, bit rot and missing files all fail loudly with TYPED
 // errors instead of surfacing as subtly wrong training data.
 //
-// Manifest layout ("RNXM", same framing as model bundles):
+// Manifest layout ("RNXM", the shared envelope of util/binio):
 //   magic "RNXM", u32 version, u64 body size, u64 FNV-1a body checksum,
 //   body:
 //     u64 seed, u64 config digest, u64 total samples, u64 shard count,

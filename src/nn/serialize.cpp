@@ -5,101 +5,145 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/binio.hpp"
 
 namespace rnx::nn {
 
 namespace {
-constexpr char kMagic[4] = {'R', 'N', 'X', 'W'};
-constexpr std::uint32_t kVersion = 1;
-constexpr char kQuantMagic[4] = {'R', 'N', 'X', 'Q'};
-constexpr std::uint32_t kQuantVersion = 1;
+constexpr std::string_view kMagic = "RNXW";
+constexpr std::string_view kQuantMagic = "RNXQ";
+constexpr std::uint32_t kVersion = 1;  // of both section kinds
 
-template <typename T>
-void write_pod(std::ostream& f, const T& v) {
-  f.write(reinterpret_cast<const char*>(&v), sizeof(T));
+using Reader = util::Reader<>;
+
+void put_payload(std::ostream& f, std::span<const double> src,
+                 WeightEncoding enc) {
+  switch (enc) {
+    case WeightEncoding::kFp64:
+      util::put_span(f, src);
+      return;
+    case WeightEncoding::kFp16:
+      util::put(f, static_cast<std::uint8_t>(enc));
+      for (const double v : src) util::put(f, fp16_from_double(v));
+      return;
+    case WeightEncoding::kInt8: {
+      util::put(f, static_cast<std::uint8_t>(enc));
+      // Per-tensor symmetric calibration: scale = maxabs/127 so the
+      // largest weight maps exactly onto the int8 endpoints.  An
+      // all-zero tensor stores scale 0 and decodes to exact zeros.
+      double maxabs = 0.0;
+      for (const double v : src) maxabs = std::max(maxabs, std::fabs(v));
+      const double scale = maxabs > 0.0 ? maxabs / 127.0 : 0.0;
+      util::put(f, scale);
+      for (const double v : src) {
+        long q = scale > 0.0 ? std::lround(v / scale) : 0;
+        if (q > 127) q = 127;
+        if (q < -127) q = -127;
+        util::put(f, static_cast<std::int8_t>(q));
+      }
+      return;
+    }
+  }
 }
-template <typename T>
-void read_pod(std::istream& f, T& v) {
-  f.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!f) throw std::runtime_error("load_params: truncated file");
+
+// An "RNXQ" tensor carries its own encoding tag; any quantized tag is
+// accepted whatever encoding the caller selected the section with.
+void get_payload(Reader& r, std::span<double> out, bool quantized,
+                 const std::string& name) {
+  if (!quantized) {
+    r.get_span(out);
+    return;
+  }
+  std::uint8_t tag = 0;
+  r.get(tag);
+  if (tag == static_cast<std::uint8_t>(WeightEncoding::kFp16)) {
+    for (double& v : out) {
+      std::uint16_t h = 0;
+      r.get(h);
+      v = fp16_to_double(h);
+    }
+  } else if (tag == static_cast<std::uint8_t>(WeightEncoding::kInt8)) {
+    double scale = 0.0;
+    r.get(scale);
+    if (!std::isfinite(scale) || scale < 0.0)
+      r.fail("corrupt scale for " + name);
+    for (double& v : out) {
+      std::int8_t q = 0;
+      r.get(q);
+      v = static_cast<double>(q) * scale;
+    }
+  } else {
+    r.fail("invalid encoding byte " + std::to_string(tag) + " for " + name);
+  }
 }
 }  // namespace
 
-void save_params(std::ostream& f, const NamedParams& params) {
-  f.write(kMagic, sizeof(kMagic));
-  write_pod(f, kVersion);
-  write_pod(f, static_cast<std::uint64_t>(params.size()));
+void save_params(std::ostream& f, const NamedParams& params,
+                 WeightEncoding encoding) {
+  if (encoding > WeightEncoding::kInt8)
+    throw std::invalid_argument(
+        "save_params: unknown weight encoding " +
+        std::to_string(static_cast<unsigned>(encoding)));
+  const std::string_view magic =
+      encoding == WeightEncoding::kFp64 ? kMagic : kQuantMagic;
+  f.write(magic.data(), static_cast<std::streamsize>(magic.size()));
+  util::put(f, kVersion);
+  util::put(f, static_cast<std::uint64_t>(params.size()));
   for (const auto& [name, var] : params) {
-    write_pod(f, static_cast<std::uint32_t>(name.size()));
-    f.write(name.data(), static_cast<std::streamsize>(name.size()));
+    util::put_string(f, name);
     const Tensor& t = var.value();
-    write_pod(f, static_cast<std::uint64_t>(t.rows()));
-    write_pod(f, static_cast<std::uint64_t>(t.cols()));
-    f.write(reinterpret_cast<const char*>(t.flat().data()),
-            static_cast<std::streamsize>(t.size() * sizeof(double)));
+    util::put(f, static_cast<std::uint64_t>(t.rows()));
+    util::put(f, static_cast<std::uint64_t>(t.cols()));
+    put_payload(f, t.flat(), encoding);
   }
   if (!f) throw std::runtime_error("save_params: write failed");
 }
 
 void save_params(const std::string& path, const NamedParams& params) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_params: cannot open " + path);
-  save_params(f, params);
-  if (!f) throw std::runtime_error("save_params: write failed on " + path);
+  util::atomic_write_stream(
+      path, [&params](std::ostream& f) { save_params(f, params); });
 }
 
-void load_params(std::istream& f, NamedParams& params) {
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::string_view(magic, 4) != std::string_view(kMagic, 4))
-    throw std::runtime_error("load_params: bad magic");
+void load_params(std::istream& f, NamedParams& params,
+                 WeightEncoding encoding) {
+  Reader r(f, "load_params");
+  const bool quantized = encoding != WeightEncoding::kFp64;
+  if (!util::read_magic(f, quantized ? kQuantMagic : kMagic))
+    r.fail("bad magic");
   std::uint32_t version = 0;
-  read_pod(f, version);
-  if (version != kVersion)
-    throw std::runtime_error("load_params: unsupported version");
+  r.get(version);
+  if (version != kVersion) r.fail("unsupported version");
   std::uint64_t count = 0;
-  read_pod(f, count);
+  r.get(count);
 
   std::map<std::string, Var*> by_name;
   for (auto& [name, var] : params) {
     if (!by_name.emplace(name, &var).second)
-      throw std::runtime_error("load_params: duplicate param name " + name);
+      r.fail("duplicate param name " + name);
   }
-  if (count != params.size())
-    throw std::runtime_error("load_params: parameter count mismatch");
+  if (count != params.size()) r.fail("parameter count mismatch");
 
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    read_pod(f, name_len);
     // A corrupt header must fail loudly here, not surface later as a
     // multi-gigabyte allocation or a misleading "unknown parameter".
-    if (name_len == 0 || name_len > kMaxParamNameLen)
-      throw std::runtime_error(
-          "load_params: corrupt file (parameter name length " +
-          std::to_string(name_len) + " exceeds " +
-          std::to_string(kMaxParamNameLen) + ")");
-    std::string name(name_len, '\0');
-    f.read(name.data(), name_len);
-    if (!f)
-      throw std::runtime_error(
-          "load_params: truncated file inside a parameter name");
+    const std::string name =
+        r.get_string("parameter name", 1, kMaxParamNameLen);
     std::uint64_t rows = 0, cols = 0;
-    read_pod(f, rows);
-    read_pod(f, cols);
+    r.get(rows);
+    r.get(cols);
     const auto it = by_name.find(name);
-    if (it == by_name.end())
-      throw std::runtime_error("load_params: unknown parameter " + name);
+    if (it == by_name.end()) r.fail("unknown parameter " + name);
     Tensor& dst = it->second->mutable_value();
+    // Shape-check before any payload read, so a corrupt header can never
+    // trigger a huge read.
     if (dst.rows() != rows || dst.cols() != cols)
-      throw std::runtime_error("load_params: shape mismatch for " + name);
-    f.read(reinterpret_cast<char*>(dst.flat().data()),
-           static_cast<std::streamsize>(rows * cols * sizeof(double)));
-    if (!f) throw std::runtime_error("load_params: truncated tensor " + name);
+      r.fail("shape mismatch for " + name);
+    get_payload(r, dst.flat(), quantized, name);
   }
 }
 
@@ -113,7 +157,7 @@ void load_params(const std::string& path, NamedParams& params) {
   }
 }
 
-// ---- quantized weight sections ("RNXQ") -----------------------------------
+// ---- quantization primitives -----------------------------------------------
 
 const char* to_string(WeightEncoding enc) noexcept {
   switch (enc) {
@@ -179,143 +223,6 @@ double fp16_to_double(std::uint16_t h) noexcept {
     v = std::ldexp(static_cast<double>(mant), -24);
   }
   return neg ? -v : v;
-}
-
-void save_params_quantized(std::ostream& f, const NamedParams& params,
-                           WeightEncoding enc) {
-  if (enc != WeightEncoding::kFp16 && enc != WeightEncoding::kInt8)
-    throw std::invalid_argument(
-        "save_params_quantized: encoding must be fp16 or int8 (use "
-        "save_params for fp64)");
-  f.write(kQuantMagic, sizeof(kQuantMagic));
-  write_pod(f, kQuantVersion);
-  write_pod(f, static_cast<std::uint64_t>(params.size()));
-  for (const auto& [name, var] : params) {
-    write_pod(f, static_cast<std::uint32_t>(name.size()));
-    f.write(name.data(), static_cast<std::streamsize>(name.size()));
-    const Tensor& t = var.value();
-    write_pod(f, static_cast<std::uint64_t>(t.rows()));
-    write_pod(f, static_cast<std::uint64_t>(t.cols()));
-    write_pod(f, static_cast<std::uint8_t>(enc));
-    const std::span<const double> src = t.flat();
-    if (enc == WeightEncoding::kFp16) {
-      for (const double v : src) write_pod(f, fp16_from_double(v));
-    } else {
-      // Per-tensor symmetric calibration: scale = maxabs/127 so the
-      // largest weight maps exactly onto the int8 endpoints.  An
-      // all-zero tensor stores scale 0 and decodes to exact zeros.
-      double maxabs = 0.0;
-      for (const double v : src) maxabs = std::max(maxabs, std::fabs(v));
-      const double scale = maxabs > 0.0 ? maxabs / 127.0 : 0.0;
-      write_pod(f, scale);
-      for (const double v : src) {
-        long q = scale > 0.0 ? std::lround(v / scale) : 0;
-        if (q > 127) q = 127;
-        if (q < -127) q = -127;
-        write_pod(f, static_cast<std::int8_t>(q));
-      }
-    }
-  }
-  if (!f) throw std::runtime_error("save_params_quantized: write failed");
-}
-
-void save_params_quantized(const std::string& path, const NamedParams& params,
-                           WeightEncoding enc) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f)
-    throw std::runtime_error("save_params_quantized: cannot open " + path);
-  save_params_quantized(f, params, enc);
-  if (!f)
-    throw std::runtime_error("save_params_quantized: write failed on " + path);
-}
-
-void load_params_quantized(std::istream& f, NamedParams& params) {
-  char magic[4];
-  f.read(magic, sizeof(magic));
-  if (!f || std::string_view(magic, 4) != std::string_view(kQuantMagic, 4))
-    throw std::runtime_error("load_params_quantized: bad magic");
-  std::uint32_t version = 0;
-  read_pod(f, version);
-  if (version != kQuantVersion)
-    throw std::runtime_error("load_params_quantized: unsupported version");
-  std::uint64_t count = 0;
-  read_pod(f, count);
-
-  std::map<std::string, Var*> by_name;
-  for (auto& [name, var] : params) {
-    if (!by_name.emplace(name, &var).second)
-      throw std::runtime_error("load_params_quantized: duplicate param name " +
-                               name);
-  }
-  if (count != params.size())
-    throw std::runtime_error("load_params_quantized: parameter count mismatch");
-
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    read_pod(f, name_len);
-    if (name_len == 0 || name_len > kMaxParamNameLen)
-      throw std::runtime_error(
-          "load_params_quantized: corrupt file (parameter name length " +
-          std::to_string(name_len) + " exceeds " +
-          std::to_string(kMaxParamNameLen) + ")");
-    std::string name(name_len, '\0');
-    f.read(name.data(), name_len);
-    if (!f)
-      throw std::runtime_error(
-          "load_params_quantized: truncated file inside a parameter name");
-    std::uint64_t rows = 0, cols = 0;
-    read_pod(f, rows);
-    read_pod(f, cols);
-    const auto it = by_name.find(name);
-    if (it == by_name.end())
-      throw std::runtime_error("load_params_quantized: unknown parameter " +
-                               name);
-    Tensor& dst = it->second->mutable_value();
-    // Shape-check before any payload allocation, so a corrupt header can
-    // never trigger a huge read — same guard order as load_params.
-    if (dst.rows() != rows || dst.cols() != cols)
-      throw std::runtime_error("load_params_quantized: shape mismatch for " +
-                               name);
-    std::uint8_t enc_byte = 0;
-    read_pod(f, enc_byte);
-    const std::span<double> out = dst.flat();
-    if (enc_byte == static_cast<std::uint8_t>(WeightEncoding::kFp16)) {
-      for (double& v : out) {
-        std::uint16_t h = 0;
-        read_pod(f, h);
-        v = fp16_to_double(h);
-      }
-    } else if (enc_byte == static_cast<std::uint8_t>(WeightEncoding::kInt8)) {
-      double scale = 0.0;
-      read_pod(f, scale);
-      if (!std::isfinite(scale) || scale < 0.0)
-        throw std::runtime_error("load_params_quantized: corrupt scale for " +
-                                 name);
-      for (double& v : out) {
-        std::int8_t q = 0;
-        read_pod(f, q);
-        v = static_cast<double>(q) * scale;
-      }
-    } else {
-      throw std::runtime_error(
-          "load_params_quantized: invalid encoding byte " +
-          std::to_string(enc_byte) + " for " + name);
-    }
-    if (!f)
-      throw std::runtime_error("load_params_quantized: truncated tensor " +
-                               name);
-  }
-}
-
-void load_params_quantized(const std::string& path, NamedParams& params) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f)
-    throw std::runtime_error("load_params_quantized: cannot open " + path);
-  try {
-    load_params_quantized(f, params);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string(e.what()) + " in " + path);
-  }
 }
 
 }  // namespace rnx::nn

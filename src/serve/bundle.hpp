@@ -7,7 +7,8 @@
 // prediction silently drifts (wrong z-score moments).  A bundle closes
 // that hole by persisting the full inference contract:
 //
-//   magic "RNXB", u32 version, u64 body size, u64 FNV-1a checksum, body:
+//   magic "RNXB", u32 version, u64 body size, u64 FNV-1a checksum (the
+//   shared envelope of util/binio, written atomically), body:
 //     u8  model kind (core::ModelKind: 0 = orig, 1 = ext)
 //     u8  prediction target (core::PredictionTarget)
 //     u64 min_delivered        (label-quality threshold used in training)
@@ -21,8 +22,9 @@
 //     u64 init_seed
 //     5 x (f64 mean, f64 stddev)  Scaler moments: traffic, capacity,
 //                                 queue, log_delay, log_jitter
-//     embedded weight section: "RNXW" (nn::save_params verbatim) when
-//     weight_encoding is fp64, else "RNXQ" (nn::save_params_quantized)
+//     embedded weight section (nn::save_params verbatim): "RNXW" when
+//     weight_encoding is fp64, else "RNXQ"; its magic must agree with
+//     weight_encoding
 //
 // The checksum covers the whole body, so truncation or bit rot fails
 // loudly at load instead of surfacing as subtly wrong predictions.
@@ -65,8 +67,9 @@ struct ModelBundle {
   [[nodiscard]] core::ModelKind kind() const { return model->kind(); }
 };
 
-/// Write model weights + config + scaler moments + target as one .rnxb
-/// file.  Throws std::runtime_error on I/O failure.  With kFp64 (the
+/// Atomically write model weights + config + scaler moments + target as
+/// one .rnxb file; a failed save leaves any previous file at `path`
+/// intact.  Throws std::runtime_error on I/O failure.  With kFp64 (the
 /// default) the file is the byte-identical v3 layout; kFp16/kInt8 write
 /// a v4 bundle with a per-tensor-calibrated quantized weight section.
 void save_bundle(const std::string& path, const core::Model& model,

@@ -25,11 +25,12 @@
 // Example: RNX_FAULT_SPEC="io.shard.bitflip=nth:2;serve.execute=prob:0.1"
 //
 // Injection sites (each documented at its call site):
-//   io.atomic.write      sample_io: stream write fails before rename
-//   io.atomic.rename     sample_io: rename over the target fails
+//   io.atomic.write      binio: stream write fails before rename
+//   io.atomic.rename     binio: rename over the target fails
 //   io.shard.truncate    shards: short read of a shard file
 //   io.shard.bitflip     shards: one bit flipped before checksum verify
-//   io.manifest.bitflip  shards: one bit flipped in the manifest body
+//   io.manifest.bitflip  binio envelope reader: one bit flipped in a
+//                        manifest body before checksum verify
 //   source.producer      source: prefetch thread throws mid-stream
 //   serve.execute        scheduler: whole-batch execution failure
 //   serve.execute.slow   scheduler: sleep param microseconds per batch

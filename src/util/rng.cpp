@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/binio.hpp"
+
 namespace rnx::util {
 
 namespace {
@@ -19,12 +21,7 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 }
 
 std::uint64_t hash_label(std::string_view label) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : label) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a64(label);
 }
 
 RngStream::RngStream(std::uint64_t seed) noexcept {

@@ -18,6 +18,7 @@
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
 #include "topo/zoo.hpp"
+#include "util/fault.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -220,6 +221,36 @@ TEST(Bundle, OversizedBodyRejected) {
   spit(path, bytes);
   EXPECT_THROW((void)serve::load_bundle(path), std::runtime_error);
   std::filesystem::remove(path);
+}
+
+// Mirrors DatasetRobustness.SaveIsAtomic: a save that fails mid-write
+// must leave the previous good bundle in place and no temp file behind.
+TEST(Bundle, SaveIsAtomic) {
+  namespace fs = std::filesystem;
+  const std::string dir = "/tmp/rnx_bundle_atomic";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/m.rnxb";
+  const SavedBundle good = make_saved_bundle(path);
+  const data::Sample& sample = test_dataset().samples()[0];
+  const std::vector<double> want = serve::InferenceEngine(path).predict(sample);
+
+  core::ModelConfig other = small_config();
+  other.init_seed = 99;
+  const auto replacement = core::make_model(core::ModelKind::kExtended, other);
+  util::FaultInjector::instance().configure("io.atomic.write=nth:1");
+  EXPECT_THROW(serve::save_bundle(path, *replacement, good.scaler,
+                                  core::PredictionTarget::kDelay, 5),
+               std::runtime_error);
+  const std::uint64_t fired =
+      util::FaultInjector::instance().fired("io.atomic.write");
+  util::FaultInjector::instance().reset();
+  EXPECT_EQ(fired, 1u);
+
+  EXPECT_EQ(serve::InferenceEngine(path).predict(sample), want);
+  for (const fs::directory_entry& e : fs::directory_iterator(dir))
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  fs::remove_all(dir);
 }
 
 TEST(Bundle, WrongModelKindRejected) {

@@ -3,11 +3,14 @@
 // (.rnxm).  Every truncation point and a bit flip in every 64-byte
 // window must surface as the format's TYPED load error — never a crash,
 // a hang, a huge allocation, or a silently wrong object.  Checkpoint
-// (.rnxc) corruption is swept in checkpoint_test.cpp.
+// (.rnxc) corruption is swept in checkpoint_test.cpp; the envelope's
+// body-size bound is checked here for all three envelope formats.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/model.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
@@ -166,6 +170,55 @@ TEST_F(CorruptionSweepTest, ManifestBitFlipInEveryWindowIsTyped) {
   write_file(manifest_path(), pristine);
   EXPECT_EQ(data::ShardedReader(manifest_path().string()).load_all().size(),
             2u);
+}
+
+// The envelope bounds the body size by the bytes left in the file.  The
+// size field is set to 32 MiB: more than the file holds, yet below
+// every per-format bound the readers once carried (64 MiB, 1 GiB,
+// 4 GiB).  Each load must fail with its format's typed error naming the
+// claimed size — a reader that trusted the field would allocate the
+// body first and then report a truncation.
+constexpr std::uint64_t kClaimedBodyBytes = 32ull << 20;
+
+void claim_body_size(const fs::path& path) {
+  std::vector<char> bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 24u);
+  ASSERT_LT(bytes.size(), kClaimedBodyBytes);
+  std::memcpy(bytes.data() + 8, &kClaimedBodyBytes, 8);
+  write_file(path, bytes);
+}
+
+TEST_F(CorruptionSweepTest, EnvelopeBodySizeBoundedByFile) {
+  core::TrainCheckpoint ck;
+  core::TrainCheckpoint::ParamState p;
+  p.name = "w";
+  p.value = p.m = p.v = nn::Tensor(2, 2);
+  ck.params.push_back(std::move(p));
+  const std::string checkpoint = (dir_ / "train.rnxc").string();
+  core::save_checkpoint(checkpoint, ck);
+
+  claim_body_size(bundle_path());
+  claim_body_size(checkpoint);
+  claim_body_size(manifest_path());
+  const std::string want = "body size " + std::to_string(kClaimedBodyBytes);
+  try {
+    (void)serve::load_bundle(bundle_path().string());
+    ADD_FAILURE() << "bundle with an oversized body size accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  try {
+    (void)core::load_checkpoint(checkpoint);
+    ADD_FAILURE() << "checkpoint with an oversized body size accepted";
+  } catch (const core::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
+  try {
+    const data::ShardedReader reader(manifest_path().string());
+    ADD_FAILURE() << "manifest with an oversized body size accepted";
+  } catch (const data::ManifestError& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -119,9 +119,9 @@ nn::NamedParams like(const nn::NamedParams& src) {
 TEST(QuantizeSection, Fp16RoundTripWithinHalfPrecision) {
   const nn::NamedParams src = make_params(5);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_params_quantized(buf, src, WeightEncoding::kFp16);
+  nn::save_params(buf, src, WeightEncoding::kFp16);
   nn::NamedParams dst = like(src);
-  nn::load_params_quantized(buf, dst);
+  nn::load_params(buf, dst, WeightEncoding::kFp16);
   for (std::size_t p = 0; p < src.size(); ++p) {
     const auto& a = src[p].second.value();
     const auto& b = dst[p].second.value();
@@ -136,9 +136,9 @@ TEST(QuantizeSection, Fp16RoundTripWithinHalfPrecision) {
 TEST(QuantizeSection, Int8RoundTripWithinScaleStep) {
   const nn::NamedParams src = make_params(7);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_params_quantized(buf, src, WeightEncoding::kInt8);
+  nn::save_params(buf, src, WeightEncoding::kInt8);
   nn::NamedParams dst = like(src);
-  nn::load_params_quantized(buf, dst);
+  nn::load_params(buf, dst, WeightEncoding::kInt8);
   for (std::size_t p = 0; p < src.size(); ++p) {
     const auto& a = src[p].second.value();
     const auto& b = dst[p].second.value();
@@ -158,10 +158,10 @@ TEST(QuantizeSection, Int8RoundTripWithinScaleStep) {
   for (std::size_t i = 0; i < z.size(); ++i) EXPECT_EQ(z.flat()[i], 0.0);
 }
 
-TEST(QuantizeSection, Fp64EncodingRejectedAtSave) {
+TEST(QuantizeSection, UnknownEncodingRejectedAtSave) {
   const nn::NamedParams src = make_params(9);
   std::stringstream buf;
-  EXPECT_THROW(nn::save_params_quantized(buf, src, WeightEncoding::kFp64),
+  EXPECT_THROW(nn::save_params(buf, src, static_cast<WeightEncoding>(3)),
                std::invalid_argument);
 }
 
@@ -176,14 +176,14 @@ TEST(QuantizeSection, ParseEncodingNames) {
 TEST(QuantizeSection, CorruptInputRejected) {
   const nn::NamedParams src = make_params(11);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_params_quantized(buf, src, WeightEncoding::kInt8);
+  nn::save_params(buf, src, WeightEncoding::kInt8);
   const std::string bytes = buf.str();
 
   const auto load_from = [&](std::string data) {
     std::stringstream in(std::move(data),
                          std::ios::in | std::ios::out | std::ios::binary);
     nn::NamedParams dst = like(src);
-    nn::load_params_quantized(in, dst);
+    nn::load_params(in, dst, WeightEncoding::kInt8);
   };
 
   // Truncation at several depths: header, mid-name, mid-payload.
@@ -207,17 +207,19 @@ TEST(QuantizeSection, CorruptInputRejected) {
 TEST(QuantizeSection, NameAndShapeMismatchRejected) {
   const nn::NamedParams src = make_params(13);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  nn::save_params_quantized(buf, src, WeightEncoding::kFp16);
+  nn::save_params(buf, src, WeightEncoding::kFp16);
 
   nn::NamedParams renamed = like(src);
   renamed[0].first = "nope";
-  EXPECT_THROW(nn::load_params_quantized(buf, renamed), std::runtime_error);
+  EXPECT_THROW(nn::load_params(buf, renamed, WeightEncoding::kFp16),
+               std::runtime_error);
 
   buf.clear();
   buf.seekg(0);
   nn::NamedParams reshaped = like(src);
   reshaped[0].second = nn::Var(nn::Tensor(2, 2), true);
-  EXPECT_THROW(nn::load_params_quantized(buf, reshaped), std::runtime_error);
+  EXPECT_THROW(nn::load_params(buf, reshaped, WeightEncoding::kFp16),
+               std::runtime_error);
 }
 
 // ---- v4 bundles ------------------------------------------------------------
@@ -360,6 +362,43 @@ TEST(QuantizeBundle, CorruptQuantSectionRejectedByChecksum) {
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_THROW((void)serve::load_bundle(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+// The header's encoding byte selects the weight reader, and the section
+// magic must agree with it: a v4 header claiming fp64 in front of an
+// "RNXQ" section is refused even with a valid checksum.
+TEST(QuantizeBundle, SectionMagicMustMatchHeaderEncoding) {
+  const data::Dataset& ds = test_dataset();
+  const core::Model model(core::ModelKind::kExtended, small_config());
+  const data::Scaler scaler = data::Scaler::fit(ds.samples(), 5);
+  const std::string path = "/tmp/rnx_quant_magic.rnxb";
+  serve::save_bundle(path, model, scaler, core::PredictionTarget::kDelay, 5,
+                     WeightEncoding::kInt8);
+  std::string bytes = slurp(path);
+  // Envelope header 24 bytes; the body's encoding byte follows kind,
+  // target, min_delivered, three u64 dims and six u8 flags (40 bytes).
+  constexpr std::size_t kEncodingOffset = 24 + 40;
+  ASSERT_EQ(bytes[kEncodingOffset],
+            static_cast<char>(WeightEncoding::kInt8));
+  bytes[kEncodingOffset] = static_cast<char>(WeightEncoding::kFp64);
+  std::uint64_t sum = 0xcbf29ce484222325ull;  // re-seal the checksum
+  for (std::size_t i = 24; i < bytes.size(); ++i) {
+    sum ^= static_cast<unsigned char>(bytes[i]);
+    sum *= 0x100000001b3ull;
+  }
+  std::memcpy(bytes.data() + 16, &sum, sizeof(sum));
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)serve::load_bundle(path);
+    FAIL() << "fp64 header over an RNXQ section accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove(path);
 }
 

@@ -17,6 +17,7 @@
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
 #include "topo/zoo.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -29,12 +30,22 @@ void put(std::ostream& f, const T& v) {
   f.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
+// One reader serves both weight sections, so every name-length guard
+// runs against the fp64 "RNXW" and the quantized "RNXQ" section.
+struct Section {
+  const char* magic;
+  WeightEncoding encoding;
+};
+constexpr Section kSections[] = {{"RNXW", WeightEncoding::kFp64},
+                                 {"RNXQ", WeightEncoding::kFp16}};
+
 // A syntactically valid header claiming `count` parameters, then the
 // first parameter's `name_len` and (optionally) some name bytes.
 std::string file_with_name_len(std::uint64_t count, std::uint32_t name_len,
-                               const std::string& name_bytes) {
+                               const std::string& name_bytes,
+                               const char* magic = "RNXW") {
   std::ostringstream f(std::ios::binary);
-  f.write("RNXW", 4);
+  f.write(magic, 4);
   put(f, std::uint32_t{1});  // version
   put(f, count);
   put(f, name_len);
@@ -50,15 +61,17 @@ TEST(SerializeRobustness, OversizedNameLengthRejectedFast) {
 
   // 4 GiB name length: must be rejected on the length check, not
   // attempted as an allocation + read.
-  std::istringstream f(
-      file_with_name_len(params.size(), 0xFFFFFFFFu, ""),
-      std::ios::binary);
-  try {
-    load_params(f, params);
-    FAIL() << "corrupt name length accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("name length"), std::string::npos)
-        << e.what();
+  for (const Section& sec : kSections) {
+    std::istringstream f(
+        file_with_name_len(params.size(), 0xFFFFFFFFu, "", sec.magic),
+        std::ios::binary);
+    try {
+      load_params(f, params, sec.encoding);
+      FAIL() << sec.magic << ": corrupt name length accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("name length"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -66,9 +79,12 @@ TEST(SerializeRobustness, ZeroNameLengthRejected) {
   RngStream rng(2);
   Mlp m({2, 2}, Activation::kNone, rng, "m");
   NamedParams params = m.named_params();
-  std::istringstream f(file_with_name_len(params.size(), 0, ""),
-                       std::ios::binary);
-  EXPECT_THROW(load_params(f, params), std::runtime_error);
+  for (const Section& sec : kSections) {
+    std::istringstream f(file_with_name_len(params.size(), 0, "", sec.magic),
+                         std::ios::binary);
+    EXPECT_THROW(load_params(f, params, sec.encoding), std::runtime_error)
+        << sec.magic;
+  }
 }
 
 TEST(SerializeRobustness, TruncationInsideNameIsDescriptive) {
@@ -78,17 +94,19 @@ TEST(SerializeRobustness, TruncationInsideNameIsDescriptive) {
 
   // Claims an 8-byte name but the file ends after 3 bytes: the old code
   // read a half-garbage name and reported "unknown parameter".
-  std::istringstream f(file_with_name_len(params.size(), 8, "m.l"),
-                       std::ios::binary);
-  try {
-    load_params(f, params);
-    FAIL() << "truncated name accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
-        << e.what();
-    EXPECT_EQ(std::string(e.what()).find("unknown parameter"),
-              std::string::npos)
-        << e.what();
+  for (const Section& sec : kSections) {
+    std::istringstream f(file_with_name_len(params.size(), 8, "m.l", sec.magic),
+                         std::ios::binary);
+    try {
+      load_params(f, params, sec.encoding);
+      FAIL() << sec.magic << ": truncated name accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+      EXPECT_EQ(std::string(e.what()).find("unknown parameter"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -185,6 +203,36 @@ TEST(DatasetRobustness, SaveIsAtomic) {
   ds2.save(path);
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   EXPECT_EQ(Dataset::load(path).size(), 3u);
+  fs::remove_all(dir);
+}
+
+// Model::save_weights goes through the same atomic writer as datasets:
+// a save that fails mid-write keeps the previous weights file intact.
+TEST(SerializeRobustness, WeightSaveIsAtomic) {
+  namespace fs = std::filesystem;
+  const std::string dir = "/tmp/rnx_weights_atomic";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/w.rnxw";
+  RngStream rng(6);
+  Mlp a({3, 4, 2}, Activation::kRelu, rng, "m");
+  save_params(path, a.named_params());
+
+  Mlp b({3, 4, 2}, Activation::kRelu, rng, "m");
+  rnx::util::FaultInjector::instance().configure("io.atomic.write=nth:1");
+  EXPECT_THROW(save_params(path, b.named_params()), std::runtime_error);
+  rnx::util::FaultInjector::instance().reset();
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+  NamedParams loaded = b.named_params();
+  load_params(path, loaded);
+  const NamedParams want = a.named_params();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& tw = want[i].second.value();
+    const auto& tl = loaded[i].second.value();
+    for (std::size_t j = 0; j < tw.size(); ++j)
+      EXPECT_EQ(tw.flat()[j], tl.flat()[j]);
+  }
   fs::remove_all(dir);
 }
 

@@ -37,6 +37,7 @@
 #include "data/shards.hpp"
 #include "sim/scenario.hpp"
 #include "topo/zoo.hpp"
+#include "util/binio.hpp"
 #include "util/signal.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -204,7 +205,7 @@ int run(int argc, char** argv) {
   // earlier hard crash are swept before generating.
   util::install_interrupt_handlers();
   if (!out.empty())
-    data::io::remove_stale_temps(
+    util::remove_stale_temps(
         std::filesystem::path(out).parent_path().string());
 
   util::Stopwatch watch;

@@ -23,10 +23,10 @@
 #include "cli.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
-#include "data/sample_io.hpp"
 #include "data/source.hpp"
 #include "eval/metrics.hpp"
 #include "serve/bundle.hpp"
+#include "util/binio.hpp"
 #include "util/signal.hpp"
 
 namespace {
@@ -178,7 +178,7 @@ int run(int argc, char** argv) {
       // A crash between flush and rename leaves a *.tmp twin behind;
       // sweep it so the directory always holds exactly the real files.
       const std::size_t stale =
-          data::io::remove_stale_temps(tc.checkpoint_dir);
+          util::remove_stale_temps(tc.checkpoint_dir);
       if (stale != 0 && tc.verbose)
         std::cout << "removed " << stale << " stale temp file(s) from "
                   << tc.checkpoint_dir << "\n";
