@@ -113,8 +113,9 @@ ModelBundle load_bundle(const std::string& path) {
   out.encoding = static_cast<nn::WeightEncoding>(enc_byte);
   r.get(mc.init_seed);
 
-  std::array<data::Moments, 5> m;  // traffic, capacity, queue, log
-  r.get(m);                        // delay, log jitter
+  // traffic, capacity, queue, log delay, log jitter
+  std::array<data::Moments, 5> m;
+  r.get(m);
   out.scaler = data::Scaler::from_moments(m[0], m[1], m[2], m[3], m[4]);
 
   out.model = core::make_model(kind, mc);
