@@ -1,7 +1,9 @@
 // P1 — scalar-vs-SIMD microbenchmarks of the dense hot path at
 // RouteNet-realistic shapes: the matmul family, the elementwise
 // transcendentals and full GRU steps (552 paths x 16 state dims is the
-// GEANT2 working set; 256^3 is the throughput-bound shape).
+// GEANT2 working set; 256^3 is the throughput-bound shape; 229x12 and
+// 74x12 are the serve model's path and link steps, 229x12 also run in
+// place through GRUCell::step_indexed).
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -13,6 +15,8 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "nn/gru.hpp"
@@ -141,14 +145,41 @@ int main() {
   }
 
   // -- GRU steps (the message-passing hot loop) ------------------------
-  {
-    util::RngStream rng(10);
-    const nn::GRUCell cell(16, 16, rng);
-    const nn::Var x(rand_tensor(552, 16, 11), false);
-    const nn::Var h(rand_tensor(552, 16, 12), false);
+  // Matmul flops of one step over `rows` rows at in == hid: 12*R*H^2.
+  const auto gru_flops = [](std::size_t rows, std::size_t hid) {
+    return 12.0 * static_cast<double>(rows * hid * hid);
+  };
+  // 552x16 is the GEANT2 working set at the default width; the serve
+  // shapes are the perfbench GEANT2 model (H=12): a path step over the
+  // 229 paths active at a typical position, a link update over 74
+  // links, and that path step run in place through step_indexed.
+  for (const auto& [rows, hid] : {std::pair<std::size_t, std::size_t>{552, 16},
+                                  {229, 12},
+                                  {74, 12}}) {
+    util::RngStream rng(10 + rows);
+    const nn::GRUCell cell(hid, hid, rng);
+    const nn::Var x(rand_tensor(rows, hid, 11), false);
+    const nn::Var h(rand_tensor(rows, hid, 12), false);
     const nn::NoGradGuard guard;
-    run_both("gru_step_fwd_552x16", 0.0,
-             [&] { (void)cell.step(x, h); });
+    run_both("gru_step_fwd_" + std::to_string(rows) + "x" +
+                 std::to_string(hid),
+             gru_flops(rows, hid), [&] { (void)cell.step(x, h); });
+  }
+  {
+    constexpr std::size_t kPaths = 552, kLinks = 74, kActive = 229, kHid = 12;
+    util::RngStream rng(16);
+    const nn::GRUCell cell(kHid, kHid, rng);
+    const nn::Var links(rand_tensor(kLinks, kHid, 17), false);
+    nn::Var hidden(rand_tensor(kPaths, kHid, 18), false);
+    std::vector<nn::Index> path_rows(kActive), elem_ids(kActive);
+    for (std::size_t i = 0; i < kActive; ++i) {
+      path_rows[i] = static_cast<nn::Index>(i * kPaths / kActive);
+      elem_ids[i] = static_cast<nn::Index>((i * 7) % kLinks);
+    }
+    const nn::NoGradGuard guard;
+    run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
+      (void)cell.step_indexed(links, elem_ids, hidden, path_rows);
+    });
   }
   {
     util::RngStream rng(13);
@@ -167,7 +198,8 @@ int main() {
   std::cout << std::left << std::setw(26) << "kernel" << std::right
             << std::setw(14) << "scalar us" << std::setw(14)
             << (std::string(best.name) + " us") << std::setw(10) << "speedup"
-            << std::setw(16) << "simd GFLOP/s" << "\n";
+            << std::setw(16) << "scalar GFLOP/s" << std::setw(16)
+            << "simd GFLOP/s" << "\n";
   for (const Case& c : cases) {
     std::cout << std::left << std::setw(26) << c.name << std::right
               << std::setw(14) << std::fixed << std::setprecision(2)
@@ -175,13 +207,17 @@ int main() {
               << std::setw(10) << std::setprecision(2) << c.speedup();
     if (c.flops_per_iter > 0.0)
       std::cout << std::setw(16) << std::setprecision(2)
+                << c.flops_per_iter / c.scalar_s / 1e9 << std::setw(16)
                 << c.flops_per_iter / c.simd_s / 1e9;
     std::cout << "\n";
     result.add(c.name + "_scalar_us", c.scalar_s * 1e6);
     result.add(c.name + "_simd_us", c.simd_s * 1e6);
     result.add(c.name + "_speedup", c.speedup());
-    if (c.flops_per_iter > 0.0)
+    if (c.flops_per_iter > 0.0) {
+      result.add(c.name + "_scalar_gflops",
+                 c.flops_per_iter / c.scalar_s / 1e9);
       result.add(c.name + "_simd_gflops", c.flops_per_iter / c.simd_s / 1e9);
+    }
   }
 
   // Headline numbers CI tracks against the >= 4x DESIGN.md §K target.

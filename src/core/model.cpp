@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -109,6 +110,8 @@ void require_scenario(const data::Sample& s, std::size_t state_dim) {
 
 enum class Entity { kLink, kNode };
 
+using IndexSpan = std::span<const nn::Index>;
+
 // Mean-aggregation normalizer (ModelConfig::link_mean_aggregation,
 // node_mean_aggregation): a constant (entities x H) multiplier whose row
 // e is 1/count(e), or 0 when nothing reaches e.  A link's count is its
@@ -119,14 +122,22 @@ nn::Var inv_count_var(const MpPlan& plan, Entity entity,
   const std::size_t rows =
       entity == Entity::kLink ? plan.num_links : plan.num_nodes;
   std::vector<double> counts(rows, 0.0);
+  // Ids come from the sample unchecked (build_plan validates nothing);
+  // reject them with the gather's exception type instead of writing past
+  // `counts`.
+  const auto count = [&](nn::Index e) {
+    if (e >= rows)
+      throw std::out_of_range("mean aggregation: element id out of range");
+    counts[e] += 1.0;
+  };
   if (entity == Entity::kLink) {
     for (std::size_t p = 0; p < plan.num_positions(); ++p) {
       const PlanPosition pos = plan.position(p);
       if (pos.is_node) continue;
-      for (const auto l : pos.elem_ids) counts[l] += 1.0;
+      for (const auto l : pos.elem_ids) count(l);
     }
   } else {
-    for (const auto n : plan.inc_node_ids) counts[n] += 1.0;
+    for (const auto n : plan.inc_node_ids) count(n);
   }
   nn::Tensor inv(rows, state_dim);
   for (std::size_t e = 0; e < rows; ++e) {
@@ -277,17 +288,20 @@ nn::Var Model::forward(const data::Sample& sample,
       // Extended plans interleave: even positions read node states, odd
       // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
-      const nn::Var x = nn::gather_rows(pos.is_node ? h_node : h_link,
-                                        pos.elem_ids);
-      const nn::Var h = nn::gather_rows(hidden, pos.path_rows);
-      const nn::Var h2 = rnn_path_.step(x, h);
-      hidden = nn::scatter_rows(hidden, pos.path_rows, h2);
+      const nn::Var h2 = rnn_path_.step_indexed(
+          pos.is_node ? h_node : h_link, pos.elem_ids, hidden, pos.path_rows);
+      // Each active path messages the element it just consumed.  Without
+      // a tape the new rows were written into `hidden` in place (h2 is
+      // undefined) and are read back through path_rows, in row order.
+      const auto messages = [&](std::size_t num_elems) {
+        return h2.defined() ? nn::segment_sum(h2, pos.elem_ids, num_elems)
+                            : nn::segment_sum(hidden, pos.path_rows,
+                                              pos.elem_ids, num_elems);
+      };
       if (!pos.is_node)
-        accumulate(link_msg,
-                   nn::segment_sum(h2, pos.elem_ids, plan.num_links));
+        accumulate(link_msg, messages(plan.num_links));
       else if (positional_node_msgs)
-        accumulate(node_msg,
-                   nn::segment_sum(h2, pos.elem_ids, plan.num_nodes));
+        accumulate(node_msg, messages(plan.num_nodes));
     }
     h_path = hidden;
     update_entity(h_link, link_msg, link_inv_count, rnn_link_);
@@ -295,8 +309,10 @@ nn::Var Model::forward(const data::Sample& sample,
     if (!positional_node_msgs) {
       // The paper's rule: element-wise sum of the (freshly updated)
       // states of all paths traversing each node.
-      const nn::Var gathered = nn::gather_rows(h_path, plan.inc_path_rows);
-      node_msg = nn::segment_sum(gathered, plan.inc_node_ids, plan.num_nodes);
+      const nn::Var gathered =
+          nn::gather_rows(h_path, IndexSpan(plan.inc_path_rows));
+      node_msg = nn::segment_sum(gathered, IndexSpan(plan.inc_node_ids),
+                                 plan.num_nodes);
     }
     update_entity(h_node, node_msg, node_inv_count, *rnn_node_);
   }

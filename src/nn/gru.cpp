@@ -1,5 +1,6 @@
 #include "nn/gru.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,7 +34,76 @@ Var GRUCell::step(const Var& x, const Var& h) const {
         std::to_string(x.rows()) + "x" + std::to_string(x.cols()) + ", h " +
         std::to_string(h.rows()) + "x" + std::to_string(h.cols()) +
         ", cell in=" + std::to_string(in_) + " hid=" + std::to_string(hid_));
-  return fused_ ? step_fused(x, h) : step_composed(x, h);
+  if (!fused_) return step_composed(x, h);
+  if (grad_disabled()) {
+    Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
+    if (step_kernel(y.flat().data(), x.value().flat().data(), nullptr,
+                    h.value().flat().data(), nullptr, x.rows()))
+      return Var(std::move(y));
+    TensorPool::release(std::move(y));
+  }
+  return step_fused(x, h);
+}
+
+bool GRUCell::step_kernel(double* y, const double* x, const Index* x_rows,
+                          const double* h, const Index* h_rows,
+                          std::size_t rows) const {
+  const auto kernel = kernels::active().gru_step;
+  if (kernel == nullptr) return false;
+  const auto p = [](const Var& v) { return v.value().flat().data(); };
+  const kernels::GruWeights w{p(wxz_), p(whz_), p(bz_), p(wxr_), p(whr_),
+                              p(br_),  p(wxn_), p(whn_), p(bn_)};
+  return kernel(y, x, x_rows, h, h_rows, rows, in_, hid_, w);
+}
+
+Var GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
+                          Var& hidden,
+                          std::span<const Index> path_rows) const {
+  if (!grad_disabled()) {
+    Var h2 = step(gather_rows(src, elem_ids), gather_rows(hidden, path_rows));
+    hidden = scatter_rows(hidden, path_rows, h2);
+    return h2;
+  }
+  if (src.cols() != in_ || hidden.cols() != hid_ ||
+      elem_ids.size() != path_rows.size())
+    throw std::invalid_argument("GRUCell::step_indexed (" + name_ +
+                                "): shape mismatch");
+  // The guards gather_rows and scatter_rows apply on the taped path.
+  for (const Index e : elem_ids)
+    if (e >= src.rows())
+      throw std::out_of_range("GRUCell::step_indexed: element id out of range");
+  thread_local std::vector<char> seen;
+  seen.assign(hidden.rows(), 0);
+  for (const Index r : path_rows) {
+    if (r >= hidden.rows())
+      throw std::out_of_range("GRUCell::step_indexed: path row out of range");
+    if (seen[r] != 0)
+      throw std::invalid_argument("GRUCell::step_indexed: duplicate path row");
+    seen[r] = 1;
+  }
+
+  // Copy-on-write: the caller's other handles keep the old states.
+  if (hidden.node().use_count() > 1) {
+    Tensor copy = TensorPool::acquire_uninit(hidden.rows(), hid_);
+    const auto from = hidden.value().flat();
+    std::copy(from.begin(), from.end(), copy.flat().begin());
+    hidden = Var(std::move(copy));
+  }
+  Tensor& hv = hidden.mutable_value();
+  const std::size_t rows = path_rows.size();
+  if (fused_ && step_kernel(hv.flat().data(), src.value().flat().data(),
+                            elem_ids.data(), hv.flat().data(),
+                            path_rows.data(), rows))
+    return Var();
+
+  // No kernel for this backend or width: step the gathered rows, then
+  // write them back in place.
+  const Var h2 = step(gather_rows(src, elem_ids), gather_rows(hidden, path_rows));
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto from = h2.value().row(i);
+    std::copy(from.begin(), from.end(), hv.row(path_rows[i]).begin());
+  }
+  return Var();
 }
 
 Var GRUCell::step_composed(const Var& x, const Var& h) const {

@@ -16,13 +16,19 @@
 // (~15 tape nodes in the op-by-op formulation).  step_composed() keeps
 // the original composition; tests/gru_fused_test.cpp pins the two
 // against each other and against central differences.
+//
+// With no tape recorded (NoGradGuard), the fused path runs the backend's
+// whole-step kernel when it has one for this width (kernels::Backend::
+// gru_step, bitwise-equal to the composed passes) — see DESIGN.md §K.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "nn/autograd.hpp"
+#include "nn/ops.hpp"
 #include "util/rng.hpp"
 
 namespace rnx::nn {
@@ -35,8 +41,24 @@ class GRUCell {
 
   /// One step: x is (R x input_dim), h is (R x hidden_dim); returns the
   /// new hidden state (R x hidden_dim).  Differentiable through both.
-  /// Dispatches to the fused kernel unless set_fused(false).
+  /// Dispatches to the fused kernel unless set_fused(false); with no
+  /// tape recorded that is the backend's whole-step kernel when it has
+  /// one for this width.
   [[nodiscard]] Var step(const Var& x, const Var& h) const;
+
+  /// One step over rows taken by index, as the position-vectorized path
+  /// RNN runs it: x = src[elem_ids], h = hidden[path_rows], and the new
+  /// states replace hidden's path_rows.  With a tape this records
+  /// exactly gather_rows -> step -> scatter_rows (hidden becomes the
+  /// scatter output) and returns the (R x hidden_dim) new rows.  Without
+  /// one, hidden's rows are updated in place — after a copy if another
+  /// Var shares hidden's tensor — and the result is an undefined Var: the
+  /// new rows are hidden's path_rows.  Throws std::out_of_range for an id
+  /// or row out of range and std::invalid_argument for a repeated row,
+  /// before any state is read.
+  [[nodiscard]] Var step_indexed(const Var& src,
+                                 std::span<const Index> elem_ids, Var& hidden,
+                                 std::span<const Index> path_rows) const;
 
   /// The op-by-op composition of the same function (reference path for
   /// gradcheck parity and the speedup ablation).
@@ -54,6 +76,11 @@ class GRUCell {
 
  private:
   [[nodiscard]] Var step_fused(const Var& x, const Var& h) const;
+  /// The backend's whole-step kernel (kernels::Backend::gru_step) on raw
+  /// rows; false when the active backend has none for this width.
+  bool step_kernel(double* y, const double* x, const Index* x_rows,
+                   const double* h, const Index* h_rows,
+                   std::size_t rows) const;
 
   std::size_t in_;
   std::size_t hid_;

@@ -171,6 +171,7 @@ const Backend& scalar_backend() noexcept {
       &scalar::vtanh,
       &scalar::gru_gates,
       &scalar::gru_blend,
+      nullptr,  // gru_step: the composed path is the reference
   };
   return backend;
 }

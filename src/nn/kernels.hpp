@@ -18,6 +18,10 @@
 //   * neon     — aarch64 2-lane kernels, bitwise-identical to scalar
 //                (mul+add, libm transcendentals).
 //
+// Only avx2+fma provides the optional whole-step `gru_step` kernel, for
+// narrow hidden widths; its output is bitwise-equal to the same
+// backend's matmul + gru_gates + gru_blend composition (DESIGN.md §K).
+//
 // Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
 // x86-64, NEON on aarch64, scalar otherwise).  RNX_SIMD=scalar forces
 // the reference backend; RNX_SIMD=native forces auto-detection (and is
@@ -35,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace rnx::nn::kernels {
 
@@ -43,6 +48,20 @@ enum class Isa { kScalar, kAvx2Fma, kNeon };
 /// Stable lowercase ISA tag for logs / BENCH json ("scalar",
 /// "avx2+fma", "neon").
 [[nodiscard]] const char* to_string(Isa isa) noexcept;
+
+/// The nine parameters of one GRU cell (nn/gru.hpp), dense row-major:
+/// wx* are (in x hid), wh* are (hid x hid), b* are (1 x hid).
+struct GruWeights {
+  const double* wxz;
+  const double* whz;
+  const double* bz;
+  const double* wxr;
+  const double* whr;
+  const double* br;
+  const double* wxn;
+  const double* whn;
+  const double* bn;
+};
 
 /// One kernel backend.  All matrices are dense row-major double; `acc`
 /// kernels accumulate into c.  Shapes follow nn::Tensor's matmul
@@ -88,6 +107,18 @@ struct Backend {
   /// y = (1 - z) .* nout + z .* h.
   void (*gru_blend)(double* nout, double* y, const double* an,
                     const double* z, const double* h, std::size_t n);
+
+  // -- whole GRU step over indexed rows (optional; nullptr if absent) ---
+  /// One inference step for `rows` rows: row i reads x row x_rows[i]
+  /// (in wide) and h row h_rows[i] (hid wide) and writes the new state
+  /// to y row h_rows[i]; a null index array means row i.  y may be h
+  /// itself (in-place update) — the h_rows must then be distinct — but
+  /// must not overlap x.  Indices are trusted: callers validate them.  Returns false, having
+  /// touched nothing, when the backend has no kernel for `hid`.
+  bool (*gru_step)(double* y, const double* x, const std::uint32_t* x_rows,
+                   const double* h, const std::uint32_t* h_rows,
+                   std::size_t rows, std::size_t in, std::size_t hid,
+                   const GruWeights& w);
 };
 
 /// The reference backend (always available).

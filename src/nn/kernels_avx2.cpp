@@ -548,6 +548,150 @@ void gru_blend(double* nout, double* y, const double* an, const double* z,
   }
 }
 
+// ---------------------------------------------------------------------------
+// gru_step: one whole GRU step for narrow hidden widths (hid = 4V).
+//
+// At hid <= 16 the composed step's matmuls have N = hid or 2*hid, so most
+// columns miss the 2x16 tile and run one latency-bound FMA chain per
+// 4-wide vector per row, and every pass round-trips its (R x hid) panel
+// through memory.  Here a block of R rows keeps its z/r pre-activations
+// (then its candidate pre-activations) in 2RV (then RV) registers for the
+// whole reduction, and the gates and blend run on a few KiB of stack.
+//
+// Bitwise contract: every cell goes through the exact operation sequence
+// of matmul_acc + gru_gates + gru_blend on this backend — start from the
+// bias, FMA the x terms p-ascending, then the h (z/r) or r.*h (candidate)
+// terms p-ascending; vsigmoid_pd/vtanh_pd lane-wise (both are pure per
+// lane, so vector position never matters); the blend's sub/mul/mul/add
+// unfused.  The weights are read in place: row p of Wxz and of Wxr is the
+// z and r half of row p of the stacked panel step_fused multiplies by.
+// ---------------------------------------------------------------------------
+
+// acc[g][r][v] += sum over p < k of rows[r][p] * w[g][p][4v .. 4v+3],
+// p ascending, as FMA.  Every loop but p's has a compile-time trip count
+// and is unrolled, so the accumulators live in registers; callers must
+// also touch them only in such loops (a plain store loop), or GCC backs
+// them with memory and stores all of them on every p.
+template <std::size_t G, std::size_t V, std::size_t R>
+inline void fma_terms(__m256d (&acc)[G][R][V], const double* const (&rows)[R],
+                      const double* const (&w)[G], std::size_t k) {
+  constexpr std::size_t kHid = 4 * V;
+  for (std::size_t p = 0; p < k; ++p) {
+    __m256d va[R];
+    for (std::size_t r = 0; r < R; ++r)
+      va[r] = _mm256_broadcast_sd(rows[r] + p);
+    for (std::size_t g = 0; g < G; ++g)
+      for (std::size_t v = 0; v < V; ++v) {
+        const __m256d wv = _mm256_loadu_pd(w[g] + p * kHid + 4 * v);
+        for (std::size_t r = 0; r < R; ++r)
+          acc[g][r][v] = _mm256_fmadd_pd(va[r], wv, acc[g][r][v]);
+      }
+  }
+}
+
+/// acc[g][r] = bias[g] for every row r.
+template <std::size_t G, std::size_t V, std::size_t R>
+inline void set_bias(__m256d (&acc)[G][R][V], const double* const (&bias)[G]) {
+  for (std::size_t g = 0; g < G; ++g)
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m256d b = _mm256_loadu_pd(bias[g] + 4 * v);
+      for (std::size_t r = 0; r < R; ++r) acc[g][r][v] = b;
+    }
+}
+
+template <std::size_t G, std::size_t V, std::size_t R>
+inline void store_acc(double (&dst)[G][R][4 * V],
+                      const __m256d (&acc)[G][R][V]) {
+  for (std::size_t g = 0; g < G; ++g)
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t v = 0; v < V; ++v)
+        _mm256_store_pd(dst[g][r] + 4 * v, acc[g][r][v]);
+}
+
+// One block of R rows.  Pre-activations: bias, then the x terms, then
+// the h terms (z/r) or r.*h terms (candidate) — the stacked [x|h] and
+// [x|r.*h] reductions of step_fused, cell by cell.
+template <std::size_t V, std::size_t R>
+inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
+                      const double* h, const std::uint32_t* h_rows,
+                      std::size_t i0, std::size_t in, const GruWeights& w) {
+  constexpr std::size_t kHid = 4 * V;
+  const double* xr[R];
+  const double* hr[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    xr[r] = x + (x_rows != nullptr ? x_rows[i0 + r] : i0 + r) * in;
+    hr[r] = h + (h_rows != nullptr ? h_rows[i0 + r] : i0 + r) * kHid;
+  }
+
+  // Gates: zr[0] = z, zr[1] = r .* h.
+  alignas(32) double zr[2][R][kHid];
+  {
+    __m256d acc[2][R][V];
+    set_bias<2, V, R>(acc, {w.bz, w.br});
+    fma_terms<2, V, R>(acc, xr, {w.wxz, w.wxr}, in);
+    fma_terms<2, V, R>(acc, hr, {w.whz, w.whr}, kHid);
+    store_acc<2, V, R>(zr, acc);
+  }
+  vsigmoid(zr[0][0], zr[0][0], 2 * R * kHid);
+  const double* rh[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    vmul(zr[1][r], zr[1][r], hr[r], kHid);
+    rh[r] = zr[1][r];
+  }
+
+  // Candidate.
+  alignas(32) double cand[1][R][kHid];
+  {
+    __m256d acc[1][R][V];
+    set_bias<1, V, R>(acc, {w.bn});
+    fma_terms<1, V, R>(acc, xr, {w.wxn}, in);
+    fma_terms<1, V, R>(acc, rh, {w.whn}, kHid);
+    store_acc<1, V, R>(cand, acc);
+  }
+  vtanh(cand[0][0], cand[0][0], R * kHid);
+
+  // Blend y = (1 - z) .* n + z .* h.  Row r's h is read in full before
+  // its y is written, and no other row reads it, so y may be h itself.
+  const __m256d one = _mm256_set1_pd(1.0);
+  for (std::size_t r = 0; r < R; ++r) {
+    double* yrow =
+        y + (h_rows != nullptr ? h_rows[i0 + r] : i0 + r) * kHid;
+    for (std::size_t j = 0; j < kHid; j += 4) {
+      const __m256d zf = _mm256_load_pd(zr[0][r] + j);
+      const __m256d hv = _mm256_loadu_pd(hr[r] + j);
+      _mm256_storeu_pd(
+          yrow + j,
+          _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(one, zf),
+                                      _mm256_load_pd(cand[0][r] + j)),
+                        _mm256_mul_pd(zf, hv)));
+    }
+  }
+}
+
+template <std::size_t V, std::size_t R>
+void gru_rows(double* y, const double* x, const std::uint32_t* x_rows,
+              const double* h, const std::uint32_t* h_rows, std::size_t rows,
+              std::size_t in, const GruWeights& w) {
+  std::size_t i = 0;
+  for (; i + R <= rows; i += R)
+    gru_block<V, R>(y, x, x_rows, h, h_rows, i, in, w);
+  for (; i < rows; ++i) gru_block<V, 1>(y, x, x_rows, h, h_rows, i, in, w);
+}
+
+bool gru_step(double* y, const double* x, const std::uint32_t* x_rows,
+              const double* h, const std::uint32_t* h_rows, std::size_t rows,
+              std::size_t in, std::size_t hid, const GruWeights& w) {
+  // Rows per block: enough independent FMA chains (2RV = 8..12) to cover
+  // the FMA latency without spilling the 16 ymm registers.
+  switch (hid) {
+    case 4: gru_rows<1, 4>(y, x, x_rows, h, h_rows, rows, in, w); return true;
+    case 8: gru_rows<2, 2>(y, x, x_rows, h, h_rows, rows, in, w); return true;
+    case 12: gru_rows<3, 2>(y, x, x_rows, h, h_rows, rows, in, w); return true;
+    case 16: gru_rows<4, 1>(y, x, x_rows, h, h_rows, rows, in, w); return true;
+    default: return false;
+  }
+}
+
 }  // namespace
 }  // namespace avx2
 
@@ -569,6 +713,7 @@ const Backend* detail::avx2_backend() noexcept {
       &avx2::vtanh,
       &avx2::gru_gates,
       &avx2::gru_blend,
+      &avx2::gru_step,
   };
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");

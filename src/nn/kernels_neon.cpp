@@ -200,6 +200,7 @@ const Backend* detail::neon_backend() noexcept {
       &neon::vtanh,
       &neon::gru_gates,
       &neon::gru_blend,
+      nullptr,  // gru_step: falls back to the composed path
   };
   return &backend;
 }

@@ -176,16 +176,74 @@ Var softplus(const Var& a) {
   });
 }
 
-Var gather_rows(const Var& a, std::vector<Index> idx) {
-  const std::size_t cols = a.cols();
+// Graph plumbing.  Each op's forward reads its indices through a span;
+// only a recorded tape needs them owned, for the backward closure.  The
+// vector overloads move the caller's vector into the closure; the span
+// overloads copy theirs only when a tape is recorded, and otherwise
+// compute straight from the span.
+namespace {
+
+Tensor gather_values(const Var& a, std::span<const Index> idx) {
   for (const Index i : idx)
     if (i >= a.rows())
       throw std::out_of_range("gather_rows: index out of range");
-  Tensor y = TensorPool::acquire_uninit(idx.size(), cols);
+  Tensor y = TensorPool::acquire_uninit(idx.size(), a.cols());
   for (std::size_t r = 0; r < idx.size(); ++r) {
     const auto src = a.value().row(idx[r]);
     std::copy(src.begin(), src.end(), y.row(r).begin());
   }
+  return y;
+}
+
+/// seen[i] is set for every row idx overwrites (the backward skips them).
+Tensor scatter_values(const Var& base, std::span<const Index> idx,
+                      const Var& rows, std::vector<char>& seen) {
+  if (rows.rows() != idx.size() || rows.cols() != base.cols())
+    throw std::invalid_argument("scatter_rows: rows shape mismatch");
+  seen.assign(base.rows(), 0);
+  for (const Index i : idx) {
+    if (i >= base.rows())
+      throw std::out_of_range("scatter_rows: index out of range");
+    if (seen[i]) throw std::invalid_argument("scatter_rows: duplicate index");
+    seen[i] = 1;
+  }
+  Tensor y = pooled_copy(base.value());
+  for (std::size_t r = 0; r < idx.size(); ++r) {
+    const auto src = rows.value().row(r);
+    std::copy(src.begin(), src.end(), y.row(idx[r]).begin());
+  }
+  return y;
+}
+
+/// out[seg[i]] += a[rows[i]] in ascending i; rows == nullptr reads row i
+/// (and then needs one segment id per row of a).
+Tensor segment_values(const Var& a, const Index* rows,
+                      std::span<const Index> seg, std::size_t num_segments) {
+  if (rows == nullptr && seg.size() != a.rows())
+    throw std::invalid_argument("segment_sum: one segment id per row");
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    if (seg[i] >= num_segments)
+      throw std::out_of_range("segment_sum: segment id out of range");
+    if (rows != nullptr && rows[i] >= a.rows())
+      throw std::out_of_range("segment_sum: row out of range");
+  }
+  Tensor y = TensorPool::acquire(num_segments, a.cols());
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    auto dst = y.row(seg[i]);
+    const auto src = a.value().row(rows != nullptr ? rows[i] : i);
+    for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
+  }
+  return y;
+}
+
+std::vector<Index> owned(std::span<const Index> idx) {
+  return {idx.begin(), idx.end()};
+}
+
+}  // namespace
+
+Var gather_rows(const Var& a, std::vector<Index> idx) {
+  Tensor y = gather_values(a, idx);
   return Var::make(std::move(y), {a},
                    [a = Var(a), idx = std::move(idx)](const Tensor& g) mutable {
                      if (!a.requires_grad()) return;
@@ -200,20 +258,8 @@ Var gather_rows(const Var& a, std::vector<Index> idx) {
 }
 
 Var scatter_rows(const Var& base, std::vector<Index> idx, const Var& rows) {
-  if (rows.rows() != idx.size() || rows.cols() != base.cols())
-    throw std::invalid_argument("scatter_rows: rows shape mismatch");
-  std::vector<char> seen(base.rows(), 0);
-  for (const Index i : idx) {
-    if (i >= base.rows())
-      throw std::out_of_range("scatter_rows: index out of range");
-    if (seen[i]) throw std::invalid_argument("scatter_rows: duplicate index");
-    seen[i] = 1;
-  }
-  Tensor y = pooled_copy(base.value());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const auto src = rows.value().row(r);
-    std::copy(src.begin(), src.end(), y.row(idx[r]).begin());
-  }
+  std::vector<char> seen;
+  Tensor y = scatter_values(base, idx, rows, seen);
   return Var::make(
       std::move(y), {base, rows},
       [base = Var(base), rows = Var(rows), idx = std::move(idx),
@@ -240,17 +286,7 @@ Var scatter_rows(const Var& base, std::vector<Index> idx, const Var& rows) {
 
 Var segment_sum(const Var& a, std::vector<Index> seg,
                 std::size_t num_segments) {
-  if (seg.size() != a.rows())
-    throw std::invalid_argument("segment_sum: one segment id per row");
-  for (const Index s : seg)
-    if (s >= num_segments)
-      throw std::out_of_range("segment_sum: segment id out of range");
-  Tensor y = TensorPool::acquire(num_segments, a.cols());
-  for (std::size_t r = 0; r < seg.size(); ++r) {
-    auto dst = y.row(seg[r]);
-    const auto src = a.value().row(r);
-    for (std::size_t c = 0; c < dst.size(); ++c) dst[c] += src[c];
-  }
+  Tensor y = segment_values(a, nullptr, seg, num_segments);
   return Var::make(std::move(y), {a},
                    [a = Var(a), seg = std::move(seg)](const Tensor& g) mutable {
                      if (!a.requires_grad()) return;
@@ -265,18 +301,41 @@ Var segment_sum(const Var& a, std::vector<Index> seg,
 }
 
 Var gather_rows(const Var& a, std::span<const Index> idx) {
-  return gather_rows(a, std::vector<Index>(idx.begin(), idx.end()));
+  if (!grad_disabled()) return gather_rows(a, owned(idx));
+  return Var(gather_values(a, idx));
 }
 
 Var scatter_rows(const Var& base, std::span<const Index> idx,
                  const Var& rows) {
-  return scatter_rows(base, std::vector<Index>(idx.begin(), idx.end()), rows);
+  if (!grad_disabled()) return scatter_rows(base, owned(idx), rows);
+  std::vector<char> seen;
+  return Var(scatter_values(base, idx, rows, seen));
 }
 
 Var segment_sum(const Var& a, std::span<const Index> seg,
                 std::size_t num_segments) {
-  return segment_sum(a, std::vector<Index>(seg.begin(), seg.end()),
-                     num_segments);
+  if (!grad_disabled()) return segment_sum(a, owned(seg), num_segments);
+  return Var(segment_values(a, nullptr, seg, num_segments));
+}
+
+Var segment_sum(const Var& a, std::span<const Index> rows,
+                std::span<const Index> seg, std::size_t num_segments) {
+  if (rows.size() != seg.size())
+    throw std::invalid_argument("segment_sum: one row per segment id");
+  Tensor y = segment_values(a, rows.data(), seg, num_segments);
+  if (grad_disabled()) return Var(std::move(y));
+  return Var::make(std::move(y), {a},
+                   [a = Var(a), rows = owned(rows),
+                    seg = owned(seg)](const Tensor& g) mutable {
+                     if (!a.requires_grad()) return;
+                     Tensor& ag = a.grad_ref();
+                     for (std::size_t i = 0; i < seg.size(); ++i) {
+                       auto dst = ag.row(rows[i]);
+                       const auto src = g.row(seg[i]);
+                       for (std::size_t c = 0; c < dst.size(); ++c)
+                         dst[c] += src[c];
+                     }
+                   });
 }
 
 Var concat_cols(const Var& a, const Var& b) {

@@ -52,13 +52,19 @@ using Index = std::uint32_t;
 /// Segments may be empty (zero rows).
 [[nodiscard]] Var segment_sum(const Var& a, std::vector<Index> seg,
                               std::size_t num_segments);
-// Span overloads for arena-backed index sets (core::MpPlan).  The
-// backward closures need owned storage, so each copies the span into a
-// vector — exactly the copy callers used to make themselves.
+// Span overloads for arena-backed index sets (core::MpPlan).  Without
+// a tape (NoGradGuard) they compute straight from the span; a recorded
+// tape's backward closure needs owned storage, so only then is the span
+// copied into a vector.
 [[nodiscard]] Var gather_rows(const Var& a, std::span<const Index> idx);
 [[nodiscard]] Var scatter_rows(const Var& base, std::span<const Index> idx,
                                const Var& rows);
 [[nodiscard]] Var segment_sum(const Var& a, std::span<const Index> seg,
+                              std::size_t num_segments);
+/// segment_sum over rows taken by index: out[seg[i]] += a[rows[i]], in
+/// ascending i — bitwise the segment_sum of gather_rows(a, rows).
+[[nodiscard]] Var segment_sum(const Var& a, std::span<const Index> rows,
+                              std::span<const Index> seg,
                               std::size_t num_segments);
 /// [a | b] column concatenation (same row count).
 [[nodiscard]] Var concat_cols(const Var& a, const Var& b);

@@ -1,0 +1,390 @@
+// The no-tape fast path of the position-vectorized path RNN
+// (GRUCell::step_indexed, kernels::Backend::gru_step) against the taped
+// gather_rows -> step -> scatter_rows composition it replaces:
+//
+//   * kernel level: bitwise equal for every supported width, ragged row
+//     counts, arbitrary (unsorted, repeating) element ids and in-place
+//     aliasing, on the scalar and the SIMD backend;
+//   * model level: the taped forward equals the no-tape forward bitwise
+//     for both kinds, both node rules, mean aggregation on and off, and
+//     state widths with and without a kernel;
+//   * index guards: corrupted link and node ids in a Sample raise
+//     std::out_of_range from Model::forward and InferenceEngine::predict
+//     instead of reading out of bounds.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "core/model.hpp"
+#include "data/dataset.hpp"
+#include "data/generator.hpp"
+#include "nn/gru.hpp"
+#include "nn/init.hpp"
+#include "nn/kernels.hpp"
+#include "nn/ops.hpp"
+#include "serve/inference.hpp"
+#include "topo/zoo.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+using namespace rnx;
+using nn::Index;
+using nn::Tensor;
+using nn::Var;
+using nn::kernels::Backend;
+using nn::kernels::ScopedBackendOverride;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         (a.size() == 0 ||  // empty tensors may hold null data pointers
+          std::memcmp(a.flat().data(), b.flat().data(),
+                      a.size() * sizeof(double)) == 0);
+}
+
+/// The scalar backend plus the SIMD backend when this host has one.
+std::vector<const Backend*> backends() {
+  std::vector<const Backend*> out{&nn::kernels::scalar_backend()};
+  if (const Backend* simd = nn::kernels::simd_backend()) out.push_back(simd);
+  return out;
+}
+
+Tensor random_tensor(std::size_t r, std::size_t c, util::RngStream& rng) {
+  return nn::uniform_init(r, c, -2.0, 2.0, rng);
+}
+
+// One GRU position: `rows` distinct path rows in shuffled order out of
+// kPaths, element ids drawn with repeats out of kElems.
+struct Position {
+  static constexpr std::int64_t kPaths = 300;
+  static constexpr std::int64_t kElems = 40;
+  std::vector<Index> path_rows;
+  std::vector<Index> elem_ids;
+
+  Position(std::size_t rows, util::RngStream& rng) {
+    std::vector<Index> all(static_cast<std::size_t>(kPaths));
+    std::iota(all.begin(), all.end(), Index{0});
+    for (std::size_t i = 0; i < rows; ++i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(i), kPaths - 1));
+      std::swap(all[i], all[j]);
+      path_rows.push_back(all[i]);
+      elem_ids.push_back(static_cast<Index>(rng.uniform_int(0, kElems - 1)));
+    }
+  }
+};
+
+/// gather_rows -> step -> scatter_rows with a tape recorded, so the step
+/// is step_fused (or step_composed when the cell is unfused).
+Tensor taped_reference(const nn::GRUCell& cell, const Var& src,
+                       const Var& hidden, const Position& pos) {
+  const Var h2 = cell.step(nn::gather_rows(src, pos.elem_ids),
+                           nn::gather_rows(hidden, pos.path_rows));
+  return nn::scatter_rows(hidden, pos.path_rows, h2).value();
+}
+
+// ---- kernel level -----------------------------------------------------------
+
+TEST(GruStepKernel, IndexedStepMatchesTapedCompositionBitwise) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const std::size_t hid : {4, 8, 10, 12, 16})
+      for (const std::size_t in : {hid, std::size_t{3}})
+        for (const std::size_t rows : {0, 1, 2, 3, 229}) {
+          SCOPED_TRACE(std::string(backend->name) + " hid=" +
+                       std::to_string(hid) + " in=" + std::to_string(in) +
+                       " rows=" + std::to_string(rows));
+          util::RngStream rng(1000 + 31 * hid + 7 * in + rows);
+          const nn::GRUCell cell(in, hid, rng);
+          const Var src(random_tensor(Position::kElems, in, rng));
+          const Tensor start = random_tensor(Position::kPaths, hid, rng);
+          const Position pos(rows, rng);
+          const Tensor want = taped_reference(cell, src, Var(start), pos);
+
+          // In place: hidden is the only handle, so its rows are updated
+          // without a copy.
+          Var hidden{Tensor(start)};
+          const double* storage = hidden.value().flat().data();
+          {
+            const nn::NoGradGuard guard;
+            const Var h2 = cell.step_indexed(src, pos.elem_ids, hidden,
+                                             pos.path_rows);
+            EXPECT_FALSE(h2.defined());
+          }
+          EXPECT_EQ(hidden.value().flat().data(), storage);
+          EXPECT_TRUE(bitwise_equal(hidden.value(), want));
+
+          // Shared hidden: copied first, the other handle keeps the old
+          // states.
+          const Var shared{Tensor(start)};
+          Var alias = shared;
+          {
+            const nn::NoGradGuard guard;
+            (void)cell.step_indexed(src, pos.elem_ids, alias, pos.path_rows);
+          }
+          EXPECT_TRUE(bitwise_equal(shared.value(), start));
+          EXPECT_TRUE(bitwise_equal(alias.value(), want));
+        }
+  }
+}
+
+TEST(GruStepKernel, ContiguousStepMatchesTapedStepBitwise) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const std::size_t hid : {4, 8, 10, 12, 16})
+      for (const std::size_t rows : {0, 1, 2, 3, 229}) {
+        SCOPED_TRACE(std::string(backend->name) + " hid=" +
+                     std::to_string(hid) + " rows=" + std::to_string(rows));
+        util::RngStream rng(2000 + 13 * hid + rows);
+        const nn::GRUCell cell(hid, hid, rng);
+        const Var x(random_tensor(rows, hid, rng));
+        const Var h(random_tensor(rows, hid, rng));
+        const Tensor want = cell.step(x, h).value();  // taped: step_fused
+        const nn::NoGradGuard guard;
+        EXPECT_TRUE(bitwise_equal(cell.step(x, h).value(), want));
+      }
+  }
+}
+
+/// The cell's parameters in GruWeights order (named_params lists them
+/// as wxz, whz, bz, wxr, whr, br, wxn, whn, bn).
+nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
+  const auto params = cell.named_params();
+  const auto p = [&](std::size_t i) {
+    return params[i].second.value().flat().data();
+  };
+  return {p(0), p(1), p(2), p(3), p(4), p(5), p(6), p(7), p(8)};
+}
+
+// The raw backend entry: widths it claims, out-of-place and in-place
+// output, and the decline that leaves memory untouched.
+TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
+  const Backend* simd = nn::kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step == nullptr)
+    GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  const ScopedBackendOverride pin(*simd);
+  const auto p = [](const Var& v) { return v.value().flat().data(); };
+  for (const std::size_t hid : {4, 8, 12, 16}) {
+    SCOPED_TRACE("hid=" + std::to_string(hid));
+    util::RngStream rng(3000 + hid);
+    const nn::GRUCell cell(hid, hid, rng);
+    const nn::kernels::GruWeights w = weights_of(cell);
+    const Var src(random_tensor(Position::kElems, hid, rng));
+    const Tensor start = random_tensor(Position::kPaths, hid, rng);
+    const Position pos(229, rng);
+    const Tensor want = taped_reference(cell, src, Var(start), pos);
+
+    Tensor out_of_place = Tensor::zeros(Position::kPaths, hid);
+    ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(), p(src),
+                               pos.elem_ids.data(), start.flat().data(),
+                               pos.path_rows.data(), pos.path_rows.size(),
+                               hid, hid, w));
+    Tensor in_place = start;
+    ASSERT_TRUE(simd->gru_step(in_place.flat().data(), p(src),
+                               pos.elem_ids.data(), in_place.flat().data(),
+                               pos.path_rows.data(), pos.path_rows.size(),
+                               hid, hid, w));
+    EXPECT_TRUE(bitwise_equal(in_place, want));
+    for (const Index r : pos.path_rows)
+      for (std::size_t c = 0; c < hid; ++c)
+        EXPECT_EQ(out_of_place(r, c), want(r, c));
+  }
+
+  // An unsupported width is declined before any memory is touched.
+  util::RngStream rng(3100);
+  const nn::GRUCell cell(10, 10, rng);
+  const nn::kernels::GruWeights w = weights_of(cell);
+  EXPECT_FALSE(
+      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, 5, 10, 10, w));
+}
+
+TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {
+  util::RngStream rng(4000);
+  const nn::GRUCell cell(12, 12, rng);
+  const Var src(random_tensor(5, 12, rng));
+  const Tensor start = random_tensor(6, 12, rng);
+  const std::vector<Index> ok_ids{0, 4}, bad_ids{0, 5};
+  const std::vector<Index> ok_rows{1, 3}, bad_rows{1, 6}, dup_rows{3, 3};
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    const nn::NoGradGuard guard;
+    Var hidden{Tensor(start)};
+    EXPECT_THROW((void)cell.step_indexed(src, bad_ids, hidden, ok_rows),
+                 std::out_of_range);
+    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden, bad_rows),
+                 std::out_of_range);
+    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden, dup_rows),
+                 std::invalid_argument);
+    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden,
+                                         std::span<const Index>(ok_rows).first(1)),
+                 std::invalid_argument);
+    EXPECT_TRUE(bitwise_equal(hidden.value(), start));
+  }
+}
+
+// ModelConfig::fused_gru = false keeps the op-by-op composition on the
+// no-tape path too: step and step_indexed equal step_composed bitwise.
+TEST(GruStepKernel, UnfusedCellRoutesThroughComposed) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    util::RngStream rng(5000);
+    nn::GRUCell cell(12, 12, rng);
+    cell.set_fused(false);
+    const Var src(random_tensor(Position::kElems, 12, rng));
+    const Tensor start = random_tensor(Position::kPaths, 12, rng);
+    const Position pos(229, rng);
+    const Var x = nn::gather_rows(src, pos.elem_ids);
+    const Var h = nn::gather_rows(Var(start), pos.path_rows);
+    const Tensor composed = cell.step_composed(x, h).value();
+    const Tensor want = nn::scatter_rows(Var(start), pos.path_rows,
+                                         Var(composed)).value();
+
+    const nn::NoGradGuard guard;
+    EXPECT_TRUE(bitwise_equal(cell.step(x, h).value(), composed));
+    Var hidden{Tensor(start)};
+    (void)cell.step_indexed(src, pos.elem_ids, hidden, pos.path_rows);
+    EXPECT_TRUE(bitwise_equal(hidden.value(), want));
+  }
+}
+
+// ---- model level ------------------------------------------------------------
+
+const data::Dataset& nsfnet_samples() {
+  static const data::Dataset ds = [] {
+    data::GeneratorConfig cfg;
+    cfg.target_packets = 4'000;
+    return data::Dataset(data::generate_dataset(topo::nsfnet(), 2, cfg, 17));
+  }();
+  return ds;
+}
+
+TEST(ForwardOracle, TapedEqualsNoTapeBitwise) {
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const core::ModelKind kind :
+         {core::ModelKind::kOriginal, core::ModelKind::kExtended})
+      for (const core::NodeUpdateRule rule :
+           {core::NodeUpdateRule::kSumPathStates,
+            core::NodeUpdateRule::kPositionalMessages})
+        for (const bool link_mean : {false, true})
+          for (const bool node_mean : {false, true})
+            for (const std::size_t dim : {4, 10, 12, 16}) {
+              SCOPED_TRACE(std::string(backend->name) + " " +
+                           std::string(core::to_string(kind)) + " rule=" +
+                           std::to_string(static_cast<int>(rule)) +
+                           " link_mean=" + std::to_string(link_mean) +
+                           " node_mean=" + std::to_string(node_mean) +
+                           " dim=" + std::to_string(dim));
+              core::ModelConfig cfg;
+              cfg.state_dim = dim;
+              cfg.readout_hidden = 8;
+              cfg.iterations = 3;
+              cfg.node_rule = rule;
+              cfg.link_mean_aggregation = link_mean;
+              cfg.node_mean_aggregation = node_mean;
+              const core::Model model(kind, cfg);
+              for (const auto& s : ds.samples()) {
+                const Tensor taped = model.forward(s, sc).value();
+                const nn::NoGradGuard guard;
+                EXPECT_TRUE(bitwise_equal(model.forward(s, sc).value(), taped));
+              }
+            }
+  }
+}
+
+// fused_gru = false changes the forward's bits (the composed step rounds
+// differently) — proof the flag still reaches the no-tape path.
+TEST(ForwardOracle, UnfusedConfigStaysComposed) {
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  core::ModelConfig cfg;
+  cfg.state_dim = 12;
+  core::ModelConfig unfused_cfg = cfg;
+  unfused_cfg.fused_gru = false;
+  const core::Model fused(core::ModelKind::kExtended, cfg);
+  const core::Model unfused(core::ModelKind::kExtended, unfused_cfg);
+  const data::Sample& s = ds.samples()[0];
+  const Tensor unfused_taped = unfused.forward(s, sc).value();
+  const nn::NoGradGuard guard;
+  const Tensor unfused_free = unfused.forward(s, sc).value();
+  EXPECT_TRUE(bitwise_equal(unfused_free, unfused_taped));
+  EXPECT_FALSE(bitwise_equal(unfused_free, fused.forward(s, sc).value()));
+}
+
+// ---- index guards at the model boundary ---------------------------------------
+
+/// A sample whose first path names a link or node id one past the end.
+data::Sample corrupted(const data::Sample& good, bool link) {
+  data::Sample s = good;
+  if (link)
+    s.paths[0].links[0] = static_cast<std::uint32_t>(s.num_links());
+  else
+    s.paths[0].nodes[0] = s.num_nodes;
+  return s;
+}
+
+TEST(ModelIndexGuards, CorruptedIdsThrowOutOfRange) {
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const core::ModelKind kind :
+         {core::ModelKind::kOriginal, core::ModelKind::kExtended})
+      for (const bool link : {true, false}) {
+        SCOPED_TRACE(std::string(backend->name) + " " +
+                     std::string(core::to_string(kind)) +
+                     (link ? " link id" : " node id"));
+        core::ModelConfig cfg;
+        cfg.state_dim = 12;
+        // Mean aggregation counts ids before the first gather; the next
+        // test covers that guard.
+        cfg.node_mean_aggregation = false;
+        const data::Sample bad = corrupted(ds.samples()[0], link);
+        serve::ModelBundle bundle;
+        bundle.model = core::make_model(kind, cfg);
+        bundle.scaler = sc;
+        const serve::InferenceEngine engine(std::move(bundle));
+        const core::Model& model = engine.model();
+        // The original model reads no node ids: the corruption is inert.
+        if (!link && kind == core::ModelKind::kOriginal) {
+          const nn::NoGradGuard guard;
+          const Var pred = model.forward(bad, sc);
+          for (const double v : pred.value().flat())
+            EXPECT_TRUE(std::isfinite(v));
+          for (const double v : engine.predict(bad)) EXPECT_TRUE(std::isfinite(v));
+          continue;
+        }
+        {
+          const nn::NoGradGuard guard;
+          EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
+        }
+        EXPECT_THROW((void)engine.predict(bad), std::out_of_range);
+      }
+  }
+}
+
+// Mean aggregation counts messages per id before the first gather runs;
+// a corrupted id must not write past its counter array.
+TEST(ModelIndexGuards, MeanAggregationRejectsCorruptedIds) {
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  core::ModelConfig cfg;
+  cfg.state_dim = 12;
+  cfg.link_mean_aggregation = true;
+  cfg.node_mean_aggregation = true;
+  const core::Model model(core::ModelKind::kExtended, cfg);
+  const nn::NoGradGuard guard;
+  for (const bool link : {true, false})
+    EXPECT_THROW((void)model.forward(corrupted(ds.samples()[0], link), sc),
+                 std::out_of_range);
+}
+
+}  // namespace

@@ -2,6 +2,8 @@
 // op forward values (backward correctness lives in nn_gradcheck_test.cpp).
 #include <gtest/gtest.h>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/ops.hpp"
@@ -175,6 +177,19 @@ TEST(OpValues, GatherScatterSegment) {
   EXPECT_DOUBLE_EQ(seg.value()(1, 0), 1.0 + 5.0); // rows 0 and 2
   EXPECT_THROW(segment_sum(m, {0, 0}, 2), std::invalid_argument);
   EXPECT_THROW(segment_sum(m, {0, 0, 5}, 2), std::out_of_range);
+
+  // Indexed rows: out[seg[i]] += m[rows[i]], bitwise the segment_sum of
+  // the gathered rows.
+  const std::vector<Index> row_ids{2, 0, 2}, seg_ids{1, 0, 1};
+  const Var seg_rows = segment_sum(m, row_ids, seg_ids, 2);
+  const Var seg_gathered = segment_sum(gather_rows(m, row_ids), seg_ids, 2);
+  EXPECT_EQ(seg_rows.value()(0, 0), seg_gathered.value()(0, 0));
+  EXPECT_DOUBLE_EQ(seg_rows.value()(1, 1), 6.0 + 6.0);
+  const std::vector<Index> bad_rows{2, 0, 3};
+  EXPECT_THROW(segment_sum(m, bad_rows, seg_ids, 2), std::out_of_range);
+  EXPECT_THROW(
+      segment_sum(m, std::span<const Index>(row_ids).first(2), seg_ids, 2),
+      std::invalid_argument);
 }
 
 TEST(OpValues, SegmentSumEmptySegmentIsZero) {

@@ -3,6 +3,9 @@
 // every backward pinned against central differences).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
@@ -128,6 +131,18 @@ TEST_P(OpGradProperty, SegmentSum) {
       },
       params);
   EXPECT_LT(rep.max_rel_err, kTol);
+
+  // The indexed form reads row rows[i] of a: reversed, with repeats.
+  std::vector<Index> rows(r);
+  for (std::size_t i = 0; i < r; ++i) rows[i] = static_cast<Index>((r - 1 - i) / 2);
+  auto rep_rows = grad_check(
+      [&] {
+        const Var s = segment_sum(a, std::span<const Index>(rows),
+                                  std::span<const Index>(seg), 4);
+        return sum_all(mul(s, s));
+      },
+      params);
+  EXPECT_LT(rep_rows.max_rel_err, kTol);
 }
 
 TEST_P(OpGradProperty, ConcatCols) {
