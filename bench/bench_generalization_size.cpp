@@ -3,15 +3,12 @@
 // topologies (<= 50 nodes), then evaluate on ever larger BA graphs —
 // up to 300 nodes — that the model has never seen at any scale.  The
 // paper's generalization experiment holds network size roughly fixed;
-// this probes the orthogonal axis the compact arena plans + plan-cache
-// byte budget exist for: does accuracy survive a 6x size extrapolation,
-// and how much plan memory does serving the big graphs actually take?
+// this probes the orthogonal axis the compact arena plans exist for:
+// does accuracy survive a 6x size extrapolation, and how much plan
+// memory does one forward over the big graphs actually take?
 //
-// Evaluation runs with a plan cache attached under a fixed byte budget,
-// so the emitted peak/eviction numbers are exactly what an operator
-// sizing --plan-cache-mb would observe.  BENCH_generalization_size.json
-// carries the MRE-vs-size curve plus per-size plan bytes and the cache
-// peak.
+// BENCH_generalization_size.json carries the MRE-vs-size curve plus
+// per-size plan bytes.
 #include <cstddef>
 #include <iostream>
 #include <string>
@@ -20,7 +17,6 @@
 
 #include "bench_common.hpp"
 #include "core/plan.hpp"
-#include "core/plan_cache.hpp"
 #include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
@@ -76,12 +72,6 @@ int main() {
             << " samples over BA{20,30,40,50}...\n";
   (void)trainer.fit(train, scaler);
 
-  // Serve-side evaluation: fixed byte budget, like rnx_predict
-  // --plan-cache-mb.  Peak bytes tell the operator what an uncapped run
-  // would have held resident.
-  core::PlanCache cache((quick ? 4u : 8u) * 1024 * 1024);
-  model.set_plan_cache(&cache);
-
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{60, 100}
             : std::vector<std::size_t>{60, 120, 200, 300};
@@ -111,30 +101,18 @@ int main() {
     result.add(tag + "_median_ape", s.median_ape);
     result.add(tag + "_pearson", s.pearson);
     result.add(tag + "_plan_bytes", static_cast<double>(plan_bytes));
-    // Each size's Dataset dies here and the next one may reuse its heap
-    // addresses; the cache keys by sample address, so drop residency
-    // (counters and peak survive clear() — DESIGN.md §G).
-    cache.clear();
   }
-  model.set_plan_cache(nullptr);
   table.print(std::cout);
 
-  const core::PlanCache::Stats cs = cache.stats();
-  std::cout << "\nplan cache: peak " << cs.peak_bytes << " bytes, "
-            << cs.evictions << " evictions under "
-            << (quick ? 4 : 8) << " MiB budget\n"
-            << "expected shape: MRE degrades gracefully with size (the\n"
+  std::cout << "\nexpected shape: MRE degrades gracefully with size (the\n"
                "scale-invariant inputs keep features in-distribution);\n"
                "plan bytes grow linearly in total path length, not in\n"
                "paths x links.\n";
-  result.add("plan_cache_peak_bytes", static_cast<double>(cs.peak_bytes));
-  result.add("plan_cache_evictions", static_cast<double>(cs.evictions));
   result.set_config(
       "extended RouteNet(state_dim 10, iters 3, scale-invariant), " +
       std::to_string(train.size()) + " train samples on BA{20..50}, " +
       std::to_string(tc.epochs) + " epochs; eval on BA up to " +
-      std::to_string(sizes.back()) + " nodes, plan cache " +
-      std::to_string(quick ? 4 : 8) + " MiB");
+      std::to_string(sizes.back()) + " nodes");
   result.write();
   return 0;
 }

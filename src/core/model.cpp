@@ -108,6 +108,16 @@ void require_scenario(const data::Sample& s, std::size_t state_dim) {
         "with rnx_datagen, or use a model without scenario features)");
 }
 
+// A per-entity input vector must cover every entity the states index
+// (samples reach forward() without Sample::validate()).
+void require_per_entity(std::size_t have, std::size_t entities,
+                        const char* what) {
+  if (have < entities)
+    throw std::out_of_range("initial states: " + std::to_string(have) + " " +
+                            what + " for " + std::to_string(entities) +
+                            " entities");
+}
+
 enum class Entity { kLink, kNode };
 
 using IndexSpan = std::span<const nn::Index>;
@@ -122,7 +132,7 @@ nn::Var inv_count_var(const MpPlan& plan, Entity entity,
   const std::size_t rows =
       entity == Entity::kLink ? plan.num_links : plan.num_nodes;
   std::vector<double> counts(rows, 0.0);
-  // Ids come from the sample unchecked (build_plan validates nothing);
+  // Ids come from the sample unchecked (build_plan copies them as is);
   // reject them with the gather's exception type instead of writing past
   // `counts`.
   const auto count = [&](nn::Index e) {
@@ -198,6 +208,8 @@ nn::Var initial_path_states(const data::Sample& s, const data::Scaler& sc,
 
 nn::Var initial_link_states(const data::Sample& s, const data::Scaler& sc,
                             const ModelConfig& cfg) {
+  require_per_entity(s.link_capacity_bps.size(), s.num_links(),
+                     "link capacities");
   nn::Tensor t(s.num_links(), cfg.state_dim);
   if (cfg.scale_invariant_features) {
     const std::vector<double> util = data::link_utilization(s);
@@ -217,6 +229,7 @@ nn::Var initial_link_states(const data::Sample& s, const data::Scaler& sc,
 
 nn::Var initial_node_states(const data::Sample& s, const data::Scaler& sc,
                             const ModelConfig& cfg) {
+  require_per_entity(s.queue_pkts.size(), s.num_nodes, "queue sizes");
   nn::Tensor t(s.num_nodes, cfg.state_dim);
   if (cfg.scale_invariant_features) {
     const std::vector<double> frac = data::node_queue_fraction(s);

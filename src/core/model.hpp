@@ -80,6 +80,8 @@ class Model {
 
   /// Attach a message-passing plan memo (nullptr detaches).  The cache is
   /// not owned; it must outlive every forward() issued while attached.
+  /// Only serve::InferenceEngine attaches one (its model is then reachable
+  /// only as const); without a cache every forward builds its plan.
   void set_plan_cache(PlanCache* cache) noexcept { plan_cache_ = cache; }
   [[nodiscard]] PlanCache* plan_cache() const noexcept { return plan_cache_; }
 
@@ -136,25 +138,6 @@ class Model {
   std::optional<nn::GRUCell> rnn_node_;  ///< extended only
   nn::Mlp readout_;
   PlanCache* plan_cache_ = nullptr;
-};
-
-/// RAII guard restoring a model's attached plan cache on scope exit —
-/// every code path that attaches a run-scoped cache (the training loop)
-/// or detaches for transient streamed samples (training or evaluation
-/// over a streaming source, eval::predict_source; DESIGN.md §D) must not
-/// leave the model pointing at a dead stack frame's cache when an
-/// exception unwinds.
-class PlanCacheScope {
- public:
-  explicit PlanCacheScope(Model& model) noexcept
-      : model_(model), prev_(model.plan_cache()) {}
-  ~PlanCacheScope() { model_.set_plan_cache(prev_); }
-  PlanCacheScope(const PlanCacheScope&) = delete;
-  PlanCacheScope& operator=(const PlanCacheScope&) = delete;
-
- private:
-  Model& model_;
-  PlanCache* prev_;
 };
 
 /// Construct-from-config factory: the freshly initialized model of the

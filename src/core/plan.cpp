@@ -1,6 +1,7 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace rnx::core {
 
@@ -14,6 +15,9 @@ MpPlan build_plan(const data::Sample& sample, bool use_nodes) {
   std::size_t max_hops = 0;
   std::size_t total_hops = 0;
   for (const auto& p : sample.paths) {
+    // Hop h reads nodes[h]; samples arrive without Sample::validate().
+    if (use_nodes && p.nodes.size() < p.links.size())
+      throw std::out_of_range("build_plan: path has fewer nodes than links");
     max_hops = std::max(max_hops, p.links.size());
     total_hops += p.links.size();
   }

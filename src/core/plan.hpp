@@ -110,7 +110,9 @@ class MpPlan {
 };
 
 /// Build the plan for one sample.  use_nodes selects the extended
-/// interleaved sequence (and fills the node incidence sets).
+/// interleaved sequence (and fills the node incidence sets); it then
+/// throws std::out_of_range for a path with fewer nodes than links.
+/// Element ids are copied unchecked — the model's gathers check them.
 [[nodiscard]] MpPlan build_plan(const data::Sample& sample, bool use_nodes);
 
 // -- reference layout (tests only) ----------------------------------------

@@ -1,16 +1,16 @@
 // Memoized message-passing plans, with an optional byte budget.
 //
-// build_plan() is pure in the sample's topology/routing, yet the seed
-// trainer rebuilt it on every forward() — once per epoch per sample.  The
-// cache keys plans by sample *identity* (object address) and the
-// use_nodes flag, so a full training run builds each plan exactly once.
+// build_plan() is pure in the sample's topology/routing.  The cache keys
+// plans by sample *identity* (object address) and the use_nodes flag, so
+// repeated what-if queries over one resident scenario build its plan
+// once.  Only serve::InferenceEngine attaches a cache (one per engine, or
+// one per ModelRegistry shared by its engines); training, evaluation and
+// the benches build the plan on every forward, which costs ~1% of it.
 //
 // Identity keying makes the cache O(1) with zero hashing of sample
 // contents, but ties an entry's validity to the sample object's lifetime:
 // callers must invalidate() (or clear()) before a keyed sample is
-// destroyed or mutated.  The intended scope is one training run /
-// evaluation pass over samples that outlive the cache — exactly how
-// core::Trainer uses it.
+// destroyed or mutated.
 //
 // Byte budget (DESIGN.md §G): set_byte_budget(B) caps the sum of
 // MpPlan::bytes() over resident entries; inserts that push the total over
@@ -18,7 +18,7 @@
 // the cache's reference — pointers already handed out stay valid (shared
 // ownership), so even a plan larger than the whole budget serves its
 // caller and is simply not retained.  Budget 0 (the default) means
-// unlimited: training workloads keep today's keep-everything behavior.
+// unlimited.
 //
 // Thread-safe: lookups and inserts take an internal mutex; on a miss the
 // plan is built outside the lock, so concurrent misses may build the same

@@ -34,7 +34,7 @@ std::vector<nn::Var> trainable(const Model& model) {
 class BatchEngine {
  public:
   BatchEngine(Model& model, const TrainConfig& cfg, nn::Adam& opt,
-              util::ThreadPool* pool, PlanCache* cache)
+              util::ThreadPool* pool)
       : model_(model),
         cfg_(cfg),
         opt_(opt),
@@ -46,7 +46,6 @@ class BatchEngine {
     lane_models_.push_back(&model_);
     for (std::size_t l = 1; l < lanes_; ++l) {
       replicas_.push_back(model_.clone());
-      if (cache != nullptr) replicas_.back()->set_plan_cache(cache);
       lane_models_.push_back(replicas_.back().get());
     }
     for (Model* m : lane_models_) lane_params_.push_back(trainable(*m));
@@ -177,9 +176,6 @@ class ShuffledDatasetSource final : public data::SampleSource {
     // Non-owning alias into the dataset's storage, as DatasetSource.
     return std::shared_ptr<const data::Sample>(std::shared_ptr<void>(),
                                                &ds_[order_[pos_++]]);
-  }
-  [[nodiscard]] bool stable_addresses() const noexcept override {
-    return true;
   }
 
  private:
@@ -348,16 +344,6 @@ std::vector<EpochRecord> Trainer::run_epochs(data::SampleSource& train,
                                              bool streaming) {
   const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
 
-  // Plan memo: one build per (sample, variant) for the whole run.
-  // Address-keyed caching is only sound when the source's sample objects
-  // are stable for the whole run; a streaming source recycles addresses,
-  // so the model runs cache-DETACHED there (correctness over speed — a
-  // stale plan at a reused address would be silently wrong).
-  const bool cacheable = cfg_.use_plan_cache && train.stable_addresses();
-  PlanCache plan_cache;
-  const PlanCacheScope cache_scope(model_);
-  model_.set_plan_cache(cacheable ? &plan_cache : nullptr);
-
   std::vector<EpochRecord> history;
   double best_val = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
@@ -416,8 +402,7 @@ std::vector<EpochRecord> Trainer::run_epochs(data::SampleSource& train,
   // Construct the engine AFTER any resume restore: lane replicas deep-copy
   // the model's weights at construction, so building it earlier would run
   // the first resumed batch with stale (initial) weights on lanes 1+.
-  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
-                     cacheable ? &plan_cache : nullptr);
+  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr);
 
   const auto snapshot = [&](std::uint64_t epoch, std::uint64_t samples_done,
                             std::uint64_t batch_done, double loss_sum,
@@ -530,11 +515,6 @@ double Trainer::evaluate_loss(const data::Dataset& ds,
 
 double Trainer::evaluate_loss(data::SampleSource& src,
                               const data::Scaler& scaler) const {
-  // Streaming sources hand out transient samples: run cache-detached so
-  // no address-keyed plan entry can outlive its sample (see run_epochs).
-  const PlanCacheScope cache_scope(model_);
-  if (!src.stable_addresses()) model_.set_plan_cache(nullptr);
-
   src.reset();
   const std::size_t lanes = pool_ ? pool_->size() : 1;
   const std::size_t window = std::max<std::size_t>(4 * lanes, 8);

@@ -14,6 +14,10 @@
 // computed from identical weights and the merge order is fixed, the
 // trained weights are bitwise-identical for ANY thread count, including
 // the serial path.
+//
+// Training and evaluation attach no plan cache: every forward builds its
+// message-passing plan (core/plan.hpp), so streamed samples need no
+// address-lifetime rules.  Only serve::InferenceEngine caches plans.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "core/plan_cache.hpp"
 #include "data/dataset.hpp"
 #include "nn/optimizer.hpp"
 #include "util/thread_pool.hpp"
@@ -46,7 +49,6 @@ struct TrainConfig {
   std::size_t patience = 0;        ///< early stop after this many epochs
                                    ///< without val improvement (0 = off)
   std::size_t threads = 1;         ///< data-parallel lanes (0 or 1 = serial)
-  bool use_plan_cache = true;      ///< memoize build_plan across epochs
   bool verbose = true;
 
   // -- crash-safe checkpointing (DESIGN.md §R) ------------------------
@@ -91,12 +93,8 @@ class Trainer {
   /// peak sample residency bounded by the batch size plus the source's
   /// prefetch window.  Sample ORDER is the source's (the source owns
   /// shuffling); given the same sample sequence, updates are
-  /// bitwise-identical to fit for any thread count.  Address-keyed plan
-  /// caching engages only when the source guarantees stable sample
-  /// addresses; for transient streaming samples the model runs
-  /// cache-detached (caching a recycled address would serve a stale
-  /// plan).  A checkpoint records which of fit/fit_stream wrote it, and
-  /// neither resumes the other's.
+  /// bitwise-identical to fit for any thread count.  A checkpoint records
+  /// which of fit/fit_stream wrote it, and neither resumes the other's.
   std::vector<EpochRecord> fit_stream(data::SampleSource& train,
                                       const data::Scaler& scaler,
                                       data::SampleSource* val = nullptr);

@@ -54,6 +54,20 @@ struct FitAccumulator {
                                 from_welford(log_delay), lj);
   }
 };
+
+// Samples reach the forward pass without Sample::validate(), so every id
+// and per-entity vector read here is range-checked first, with the
+// exception type of the model's own index guards.
+std::size_t checked_link(const Sample& s, std::size_t l) {
+  if (l >= s.num_links() || l >= s.link_capacity_bps.size())
+    throw std::out_of_range("link id " + std::to_string(l) +
+                            " out of range (" + std::to_string(s.num_links()) +
+                            " links, " +
+                            std::to_string(s.link_capacity_bps.size()) +
+                            " capacities)");
+  return l;
+}
+
 }  // namespace
 
 Scaler Scaler::fit(std::span<const Sample> train, std::uint64_t min_delivered) {
@@ -116,9 +130,9 @@ double Scaler::target_to_jitter(double target) const {
 std::vector<double> link_utilization(const Sample& s) {
   std::vector<double> load(s.num_links(), 0.0);
   for (const auto& p : s.paths)
-    for (const auto l : p.links) load[l] += p.traffic_bps;
+    for (const auto l : p.links) load[checked_link(s, l)] += p.traffic_bps;
   for (std::size_t l = 0; l < load.size(); ++l) {
-    const double cap = s.link_capacity_bps[l];
+    const double cap = s.link_capacity_bps[checked_link(s, l)];
     load[l] = cap > 0.0 ? load[l] / cap : 0.0;
   }
   return load;
@@ -129,15 +143,20 @@ std::vector<double> path_bottleneck_load(const Sample& s) {
   for (std::size_t pi = 0; pi < s.paths.size(); ++pi) {
     const auto& p = s.paths[pi];
     if (p.links.empty()) continue;
-    double bottleneck = s.link_capacity_bps[p.links.front()];
+    double bottleneck = s.link_capacity_bps[checked_link(s, p.links.front())];
     for (const auto l : p.links)
-      bottleneck = std::min(bottleneck, s.link_capacity_bps[l]);
+      bottleneck = std::min(bottleneck, s.link_capacity_bps[checked_link(s, l)]);
     out[pi] = bottleneck > 0.0 ? p.traffic_bps / bottleneck : 0.0;
   }
   return out;
 }
 
 std::vector<double> node_queue_fraction(const Sample& s) {
+  if (s.queue_pkts.size() < s.num_nodes)
+    throw std::out_of_range("node_queue_fraction: " +
+                            std::to_string(s.queue_pkts.size()) +
+                            " queue sizes for " + std::to_string(s.num_nodes) +
+                            " nodes");
   std::vector<double> out(s.num_nodes, 0.0);
   for (std::size_t n = 0; n < s.num_nodes; ++n)
     out[n] = static_cast<double>(s.queue_pkts[n]) /

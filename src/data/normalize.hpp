@@ -102,16 +102,19 @@ class Scaler {
 // range on a 300-node graph as on the 14-node training topologies.
 
 /// Per-link utilization: sum of the traffic of every path crossing the
-/// link, divided by the link capacity.  One entry per link.
+/// link, divided by the link capacity.  One entry per link.  Throws
+/// std::out_of_range for a path link id without a link or a capacity.
 [[nodiscard]] std::vector<double> link_utilization(const Sample& s);
 
 /// Per-path load: offered traffic over the bottleneck (minimum) capacity
-/// along the path.  One entry per path; 0 for empty paths.
+/// along the path.  One entry per path; 0 for empty paths.  Throws
+/// std::out_of_range for a path link id without a link or a capacity.
 [[nodiscard]] std::vector<double> path_bottleneck_load(const Sample& s);
 
 /// Per-node queue occupancy fraction: queue_pkts over the standard queue
 /// size (topo::kStandardQueuePackets), i.e. buffer capacity in units of
-/// the default provisioning.  One entry per node.
+/// the default provisioning.  One entry per node.  Throws
+/// std::out_of_range when queue_pkts has fewer than num_nodes entries.
 [[nodiscard]] std::vector<double> node_queue_fraction(const Sample& s);
 
 }  // namespace rnx::data

@@ -12,11 +12,9 @@
 // source allocates each sample once and forgets it (the consumer's
 // reference is the only one); DatasetSource aliases the dataset's
 // storage with a non-owning pointer, so no copies happen on the
-// in-memory path.  stable_addresses() tells consumers whether those
-// pointers outlive the pass AND stay bound to the same content — the
-// gate for address-keyed plan caching (core::PlanCache): caching
-// transient streaming addresses would serve stale plans once an
-// allocator reuses a freed sample's address.
+// in-memory path.  Consumers must hold the pointer for as long as they
+// use the sample and key nothing on its address: a streamed sample's
+// address is reused once the consumer drops it.
 //
 // Thread-safety (DESIGN.md §L): this type holds no mutex of its own —
 // producer/consumer ordering lives entirely in the annotated
@@ -54,14 +52,6 @@ class SampleSource {
   /// background I/O error (corrupt shard, missing file) at the point of
   /// consumption.
   [[nodiscard]] virtual std::shared_ptr<const Sample> next() = 0;
-
-  /// True when returned pointers stay valid and content-stable for the
-  /// source's whole lifetime (in-memory datasets).  False for streaming
-  /// sources whose sample objects die after the consumer drops them —
-  /// consumers must not key address-based caches on those.
-  [[nodiscard]] virtual bool stable_addresses() const noexcept {
-    return false;
-  }
 };
 
 /// In-memory adapter: one pass = the dataset in index order, zero-copy.
@@ -77,9 +67,6 @@ class DatasetSource final : public SampleSource {
     // Non-owning alias into the dataset's storage (empty control block).
     return std::shared_ptr<const Sample>(std::shared_ptr<void>(),
                                          &(*ds_)[pos_++]);
-  }
-  [[nodiscard]] bool stable_addresses() const noexcept override {
-    return true;
   }
 
  private:

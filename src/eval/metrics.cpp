@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/plan.hpp"
-#include "core/plan_cache.hpp"
 #include "data/source.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -53,12 +52,6 @@ PairedPredictions predict_source(
     const std::function<void(std::size_t, const data::Sample&,
                              const nn::Tensor&)>& per_sample) {
   const bool delay = target == core::PredictionTarget::kDelay;
-
-  // Transient streaming samples must not populate an address-keyed plan
-  // cache (a recycled address would serve a stale plan); detach for the
-  // pass and restore on every exit path.
-  const core::PlanCacheScope cache_scope(model);
-  if (!src.stable_addresses()) model.set_plan_cache(nullptr);
 
   src.reset();
   const std::size_t lanes = pool ? pool->size() : 1;

@@ -42,13 +42,14 @@ struct PairedPredictions {
 /// samples are pulled in bounded windows, batched through
 /// Model::forward_batch and pooled in sample order, so the result is
 /// identical to predict_dataset on the same samples while residency
-/// stays O(window + prefetch).  `model` is taken non-const because the
-/// pass runs plan-cache-DETACHED when the source's sample addresses are
-/// transient (an address-keyed cache entry must never outlive its
-/// sample); the cache is restored on return.  With `per_sample` set,
-/// every sample gets a prediction (no label-based skipping) and the
-/// callback fires in sample order with (index, sample, predictions) —
-/// the CSV export hook.
+/// stays O(window + prefetch).  `model` is taken non-const on purpose:
+/// a serve::InferenceEngine's model has a plan cache attached and is
+/// reachable only as `const core::Model&`, so the type keeps a
+/// cache-attached model out of this pass (a streamed sample's address is
+/// reused once dropped, and an address-keyed cache would serve it a
+/// stale plan).  With `per_sample` set, every sample gets a prediction
+/// (no label-based skipping) and the callback fires in sample order with
+/// (index, sample, predictions) — the CSV export hook.
 [[nodiscard]] PairedPredictions predict_source(
     core::Model& model, data::SampleSource& src, const data::Scaler& scaler,
     std::uint64_t min_delivered,

@@ -1,29 +1,11 @@
 #include "serve/inference.hpp"
 
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "nn/autograd.hpp"
-#include "serve/scheduler.hpp"
 
 namespace rnx::serve {
-
-namespace {
-
-/// predict_batch's internal scheduler: no thread, no shedding (the
-/// synchronous API keeps its never-refuses contract), no linger (callers
-/// are already waiting) — pure coalescing of concurrent calls.
-SchedulerConfig sync_scheduler_config() {
-  SchedulerConfig cfg;
-  cfg.max_queue_depth = std::numeric_limits<std::size_t>::max();
-  cfg.max_batch_samples = std::numeric_limits<std::size_t>::max();
-  cfg.max_linger = std::chrono::microseconds{0};
-  cfg.manual_drain = true;
-  return cfg;
-}
-
-}  // namespace
 
 InferenceEngine::InferenceEngine(const std::string& path, std::size_t threads)
     : InferenceEngine(load_bundle(path), threads) {}
@@ -46,8 +28,6 @@ InferenceEngine::InferenceEngine(ModelBundle bundle,
     throw std::invalid_argument("InferenceEngine: null plan cache");
   if (threads == 0) threads = util::ThreadPool::hardware_threads();
   if (threads > 1) pool_.emplace(threads);
-  batch_sched_ = std::make_unique<BatchScheduler>(
-      sync_scheduler_config(), pool_ ? &*pool_ : nullptr);
   model_->set_plan_cache(plan_cache_.get());
 }
 
@@ -75,14 +55,16 @@ std::vector<double> InferenceEngine::predict(
 
 std::vector<std::vector<double>> InferenceEngine::predict_batch(
     std::span<const data::Sample> samples) const {
-  // Coalesce through the sync scheduler: concurrent predict_batch calls
-  // land in one queue and every caller helps execute whatever batch is
-  // frontmost (its own or a peer's), so nobody waits idle.  Depth is
-  // unbounded and linger zero, so admission never sheds and the helper
-  // loop never stalls on a timer.
-  Submitted sub = batch_sched_->submit(*this, samples);
-  batch_sched_->help_until(sub.result);
-  return sub.result.get();
+  // A concurrent caller that finds the pool busy runs its batch inline
+  // (try_parallel_for), so no caller ever waits idle.
+  std::vector<const data::Sample*> ptrs(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) ptrs[i] = &samples[i];
+  std::vector<std::exception_ptr> errors;
+  std::vector<std::vector<double>> out =
+      predict_ptrs(ptrs, batch_pool(), &errors);
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);  // first failing sample, in order
+  return out;
 }
 
 std::vector<std::vector<double>> InferenceEngine::predict_ptrs(

@@ -7,24 +7,27 @@
 // fan-out.  Predictions come back in physical units — seconds for
 // delay, seconds^2 for jitter — ready for an operator-facing API.
 //
-// Thread-safety (DESIGN.md §B, §B2): predict() may be called
-// concurrently from any number of threads — forward() only reads the
-// weights, the plan cache takes its own lock, and autograd's no-grad
-// mode is thread-local.  predict_batch() routes through an internal
-// serve::BatchScheduler in synchronous mode: concurrent batch calls
-// coalesce into shared micro-batches and the calling threads
-// cooperatively drain them, so no caller ever blocks idle behind a
-// global mutex (the pre-scheduler engine serialized every batch call on
-// one lock).  Plan-cache entries are keyed by sample identity
-// (address): a caller that destroys or mutates request samples and then
-// recycles their addresses must invalidate()/clear_plan_cache() first,
-// same contract as core::PlanCache.
+// Thread-safety (DESIGN.md §B, §B2): predict() and predict_batch() may
+// be called concurrently from any number of threads — forward() only
+// reads the weights, the plan cache takes its own lock, and autograd's
+// no-grad mode is thread-local.  predict_batch() fans out on the
+// engine's pool with try_parallel_for: a caller that finds the pool busy
+// runs its batch inline, so no caller ever blocks idle.  Cross-request
+// coalescing is serve::BatchScheduler's job.
 //
-// The engine itself holds no mutex (the pre-PR4 global batch lock is
-// gone): its shared mutable state lives in the annotated components it
-// composes — core::PlanCache, serve::BatchScheduler, util::ThreadPool —
-// whose lock discipline the static-analysis gate proves at compile time
-// (DESIGN.md §L).
+// This engine is the only code that attaches a plan cache to a model;
+// training and evaluation build each plan per forward.  The attached
+// model is exposed only as `const core::Model&`, which keeps it out of
+// eval::predict_source's streamed, address-recycling passes.  Plan-cache
+// entries are keyed by sample identity (address): a caller that
+// destroys or mutates request samples and then recycles their addresses
+// must invalidate()/clear_plan_cache() first, same contract as
+// core::PlanCache.
+//
+// The engine itself holds no mutex: its shared mutable state lives in
+// the annotated components it composes — core::PlanCache and
+// util::ThreadPool — whose lock discipline the static-analysis gate
+// proves at compile time (DESIGN.md §L).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +44,6 @@
 #include "util/thread_pool.hpp"
 
 namespace rnx::serve {
-
-class BatchScheduler;
 
 class InferenceEngine {
  public:
@@ -67,10 +68,10 @@ class InferenceEngine {
   [[nodiscard]] std::vector<double> predict(const data::Sample& sample) const;
 
   /// Batched request: one prediction vector per sample, fanned out over
-  /// the engine's pool.  Safe to call concurrently — calls coalesce
-  /// through the internal scheduler instead of serializing; outputs are
-  /// bitwise-identical to per-sample predict() either way.  Throws the
-  /// first failing sample's error (in sample order).
+  /// the engine's pool (inline when another call holds it).  Safe to
+  /// call concurrently; outputs are bitwise-identical to per-sample
+  /// predict() either way.  Throws the first failing sample's error (in
+  /// sample order).
   [[nodiscard]] std::vector<std::vector<double>> predict_batch(
       std::span<const data::Sample> samples) const;
 
@@ -129,11 +130,6 @@ class InferenceEngine {
   std::uint64_t min_delivered_;
   std::shared_ptr<core::PlanCache> plan_cache_;  ///< private or registry-shared
   mutable std::optional<util::ThreadPool> pool_;  ///< threads > 1 only
-  /// Synchronous-mode scheduler backing predict_batch (manual drain,
-  /// unbounded depth, zero linger): concurrent batch calls coalesce and
-  /// cooperatively drain here.  Built after pool_ (it fans out on it);
-  /// declared after pool_ so it shuts down first.
-  std::unique_ptr<BatchScheduler> batch_sched_;
 };
 
 }  // namespace rnx::serve

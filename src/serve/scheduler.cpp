@@ -332,25 +332,6 @@ std::size_t BatchScheduler::flush() {
   return executed;
 }
 
-void BatchScheduler::help_until(const std::future<PredictionSet>& fut) {
-  using namespace std::chrono_literals;
-  while (fut.wait_for(0s) != std::future_status::ready) {
-    reap();  // fut itself may be expired/cancelled — reap resolves it
-    Batch batch;
-    {
-      const util::MutexLock lock(mu_);
-      batch = take_front_locked();
-    }
-    if (batch.empty()) {
-      // Someone else took the batch holding fut's request; they will
-      // resolve it.
-      fut.wait();
-      return;
-    }
-    execute(std::move(batch));
-  }
-}
-
 void BatchScheduler::drain() {
   {
     const util::MutexLock lock(mu_);

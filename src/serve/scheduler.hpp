@@ -80,8 +80,7 @@ struct SchedulerConfig {
   std::size_t max_batch_samples = 32;
   /// Linger cut: the longest a front request waits for batch-mates.
   std::chrono::microseconds max_linger{200};
-  /// No drainer thread; tests (and the synchronous predict_batch
-  /// wrapper) drive batch formation via pump()/flush()/help_until().
+  /// No drainer thread; tests drive batch formation via pump()/flush().
   bool manual_drain = false;
   /// Scripted time source for the deterministic rig.  Only valid with
   /// manual_drain (the drainer thread sleeps on the real clock).
@@ -162,14 +161,6 @@ class BatchScheduler {
   /// Execute everything pending regardless of linger; returns batches
   /// executed.  Safe alongside a live drainer thread.
   std::size_t flush();
-
-  /// Cooperative draining for synchronous callers: execute pending
-  /// batches (ignoring linger) until `fut` is ready, then return.  If
-  /// another thread took the batch containing `fut`'s request, blocks
-  /// until that thread completes it.  InferenceEngine::predict_batch
-  /// rides on this so concurrent batch calls make progress on each
-  /// other's work instead of serializing.
-  void help_until(const std::future<PredictionSet>& fut);
 
   /// Graceful drain: stop admitting (new submissions shed with
   /// kDraining), execute every already-admitted request — expired or

@@ -8,13 +8,15 @@
 //   * model level: the taped forward equals the no-tape forward bitwise
 //     for both kinds, both node rules, mean aggregation on and off, and
 //     state widths with and without a kernel;
-//   * index guards: corrupted link and node ids in a Sample raise
+//   * index guards: corrupted link and node ids, short per-entity
+//     vectors and short node sequences in a Sample raise
 //     std::out_of_range from Model::forward and InferenceEngine::predict
-//     instead of reading out of bounds.
+//     instead of reading or writing out of bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -321,15 +323,43 @@ TEST(ForwardOracle, UnfusedConfigStaysComposed) {
 
 // ---- index guards at the model boundary ---------------------------------------
 
-/// A sample whose first path names a link or node id one past the end.
-data::Sample corrupted(const data::Sample& good, bool link) {
-  data::Sample s = good;
-  if (link)
-    s.paths[0].links[0] = static_cast<std::uint32_t>(s.num_links());
-  else
-    s.paths[0].nodes[0] = s.num_nodes;
-  return s;
+/// One way a Sample can be corrupt.  `extended_only` marks fields the
+/// original model never reads (node ids, queue sizes): for it the
+/// corruption is inert.
+struct Corruption {
+  const char* name;
+  bool scale_invariant;
+  bool extended_only;
+  void (*apply)(data::Sample&);
+};
+
+void corrupt_link_id(data::Sample& s) {
+  s.paths[0].links[0] = static_cast<std::uint32_t>(s.num_links());
 }
+void corrupt_node_id(data::Sample& s) { s.paths[0].nodes[0] = s.num_nodes; }
+
+// The ids reach the GRU's guards; the other fields are read before them,
+// by the scale-invariant features, the initial link and node states and
+// build_plan.
+const Corruption kCorruptions[] = {
+    {"link id", false, false, corrupt_link_id},
+    {"node id", false, true, corrupt_node_id},
+    // Far past the end, so an unchecked access faults instead of
+    // landing in heap slack.
+    {"link id, scale-invariant features", true, false,
+     [](data::Sample& s) {
+       s.paths[0].links[0] = std::numeric_limits<std::uint32_t>::max();
+     }},
+    {"short capacity vector", false, false,
+     [](data::Sample& s) { s.link_capacity_bps.resize(s.num_links() / 2); }},
+    {"short queue vector", false, true,
+     [](data::Sample& s) { s.queue_pkts.resize(s.num_nodes / 2); }},
+    {"path with fewer nodes than links", false, true,
+     [](data::Sample& s) {
+       data::PathRecord& p = s.paths[0];
+       p.nodes.resize(p.links.size() - 1);
+     }},
+};
 
 TEST(ModelIndexGuards, CorruptedIdsThrowOutOfRange) {
   const data::Dataset& ds = nsfnet_samples();
@@ -338,23 +368,23 @@ TEST(ModelIndexGuards, CorruptedIdsThrowOutOfRange) {
     const ScopedBackendOverride pin(*backend);
     for (const core::ModelKind kind :
          {core::ModelKind::kOriginal, core::ModelKind::kExtended})
-      for (const bool link : {true, false}) {
+      for (const Corruption& c : kCorruptions) {
         SCOPED_TRACE(std::string(backend->name) + " " +
-                     std::string(core::to_string(kind)) +
-                     (link ? " link id" : " node id"));
+                     std::string(core::to_string(kind)) + " " + c.name);
         core::ModelConfig cfg;
         cfg.state_dim = 12;
+        cfg.scale_invariant_features = c.scale_invariant;
         // Mean aggregation counts ids before the first gather; the next
         // test covers that guard.
         cfg.node_mean_aggregation = false;
-        const data::Sample bad = corrupted(ds.samples()[0], link);
+        data::Sample bad = ds.samples()[0];
+        c.apply(bad);
         serve::ModelBundle bundle;
         bundle.model = core::make_model(kind, cfg);
         bundle.scaler = sc;
         const serve::InferenceEngine engine(std::move(bundle));
         const core::Model& model = engine.model();
-        // The original model reads no node ids: the corruption is inert.
-        if (!link && kind == core::ModelKind::kOriginal) {
+        if (c.extended_only && kind == core::ModelKind::kOriginal) {
           const nn::NoGradGuard guard;
           const Var pred = model.forward(bad, sc);
           for (const double v : pred.value().flat())
@@ -382,9 +412,11 @@ TEST(ModelIndexGuards, MeanAggregationRejectsCorruptedIds) {
   cfg.node_mean_aggregation = true;
   const core::Model model(core::ModelKind::kExtended, cfg);
   const nn::NoGradGuard guard;
-  for (const bool link : {true, false})
-    EXPECT_THROW((void)model.forward(corrupted(ds.samples()[0], link), sc),
-                 std::out_of_range);
+  for (const auto corrupt : {corrupt_link_id, corrupt_node_id}) {
+    data::Sample bad = ds.samples()[0];
+    corrupt(bad);
+    EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
+  }
 }
 
 }  // namespace

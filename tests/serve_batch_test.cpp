@@ -1,9 +1,10 @@
-// predict_batch coverage gap (ISSUE 4): empty batches, ragged sample
-// sizes, feature-gating through the batch path, and concurrent batch
-// calls after the global batch mutex was replaced by the scheduler.
+// predict_batch coverage: empty batches, ragged sample sizes,
+// feature-gating and error order through the serial and the pooled batch
+// path, and concurrent batch calls sharing one engine pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,36 +78,45 @@ TEST(ServeBatch, RaggedSampleSizesInOneBatch) {
 // A feature-gated bundle must reject scenario-less samples through the
 // batch path with the same descriptive error as the single path — and
 // deterministically (first bad sample in sample order), not whichever
-// lane happened to fail first.
+// lane happened to fail first.  A later sample fails with another error
+// type, so the pooled engine pins the order, not just the message.
 TEST(ServeBatch, FeatureGateErrorIsIdenticalThroughBatchPath) {
-  const serve::InferenceEngine engine(make_bundle(/*scenario_features=*/true));
-  std::vector<data::Sample> mixed(nsfnet_dataset().samples().begin(),
-                                  nsfnet_dataset().samples().end());
-  mixed[1].scenario_recorded = false;  // as loaded from a v1 dataset
+  for (const std::size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const serve::InferenceEngine engine(
+        make_bundle(/*scenario_features=*/true), threads);
+    std::vector<data::Sample> mixed(nsfnet_dataset().samples().begin(),
+                                    nsfnet_dataset().samples().end());
+    mixed[1].scenario_recorded = false;  // as loaded from a v1 dataset
+    mixed[2].paths[0].links[0] =         // std::out_of_range on its own
+        static_cast<std::uint32_t>(mixed[2].num_links());
 
-  std::string single_path_error;
-  try {
-    (void)engine.predict(mixed[1]);
-  } catch (const std::runtime_error& e) {
-    single_path_error = e.what();
-  }
-  ASSERT_NE(single_path_error.find("scenario"), std::string::npos)
-      << single_path_error;
+    std::string single_path_error;
+    try {
+      (void)engine.predict(mixed[1]);
+    } catch (const std::runtime_error& e) {
+      single_path_error = e.what();
+    }
+    ASSERT_NE(single_path_error.find("scenario"), std::string::npos)
+        << single_path_error;
 
-  try {
-    (void)engine.predict_batch(mixed);
-    FAIL() << "batch path served a scenario-less sample";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), single_path_error);
+    try {
+      (void)engine.predict_batch(mixed);
+      FAIL() << "batch path served a scenario-less sample";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), single_path_error);
+    }
+    // Scenario-recording batches serve fine.
+    EXPECT_EQ(engine.predict_batch(nsfnet_dataset().samples()).size(),
+              nsfnet_dataset().size());
   }
-  // Scenario-recording batches serve fine.
-  EXPECT_EQ(engine.predict_batch(nsfnet_dataset().samples()).size(),
-            nsfnet_dataset().size());
 }
 
-// The old engine serialized concurrent predict_batch calls on one mutex;
-// the scheduler now coalesces them.  Concurrent calls must neither
-// deadlock nor change a single bit of output.
+// The first engine serialized concurrent predict_batch calls on one
+// mutex; a private scheduler later coalesced them.  Now each call fans
+// out on the engine's pool, or runs inline while another call holds it.
+// Concurrent calls must neither deadlock nor change a single bit of
+// output.
 TEST(ServeBatch, ConcurrentBatchCallsCoalesceAndStayBitwiseIdentical) {
   const serve::InferenceEngine engine(make_bundle(), /*threads=*/2);
   const data::Dataset& ds = nsfnet_dataset();

@@ -263,7 +263,6 @@ TEST(StreamingSource, DeliversEverySampleInOrderAcrossPasses) {
   (void)writer.finish();
 
   data::StreamingShardSource src(dir.file("s.rnxm"), /*prefetch=*/2);
-  EXPECT_FALSE(src.stable_addresses());
   EXPECT_EQ(src.size(), 7u);
   for (int pass = 0; pass < 2; ++pass) {
     src.reset();
@@ -325,7 +324,6 @@ TEST(DatasetSource, AliasesInMemorySamples) {
   const Dataset ds(
       data::generate_dataset(topo::ring(4), 3, fast_config(), 37));
   data::DatasetSource src(ds);
-  EXPECT_TRUE(src.stable_addresses());
   src.reset();
   for (std::size_t i = 0; i < ds.size(); ++i) {
     const auto sp = src.next();

@@ -197,8 +197,8 @@ TEST_F(StreamingTrainTest, PredictSourcePerSampleCallbackCoversAllPaths) {
 }
 
 TEST_F(StreamingTrainTest, FitStreamKeepsModelCacheDetachmentScoped) {
-  // After a streaming fit, the model's plan-cache attachment must be
-  // restored (here: none), and a subsequent in-memory fit still works.
+  // The trainer never attaches a plan cache: after a streaming fit and
+  // an in-memory fit the model still has none.
   const auto model = fresh_model();
   core::Trainer trainer(*model, train_config(1));
   {

@@ -12,8 +12,7 @@
 // --data also accepts a sharded .rnxm manifest (DESIGN.md §D): samples
 // then stream shard-by-shard through eval::predict_source — CSV rows
 // and metrics are produced without ever materializing the dataset, and
-// the model runs plan-cache-detached (streamed sample addresses are
-// transient, so address-keyed plan entries would go stale).
+// without a plan cache (see run_streaming).
 #include <fstream>
 #include <iostream>
 #include <optional>
