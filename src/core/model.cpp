@@ -9,6 +9,7 @@
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "nn/ops.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,11 +52,11 @@ const MpPlan& Model::plan_for(const data::Sample& sample,
 
 std::vector<nn::Tensor> Model::forward_batch(
     std::span<const data::Sample> samples, const data::Scaler& scaler,
-    util::ThreadPool* pool, const std::vector<char>* skip) const {
+    util::ThreadPool* pool) const {
   std::vector<const data::Sample*> ptrs(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) ptrs[i] = &samples[i];
   return forward_batch(std::span<const data::Sample* const>(ptrs), scaler,
-                       pool, nullptr, skip);
+                       pool);
 }
 
 std::vector<nn::Tensor> Model::forward_batch(
@@ -116,6 +117,18 @@ void require_per_entity(std::size_t have, std::size_t entities,
     throw std::out_of_range("initial states: " + std::to_string(have) + " " +
                             what + " for " + std::to_string(entities) +
                             " entities");
+}
+
+// Column of a scenario enum's one-hot input: `first` plus the value,
+// which must name one of `count` members (a corrupted enum would write
+// past the state row).
+std::size_t one_hot_column(std::size_t first, std::uint32_t value,
+                           std::uint32_t count, const char* what) {
+  if (value >= count)
+    throw std::out_of_range("initial states: " + std::string(what) + " " +
+                            std::to_string(value) + " out of range (" +
+                            std::to_string(count) + " known)");
+  return first + value;
 }
 
 enum class Entity { kLink, kNode };
@@ -197,7 +210,8 @@ nn::Var initial_path_states(const data::Sample& s, const data::Scaler& sc,
             ? static_cast<double>(s.scenario.priority_classes - 1)
             : 1.0;
     const std::size_t traffic_col =
-        2 + static_cast<std::size_t>(s.scenario.traffic);
+        one_hot_column(2, static_cast<std::uint32_t>(s.scenario.traffic),
+                       sim::kNumTrafficProcesses, "traffic process");
     for (std::size_t i = 0; i < s.paths.size(); ++i) {
       t(i, 1) = static_cast<double>(s.paths[i].priority_class) / class_span;
       t(i, traffic_col) = 1.0;
@@ -221,7 +235,8 @@ nn::Var initial_link_states(const data::Sample& s, const data::Scaler& sc,
   if (cfg.scenario_features) {
     require_scenario(s, cfg.state_dim);
     const std::size_t policy_col =
-        1 + static_cast<std::size_t>(s.scenario.policy);
+        one_hot_column(1, static_cast<std::uint32_t>(s.scenario.policy),
+                       sim::kNumSchedulerPolicies, "scheduler policy");
     for (std::size_t l = 0; l < s.num_links(); ++l) t(l, policy_col) = 1.0;
   }
   return nn::constant(std::move(t));

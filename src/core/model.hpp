@@ -88,14 +88,10 @@ class Model {
   /// Batched inference: predictions (value tensors, one P x 1 per sample)
   /// for a span of samples, in order.  Runs under NoGradGuard; with a
   /// pool, samples are evaluated concurrently (forward() only reads the
-  /// weights, so lanes can share this model).  A non-null `skip` mask
-  /// (one entry per sample) leaves the marked slots as empty tensors
-  /// without paying their forward pass — eval uses it for samples with
-  /// no label-valid paths.
+  /// weights, so lanes can share this model).
   [[nodiscard]] std::vector<nn::Tensor> forward_batch(
       std::span<const data::Sample> samples, const data::Scaler& scaler,
-      util::ThreadPool* pool = nullptr,
-      const std::vector<char>* skip = nullptr) const;
+      util::ThreadPool* pool = nullptr) const;
 
   /// Scattered-batch inference: as forward_batch, but over sample
   /// *pointers* so the batch can gather samples that are not contiguous
@@ -106,9 +102,12 @@ class Model {
   /// exception in its own slot instead of failing the whole batch, so a
   /// multi-request batch isolates one request's bad sample from the
   /// others; the corresponding output tensor stays empty.  With `errors`
-  /// null, the first exception propagates as in forward_batch.  The pool
-  /// is acquired with try_parallel_for: if another job owns it, this
-  /// batch runs inline on the calling thread rather than blocking.
+  /// null, the first exception propagates as in forward_batch.  A
+  /// non-null `skip` mask (one entry per sample) leaves the marked slots
+  /// as empty tensors without paying their forward pass — eval uses it
+  /// for samples with no label-valid paths.  The pool is acquired with
+  /// try_parallel_for: if another job owns it, this batch runs inline on
+  /// the calling thread rather than blocking.
   [[nodiscard]] std::vector<nn::Tensor> forward_batch(
       std::span<const data::Sample* const> samples,
       const data::Scaler& scaler, util::ThreadPool* pool = nullptr,

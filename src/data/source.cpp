@@ -87,4 +87,10 @@ std::shared_ptr<const Sample> StreamingShardSource::next() {
   return nullptr;
 }
 
+std::unique_ptr<SampleSource> open_source(const std::string& path) {
+  if (is_manifest_file(path))
+    return std::make_unique<StreamingShardSource>(path);
+  return std::make_unique<DatasetSource>(Dataset::load(path));
+}
+
 }  // namespace rnx::data

@@ -6,15 +6,16 @@
 // (data/shards.hpp) through a background prefetch thread and a
 // util::BoundedQueue, so the consumer's peak residency is bounded by
 // one shard plus the prefetch depth — datasets larger than RAM train
-// fine.
+// fine.  open_source() picks between the two for a dataset file.
 //
 // Ownership: next() hands out shared_ptr<const Sample>.  The streaming
 // source allocates each sample once and forgets it (the consumer's
 // reference is the only one); DatasetSource aliases the dataset's
-// storage with a non-owning pointer, so no copies happen on the
-// in-memory path.  Consumers must hold the pointer for as long as they
-// use the sample and key nothing on its address: a streamed sample's
-// address is reused once the consumer drops it.
+// storage (borrowed or owned by the source) with a non-owning pointer,
+// so no copies happen on the in-memory path.  Consumers must hold the
+// pointer for as long as they use the sample and key nothing on its
+// address: a streamed sample's address is reused once the consumer
+// drops it.
 //
 // Thread-safety (DESIGN.md §L): this type holds no mutex of its own —
 // producer/consumer ordering lives entirely in the annotated
@@ -28,7 +29,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "data/dataset.hpp"
 #include "data/shards.hpp"
@@ -57,8 +60,12 @@ class SampleSource {
 /// In-memory adapter: one pass = the dataset in index order, zero-copy.
 class DatasetSource final : public SampleSource {
  public:
-  /// `ds` must outlive the source.
+  /// Borrowing form: `ds` must outlive the source.
   explicit DatasetSource(const Dataset& ds) : ds_(&ds) {}
+  /// Owning form: the source keeps the dataset alive itself.
+  explicit DatasetSource(Dataset&& ds)
+      : owned_(std::make_shared<const Dataset>(std::move(ds))),
+        ds_(owned_.get()) {}
 
   [[nodiscard]] std::size_t size() const override { return ds_->size(); }
   void reset() override { pos_ = 0; }
@@ -70,6 +77,7 @@ class DatasetSource final : public SampleSource {
   }
 
  private:
+  std::shared_ptr<const Dataset> owned_;  ///< owning form only
   const Dataset* ds_;
   std::size_t pos_ = 0;
 };
@@ -124,5 +132,13 @@ class StreamingShardSource final : public SampleSource {
   std::thread producer_;
   std::exception_ptr error_;  ///< producer -> consumer, ordered by close()
 };
+
+/// One pass over a dataset file: a sharded-store manifest (.rnxm,
+/// detected by magic) streams through StreamingShardSource, anything
+/// else loads as a monolithic .rnxd into an owning DatasetSource.  The
+/// load raises what Dataset::load / ShardedReader raise today (a
+/// missing path is Dataset::load's std::runtime_error).
+[[nodiscard]] std::unique_ptr<SampleSource> open_source(
+    const std::string& path);
 
 }  // namespace rnx::data

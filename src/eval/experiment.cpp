@@ -80,7 +80,7 @@ Fig2Result run_fig2(const Fig2Config& cfg) {
   }
   result.train_seconds = train_watch.seconds();
 
-  auto add_curve = [&](const core::Model& model, const std::string& topo,
+  auto add_curve = [&](core::Model& model, const std::string& topo,
                        const data::Dataset& set) {
     Fig2Curve c;
     c.model = model.name();

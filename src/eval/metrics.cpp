@@ -13,36 +13,14 @@
 
 namespace rnx::eval {
 
-PairedPredictions predict_dataset(const core::Model& model,
+PairedPredictions predict_dataset(core::Model& model,
                                   const data::Dataset& ds,
                                   const data::Scaler& scaler,
                                   std::uint64_t min_delivered,
                                   core::PredictionTarget target,
                                   util::ThreadPool* pool) {
-  const bool delay = target == core::PredictionTarget::kDelay;
-  // Samples with no label-valid paths contribute nothing — mask them out
-  // so they do not pay a discarded forward pass.
-  std::vector<std::vector<nn::Index>> valid_rows(ds.size());
-  std::vector<char> skip(ds.size(), 0);
-  for (std::size_t si = 0; si < ds.size(); ++si) {
-    valid_rows[si] = core::valid_label_rows(ds[si], min_delivered, target);
-    skip[si] = valid_rows[si].empty() ? 1 : 0;
-  }
-  const std::vector<nn::Tensor> preds =
-      model.forward_batch(ds.samples(), scaler, pool, &skip);
-  PairedPredictions pp;
-  for (std::size_t si = 0; si < ds.size(); ++si) {
-    const auto& s = ds[si];
-    const auto& valid = valid_rows[si];
-    const nn::Tensor& pred = preds[si];
-    for (const auto row : valid) {
-      pp.truth.push_back(delay ? s.paths[row].mean_delay_s
-                               : s.paths[row].jitter_s2);
-      pp.pred.push_back(delay ? scaler.target_to_delay(pred(row, 0))
-                              : scaler.target_to_jitter(pred(row, 0)));
-    }
-  }
-  return pp;
+  data::DatasetSource src(ds);
+  return predict_source(model, src, scaler, min_delivered, target, pool);
 }
 
 PairedPredictions predict_source(
@@ -71,8 +49,8 @@ PairedPredictions predict_source(
     for (std::size_t i = 0; i < n; ++i) {
       valid_rows[i] = core::valid_label_rows(*ptrs[i], min_delivered, target);
       // With a per-sample consumer every sample needs its predictions;
-      // metrics-only passes skip label-less samples as predict_dataset
-      // does.
+      // metrics-only passes skip label-less samples, which contribute
+      // nothing and so do not pay a discarded forward.
       skip[i] = (!per_sample && valid_rows[i].empty()) ? 1 : 0;
     }
     const std::vector<nn::Tensor> preds =

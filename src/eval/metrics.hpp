@@ -28,28 +28,20 @@ struct PairedPredictions {
   [[nodiscard]] std::size_t size() const noexcept { return truth.size(); }
 };
 
-/// Run the model over every sample (inference mode, batched through
-/// Model::forward_batch) and pool the label-valid paths.  Predictions are
-/// de-normalized back to seconds (delay) or seconds^2 (jitter), matching
-/// `target`.  A pool parallelizes the per-sample forwards.
-[[nodiscard]] PairedPredictions predict_dataset(
-    const core::Model& model, const data::Dataset& ds,
-    const data::Scaler& scaler, std::uint64_t min_delivered,
-    core::PredictionTarget target = core::PredictionTarget::kDelay,
-    util::ThreadPool* pool = nullptr);
-
 /// Streaming predict over one pass of a SampleSource (DESIGN.md §D):
 /// samples are pulled in bounded windows, batched through
-/// Model::forward_batch and pooled in sample order, so the result is
-/// identical to predict_dataset on the same samples while residency
-/// stays O(window + prefetch).  `model` is taken non-const on purpose:
-/// a serve::InferenceEngine's model has a plan cache attached and is
-/// reachable only as `const core::Model&`, so the type keeps a
-/// cache-attached model out of this pass (a streamed sample's address is
-/// reused once dropped, and an address-keyed cache would serve it a
-/// stale plan).  With `per_sample` set, every sample gets a prediction
-/// (no label-based skipping) and the callback fires in sample order with
-/// (index, sample, predictions) — the CSV export hook.
+/// Model::forward_batch (inference mode) and the label-valid paths are
+/// pooled in sample order, de-normalized back to seconds (delay) or
+/// seconds^2 (jitter) per `target`.  Residency stays O(window +
+/// prefetch); a pool parallelizes the per-sample forwards.  `model` is
+/// taken non-const on purpose: a serve::InferenceEngine's model has a
+/// plan cache attached and is reachable only as `const core::Model&`,
+/// so the type keeps a cache-attached model out of every eval pass (a
+/// streamed sample's address is reused once dropped, and an
+/// address-keyed cache would serve it a stale plan).  With `per_sample`
+/// set, every sample gets a prediction (no label-based skipping) and
+/// the callback fires in sample order with (index, sample,
+/// predictions) — the CSV export hook.
 [[nodiscard]] PairedPredictions predict_source(
     core::Model& model, data::SampleSource& src, const data::Scaler& scaler,
     std::uint64_t min_delivered,
@@ -57,6 +49,13 @@ struct PairedPredictions {
     util::ThreadPool* pool = nullptr,
     const std::function<void(std::size_t, const data::Sample&,
                              const nn::Tensor&)>& per_sample = nullptr);
+
+/// predict_source over an in-memory dataset (a borrowing DatasetSource).
+[[nodiscard]] PairedPredictions predict_dataset(
+    core::Model& model, const data::Dataset& ds, const data::Scaler& scaler,
+    std::uint64_t min_delivered,
+    core::PredictionTarget target = core::PredictionTarget::kDelay,
+    util::ThreadPool* pool = nullptr);
 
 /// Signed relative errors (pred - truth) / truth.
 [[nodiscard]] std::vector<double> relative_errors(

@@ -144,18 +144,8 @@ void gru_blend(double* nout, double* y, const double* an, const double* z,
 }  // namespace
 }  // namespace scalar
 
-const char* to_string(Isa isa) noexcept {
-  switch (isa) {
-    case Isa::kAvx2Fma: return "avx2+fma";
-    case Isa::kNeon: return "neon";
-    case Isa::kScalar: break;
-  }
-  return "scalar";
-}
-
 const Backend& scalar_backend() noexcept {
   static const Backend backend = {
-      Isa::kScalar,
       "scalar",
       &scalar::matmul_acc,
       &scalar::matmul_tn_acc,
@@ -174,15 +164,6 @@ const Backend& scalar_backend() noexcept {
       nullptr,  // gru_step: the composed path is the reference
   };
   return backend;
-}
-
-const Backend* simd_backend() noexcept {
-  static const Backend* const best = []() noexcept -> const Backend* {
-    if (const Backend* b = detail::avx2_backend()) return b;
-    if (const Backend* b = detail::neon_backend()) return b;
-    return nullptr;
-  }();
-  return best;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,15 +15,13 @@
 //                the transcendentals use a Cephes-style polynomial, so
 //                those results are pinned to a small-ulp bound instead
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
-//   * neon     — aarch64 2-lane kernels, bitwise-identical to scalar
-//                (mul+add, libm transcendentals).
 //
 // Only avx2+fma provides the optional whole-step `gru_step` kernel, for
 // narrow hidden widths; its output is bitwise-equal to the same
 // backend's matmul + gru_gates + gru_blend composition (DESIGN.md §K).
 //
 // Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
-// x86-64, NEON on aarch64, scalar otherwise).  RNX_SIMD=scalar forces
+// x86-64, scalar otherwise — aarch64 included).  RNX_SIMD=scalar forces
 // the reference backend; RNX_SIMD=native forces auto-detection (and is
 // the explicit spelling of the default); any other value throws.  The
 // decision is made once, on first use, and is immutable for the
@@ -43,12 +41,6 @@
 
 namespace rnx::nn::kernels {
 
-enum class Isa { kScalar, kAvx2Fma, kNeon };
-
-/// Stable lowercase ISA tag for logs / BENCH json ("scalar",
-/// "avx2+fma", "neon").
-[[nodiscard]] const char* to_string(Isa isa) noexcept;
-
 /// The nine parameters of one GRU cell (nn/gru.hpp), dense row-major:
 /// wx* are (in x hid), wh* are (hid x hid), b* are (1 x hid).
 struct GruWeights {
@@ -67,7 +59,7 @@ struct GruWeights {
 /// kernels accumulate into c.  Shapes follow nn::Tensor's matmul
 /// contracts (tensor.hpp).
 struct Backend {
-  Isa isa = Isa::kScalar;
+  /// Stable lowercase tag for logs / BENCH json ("scalar", "avx2+fma").
   const char* name = "scalar";
 
   // -- dense: C (n x m) views, reduction length k -----------------------
@@ -124,8 +116,10 @@ struct Backend {
 /// The reference backend (always available).
 [[nodiscard]] const Backend& scalar_backend() noexcept;
 
-/// The best SIMD backend this binary was compiled with AND this CPU
-/// supports, or nullptr when only scalar is available.
+/// The AVX2/FMA backend when this binary targets x86-64 AND this CPU
+/// supports AVX2+FMA, or nullptr when only scalar is available.
+/// Defined in kernels_avx2.cpp so only that file needs ISA compile
+/// flags.
 [[nodiscard]] const Backend* simd_backend() noexcept;
 
 /// The backend every nn kernel call dispatches through: the thread's
@@ -151,13 +145,5 @@ class ScopedBackendOverride {
  private:
   const Backend* prev_;
 };
-
-namespace detail {
-/// Per-ISA factories: nullptr when not compiled in or (avx2) when the
-/// CPU lacks the feature set.  Defined in kernels_avx2.cpp /
-/// kernels_neon.cpp so only those files need ISA compile flags.
-[[nodiscard]] const Backend* avx2_backend() noexcept;
-[[nodiscard]] const Backend* neon_backend() noexcept;
-}  // namespace detail
 
 }  // namespace rnx::nn::kernels

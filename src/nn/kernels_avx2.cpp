@@ -695,9 +695,8 @@ bool gru_step(double* y, const double* x, const std::uint32_t* x_rows,
 }  // namespace
 }  // namespace avx2
 
-const Backend* detail::avx2_backend() noexcept {
+const Backend* simd_backend() noexcept {
   static const Backend backend = {
-      Isa::kAvx2Fma,
       "avx2+fma",
       &avx2::matmul_acc,
       &avx2::matmul_tn_acc,
@@ -725,7 +724,7 @@ const Backend* detail::avx2_backend() noexcept {
 #else  // non-x86: this translation unit contributes only the stub.
 
 namespace rnx::nn::kernels {
-const Backend* detail::avx2_backend() noexcept { return nullptr; }
+const Backend* simd_backend() noexcept { return nullptr; }
 }  // namespace rnx::nn::kernels
 
 #endif

@@ -20,7 +20,6 @@ InferenceEngine::InferenceEngine(ModelBundle bundle,
     : model_(std::move(bundle.model)),
       scaler_(bundle.scaler),
       target_(bundle.target),
-      min_delivered_(bundle.min_delivered),
       plan_cache_(std::move(cache)) {
   if (!model_)
     throw std::invalid_argument("InferenceEngine: bundle holds no model");
@@ -61,7 +60,7 @@ std::vector<std::vector<double>> InferenceEngine::predict_batch(
   for (std::size_t i = 0; i < samples.size(); ++i) ptrs[i] = &samples[i];
   std::vector<std::exception_ptr> errors;
   std::vector<std::vector<double>> out =
-      predict_ptrs(ptrs, batch_pool(), &errors);
+      predict_ptrs(ptrs, pool_ ? &*pool_ : nullptr, &errors);
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);  // first failing sample, in order
   return out;

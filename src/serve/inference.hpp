@@ -30,7 +30,6 @@
 // proves at compile time (DESIGN.md §L).
 #pragma once
 
-#include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -89,7 +88,7 @@ class InferenceEngine {
   /// scalar objective (examples/what_if_queue_upgrade.cpp).
   [[nodiscard]] double predict_mean(const data::Sample& sample) const;
 
-  // -- bundle context (for eval tooling; model/scaler are read-only) ----
+  // -- bundle context (read-only) ---------------------------------------
   [[nodiscard]] const core::Model& model() const noexcept { return *model_; }
   [[nodiscard]] const data::Scaler& scaler() const noexcept {
     return scaler_;
@@ -97,26 +96,11 @@ class InferenceEngine {
   [[nodiscard]] core::PredictionTarget target() const noexcept {
     return target_;
   }
-  [[nodiscard]] std::uint64_t min_delivered() const noexcept {
-    return min_delivered_;
-  }
   [[nodiscard]] std::size_t threads() const noexcept;
-  /// The batch fan-out pool (nullptr when the engine is serial).
-  /// Exposed so eval tooling can drive Model::forward_batch on the
-  /// engine's lanes; the pool serializes concurrent jobs internally, so
-  /// borrowing is always safe.
-  [[nodiscard]] util::ThreadPool* batch_pool() const noexcept {
-    return pool_ ? &*pool_ : nullptr;
-  }
 
   // -- plan-cache lifetime hooks (see header comment) -------------------
   void invalidate(const data::Sample& sample) const;
   void clear_plan_cache() const;
-  /// Cap resident plan bytes (LRU eviction; 0 = unlimited).  With a
-  /// registry-shared cache this budgets the shared cache.
-  void set_plan_cache_budget(std::size_t bytes) const {
-    plan_cache_->set_byte_budget(bytes);
-  }
   [[nodiscard]] const core::PlanCache& plan_cache() const noexcept {
     return *plan_cache_;
   }
@@ -127,7 +111,6 @@ class InferenceEngine {
   std::unique_ptr<core::Model> model_;
   data::Scaler scaler_;
   core::PredictionTarget target_;
-  std::uint64_t min_delivered_;
   std::shared_ptr<core::PlanCache> plan_cache_;  ///< private or registry-shared
   mutable std::optional<util::ThreadPool> pool_;  ///< threads > 1 only
 };

@@ -94,7 +94,7 @@ TEST(CliArgsDeathTest, UnknownFlagExits2) {
 // -- get_positive: the --plan-cache-mb contract ---------------------------
 // A byte budget of zero would mean "evict everything immediately" and a
 // negative one would wrap; both are usage errors (exit 2), matching how
-// rnx_predict/rnx_serve parse --plan-cache-mb.
+// rnx_serve parses --plan-cache-mb.
 
 TEST(CliArgs, PositiveValueParses) {
   const Args args = make_args({"--plan-cache-mb", "64"});

@@ -82,7 +82,7 @@ TEST(PredictDataset, PoolsOnlyValidPathsAndDenormalizes) {
   core::ModelConfig mc;
   mc.state_dim = 8;
   mc.iterations = 2;
-  const core::Model m(core::ModelKind::kExtended, mc);
+  core::Model m(core::ModelKind::kExtended, mc);
 
   const auto pp = eval::predict_dataset(m, ds, sc, 10);
   std::size_t expected = 0;
@@ -105,7 +105,7 @@ TEST(PredictDataset, HigherThresholdPoolsFewer) {
   core::ModelConfig mc;
   mc.state_dim = 8;
   mc.iterations = 2;
-  const core::Model m(core::ModelKind::kExtended, mc);
+  core::Model m(core::ModelKind::kExtended, mc);
   const auto loose = eval::predict_dataset(m, ds, sc, 1);
   const auto strict = eval::predict_dataset(m, ds, sc, 200);
   EXPECT_GT(loose.size(), strict.size());

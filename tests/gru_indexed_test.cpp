@@ -20,6 +20,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -417,6 +418,52 @@ TEST(ModelIndexGuards, MeanAggregationRejectsCorruptedIds) {
     corrupt(bad);
     EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
   }
+}
+
+// Scenario enums select one-hot input columns.  A value past the known
+// members must throw before initial_path_states / initial_link_states
+// write its column: unchecked, traffic = 200 writes past the state
+// tensor's heap buffer.
+void expect_scenario_enum_rejected(void (*corrupt)(data::Sample&),
+                                   const char* field) {
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  core::ModelConfig cfg;
+  cfg.state_dim = 12;
+  cfg.scenario_features = true;
+  const nn::NoGradGuard guard;
+  for (const core::ModelKind kind :
+       {core::ModelKind::kOriginal, core::ModelKind::kExtended}) {
+    SCOPED_TRACE(core::to_string(kind));
+    const core::Model model(kind, cfg);
+    data::Sample s = ds.samples()[0];
+    s.scenario_recorded = true;
+    EXPECT_NO_THROW((void)model.forward(s, sc));
+    corrupt(s);
+    try {
+      (void)model.forward(s, sc);
+      ADD_FAILURE() << field << " out of range accepted";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ModelEnumGuards, OutOfRangeTrafficProcessThrows) {
+  expect_scenario_enum_rejected(
+      [](data::Sample& s) {
+        s.scenario.traffic = static_cast<sim::TrafficProcess>(200);
+      },
+      "traffic process");
+}
+
+TEST(ModelEnumGuards, OutOfRangeSchedulerPolicyThrows) {
+  expect_scenario_enum_rejected(
+      [](data::Sample& s) {
+        s.scenario.policy = static_cast<sim::SchedulerPolicy>(200);
+      },
+      "scheduler policy");
 }
 
 }  // namespace

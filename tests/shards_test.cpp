@@ -333,6 +333,56 @@ TEST(DatasetSource, AliasesInMemorySamples) {
   EXPECT_EQ(src.next(), nullptr);
 }
 
+// ---- open_source: one reader choice for every dataset file ------------------
+
+std::vector<std::uint64_t> pass_digests(data::SampleSource& src) {
+  std::vector<std::uint64_t> out;
+  src.reset();
+  while (auto sp = src.next()) out.push_back(data::io::sample_digest(*sp));
+  return out;
+}
+
+TEST(OpenSource, MonolithicAndShardedYieldSameSamplesInOrder) {
+  const TempDir dir("rnx_open_source");
+  const auto cfg = fast_config();
+  // Same seed, two layouts: a serial monolithic file and a 3-shard store
+  // committed from parallel lanes.
+  const auto samples = data::generate_dataset(topo::ring(4), 8, cfg, 43);
+  Dataset(samples).save(dir.file("mono.rnxd"));
+  data::ShardWriter writer(dir.file("store.rnxm"), 3, 43,
+                           data::config_digest(cfg));
+  data::generate_dataset_stream(
+      data::fixed_topology(topo::ring(4)), 8, cfg, 43, /*threads=*/2,
+      [&](std::size_t, Sample s) { writer.add(s); });
+  ASSERT_EQ(writer.finish().shards.size(), 3u);
+
+  const auto mono = data::open_source(dir.file("mono.rnxd"));
+  const auto sharded = data::open_source(dir.file("store.rnxm"));
+  EXPECT_NE(dynamic_cast<data::DatasetSource*>(mono.get()), nullptr);
+  EXPECT_NE(dynamic_cast<data::StreamingShardSource*>(sharded.get()),
+            nullptr);
+  EXPECT_EQ(mono->size(), 8u);
+  EXPECT_EQ(sharded->size(), 8u);
+  const auto expect = digests(samples);
+  EXPECT_EQ(pass_digests(*mono), expect);
+  EXPECT_EQ(pass_digests(*sharded), expect);
+  // The owning in-memory source survives the file and replays passes.
+  std::filesystem::remove(dir.file("mono.rnxd"));
+  EXPECT_EQ(pass_digests(*mono), expect);
+}
+
+TEST(OpenSource, MissingPathRaisesDatasetLoadError) {
+  const TempDir dir("rnx_open_source_missing");
+  try {
+    (void)data::open_source(dir.file("absent.rnxd"));
+    FAIL() << "missing dataset accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Dataset::load: cannot open"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- mixed topology sampler -------------------------------------------------
 
 TEST(MixedTopology, SpansFamiliesAndStaysValid) {

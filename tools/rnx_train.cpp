@@ -233,20 +233,10 @@ int run(int argc, char** argv) {
   }
 
   if (args.has("eval")) {
-    const std::string eval_path = args.get("eval", std::string());
-    if (data::is_manifest_file(eval_path)) {
-      data::StreamingShardSource test(eval_path);
-      const auto pp =
-          eval::predict_source(*model, test, scaler, min_delivered, *target,
-                               pool ? &*pool : nullptr);
-      eval::print_summary(std::cout, eval::summarize(pp), *target);
-    } else {
-      const data::Dataset test = data::Dataset::load(eval_path);
-      const auto pp =
-          eval::predict_dataset(*model, test, scaler, min_delivered, *target,
-                                pool ? &*pool : nullptr);
-      eval::print_summary(std::cout, eval::summarize(pp), *target);
-    }
+    const auto test = data::open_source(args.get("eval", std::string()));
+    const auto pp = eval::predict_source(*model, *test, scaler, min_delivered,
+                                         *target, pool ? &*pool : nullptr);
+    eval::print_summary(std::cout, eval::summarize(pp), *target);
   }
   return 0;
 }
