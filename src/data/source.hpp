@@ -55,6 +55,10 @@ class SampleSource {
   /// background I/O error (corrupt shard, missing file) at the point of
   /// consumption.
   [[nodiscard]] virtual std::shared_ptr<const Sample> next() = 0;
+
+  /// True when the whole pass already lives in memory, so a consumer
+  /// may hold all of it at once at no extra cost.
+  [[nodiscard]] virtual bool in_memory() const { return false; }
 };
 
 /// In-memory adapter: one pass = the dataset in index order, zero-copy.
@@ -75,6 +79,7 @@ class DatasetSource final : public SampleSource {
     return std::shared_ptr<const Sample>(std::shared_ptr<void>(),
                                          &(*ds_)[pos_++]);
   }
+  [[nodiscard]] bool in_memory() const override { return true; }
 
  private:
   std::shared_ptr<const Dataset> owned_;  ///< owning form only

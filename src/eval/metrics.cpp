@@ -17,10 +17,9 @@ PairedPredictions predict_dataset(core::Model& model,
                                   const data::Dataset& ds,
                                   const data::Scaler& scaler,
                                   std::uint64_t min_delivered,
-                                  core::PredictionTarget target,
-                                  util::ThreadPool* pool) {
+                                  core::PredictionTarget target) {
   data::DatasetSource src(ds);
-  return predict_source(model, src, scaler, min_delivered, target, pool);
+  return predict_source(model, src, scaler, min_delivered, target);
 }
 
 PairedPredictions predict_source(
@@ -33,7 +32,8 @@ PairedPredictions predict_source(
 
   src.reset();
   const std::size_t lanes = pool ? pool->size() : 1;
-  const std::size_t window = std::max<std::size_t>(4 * lanes, 8);
+  const std::size_t window =
+      src.in_memory() ? src.size() : std::max<std::size_t>(4 * lanes, 8);
   std::vector<std::shared_ptr<const data::Sample>> hold;
   hold.reserve(window);
   PairedPredictions pp;

@@ -29,11 +29,12 @@ struct PairedPredictions {
 };
 
 /// Streaming predict over one pass of a SampleSource (DESIGN.md §D):
-/// samples are pulled in bounded windows, batched through
-/// Model::forward_batch (inference mode) and the label-valid paths are
-/// pooled in sample order, de-normalized back to seconds (delay) or
-/// seconds^2 (jitter) per `target`.  Residency stays O(window +
-/// prefetch); a pool parallelizes the per-sample forwards.  `model` is
+/// samples are batched through Model::forward_batch (inference mode)
+/// and the label-valid paths are pooled in sample order, de-normalized
+/// back to seconds (delay) or seconds^2 (jitter) per `target`.  A
+/// streamed source is pulled in bounded windows, so residency stays
+/// O(window + prefetch); an in-memory source goes out as one batch, so
+/// a pool balances mixed graph sizes over the whole pass.  `model` is
 /// taken non-const on purpose: a serve::InferenceEngine's model has a
 /// plan cache attached and is reachable only as `const core::Model&`,
 /// so the type keeps a cache-attached model out of every eval pass (a
@@ -54,8 +55,7 @@ struct PairedPredictions {
 [[nodiscard]] PairedPredictions predict_dataset(
     core::Model& model, const data::Dataset& ds, const data::Scaler& scaler,
     std::uint64_t min_delivered,
-    core::PredictionTarget target = core::PredictionTarget::kDelay,
-    util::ThreadPool* pool = nullptr);
+    core::PredictionTarget target = core::PredictionTarget::kDelay);
 
 /// Signed relative errors (pred - truth) / truth.
 [[nodiscard]] std::vector<double> relative_errors(

@@ -12,8 +12,8 @@
 // --data takes a monolithic .rnxd file or a sharded .rnxm manifest
 // (DESIGN.md §D); data::open_source picks the reader.  Either way one
 // eval::predict_source pass forwards every sample once, writing the CSV
-// rows and pooling the metrics, so memory is bounded by its window (and
-// for a manifest, one shard plus the prefetch depth).
+// rows and pooling the metrics.  A .rnxd file is loaded whole; a
+// manifest keeps one shard plus the prefetch depth in memory.
 #include <fstream>
 #include <functional>
 #include <iostream>
