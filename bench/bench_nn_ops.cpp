@@ -3,7 +3,8 @@
 // transcendentals and full GRU steps (552 paths x 16 state dims is the
 // GEANT2 working set; 256^3 is the throughput-bound shape; 229x12 and
 // 74x12 are the serve model's path and link steps, 229x12 also run in
-// place through GRUCell::step_indexed).
+// place through GRUCell::step_indexed, and taped, forward and backward,
+// as training runs it).
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -176,9 +177,24 @@ int main() {
       path_rows[i] = static_cast<nn::Index>(i * kPaths / kActive);
       elem_ids[i] = static_cast<nn::Index>((i * 7) % kLinks);
     }
-    const nn::NoGradGuard guard;
-    run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
-      (void)cell.step_indexed(links, elem_ids, hidden, path_rows);
+    {
+      const nn::NoGradGuard guard;
+      run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
+        cell.step_indexed(links, elem_ids, hidden, path_rows);
+      });
+    }
+    // The same position as training runs it: taped, then also back-
+    // propagated from the new states (every input requires grad).
+    const nn::Var train_links(rand_tensor(kLinks, kHid, 17), true);
+    const nn::Var train_hidden(rand_tensor(kPaths, kHid, 18), true);
+    run_both("gru_step_taped_229x12", gru_flops(kActive, kHid), [&] {
+      nn::Var h = train_hidden;
+      cell.step_indexed(train_links, elem_ids, h, path_rows);
+    });
+    run_both("gru_step_fwdbwd_229x12", 3.0 * gru_flops(kActive, kHid), [&] {
+      nn::Var h = train_hidden;
+      cell.step_indexed(train_links, elem_ids, h, path_rows);
+      nn::mean_all(h).backward();
     });
   }
   {
@@ -225,6 +241,19 @@ int main() {
     if (c.name == "matmul_256x256x256") result.add("matmul_speedup", c.speedup());
     if (c.name == "gru_step_fwd_552x16") result.add("gru_speedup", c.speedup());
   }
+  // What training pays per path position over serving, on the best
+  // backend: the taped step, and the taped step plus its backward, over
+  // the untaped in-place step at the same shape.
+  const auto simd_s = [&](const std::string& name) {
+    for (const Case& c : cases)
+      if (c.name == name) return c.simd_s;
+    return 0.0;
+  };
+  const double untaped = simd_s("gru_step_indexed_229x12");
+  result.add("gru_taped_over_untaped_229x12",
+             simd_s("gru_step_taped_229x12") / untaped);
+  result.add("gru_fwdbwd_over_untaped_229x12",
+             simd_s("gru_step_fwdbwd_229x12") / untaped);
 
   result.write();
   return 0;

@@ -316,15 +316,12 @@ nn::Var Model::forward(const data::Sample& sample,
       // Extended plans interleave: even positions read node states, odd
       // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
-      const nn::Var h2 = rnn_path_.step_indexed(
-          pos.is_node ? h_node : h_link, pos.elem_ids, hidden, pos.path_rows);
-      // Each active path messages the element it just consumed.  Without
-      // a tape the new rows were written into `hidden` in place (h2 is
-      // undefined) and are read back through path_rows, in row order.
+      rnn_path_.step_indexed(pos.is_node ? h_node : h_link, pos.elem_ids,
+                             hidden, pos.path_rows);
+      // Each active path messages the element it just consumed: its new
+      // state, read back from `hidden` through path_rows, in row order.
       const auto messages = [&](std::size_t num_elems) {
-        return h2.defined() ? nn::segment_sum(h2, pos.elem_ids, num_elems)
-                            : nn::segment_sum(hidden, pos.path_rows,
-                                              pos.elem_ids, num_elems);
+        return nn::segment_sum(hidden, pos.path_rows, pos.elem_ids, num_elems);
       };
       if (!pos.is_node)
         accumulate(link_msg, messages(plan.num_links));

@@ -11,6 +11,18 @@
 
 namespace rnx::nn {
 
+namespace {
+
+/// A pooled copy of src.
+Tensor pooled_copy(const Tensor& src) {
+  Tensor copy = TensorPool::acquire_uninit(src.rows(), src.cols());
+  const auto from = src.flat();
+  std::copy(from.begin(), from.end(), copy.flat().begin());
+  return copy;
+}
+
+}  // namespace
+
 GRUCell::GRUCell(std::size_t input_dim, std::size_t hidden_dim,
                  util::RngStream& rng, std::string name)
     : in_(input_dim), hid_(hidden_dim), name_(std::move(name)) {
@@ -22,9 +34,9 @@ GRUCell::GRUCell(std::size_t input_dim, std::size_t hidden_dim,
   auto b = [&](std::size_t c) {
     return Var(Tensor::zeros(1, c), /*requires_grad=*/true);
   };
-  wxz_ = w(in_, hid_); whz_ = w(hid_, hid_); bz_ = b(hid_);
-  wxr_ = w(in_, hid_); whr_ = w(hid_, hid_); br_ = b(hid_);
-  wxn_ = w(in_, hid_); whn_ = w(hid_, hid_); bn_ = b(hid_);
+  w_.wxz = w(in_, hid_); w_.whz = w(hid_, hid_); w_.bz = b(hid_);
+  w_.wxr = w(in_, hid_); w_.whr = w(hid_, hid_); w_.br = b(hid_);
+  w_.wxn = w(in_, hid_); w_.whn = w(hid_, hid_); w_.bn = b(hid_);
 }
 
 Var GRUCell::step(const Var& x, const Var& h) const {
@@ -50,25 +62,17 @@ bool GRUCell::step_kernel(double* y, const double* x, const Index* x_rows,
                           std::size_t rows) const {
   const auto kernel = kernels::active().gru_step;
   if (kernel == nullptr) return false;
-  const auto p = [](const Var& v) { return v.value().flat().data(); };
-  const kernels::GruWeights w{p(wxz_), p(whz_), p(bz_), p(wxr_), p(whr_),
-                              p(br_),  p(wxn_), p(whn_), p(bn_)};
-  return kernel(y, x, x_rows, h, h_rows, rows, in_, hid_, w);
+  return kernel(y, x, x_rows, h, h_rows, rows, in_, hid_, w_.weights(),
+                nullptr);
 }
 
-Var GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
-                          Var& hidden,
-                          std::span<const Index> path_rows) const {
-  if (!grad_disabled()) {
-    Var h2 = step(gather_rows(src, elem_ids), gather_rows(hidden, path_rows));
-    hidden = scatter_rows(hidden, path_rows, h2);
-    return h2;
-  }
+void GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
+                           Var& hidden,
+                           std::span<const Index> path_rows) const {
   if (src.cols() != in_ || hidden.cols() != hid_ ||
       elem_ids.size() != path_rows.size())
     throw std::invalid_argument("GRUCell::step_indexed (" + name_ +
                                 "): shape mismatch");
-  // The guards gather_rows and scatter_rows apply on the taped path.
   for (const Index e : elem_ids)
     if (e >= src.rows())
       throw std::out_of_range("GRUCell::step_indexed: element id out of range");
@@ -81,20 +85,23 @@ Var GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
       throw std::invalid_argument("GRUCell::step_indexed: duplicate path row");
     seen[r] = 1;
   }
+  if (!grad_disabled()) {
+    hidden = fused_ ? step_rows(src, elem_ids, hidden, path_rows)
+                    : scatter_rows(hidden, path_rows,
+                                   step_composed(
+                                       gather_rows(src, elem_ids),
+                                       gather_rows(hidden, path_rows)));
+    return;
+  }
 
   // Copy-on-write: the caller's other handles keep the old states.
-  if (hidden.node().use_count() > 1) {
-    Tensor copy = TensorPool::acquire_uninit(hidden.rows(), hid_);
-    const auto from = hidden.value().flat();
-    std::copy(from.begin(), from.end(), copy.flat().begin());
-    hidden = Var(std::move(copy));
-  }
+  if (hidden.node().use_count() > 1) hidden = Var(pooled_copy(hidden.value()));
   Tensor& hv = hidden.mutable_value();
   const std::size_t rows = path_rows.size();
   if (fused_ && step_kernel(hv.flat().data(), src.value().flat().data(),
                             elem_ids.data(), hv.flat().data(),
                             path_rows.data(), rows))
-    return Var();
+    return;
 
   // No kernel for this backend or width: step the gathered rows, then
   // write them back in place.
@@ -103,18 +110,17 @@ Var GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
     const auto from = h2.value().row(i);
     std::copy(from.begin(), from.end(), hv.row(path_rows[i]).begin());
   }
-  return Var();
 }
 
 Var GRUCell::step_composed(const Var& x, const Var& h) const {
   if (x.cols() != in_ || h.cols() != hid_ || x.rows() != h.rows())
     throw std::invalid_argument("GRUCell::step_composed: shape mismatch");
   const Var z =
-      sigmoid(add_bias(add(matmul(x, wxz_), matmul(h, whz_)), bz_));
+      sigmoid(add_bias(add(matmul(x, w_.wxz), matmul(h, w_.whz)), w_.bz));
   const Var r =
-      sigmoid(add_bias(add(matmul(x, wxr_), matmul(h, whr_)), br_));
+      sigmoid(add_bias(add(matmul(x, w_.wxr), matmul(h, w_.whr)), w_.br));
   const Var n = tanh_op(
-      add_bias(add(matmul(x, wxn_), matmul(mul(r, h), whn_)), bn_));
+      add_bias(add(matmul(x, w_.wxn), matmul(mul(r, h), w_.whn)), w_.bn));
   // h' = (1 - z) .* n + z .* h
   return add(mul(affine(z, -1.0, 1.0), n), mul(z, h));
 }
@@ -202,169 +208,326 @@ void colsum_acc(Tensor& bias_grad, const Tensor& g) {
   colsum_block_acc(bias_grad, g, 0);
 }
 
-}  // namespace
+/// dst (R x C) = rows idx of src.
+Tensor gather(const Tensor& src, std::span<const Index> idx) {
+  Tensor dst = TensorPool::acquire_uninit(idx.size(), src.cols());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const auto from = src.row(idx[i]);
+    std::copy(from.begin(), from.end(), dst.row(i).begin());
+  }
+  return dst;
+}
 
-Var GRUCell::step_fused(const Var& x, const Var& h) const {
-  const Tensor& xv = x.value();
-  const Tensor& hv = h.value();
-  const std::size_t rows = xv.rows();
-
+/// Composed forward of one step over contiguous rows: y, and z, r and n
+/// for the backward (all R x H, allocated by the caller).
+void composed_forward(const GruParams& p, Tensor& y, const Tensor& xv,
+                      const Tensor& hv, Tensor& z, Tensor& r, Tensor& n) {
+  const std::size_t rows = xv.rows(), in = xv.cols(), hid = hv.cols();
+  const auto& backend = kernels::active();
   // z/r gate pre-activations in one (R x 2H) panel and one kernel call:
   // [x|h] times the stacked concatenated weights [[Wxz|Wxr];[Whz|Whr]].
   // One quarter the kernel launches of the per-gate formulation, and the
   // panel is written in a single pass.
-  Tensor xh = TensorPool::acquire_uninit(rows, in_ + hid_);
+  Tensor xh = TensorPool::acquire_uninit(rows, in + hid);
   concat2(xh, xv, hv);
-  Tensor w_zr = TensorPool::acquire_uninit(in_ + hid_, 2 * hid_);
-  build_zr_panel(w_zr, wxz_.value(), wxr_.value(), whz_.value(),
-                 whr_.value());
-  Tensor a_zr = TensorPool::acquire_uninit(rows, 2 * hid_);
-  broadcast_bias2(a_zr, bz_.value(), br_.value());
+  Tensor w_zr = TensorPool::acquire_uninit(in + hid, 2 * hid);
+  build_zr_panel(w_zr, p.wxz.value(), p.wxr.value(), p.whz.value(),
+                 p.whr.value());
+  Tensor a_zr = TensorPool::acquire_uninit(rows, 2 * hid);
+  broadcast_bias2(a_zr, p.bz.value(), p.br.value());
   matmul_acc(a_zr, xh, w_zr);
   TensorPool::release(std::move(xh));
   TensorPool::release(std::move(w_zr));
-  Tensor an = TensorPool::acquire_uninit(rows, hid_);
-  broadcast_bias(an, bn_.value());
-  matmul_acc(an, xv, wxn_.value());
+  Tensor an = TensorPool::acquire_uninit(rows, hid);
+  broadcast_bias(an, p.bn.value());
+  matmul_acc(an, xv, p.wxn.value());
 
   // z and r gates, then the reset-scaled hidden state feeding the
-  // candidate matmul — one fused backend pass (vector sigmoid on SIMD
-  // backends; this is the hottest elementwise site in serving).
-  const auto& backend = kernels::active();
-  Tensor z = TensorPool::acquire_uninit(rows, hid_);
-  Tensor r = TensorPool::acquire_uninit(rows, hid_);
-  Tensor rh = TensorPool::acquire_uninit(rows, hid_);
+  // candidate matmul — one fused backend pass.
+  Tensor rh = TensorPool::acquire_uninit(rows, hid);
   backend.gru_gates(z.flat().data(), r.flat().data(), rh.flat().data(),
-                    a_zr.flat().data(), hv.flat().data(), rows, hid_);
-  matmul_acc(an, rh, whn_.value());
+                    a_zr.flat().data(), hv.flat().data(), rows, hid);
+  matmul_acc(an, rh, p.whn.value());
 
   // Candidate + state blend fused: n = tanh(an), y = (1-z) n + z h.
-  Tensor n = TensorPool::acquire_uninit(rows, hid_);
-  Tensor y = TensorPool::acquire_uninit(rows, hid_);
   backend.gru_blend(n.flat().data(), y.flat().data(), an.flat().data(),
                     z.flat().data(), hv.flat().data(), y.size());
   TensorPool::release(std::move(a_zr));
   TensorPool::release(std::move(an));
   TensorPool::release(std::move(rh));
+}
 
-  if (grad_disabled()) {
+/// Forward of one step over `rows` rows: row i reads x row x_rows[i]
+/// and h row h_rows[i] and writes y row h_rows[i] (null index arrays:
+/// row i), and z, r and n (R x H, row i) are filled for the backward.
+/// The backend's whole-step kernel when it has one for this width, else
+/// the composed passes.
+void forward_saving(const GruParams& p, Tensor& y, const Tensor& xv,
+                    const Index* x_rows, const Tensor& hv,
+                    const Index* h_rows, std::size_t rows, Tensor& z,
+                    Tensor& r, Tensor& n) {
+  const std::size_t hid = hv.cols();
+  z = TensorPool::acquire_uninit(rows, hid);
+  r = TensorPool::acquire_uninit(rows, hid);
+  n = TensorPool::acquire_uninit(rows, hid);
+  if (rows == 0) return;
+  const auto kernel = kernels::active().gru_step;
+  const kernels::GruActs save{z.flat().data(), r.flat().data(),
+                              n.flat().data()};
+  if (kernel != nullptr &&
+      kernel(y.flat().data(), xv.flat().data(), x_rows, hv.flat().data(),
+             h_rows, rows, xv.cols(), hid, p.weights(), &save))
+    return;
+  if (h_rows == nullptr) {
+    composed_forward(p, y, xv, hv, z, r, n);
+    return;
+  }
+  Tensor xs = gather(xv, {x_rows, rows});
+  Tensor hs = gather(hv, {h_rows, rows});
+  Tensor ys = TensorPool::acquire_uninit(rows, hid);
+  composed_forward(p, ys, xs, hs, z, r, n);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto from = ys.row(i);
+    std::copy(from.begin(), from.end(), y.row(h_rows[i]).begin());
+  }
+  TensorPool::release(std::move(xs));
+  TensorPool::release(std::move(hs));
+  TensorPool::release(std::move(ys));
+}
+
+/// Backward of one step over contiguous rows: adds the parameter grads
+/// and, when xg / hg are non-null, dL/dx and dL/dh into them.  The
+/// backend's backward kernel when it has one for this shape (bitwise
+/// equal to what follows on that backend), else the composed backward.
+void backward(GruParams& p, const Tensor& g, const Tensor& xval,
+              const Tensor& hval, const Tensor& z, const Tensor& r,
+              const Tensor& n, Tensor* xg, Tensor* hg) {
+  const std::size_t nrows = g.rows(), hid = g.cols();
+  const std::size_t in_dim = xval.cols();
+  const auto kernel = kernels::active().gru_step_backward;
+  if (kernel != nullptr &&
+      kernel(xg != nullptr ? xg->flat().data() : nullptr,
+             hg != nullptr ? hg->flat().data() : nullptr, p.grads(),
+             g.flat().data(), xval.flat().data(), hval.flat().data(),
+             z.flat().data(), r.flat().data(), n.flat().data(), nrows, in_dim,
+             hid, p.weights()))
+    return;
+
+  // dan = g (1-z) (1-n^2);  daz = g (h-n) z (1-z);
+  // rh2  = r h (recomputed — cheaper than storing a 4th tensor).
+  // daz lands in the left block of the (R x 2H) d_zr panel so the
+  // z/r gate grads flow through concatenated matmuls.
+  Tensor dan = TensorPool::acquire_uninit(nrows, hid);
+  Tensor d_zr = TensorPool::acquire_uninit(nrows, 2 * hid);
+  Tensor rh2 = TensorPool::acquire_uninit(nrows, hid);
+  for (std::size_t row = 0; row < nrows; ++row) {
+    const double* grow = g.row(row).data();
+    const double* zrow = z.row(row).data();
+    const double* rrow = r.row(row).data();
+    const double* nrow = n.row(row).data();
+    const double* hrow = hval.row(row).data();
+    double* danrow = dan.row(row).data();
+    double* dzr = d_zr.row(row).data();
+    double* rhrow = rh2.row(row).data();
+    for (std::size_t c = 0; c < hid; ++c) {
+      danrow[c] = grow[c] * (1.0 - zrow[c]) * (1.0 - nrow[c] * nrow[c]);
+      dzr[c] = grow[c] * (hrow[c] - nrow[c]) * zrow[c] * (1.0 - zrow[c]);
+      rhrow[c] = rrow[c] * hrow[c];
+    }
+  }
+
+  // Candidate-gate parameter grads.
+  if (p.bn.requires_grad()) colsum_acc(p.bn.grad_ref(), dan);
+  if (p.wxn.requires_grad()) matmul_tn_acc(p.wxn.grad_ref(), xval, dan);
+  if (p.whn.requires_grad()) matmul_tn_acc(p.whn.grad_ref(), rh2, dan);
+
+  // drh = dan Whn^T routes the candidate grad into r and h;
+  // dar = (drh h) r (1-r) fills the right block of d_zr.
+  Tensor drh = TensorPool::acquire(nrows, hid);
+  matmul_nt_acc(drh, dan, p.whn.value());
+  for (std::size_t row = 0; row < nrows; ++row) {
+    const double* drhrow = drh.row(row).data();
+    const double* rrow = r.row(row).data();
+    const double* hrow = hval.row(row).data();
+    double* dzr = d_zr.row(row).data() + hid;
+    for (std::size_t c = 0; c < hid; ++c)
+      dzr[c] = drhrow[c] * hrow[c] * rrow[c] * (1.0 - rrow[c]);
+  }
+
+  if (p.bz.requires_grad()) colsum_block_acc(p.bz.grad_ref(), d_zr, 0);
+  if (p.br.requires_grad()) colsum_block_acc(p.br.grad_ref(), d_zr, hid);
+
+  // Stacked z/r weight grads: [x|h]^T d_zr is one ((in+hid) x 2H)
+  // panel holding all four gate-weight gradients as sub-blocks.
+  {
+    Tensor xh2 = TensorPool::acquire_uninit(nrows, in_dim + hid);
+    concat2(xh2, xval, hval);
+    Tensor dw = TensorPool::acquire(in_dim + hid, 2 * hid);
+    matmul_tn_acc(dw, xh2, d_zr);
+    if (p.wxz.requires_grad()) add_block(p.wxz.grad_ref(), dw, 0, 0);
+    if (p.wxr.requires_grad()) add_block(p.wxr.grad_ref(), dw, 0, hid);
+    if (p.whz.requires_grad()) add_block(p.whz.grad_ref(), dw, in_dim, 0);
+    if (p.whr.requires_grad()) add_block(p.whr.grad_ref(), dw, in_dim, hid);
+    TensorPool::release(std::move(xh2));
+    TensorPool::release(std::move(dw));
+  }
+
+  if (xg != nullptr || hg != nullptr) {
+    // d[x|h] = d_zr [[Wxz|Wxr];[Whz|Whr]]^T in one call, split back
+    // into the input gradients.
+    Tensor wzr2 = TensorPool::acquire_uninit(in_dim + hid, 2 * hid);
+    build_zr_panel(wzr2, p.wxz.value(), p.wxr.value(), p.whz.value(),
+                   p.whr.value());
+    Tensor dxh = TensorPool::acquire(nrows, in_dim + hid);
+    matmul_nt_acc(dxh, d_zr, wzr2);
+    if (xg != nullptr) {
+      add_block(*xg, dxh, 0, 0);
+      matmul_nt_acc(*xg, dan, p.wxn.value());
+    }
+    if (hg != nullptr) {
+      add_block(*hg, dxh, 0, in_dim);
+      const auto gf = g.flat();
+      const auto zf = z.flat(), rf = r.flat();
+      const auto drhf = drh.flat();
+      auto hgf = hg->flat();
+      // dh += g z (direct blend term) + drh r (through the reset).
+      for (std::size_t i = 0; i < hgf.size(); ++i)
+        hgf[i] += gf[i] * zf[i] + drhf[i] * rf[i];
+    }
+    TensorPool::release(std::move(wzr2));
+    TensorPool::release(std::move(dxh));
+  }
+
+  TensorPool::release(std::move(dan));
+  TensorPool::release(std::move(d_zr));
+  TensorPool::release(std::move(rh2));
+  TensorPool::release(std::move(drh));
+}
+
+/// The activations a taped step keeps for its backward; returned to the
+/// pool with the tape.
+struct StepTape {
+  Tensor z, r, n;
+
+  StepTape() = default;
+  StepTape(const StepTape&) = default;
+  StepTape(StepTape&&) = default;
+  StepTape& operator=(const StepTape&) = default;
+  StepTape& operator=(StepTape&&) = default;
+  ~StepTape() {
     TensorPool::release(std::move(z));
     TensorPool::release(std::move(r));
     TensorPool::release(std::move(n));
-    return Var(std::move(y));
   }
+};
 
-  // One tape node for the whole step.  Saved activations: z, r, n.
+/// dst rows idx += src (R x C), i ascending.
+void scatter_add(Tensor& dst, const std::vector<Index>& idx,
+                 const Tensor& src) {
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    auto to = dst.row(idx[i]);
+    const auto from = src.row(i);
+    for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
+  }
+}
+
+}  // namespace
+
+kernels::GruWeights GruParams::weights() const {
+  const auto p = [](const Var& v) { return v.value().flat().data(); };
+  return {p(wxz), p(whz), p(bz), p(wxr), p(whr), p(br),
+          p(wxn), p(whn), p(bn)};
+}
+
+kernels::GruGrads GruParams::grads() {
+  const auto p = [](Var& v) { return v.grad_ref().flat().data(); };
+  return {p(wxz), p(whz), p(bz), p(wxr), p(whr), p(br),
+          p(wxn), p(whn), p(bn)};
+}
+
+Var GRUCell::step_fused(const Var& x, const Var& h) const {
+  StepTape tape;
+  Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
+  forward_saving(w_, y, x.value(), nullptr, h.value(), nullptr, x.rows(),
+                 tape.z, tape.r, tape.n);
+  if (grad_disabled()) return Var(std::move(y));
+
+  // One tape node for the whole step.
   return Var::make(
       std::move(y),
-      {x, h, wxz_, whz_, bz_, wxr_, whr_, br_, wxn_, whn_, bn_},
-      [x = Var(x), h = Var(h), wxz = wxz_, whz = whz_, bz = bz_,
-       wxr = wxr_, whr = whr_, br = br_, wxn = wxn_, whn = whn_, bn = bn_,
-       z = std::move(z), r = std::move(r),
-       n = std::move(n)](const Tensor& g) mutable {
-        const Tensor& xval = x.value();
-        const Tensor& hval = h.value();
-        const std::size_t nrows = g.rows(), hid = g.cols();
+      {x, h, w_.wxz, w_.whz, w_.bz, w_.wxr, w_.whr, w_.br, w_.wxn, w_.whn,
+       w_.bn},
+      [x = Var(x), h = Var(h), p = w_,
+       tape = std::move(tape)](const Tensor& g) mutable {
+        backward(p, g, x.value(), h.value(), tape.z, tape.r, tape.n,
+                 x.requires_grad() ? &x.grad_ref() : nullptr,
+                 h.requires_grad() ? &h.grad_ref() : nullptr);
+      });
+}
 
-        // dan = g (1-z) (1-n^2);  daz = g (h-n) z (1-z);
-        // rh2  = r h (recomputed — cheaper than storing a 4th tensor).
-        // daz lands in the left block of the (R x 2H) d_zr panel so the
-        // z/r gate grads flow through concatenated matmuls.
-        Tensor dan = TensorPool::acquire_uninit(nrows, hid);
-        Tensor d_zr = TensorPool::acquire_uninit(nrows, 2 * hid);
-        Tensor rh2 = TensorPool::acquire_uninit(nrows, hid);
-        for (std::size_t row = 0; row < nrows; ++row) {
-          const double* grow = g.row(row).data();
-          const double* zrow = z.row(row).data();
-          const double* rrow = r.row(row).data();
-          const double* nrow = n.row(row).data();
-          const double* hrow = hval.row(row).data();
-          double* danrow = dan.row(row).data();
-          double* dzr = d_zr.row(row).data();
-          double* rhrow = rh2.row(row).data();
-          for (std::size_t c = 0; c < hid; ++c) {
-            danrow[c] = grow[c] * (1.0 - zrow[c]) * (1.0 - nrow[c] * nrow[c]);
-            dzr[c] = grow[c] * (hrow[c] - nrow[c]) * zrow[c] * (1.0 - zrow[c]);
-            rhrow[c] = rrow[c] * hrow[c];
+Var GRUCell::step_rows(const Var& src, std::span<const Index> elem_ids,
+                       const Var& hidden,
+                       std::span<const Index> path_rows) const {
+  StepTape tape;
+  Tensor next = pooled_copy(hidden.value());
+  forward_saving(w_, next, src.value(), elem_ids.data(), hidden.value(),
+                 path_rows.data(), path_rows.size(), tape.z, tape.r, tape.n);
+
+  // src before hidden is load-bearing: the backward sweep then reaches a
+  // position's messages (segment_sum over these rows) before the node
+  // rule's read of the last position's states, and adds their grads
+  // last, as the separate step output of gather -> step -> scatter did.
+  // TrainGolden and ModelGolden pin it.
+  return Var::make(
+      std::move(next),
+      {src, hidden, w_.wxz, w_.whz, w_.bz, w_.wxr, w_.whr, w_.br, w_.wxn,
+       w_.whn, w_.bn},
+      [src = Var(src), hidden = Var(hidden), p = w_, tape = std::move(tape),
+       elem_ids = std::vector<Index>(elem_ids.begin(), elem_ids.end()),
+       path_rows = std::vector<Index>(path_rows.begin(), path_rows.end())](
+          const Tensor& g) mutable {
+        // The rows left alone pass their grad through; the stepped rows'
+        // grad drives the step, whose input grads land in fresh rows
+        // first and then in the sources, the sums the gathers formed.
+        if (hidden.requires_grad()) {
+          thread_local std::vector<char> stepped;
+          stepped.assign(g.rows(), 0);
+          for (const Index r : path_rows) stepped[r] = 1;
+          Tensor& hg = hidden.grad_ref();
+          for (std::size_t r = 0; r < g.rows(); ++r) {
+            if (stepped[r] != 0) continue;
+            auto to = hg.row(r);
+            const auto from = g.row(r);
+            for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
           }
         }
-
-        // Candidate-gate parameter grads.
-        if (bn.requires_grad()) colsum_acc(bn.grad_ref(), dan);
-        if (wxn.requires_grad()) matmul_tn_acc(wxn.grad_ref(), xval, dan);
-        if (whn.requires_grad()) matmul_tn_acc(whn.grad_ref(), rh2, dan);
-
-        // drh = dan Whn^T routes the candidate grad into r and h;
-        // dar = (drh h) r (1-r) fills the right block of d_zr.
-        Tensor drh = TensorPool::acquire(nrows, hid);
-        matmul_nt_acc(drh, dan, whn.value());
-        for (std::size_t row = 0; row < nrows; ++row) {
-          const double* drhrow = drh.row(row).data();
-          const double* rrow = r.row(row).data();
-          const double* hrow = hval.row(row).data();
-          double* dzr = d_zr.row(row).data() + hid;
-          for (std::size_t c = 0; c < hid; ++c)
-            dzr[c] = drhrow[c] * hrow[c] * rrow[c] * (1.0 - rrow[c]);
-        }
-
-        if (bz.requires_grad()) colsum_block_acc(bz.grad_ref(), d_zr, 0);
-        if (br.requires_grad()) colsum_block_acc(br.grad_ref(), d_zr, hid);
-
-        // Stacked z/r weight grads: [x|h]^T d_zr is one ((in+hid) x 2H)
-        // panel holding all four gate-weight gradients as sub-blocks.
-        const std::size_t in_dim = xval.cols();
-        {
-          Tensor xh2 = TensorPool::acquire_uninit(nrows, in_dim + hid);
-          concat2(xh2, xval, hval);
-          Tensor dw = TensorPool::acquire(in_dim + hid, 2 * hid);
-          matmul_tn_acc(dw, xh2, d_zr);
-          if (wxz.requires_grad()) add_block(wxz.grad_ref(), dw, 0, 0);
-          if (wxr.requires_grad()) add_block(wxr.grad_ref(), dw, 0, hid);
-          if (whz.requires_grad()) add_block(whz.grad_ref(), dw, in_dim, 0);
-          if (whr.requires_grad()) add_block(whr.grad_ref(), dw, in_dim, hid);
-          TensorPool::release(std::move(xh2));
-          TensorPool::release(std::move(dw));
-        }
-
-        if (x.requires_grad() || h.requires_grad()) {
-          // d[x|h] = d_zr [[Wxz|Wxr];[Whz|Whr]]^T in one call, split back
-          // into the input gradients.
-          Tensor wzr2 = TensorPool::acquire_uninit(in_dim + hid, 2 * hid);
-          build_zr_panel(wzr2, wxz.value(), wxr.value(), whz.value(),
-                         whr.value());
-          Tensor dxh = TensorPool::acquire(nrows, in_dim + hid);
-          matmul_nt_acc(dxh, d_zr, wzr2);
-          if (x.requires_grad()) {
-            Tensor& xg = x.grad_ref();
-            add_block(xg, dxh, 0, 0);
-            matmul_nt_acc(xg, dan, wxn.value());
-          }
-          if (h.requires_grad()) {
-            Tensor& hg = h.grad_ref();
-            add_block(hg, dxh, 0, in_dim);
-            const auto gf = g.flat();
-            const auto zf = z.flat(), rf = r.flat();
-            const auto drhf = drh.flat();
-            auto hgf = hg.flat();
-            // dh += g z (direct blend term) + drh r (through the reset).
-            for (std::size_t i = 0; i < hgf.size(); ++i)
-              hgf[i] += gf[i] * zf[i] + drhf[i] * rf[i];
-          }
-          TensorPool::release(std::move(wzr2));
-          TensorPool::release(std::move(dxh));
-        }
-
-        TensorPool::release(std::move(dan));
-        TensorPool::release(std::move(d_zr));
-        TensorPool::release(std::move(rh2));
-        TensorPool::release(std::move(drh));
+        Tensor gy = gather(g, path_rows);
+        Tensor xs = gather(src.value(), elem_ids);
+        Tensor hs = gather(hidden.value(), path_rows);
+        Tensor dx, dh;
+        if (src.requires_grad()) dx = TensorPool::acquire(xs.rows(), xs.cols());
+        if (hidden.requires_grad())
+          dh = TensorPool::acquire(hs.rows(), hs.cols());
+        backward(p, gy, xs, hs, tape.z, tape.r, tape.n,
+                 src.requires_grad() ? &dx : nullptr,
+                 hidden.requires_grad() ? &dh : nullptr);
+        if (hidden.requires_grad())
+          scatter_add(hidden.grad_ref(), path_rows, dh);
+        if (src.requires_grad()) scatter_add(src.grad_ref(), elem_ids, dx);
+        TensorPool::release(std::move(gy));
+        TensorPool::release(std::move(xs));
+        TensorPool::release(std::move(hs));
+        TensorPool::release(std::move(dx));
+        TensorPool::release(std::move(dh));
       });
 }
 
 std::vector<std::pair<std::string, Var>> GRUCell::named_params() const {
-  return {{name_ + ".wxz", wxz_}, {name_ + ".whz", whz_}, {name_ + ".bz", bz_},
-          {name_ + ".wxr", wxr_}, {name_ + ".whr", whr_}, {name_ + ".br", br_},
-          {name_ + ".wxn", wxn_}, {name_ + ".whn", whn_}, {name_ + ".bn", bn_}};
+  return {{name_ + ".wxz", w_.wxz}, {name_ + ".whz", w_.whz},
+          {name_ + ".bz", w_.bz},   {name_ + ".wxr", w_.wxr},
+          {name_ + ".whr", w_.whr}, {name_ + ".br", w_.br},
+          {name_ + ".wxn", w_.wxn}, {name_ + ".whn", w_.whn},
+          {name_ + ".bn", w_.bn}};
 }
 
 }  // namespace rnx::nn

@@ -9,17 +9,17 @@
 //   n = tanh  (x Wxn + (r .* h) Whn + bn)    (candidate)
 //   h' = (1 - z) .* n + z .* h
 //
-// step() runs a fused kernel: the gate pre-activations are accumulated
-// with batched matmuls into pooled scratch tensors, the gate
-// nonlinearities and the state blend happen in one elementwise pass, and
-// the whole step records a single tape node with a hand-written backward
+// step() runs a fused kernel: one tape node with a hand-written backward
 // (~15 tape nodes in the op-by-op formulation).  step_composed() keeps
 // the original composition; tests/gru_fused_test.cpp pins the two
 // against each other and against central differences.
 //
-// With no tape recorded (NoGradGuard), the fused path runs the backend's
-// whole-step kernel when it has one for this width (kernels::Backend::
-// gru_step, bitwise-equal to the composed passes) — see DESIGN.md §K.
+// The fused step runs the backend's whole-step kernels when it has them
+// for this width (kernels::Backend::gru_step and gru_step_backward, AVX2
+// at H in {4, 8, 12, 16}), else matmul kernels and fused gate/blend
+// passes.  Both routes give the same bits on one backend, values and
+// gradients alike (DESIGN.md §K).  Without a tape the kernel saves
+// nothing; with one it also stores z, r and n for the backward.
 #pragma once
 
 #include <span>
@@ -28,10 +28,23 @@
 #include <vector>
 
 #include "nn/autograd.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "util/rng.hpp"
 
 namespace rnx::nn {
+
+/// The nine parameters of one GRU cell.  The Vars share the cell's tape
+/// nodes, so a copy keeps them alive and sees optimizer updates.
+struct GruParams {
+  Var wxz, whz, bz;
+  Var wxr, whr, br;
+  Var wxn, whn, bn;
+
+  [[nodiscard]] kernels::GruWeights weights() const;
+  /// The grad buffers, allocated on first use.
+  [[nodiscard]] kernels::GruGrads grads();
+};
 
 class GRUCell {
  public:
@@ -41,24 +54,22 @@ class GRUCell {
 
   /// One step: x is (R x input_dim), h is (R x hidden_dim); returns the
   /// new hidden state (R x hidden_dim).  Differentiable through both.
-  /// Dispatches to the fused kernel unless set_fused(false); with no
-  /// tape recorded that is the backend's whole-step kernel when it has
-  /// one for this width.
+  /// Runs the fused step unless set_fused(false): the backend's
+  /// whole-step kernels when it has them for this width, taped or not.
   [[nodiscard]] Var step(const Var& x, const Var& h) const;
 
   /// One step over rows taken by index, as the position-vectorized path
   /// RNN runs it: x = src[elem_ids], h = hidden[path_rows], and the new
-  /// states replace hidden's path_rows.  With a tape this records
-  /// exactly gather_rows -> step -> scatter_rows (hidden becomes the
-  /// scatter output) and returns the (R x hidden_dim) new rows.  Without
-  /// one, hidden's rows are updated in place — after a copy if another
-  /// Var shares hidden's tensor — and the result is an undefined Var: the
-  /// new rows are hidden's path_rows.  Throws std::out_of_range for an id
-  /// or row out of range and std::invalid_argument for a repeated row,
-  /// before any state is read.
-  [[nodiscard]] Var step_indexed(const Var& src,
-                                 std::span<const Index> elem_ids, Var& hidden,
-                                 std::span<const Index> path_rows) const;
+  /// states replace hidden's path_rows, where the caller reads them.
+  /// With a tape, hidden becomes one new node that holds the stepped
+  /// states and saves only z, r and n of the R stepped rows; its values
+  /// and grads equal those of gather_rows -> step -> scatter_rows bit for
+  /// bit.  Without one, hidden's rows are updated in place — after a copy
+  /// if another Var shares hidden's tensor.  Throws std::out_of_range for
+  /// an id or row out of range and std::invalid_argument for a repeated
+  /// row, before any state is read.
+  void step_indexed(const Var& src, std::span<const Index> elem_ids,
+                    Var& hidden, std::span<const Index> path_rows) const;
 
   /// The op-by-op composition of the same function (reference path for
   /// gradcheck parity and the speedup ablation).
@@ -76,6 +87,11 @@ class GRUCell {
 
  private:
   [[nodiscard]] Var step_fused(const Var& x, const Var& h) const;
+  /// The taped step of step_indexed: the new (P x hidden_dim) states as
+  /// one node over validated rows.
+  [[nodiscard]] Var step_rows(const Var& src, std::span<const Index> elem_ids,
+                              const Var& hidden,
+                              std::span<const Index> path_rows) const;
   /// The backend's whole-step kernel (kernels::Backend::gru_step) on raw
   /// rows; false when the active backend has none for this width.
   bool step_kernel(double* y, const double* x, const Index* x_rows,
@@ -86,9 +102,7 @@ class GRUCell {
   std::size_t hid_;
   std::string name_;
   bool fused_ = true;
-  Var wxz_, whz_, bz_;
-  Var wxr_, whr_, br_;
-  Var wxn_, whn_, bn_;
+  GruParams w_;
 };
 
 }  // namespace rnx::nn

@@ -162,6 +162,7 @@ const Backend& scalar_backend() noexcept {
       &scalar::gru_gates,
       &scalar::gru_blend,
       nullptr,  // gru_step: the composed path is the reference
+      nullptr,  // gru_step_backward: likewise
   };
   return backend;
 }

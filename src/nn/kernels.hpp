@@ -16,9 +16,12 @@
 //                those results are pinned to a small-ulp bound instead
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
 //
-// Only avx2+fma provides the optional whole-step `gru_step` kernel, for
-// narrow hidden widths; its output is bitwise-equal to the same
-// backend's matmul + gru_gates + gru_blend composition (DESIGN.md §K).
+// Only avx2+fma provides the optional whole-step GRU kernels, for narrow
+// hidden widths: `gru_step` (the forward, which a taped step also runs to
+// save the activations its backward needs) and `gru_step_backward`.
+// Their outputs and gradients are bitwise-equal to the same backend's
+// composition of matmul kernels and gru_gates / gru_blend passes
+// (DESIGN.md §K).
 //
 // Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
 // x86-64, scalar otherwise — aarch64 included).  RNX_SIMD=scalar forces
@@ -53,6 +56,28 @@ struct GruWeights {
   const double* wxn;
   const double* whn;
   const double* bn;
+};
+
+/// Gradient accumulators of the same nine parameters, laid out as
+/// GruWeights.
+struct GruGrads {
+  double* wxz;
+  double* whz;
+  double* bz;
+  double* wxr;
+  double* whr;
+  double* br;
+  double* wxn;
+  double* whn;
+  double* bn;
+};
+
+/// What a taped step saves for its backward, each (rows x hid), row i
+/// for the i-th stepped row: z, r and the candidate n = tanh(.).
+struct GruActs {
+  double* z;
+  double* r;
+  double* n;
 };
 
 /// One kernel backend.  All matrices are dense row-major double; `acc`
@@ -100,17 +125,32 @@ struct Backend {
   void (*gru_blend)(double* nout, double* y, const double* an,
                     const double* z, const double* h, std::size_t n);
 
-  // -- whole GRU step over indexed rows (optional; nullptr if absent) ---
-  /// One inference step for `rows` rows: row i reads x row x_rows[i]
-  /// (in wide) and h row h_rows[i] (hid wide) and writes the new state
-  /// to y row h_rows[i]; a null index array means row i.  y may be h
-  /// itself (in-place update) — the h_rows must then be distinct — but
-  /// must not overlap x.  Indices are trusted: callers validate them.  Returns false, having
+  // -- whole GRU step (optional; nullptr if absent) ----------------------
+  /// One step for `rows` rows: row i reads x row x_rows[i] (in wide) and
+  /// h row h_rows[i] (hid wide) and writes the new state to y row
+  /// h_rows[i]; a null index array means row i.  y may be h itself
+  /// (in-place update) — the h_rows must then be distinct — but must not
+  /// overlap x.  Indices are trusted: callers validate them.  A non-null
+  /// `save` also receives z, r and n (a separate instantiation, so the
+  /// untaped step serving runs is unchanged).  Returns false, having
   /// touched nothing, when the backend has no kernel for `hid`.
   bool (*gru_step)(double* y, const double* x, const std::uint32_t* x_rows,
                    const double* h, const std::uint32_t* h_rows,
                    std::size_t rows, std::size_t in, std::size_t hid,
-                   const GruWeights& w);
+                   const GruWeights& w, const GruActs* save);
+  /// Backward of one saved step over contiguous rows: g is dL/dy, x and
+  /// h the step's inputs, z/r/n its saved activations.  Adds dL/dx into
+  /// dx (rows x in) and dL/dh into dh (rows x hid) — either may be null —
+  /// and the parameter gradients into dw, each cell in the order the
+  /// composed backward of the same backend uses.
+  /// Returns false, having touched nothing, when the backend has no
+  /// kernel for (in, hid).
+  bool (*gru_step_backward)(double* dx, double* dh, const GruGrads& dw,
+                            const double* g, const double* x,
+                            const double* h, const double* z,
+                            const double* r, const double* n,
+                            std::size_t rows, std::size_t in,
+                            std::size_t hid, const GruWeights& w);
 };
 
 /// The reference backend (always available).

@@ -610,11 +610,14 @@ inline void store_acc(double (&dst)[G][R][4 * V],
 
 // One block of R rows.  Pre-activations: bias, then the x terms, then
 // the h terms (z/r) or r.*h terms (candidate) — the stacked [x|h] and
-// [x|r.*h] reductions of step_fused, cell by cell.
-template <std::size_t V, std::size_t R>
+// [x|r.*h] reductions of step_fused, cell by cell.  kSave also copies z,
+// r and n out for a taped step's backward; kSave = false compiles to the
+// untaped step alone.
+template <std::size_t V, std::size_t R, bool kSave>
 inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
                       const double* h, const std::uint32_t* h_rows,
-                      std::size_t i0, std::size_t in, const GruWeights& w) {
+                      std::size_t i0, std::size_t in, const GruWeights& w,
+                      const GruActs& save) {
   constexpr std::size_t kHid = 4 * V;
   const double* xr[R];
   const double* hr[R];
@@ -633,6 +636,11 @@ inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
     store_acc<2, V, R>(zr, acc);
   }
   vsigmoid(zr[0][0], zr[0][0], 2 * R * kHid);
+  if constexpr (kSave)
+    for (std::size_t r = 0; r < R; ++r) {
+      std::memcpy(save.z + (i0 + r) * kHid, zr[0][r], kHid * sizeof(double));
+      std::memcpy(save.r + (i0 + r) * kHid, zr[1][r], kHid * sizeof(double));
+    }
   const double* rh[R];
   for (std::size_t r = 0; r < R; ++r) {
     vmul(zr[1][r], zr[1][r], hr[r], kHid);
@@ -649,6 +657,8 @@ inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
     store_acc<1, V, R>(cand, acc);
   }
   vtanh(cand[0][0], cand[0][0], R * kHid);
+  if constexpr (kSave)
+    std::memcpy(save.n + i0 * kHid, cand[0][0], R * kHid * sizeof(double));
 
   // Blend y = (1 - z) .* n + z .* h.  Row r's h is read in full before
   // its y is written, and no other row reads it, so y may be h itself.
@@ -668,26 +678,300 @@ inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
   }
 }
 
+template <std::size_t V, std::size_t R, bool kSave>
+void gru_rows(double* y, const double* x, const std::uint32_t* x_rows,
+              const double* h, const std::uint32_t* h_rows, std::size_t rows,
+              std::size_t in, const GruWeights& w, const GruActs& save) {
+  std::size_t i = 0;
+  for (; i + R <= rows; i += R)
+    gru_block<V, R, kSave>(y, x, x_rows, h, h_rows, i, in, w, save);
+  for (; i < rows; ++i)
+    gru_block<V, 1, kSave>(y, x, x_rows, h, h_rows, i, in, w, save);
+}
+
 template <std::size_t V, std::size_t R>
 void gru_rows(double* y, const double* x, const std::uint32_t* x_rows,
               const double* h, const std::uint32_t* h_rows, std::size_t rows,
-              std::size_t in, const GruWeights& w) {
-  std::size_t i = 0;
-  for (; i + R <= rows; i += R)
-    gru_block<V, R>(y, x, x_rows, h, h_rows, i, in, w);
-  for (; i < rows; ++i) gru_block<V, 1>(y, x, x_rows, h, h_rows, i, in, w);
+              std::size_t in, const GruWeights& w, const GruActs* save) {
+  if (save != nullptr)
+    gru_rows<V, R, true>(y, x, x_rows, h, h_rows, rows, in, w, *save);
+  else
+    gru_rows<V, R, false>(y, x, x_rows, h, h_rows, rows, in, w, GruActs{});
 }
 
 bool gru_step(double* y, const double* x, const std::uint32_t* x_rows,
               const double* h, const std::uint32_t* h_rows, std::size_t rows,
-              std::size_t in, std::size_t hid, const GruWeights& w) {
+              std::size_t in, std::size_t hid, const GruWeights& w,
+              const GruActs* save) {
   // Rows per block: enough independent FMA chains (2RV = 8..12) to cover
   // the FMA latency without spilling the 16 ymm registers.
   switch (hid) {
-    case 4: gru_rows<1, 4>(y, x, x_rows, h, h_rows, rows, in, w); return true;
-    case 8: gru_rows<2, 2>(y, x, x_rows, h, h_rows, rows, in, w); return true;
-    case 12: gru_rows<3, 2>(y, x, x_rows, h, h_rows, rows, in, w); return true;
-    case 16: gru_rows<4, 1>(y, x, x_rows, h, h_rows, rows, in, w); return true;
+    case 4:
+      gru_rows<1, 4>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      return true;
+    case 8:
+      gru_rows<2, 2>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      return true;
+    case 12:
+      gru_rows<3, 2>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      return true;
+    case 16:
+      gru_rows<4, 1>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      return true;
+    default: return false;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// gru_step_backward: the backward of one saved step, hid = 4V, in = 4M.
+//
+// Bitwise contract: every gradient cell goes through the operation
+// sequence of gru.cpp's composed backward on this backend:
+//   * dan = g (1-z) (1-n n) and daz = g (h-n) z (1-z), unfused, left to
+//     right; dar = drh h r (1-r) likewise;
+//   * drh = 0 + dan Whn^T; dx += 0 + dzr [Wxz|Wxr]^T, then dx += dan
+//     Wxn^T; dh += 0 + dzr [Whz|Whr]^T, then dh += g z + drh r.  Every
+//     dot runs in matmul_nt_acc's lane order: lane l sums the terms
+//     p = l mod 4 in ascending p as FMA, then (l0 + l1) + (l2 + l3).
+//     With in and hid multiples of 4 every output column is in a full
+//     4-column group, so no column takes matmul_nt_acc's scalar tail;
+//   * weight grads in matmul_tn_acc's per-cell order, one FMA per row,
+//     rows ascending.  Wxn and Whn accumulate onto the grad; the four
+//     z/r weights into a fresh block (from zero) that is then added to
+//     the grad, as the composed backward's stacked [x|h] panel does;
+//   * bias grads as column sums, rows ascending, onto the grad (an FMA
+//     with 1.0 rounds exactly like the add).
+// Phase 1 walks the rows once with dan and dzr = [daz | dar] in
+// registers, writes the input grads and stores dan, dzr and r.*h.
+// Phase 2 sweeps the weight and bias grads with register accumulator
+// tiles, one L1-sized block of rows at a time; a cell's FMA chain
+// carries over from block to block through memory, unchanged.
+// ---------------------------------------------------------------------------
+
+/// The four dots a . b_q (q < 4) in matmul_nt_acc's lane order; row(q, u)
+/// points at vector u of b_q.
+template <std::size_t N, class Row>
+inline __m256d nt_dot4(const __m256d (&a)[N], Row row) {
+  __m256d acc[4];
+  for (std::size_t q = 0; q < 4; ++q) acc[q] = _mm256_setzero_pd();
+  for (std::size_t u = 0; u < N; ++u)
+    for (std::size_t q = 0; q < 4; ++q)
+      acc[q] = _mm256_fmadd_pd(a[u], _mm256_loadu_pd(row(q, u)), acc[q]);
+  return hsum4(acc[0], acc[1], acc[2], acc[3]);
+}
+
+// Phase 1 for row i.  The scratch rows are dan (hid), dzr (2 hid) and
+// rh (hid) wide.
+template <std::size_t V>
+inline void gru_backward_row(double* dx, double* dh, const double* g,
+                             const double* h, const double* z,
+                             const double* r, const double* n, std::size_t i,
+                             std::size_t in, const GruWeights& w,
+                             double* dan_out, double* dzr_out,
+                             double* rh_out) {
+  constexpr std::size_t kHid = 4 * V;
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const double* gi = g + i * kHid;
+  const double* zi = z + i * kHid;
+  const double* ri = r + i * kHid;
+  const double* ni = n + i * kHid;
+  const double* hi = h + i * kHid;
+
+  __m256d dan[V], dzr[2 * V];
+  for (std::size_t v = 0; v < V; ++v) {
+    const __m256d gv = _mm256_loadu_pd(gi + 4 * v);
+    const __m256d zv = _mm256_loadu_pd(zi + 4 * v);
+    const __m256d nv = _mm256_loadu_pd(ni + 4 * v);
+    const __m256d hv = _mm256_loadu_pd(hi + 4 * v);
+    const __m256d omz = _mm256_sub_pd(one, zv);
+    dan[v] = _mm256_mul_pd(_mm256_mul_pd(gv, omz),
+                           _mm256_sub_pd(one, _mm256_mul_pd(nv, nv)));
+    dzr[v] = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_mul_pd(gv, _mm256_sub_pd(hv, nv)), zv), omz);
+  }
+
+  // drh = 0 + dan Whn^T, then dar = drh h r (1-r).
+  __m256d drh[V];
+  for (std::size_t jg = 0; jg < V; ++jg)
+    drh[jg] = _mm256_add_pd(
+        zero, nt_dot4(dan, [&](std::size_t q, std::size_t u) {
+          return w.whn + (4 * jg + q) * kHid + 4 * u;
+        }));
+  for (std::size_t v = 0; v < V; ++v) {
+    const __m256d rv = _mm256_loadu_pd(ri + 4 * v);
+    const __m256d hv = _mm256_loadu_pd(hi + 4 * v);
+    dzr[V + v] = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_mul_pd(drh[v], hv), rv), _mm256_sub_pd(one, rv));
+    _mm256_storeu_pd(rh_out + 4 * v, _mm256_mul_pd(rv, hv));
+    _mm256_storeu_pd(dan_out + 4 * v, dan[v]);
+  }
+  for (std::size_t u = 0; u < 2 * V; ++u)
+    _mm256_storeu_pd(dzr_out + 4 * u, dzr[u]);
+
+  if (dx != nullptr) {
+    double* dxi = dx + i * in;
+    for (std::size_t j = 0; j < in; j += 4) {
+      const __m256d s1 = nt_dot4(dzr, [&](std::size_t q, std::size_t u) {
+        return u < V ? w.wxz + (j + q) * kHid + 4 * u
+                     : w.wxr + (j + q) * kHid + 4 * (u - V);
+      });
+      const __m256d s2 = nt_dot4(dan, [&](std::size_t q, std::size_t u) {
+        return w.wxn + (j + q) * kHid + 4 * u;
+      });
+      const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(dxi + j),
+                                        _mm256_add_pd(zero, s1));
+      _mm256_storeu_pd(dxi + j, _mm256_add_pd(acc, s2));
+    }
+  }
+  if (dh != nullptr) {
+    double* dhi = dh + i * kHid;
+    for (std::size_t jg = 0; jg < V; ++jg) {
+      const std::size_t j = 4 * jg;
+      const __m256d s1 = nt_dot4(dzr, [&](std::size_t q, std::size_t u) {
+        return u < V ? w.whz + (j + q) * kHid + 4 * u
+                     : w.whr + (j + q) * kHid + 4 * (u - V);
+      });
+      const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(dhi + j),
+                                        _mm256_add_pd(zero, s1));
+      const __m256d direct = _mm256_add_pd(
+          _mm256_mul_pd(_mm256_loadu_pd(gi + j), _mm256_loadu_pd(zi + j)),
+          _mm256_mul_pd(drh[jg], _mm256_loadu_pd(ri + j)));
+      _mm256_storeu_pd(dhi + j, _mm256_add_pd(acc, direct));
+    }
+  }
+}
+
+// acc[t][u] += a[t * ai + p * as] * panel[p][4u .. 4u+3] for p < rows,
+// ascending, as FMA.
+template <std::size_t U, std::size_t T>
+inline void tn_terms(__m256d (&acc)[T][U], const double* a, std::size_t as,
+                     std::size_t ai, const double* panel, std::size_t rows) {
+  for (std::size_t p = 0; p < rows; ++p) {
+    __m256d va[T];
+    for (std::size_t t = 0; t < T; ++t)
+      va[t] = _mm256_broadcast_sd(a + t * ai + p * as);
+    for (std::size_t u = 0; u < U; ++u) {
+      const __m256d b = _mm256_loadu_pd(panel + p * 4 * U + 4 * u);
+      for (std::size_t t = 0; t < T; ++t)
+        acc[t][u] = _mm256_fmadd_pd(va[t], b, acc[t][u]);
+    }
+  }
+}
+
+// Phase 2 tile: T consecutive gradient rows t of a row-major grad with
+// U vectors (4U doubles) per row, whose multiplier column is a + t * ai
+// (row stride as).  Starts from dst and stores back, so a sweep can
+// resume where the previous block of panel rows left off.  The
+// accumulators are touched only in plain loops (see fma_terms), so they
+// stay in registers.
+template <std::size_t U, std::size_t T>
+inline void tn_grad_tile(double* dst, const double* a, std::size_t as,
+                         std::size_t ai, const double* panel,
+                         std::size_t rows) {
+  __m256d acc[T][U];
+  for (std::size_t t = 0; t < T; ++t)
+    for (std::size_t u = 0; u < U; ++u)
+      acc[t][u] = _mm256_loadu_pd(dst + t * 4 * U + 4 * u);
+  tn_terms<U, T>(acc, a, as, ai, panel, rows);
+  for (std::size_t t = 0; t < T; ++t)
+    for (std::size_t u = 0; u < U; ++u)
+      _mm256_storeu_pd(dst + t * 4 * U + 4 * u, acc[t][u]);
+}
+
+/// Gradient rows [0, count) in tiles, then singly.  Row i's multiplier
+/// column starts at a + i * ai.
+template <std::size_t U>
+void tn_grad_rows(double* dst, std::size_t count, const double* a,
+                  std::size_t as, std::size_t ai, const double* panel,
+                  std::size_t rows) {
+  // Up to 12 accumulators, at most 4 broadcasts per panel row.
+  constexpr std::size_t kT = U >= 12 ? 1 : (12 / U > 4 ? 4 : 12 / U);
+  const std::size_t tiled = count - count % kT;
+  for (std::size_t i = 0; i < tiled; i += kT)
+    tn_grad_tile<U, kT>(dst + i * 4 * U, a + i * ai, as, ai, panel, rows);
+  for (std::size_t i = tiled; i < count; ++i)
+    tn_grad_tile<U, 1>(dst + i * 4 * U, a + i * ai, as, ai, panel, rows);
+}
+
+/// Panel rows per phase 2 block: the block's slices of dzr, dan, x, h
+/// and r.*h stay in L1 (~18 KiB at hid = in = 12) while every gradient
+/// tile sweeps them.
+constexpr std::size_t kGradRowBlock = 32;
+
+template <std::size_t V>
+void gru_backward(double* dx, double* dh, const GruGrads& dw, const double* g,
+                  const double* x, const double* h, const double* z,
+                  const double* r, const double* n, std::size_t rows,
+                  std::size_t in, const GruWeights& w) {
+  constexpr std::size_t kHid = 4 * V;
+  static thread_local std::vector<double> scratch, zr;
+  scratch.resize(rows * 4 * kHid);
+  double* dan = scratch.data();
+  double* dzr = dan + rows * kHid;
+  double* rh = dzr + rows * 2 * kHid;
+  for (std::size_t i = 0; i < rows; ++i)
+    gru_backward_row<V>(dx, dh, g, h, z, r, n, i, in, w, dan + i * kHid,
+                        dzr + i * 2 * kHid, rh + i * kHid);
+
+  // The z/r weight grads of the x rows, then of the h rows, as the
+  // fresh ((in + hid) x 2 hid) block of the composed backward, and one
+  // more row holding [bz | br], which accumulate onto their grads.
+  // Wxn, Whn and bn accumulate onto their grads in place.
+  zr.assign((in + kHid + 1) * 2 * kHid, 0.0);
+  double* zr_bias = zr.data() + (in + kHid) * 2 * kHid;
+  std::memcpy(zr_bias, dw.bz, kHid * sizeof(double));
+  std::memcpy(zr_bias + kHid, dw.br, kHid * sizeof(double));
+
+  static const double kOne = 1.0;
+  for (std::size_t p0 = 0; p0 < rows; p0 += kGradRowBlock) {
+    const std::size_t pb =
+        rows - p0 < kGradRowBlock ? rows - p0 : kGradRowBlock;
+    const double* dzr_b = dzr + p0 * 2 * kHid;
+    const double* dan_b = dan + p0 * kHid;
+    tn_grad_rows<2 * V>(zr.data(), in, x + p0 * in, in, 1, dzr_b, pb);
+    tn_grad_rows<2 * V>(zr.data() + in * 2 * kHid, kHid, h + p0 * kHid, kHid,
+                        1, dzr_b, pb);
+    tn_grad_rows<2 * V>(zr_bias, 1, &kOne, 0, 0, dzr_b, pb);
+    tn_grad_rows<V>(dw.wxn, in, x + p0 * in, in, 1, dan_b, pb);
+    tn_grad_rows<V>(dw.whn, kHid, rh + p0 * kHid, kHid, 1, dan_b, pb);
+    tn_grad_rows<V>(dw.bn, 1, &kOne, 0, 0, dan_b, pb);
+  }
+
+  // grad += block, the composed backward's add_block.
+  const auto add_half = [&](double* grad, const double* block,
+                            std::size_t count, std::size_t half) {
+    for (std::size_t i = 0; i < count; ++i)
+      for (std::size_t c = 0; c < kHid; ++c)
+        grad[i * kHid + c] += block[i * 2 * kHid + half * kHid + c];
+  };
+  add_half(dw.wxz, zr.data(), in, 0);
+  add_half(dw.wxr, zr.data(), in, 1);
+  add_half(dw.whz, zr.data() + in * 2 * kHid, kHid, 0);
+  add_half(dw.whr, zr.data() + in * 2 * kHid, kHid, 1);
+  std::memcpy(dw.bz, zr_bias, kHid * sizeof(double));
+  std::memcpy(dw.br, zr_bias + kHid, kHid * sizeof(double));
+}
+
+bool gru_step_backward(double* dx, double* dh, const GruGrads& dw,
+                       const double* g, const double* x, const double* h,
+                       const double* z, const double* r, const double* n,
+                       std::size_t rows, std::size_t in, std::size_t hid,
+                       const GruWeights& w) {
+  if (in % 4 != 0) return false;
+  switch (hid) {
+    case 4:
+      gru_backward<1>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      return true;
+    case 8:
+      gru_backward<2>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      return true;
+    case 12:
+      gru_backward<3>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      return true;
+    case 16:
+      gru_backward<4>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      return true;
     default: return false;
   }
 }
@@ -713,6 +997,7 @@ const Backend* simd_backend() noexcept {
       &avx2::gru_gates,
       &avx2::gru_blend,
       &avx2::gru_step,
+      &avx2::gru_step_backward,
   };
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");

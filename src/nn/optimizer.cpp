@@ -27,6 +27,11 @@ void Optimizer::clip_global_norm(double max_norm) {
   if (max_norm <= 0.0)
     throw std::invalid_argument("clip_global_norm: max_norm <= 0");
   const double norm = grad_global_norm();
+  // A NaN norm would pass the test below and scale every grad by NaN,
+  // so the optimizer step would write NaN into every weight and moment.
+  if (!std::isfinite(norm))
+    throw std::domain_error("clip_global_norm: gradient norm is " +
+                            std::to_string(norm));
   if (norm <= max_norm || norm == 0.0) return;
   const double f = max_norm / norm;
   for (auto& p : params_) p.grad_ref().scale_inplace(f);

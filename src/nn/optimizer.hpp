@@ -25,6 +25,8 @@ class Optimizer {
   /// L2 norm of the concatenated gradient vector.
   [[nodiscard]] double grad_global_norm() const;
   /// Scale all gradients down so the global norm is <= max_norm.
+  /// Throws std::domain_error, touching nothing, when the norm is not
+  /// finite (a NaN or infinite gradient).
   void clip_global_norm(double max_norm);
   [[nodiscard]] const std::vector<Var>& params() const noexcept {
     return params_;

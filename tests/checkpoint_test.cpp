@@ -5,12 +5,17 @@
 // fit and fit_stream, and regardless of the resuming run's thread
 // count.  Around it: .rnxc round-trip fidelity, corruption rejection,
 // and the refusal paths (config drift, scaler drift, fit/fit_stream
-// cross-resume).
+// cross-resume).  TrainerGuards: a non-finite gradient stops fit before
+// the optimizer step, so weights, Adam moments and checkpoint survive.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -492,6 +497,78 @@ TEST_F(CheckpointTest, FitRefusesAStreamingCheckpointAndViceVersa) {
   auto other2 = fresh_model();
   core::Trainer trainer3(*other2, tc);
   EXPECT_THROW((void)trainer3.fit(*ds_, *scaler_), core::CheckpointError);
+}
+
+// ---- a non-finite gradient --------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// One NaN input used to turn every weight, the Adam moments and the next
+// checkpoint into NaN while fit reported a finite loss: the clip scaled
+// every gradient by max_norm / NaN.  Now the clip throws first.  A clean
+// epoch writes a checkpoint; resuming it on a set with one NaN traffic
+// rate throws std::domain_error at the first step and leaves the weights
+// and the checkpoint (which holds the moments) bit for bit as they were.
+TEST(TrainerGuards, NonFiniteGradientThrowsAndKeepsWeights) {
+  util::set_log_level(util::LogLevel::kWarn);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rnx_trainer_guards." + std::to_string(::getpid()));
+  data::GeneratorConfig gen;
+  gen.target_packets = 4'000;
+  const data::Dataset clean(
+      data::generate_dataset(topo::nsfnet(), 4, gen, 41));
+  const data::Scaler scaler = data::Scaler::fit(clean.samples(), 10);
+  std::vector<data::Sample> samples = clean.samples();
+  samples[1].paths[0].traffic_bps = std::numeric_limits<double>::quiet_NaN();
+  const data::Dataset poisoned(std::move(samples));
+
+  for (const std::size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    core::ModelConfig mc;
+    mc.state_dim = 8;
+    mc.readout_hidden = 8;
+    mc.iterations = 2;
+    const std::unique_ptr<core::Model> model =
+        core::make_model(core::ModelKind::kExtended, mc);
+    core::TrainConfig tc;
+    tc.epochs = 1;
+    tc.batch_samples = 4;
+    tc.threads = threads;
+    tc.verbose = false;
+    tc.checkpoint_dir = dir.string();
+    {
+      core::Trainer trainer(*model, tc);
+      (void)trainer.fit(clean, scaler);
+    }
+    const std::string ckpt = file_bytes(core::checkpoint_file(dir.string()));
+    ASSERT_FALSE(ckpt.empty());
+    std::vector<nn::Tensor> weights;
+    for (const auto& [name, var] : model->named_params())
+      weights.push_back(var.value());
+
+    tc.epochs = 2;
+    tc.resume = true;
+    core::Trainer trainer(*model, tc);
+    EXPECT_THROW((void)trainer.fit(poisoned, scaler), std::domain_error);
+
+    const auto params = model->named_params();
+    ASSERT_EQ(params.size(), weights.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const nn::Tensor& now = params[i].second.value();
+      ASSERT_TRUE(now.same_shape(weights[i]));
+      EXPECT_EQ(std::memcmp(now.flat().data(), weights[i].flat().data(),
+                            now.size() * sizeof(double)),
+                0)
+          << params[i].first;
+    }
+    EXPECT_EQ(file_bytes(core::checkpoint_file(dir.string())), ckpt);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,0 +1,321 @@
+// Gradient oracles for the taped GRU step.
+//
+//   * GruStepBackward: the backend's whole-step kernels (forward with
+//     saved activations, gru_step_backward) against the composed passes
+//     and backward of the same backend, bit for bit, for every kernel
+//     width, ragged row counts, every combination of x/h requires_grad
+//     and a second backward that accumulates onto non-zero grads; and
+//     the taped step_indexed against gather_rows -> step -> scatter_rows
+//     rebuilt from the public ops, on the scalar and the SIMD backend;
+//   * TrainGolden: a digest of every parameter gradient of
+//     Trainer::sample_loss over the ForwardOracle sweep (both model
+//     kinds, both node rules, mean aggregation on and off, widths with
+//     and without a kernel) on the SIMD backend.  It was captured before
+//     the taped step ran the whole-step kernels, so it pins the kernels'
+//     gradients to the composed ones bit for bit.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/model.hpp"
+#include "core/trainer.hpp"
+#include "data/dataset.hpp"
+#include "data/generator.hpp"
+#include "nn/gru.hpp"
+#include "nn/init.hpp"
+#include "nn/kernels.hpp"
+#include "nn/ops.hpp"
+#include "topo/zoo.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+using namespace rnx;
+using nn::Index;
+using nn::Tensor;
+using nn::Var;
+using nn::kernels::Backend;
+using nn::kernels::ScopedBackendOverride;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         (a.size() == 0 ||  // empty tensors may hold null data pointers
+          std::memcmp(a.flat().data(), b.flat().data(),
+                      a.size() * sizeof(double)) == 0);
+}
+
+/// The scalar backend plus the SIMD backend when this host has one.
+std::vector<const Backend*> backends() {
+  std::vector<const Backend*> out{&nn::kernels::scalar_backend()};
+  if (const Backend* simd = nn::kernels::simd_backend()) out.push_back(simd);
+  return out;
+}
+
+/// `b` without its whole-step GRU kernels: the taped step then runs the
+/// composed passes and the composed backward on b's matmul kernels.
+Backend without_gru_kernels(const Backend& b) {
+  Backend composed = b;
+  composed.gru_step = nullptr;
+  composed.gru_step_backward = nullptr;
+  return composed;
+}
+
+Tensor random_tensor(std::size_t r, std::size_t c, util::RngStream& rng) {
+  return nn::uniform_init(r, c, -2.0, 2.0, rng);
+}
+
+/// Every tensor a backward touched: the output, the inputs' grads (when
+/// they require grad) and the cell's parameter grads.
+struct StepResult {
+  std::vector<Tensor> tensors;
+
+  [[nodiscard]] bool operator==(const StepResult& o) const {
+    if (tensors.size() != o.tensors.size()) return false;
+    for (std::size_t i = 0; i < tensors.size(); ++i)
+      if (!bitwise_equal(tensors[i], o.tensors[i])) return false;
+    return true;
+  }
+};
+
+/// One taped step with a non-uniform upstream gradient, back-propagated
+/// twice: the second sweep adds onto the grads of the first.
+StepResult taped_step_twice(const nn::GRUCell& cell, const Tensor& xv,
+                            const Tensor& hv, const Tensor& weight,
+                            bool x_grad, bool h_grad) {
+  const Var x(xv, x_grad);
+  const Var h(hv, h_grad);
+  const Var y = cell.step(x, h);
+  const Var loss = nn::sum_all(nn::mul(y, nn::constant(weight)));
+  loss.backward();
+  loss.backward();
+  StepResult out{{y.value()}};
+  if (x_grad) out.tensors.push_back(x.grad());
+  if (h_grad) out.tensors.push_back(h.grad());
+  for (auto& [name, p] : cell.named_params()) {
+    out.tensors.push_back(p.grad());
+    p.zero_grad();
+  }
+  return out;
+}
+
+TEST(GruStepBackward, KernelMatchesComposedBackwardBitwise) {
+  const Backend* simd = nn::kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step_backward == nullptr)
+    GTEST_SKIP() << "no GRU backward kernel on this host";
+  const Backend composed = without_gru_kernels(*simd);
+  for (const std::size_t hid : {4, 8, 12, 16})
+    for (const std::size_t in : {hid, std::size_t{8}, std::size_t{3}})
+      for (const std::size_t rows : {0, 1, 2, 3, 229})
+        for (const bool x_grad : {false, true})
+          for (const bool h_grad : {false, true}) {
+            SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                         std::to_string(in) + " rows=" +
+                         std::to_string(rows) + " x_grad=" +
+                         std::to_string(x_grad) +
+                         " h_grad=" + std::to_string(h_grad));
+            util::RngStream rng(7000 + 97 * hid + 13 * in + rows);
+            const nn::GRUCell cell(in, hid, rng);
+            const Tensor xv = random_tensor(rows, in, rng);
+            const Tensor hv = random_tensor(rows, hid, rng);
+            const Tensor weight = random_tensor(rows, hid, rng);
+            StepResult want, got;
+            {
+              const ScopedBackendOverride pin(composed);
+              want = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
+            }
+            {
+              const ScopedBackendOverride pin(*simd);
+              got = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
+            }
+            EXPECT_TRUE(got == want);
+          }
+}
+
+/// The cell's parameters in GruWeights order.
+nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
+  const auto params = cell.named_params();
+  const auto p = [&](std::size_t i) {
+    return params[i].second.value().flat().data();
+  };
+  return {p(0), p(1), p(2), p(3), p(4), p(5), p(6), p(7), p(8)};
+}
+
+// The raw entry declines a width or input width it has no kernel for
+// before touching any memory.
+TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
+  const Backend* simd = nn::kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step_backward == nullptr)
+    GTEST_SKIP() << "no GRU backward kernel on this host";
+  util::RngStream rng(7100);
+  for (const auto& [in, hid] :
+       {std::pair<std::size_t, std::size_t>{10, 10}, {3, 12}, {12, 20}}) {
+    const nn::GRUCell cell(in, hid, rng);
+    const nn::kernels::GruGrads none{};
+    EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, none, nullptr,
+                                         nullptr, nullptr, nullptr, nullptr,
+                                         nullptr, 5, in, hid,
+                                         weights_of(cell)));
+  }
+}
+
+// ---- the taped indexed step against the triple it replaced -----------------
+
+// Two positions of a path RNN over `kPaths` paths and `kElems` elements,
+// as Model::forward runs them: each position steps a shuffled subset of
+// the paths and messages the elements it read.
+struct Unroll {
+  static constexpr std::size_t kPaths = 300;
+  static constexpr std::size_t kElems = 40;
+  std::vector<std::vector<Index>> path_rows;
+  std::vector<std::vector<Index>> elem_ids;
+
+  Unroll(std::size_t rows, util::RngStream& rng) {
+    for (std::size_t pos = 0; pos < 2; ++pos) {
+      std::vector<Index> all(kPaths);
+      std::iota(all.begin(), all.end(), Index{0});
+      std::vector<Index> prow, eid;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(static_cast<std::int64_t>(i),
+                            static_cast<std::int64_t>(kPaths) - 1));
+        std::swap(all[i], all[j]);
+        prow.push_back(all[i]);
+        eid.push_back(static_cast<Index>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kElems) - 1)));
+      }
+      path_rows.push_back(std::move(prow));
+      elem_ids.push_back(std::move(eid));
+    }
+  }
+};
+
+/// Runs the unroll, then back-propagates a loss that reads the final
+/// states, every position's messages and the element states directly.
+/// `indexed` picks step_indexed; otherwise the gather -> step -> scatter
+/// triple built from the public ops.
+StepResult unroll(const nn::GRUCell& cell, const Unroll& u,
+                  const Tensor& src0, const Tensor& hidden0,
+                  const Tensor& w_state, const Tensor& w_msg, bool indexed) {
+  const Var src(src0, true);
+  const Var start(hidden0, true);
+  Var hidden = start;
+  std::vector<Tensor> values;
+  Var loss = nn::sum_all(nn::mul(src, src));
+  for (std::size_t pos = 0; pos < u.path_rows.size(); ++pos) {
+    const std::vector<Index>& rows = u.path_rows[pos];
+    const std::vector<Index>& ids = u.elem_ids[pos];
+    Var msg;
+    if (indexed) {
+      cell.step_indexed(src, ids, hidden, rows);
+      msg = nn::segment_sum(hidden, rows, ids, Unroll::kElems);
+    } else {
+      const Var h2 =
+          cell.step(nn::gather_rows(src, ids), nn::gather_rows(hidden, rows));
+      hidden = nn::scatter_rows(hidden, rows, h2);
+      msg = nn::segment_sum(h2, ids, Unroll::kElems);
+    }
+    values.push_back(hidden.value());
+    values.push_back(msg.value());
+    loss = nn::add(loss, nn::sum_all(nn::mul(msg, nn::constant(w_msg))));
+  }
+  loss = nn::add(loss, nn::sum_all(nn::mul(hidden, nn::constant(w_state))));
+  loss.backward();
+  StepResult out{std::move(values)};
+  out.tensors.push_back(hidden.value());
+  out.tensors.push_back(loss.value());
+  out.tensors.push_back(src.grad());
+  out.tensors.push_back(start.grad());
+  for (auto& [name, p] : cell.named_params()) {
+    out.tensors.push_back(p.grad());
+    p.zero_grad();
+  }
+  return out;
+}
+
+TEST(GruStepBackward, IndexedStepMatchesGatherStepScatterBitwise) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const std::size_t hid : {4, 10, 12, 16})
+      for (const std::size_t rows : {1, 3, 229}) {
+        SCOPED_TRACE(std::string(backend->name) + " hid=" +
+                     std::to_string(hid) + " rows=" + std::to_string(rows));
+        util::RngStream rng(7200 + 31 * hid + rows);
+        const nn::GRUCell cell(hid, hid, rng);
+        const Unroll u(rows, rng);
+        const Tensor src = random_tensor(Unroll::kElems, hid, rng);
+        const Tensor hidden = random_tensor(Unroll::kPaths, hid, rng);
+        const Tensor w_state = random_tensor(Unroll::kPaths, hid, rng);
+        const Tensor w_msg = random_tensor(Unroll::kElems, hid, rng);
+        const StepResult want =
+            unroll(cell, u, src, hidden, w_state, w_msg, /*indexed=*/false);
+        const StepResult got =
+            unroll(cell, u, src, hidden, w_state, w_msg, /*indexed=*/true);
+        EXPECT_TRUE(got == want);
+      }
+  }
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv1a64(std::uint64_t h, const Tensor& t) {
+  const auto* p = reinterpret_cast<const unsigned char*>(t.flat().data());
+  for (std::size_t i = 0; i < t.size() * sizeof(double); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+const data::Dataset& nsfnet_samples() {
+  static const data::Dataset ds = [] {
+    data::GeneratorConfig cfg;
+    cfg.target_packets = 4'000;
+    return data::Dataset(data::generate_dataset(topo::nsfnet(), 2, cfg, 17));
+  }();
+  return ds;
+}
+
+TEST(TrainGolden, Avx2GradientDigest) {
+  const Backend* simd = nn::kernels::simd_backend();
+  if (simd == nullptr) GTEST_SKIP() << "no AVX2 backend on this host";
+  const ScopedBackendOverride pin(*simd);
+  const data::Dataset& ds = nsfnet_samples();
+  const data::Scaler sc = data::Scaler::fit(ds.samples());
+  std::uint64_t h = kFnvOffset;
+  for (const core::ModelKind kind :
+       {core::ModelKind::kOriginal, core::ModelKind::kExtended})
+    for (const core::NodeUpdateRule rule :
+         {core::NodeUpdateRule::kSumPathStates,
+          core::NodeUpdateRule::kPositionalMessages})
+      for (const bool link_mean : {false, true})
+        for (const bool node_mean : {false, true})
+          for (const std::size_t dim : {4, 10, 12, 16}) {
+            core::ModelConfig cfg;
+            cfg.state_dim = dim;
+            cfg.readout_hidden = 8;
+            cfg.iterations = 3;
+            cfg.node_rule = rule;
+            cfg.link_mean_aggregation = link_mean;
+            cfg.node_mean_aggregation = node_mean;
+            const core::Model model(kind, cfg);
+            for (const auto& s : ds.samples()) {
+              const nn::Var loss = core::Trainer::sample_loss(
+                  model, s, sc, core::TrainConfig{}.min_delivered);
+              ASSERT_TRUE(loss.defined());
+              h = fnv1a64(h, loss.value());
+              loss.backward();
+              for (auto& [name, var] : model.named_params()) {
+                h = fnv1a64(h, var.grad());
+                var.zero_grad();
+              }
+            }
+          }
+  EXPECT_EQ(h, 0x6f3d49e9c36c3ce0ull) << std::hex << "0x" << h;
+}
+
+}  // namespace

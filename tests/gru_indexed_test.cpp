@@ -116,9 +116,7 @@ TEST(GruStepKernel, IndexedStepMatchesTapedCompositionBitwise) {
           const double* storage = hidden.value().flat().data();
           {
             const nn::NoGradGuard guard;
-            const Var h2 = cell.step_indexed(src, pos.elem_ids, hidden,
-                                             pos.path_rows);
-            EXPECT_FALSE(h2.defined());
+            cell.step_indexed(src, pos.elem_ids, hidden, pos.path_rows);
           }
           EXPECT_EQ(hidden.value().flat().data(), storage);
           EXPECT_TRUE(bitwise_equal(hidden.value(), want));
@@ -129,7 +127,7 @@ TEST(GruStepKernel, IndexedStepMatchesTapedCompositionBitwise) {
           Var alias = shared;
           {
             const nn::NoGradGuard guard;
-            (void)cell.step_indexed(src, pos.elem_ids, alias, pos.path_rows);
+            cell.step_indexed(src, pos.elem_ids, alias, pos.path_rows);
           }
           EXPECT_TRUE(bitwise_equal(shared.value(), start));
           EXPECT_TRUE(bitwise_equal(alias.value(), want));
@@ -187,12 +185,12 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
     ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(), p(src),
                                pos.elem_ids.data(), start.flat().data(),
                                pos.path_rows.data(), pos.path_rows.size(),
-                               hid, hid, w));
+                               hid, hid, w, nullptr));
     Tensor in_place = start;
     ASSERT_TRUE(simd->gru_step(in_place.flat().data(), p(src),
                                pos.elem_ids.data(), in_place.flat().data(),
                                pos.path_rows.data(), pos.path_rows.size(),
-                               hid, hid, w));
+                               hid, hid, w, nullptr));
     EXPECT_TRUE(bitwise_equal(in_place, want));
     for (const Index r : pos.path_rows)
       for (std::size_t c = 0; c < hid; ++c)
@@ -204,7 +202,8 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
   const nn::GRUCell cell(10, 10, rng);
   const nn::kernels::GruWeights w = weights_of(cell);
   EXPECT_FALSE(
-      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, 5, 10, 10, w));
+      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, 5, 10, 10, w,
+                     nullptr));
 }
 
 TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {
@@ -218,13 +217,13 @@ TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {
     const ScopedBackendOverride pin(*backend);
     const nn::NoGradGuard guard;
     Var hidden{Tensor(start)};
-    EXPECT_THROW((void)cell.step_indexed(src, bad_ids, hidden, ok_rows),
+    EXPECT_THROW(cell.step_indexed(src, bad_ids, hidden, ok_rows),
                  std::out_of_range);
-    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden, bad_rows),
+    EXPECT_THROW(cell.step_indexed(src, ok_ids, hidden, bad_rows),
                  std::out_of_range);
-    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden, dup_rows),
+    EXPECT_THROW(cell.step_indexed(src, ok_ids, hidden, dup_rows),
                  std::invalid_argument);
-    EXPECT_THROW((void)cell.step_indexed(src, ok_ids, hidden,
+    EXPECT_THROW(cell.step_indexed(src, ok_ids, hidden,
                                          std::span<const Index>(ok_rows).first(1)),
                  std::invalid_argument);
     EXPECT_TRUE(bitwise_equal(hidden.value(), start));
@@ -251,7 +250,7 @@ TEST(GruStepKernel, UnfusedCellRoutesThroughComposed) {
     const nn::NoGradGuard guard;
     EXPECT_TRUE(bitwise_equal(cell.step(x, h).value(), composed));
     Var hidden{Tensor(start)};
-    (void)cell.step_indexed(src, pos.elem_ids, hidden, pos.path_rows);
+    cell.step_indexed(src, pos.elem_ids, hidden, pos.path_rows);
     EXPECT_TRUE(bitwise_equal(hidden.value(), want));
   }
 }

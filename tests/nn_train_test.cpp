@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <stdexcept>
 
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
@@ -120,6 +121,19 @@ TEST(Optimizer, GlobalNormClipping) {
   opt.clip_global_norm(100.0);
   EXPECT_NEAR(opt.grad_global_norm(), 2.5, 1e-12);
   EXPECT_THROW(opt.clip_global_norm(0.0), std::invalid_argument);
+}
+
+TEST(Optimizer, NonFiniteNormThrowsAndLeavesGradsAlone) {
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    Var a(Tensor(1, 2, {3.0, 0.0}), true);
+    Var b(Tensor(1, 2, {0.0, 4.0}), true);
+    Adam opt({a, b}, 0.1);
+    a.grad_ref()(0, 0) = 30.0;
+    b.grad_ref()(0, 1) = bad;
+    EXPECT_THROW(opt.clip_global_norm(1.0), std::domain_error);
+    EXPECT_EQ(a.grad()(0, 0), 30.0);  // not scaled
+    EXPECT_EQ(opt.steps_taken(), 0u);
+  }
 }
 
 TEST(Optimizer, ZeroGradClears) {

@@ -3,7 +3,8 @@
 //
 //  * GNN relabelling equivariance: renaming node ids (and permuting all
 //    attribute arrays consistently) must permute predictions, nothing
-//    else — the defining property of a graph neural network.
+//    else — the defining property of a graph neural network.  Renaming
+//    link ids leaves them unchanged; reordering the paths permutes them.
 //  * Simulator scale invariance: multiplying all capacities and rates by
 //    the same factor divides delays by that factor and preserves loss.
 //  * Routing determinism under weight permutation consistency.
@@ -11,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/model.hpp"
 #include "core/trainer.hpp"
@@ -84,6 +87,103 @@ TEST_P(RelabelProperty, PredictionsAreEquivariant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelabelProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/// A uniformly random permutation of 0..n-1.
+template <class Id>
+std::vector<Id> random_permutation(std::size_t n, util::RngStream& rng) {
+  std::vector<Id> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<Id>(i);
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(perm[i - 1], perm[static_cast<std::size_t>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(i) - 1))]);
+  return perm;
+}
+
+/// Predictions of both model kinds (one column each) for a sample.
+std::vector<nn::Tensor> predict_both(const data::Sample& s,
+                                     const data::Scaler& sc) {
+  core::ModelConfig mc;
+  mc.state_dim = 12;
+  mc.iterations = 3;
+  const nn::NoGradGuard guard;
+  std::vector<nn::Tensor> out;
+  for (const core::ModelKind kind :
+       {core::ModelKind::kOriginal, core::ModelKind::kExtended})
+    out.push_back(core::Model(kind, mc).forward(s, sc).value());
+  return out;
+}
+
+// Reordering and relabelling change which rows the position steps and
+// segment sums read, and in what order messages are summed, so the
+// predictions agree to round-off, not bit for bit.
+constexpr double kReorderRelTol = 1e-12;
+
+void expect_close(double got, double want, const std::string& ctx) {
+  EXPECT_NEAR(got, want, kReorderRelTol * std::max(1.0, std::abs(want)))
+      << ctx;
+}
+
+class PathOrderProperty : public ::testing::TestWithParam<int> {};
+
+// Shuffling sample.paths shuffles the predictions the same way.
+TEST_P(PathOrderProperty, PredictionsPermuteWithPaths) {
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 4'000;
+  util::RngStream rng(static_cast<std::uint64_t>(100 + GetParam()));
+  const data::Sample s = data::generate_sample(topo::nsfnet(), cfg, rng);
+  const data::Scaler sc = data::Scaler::fit({&s, 1}, 1);
+  const std::vector<std::size_t> perm =
+      random_permutation<std::size_t>(s.paths.size(), rng);
+  data::Sample r = s;
+  for (std::size_t i = 0; i < s.paths.size(); ++i)
+    r.paths[perm[i]] = s.paths[i];
+  r.validate();
+
+  const std::vector<nn::Tensor> a = predict_both(s, sc);
+  const std::vector<nn::Tensor> b = predict_both(r, sc);
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    ASSERT_EQ(a[k].rows(), b[k].rows());
+    for (std::size_t i = 0; i < a[k].rows(); ++i)
+      expect_close(b[k](perm[i], 0), a[k](i, 0),
+                   "kind " + std::to_string(k) + " path " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PathOrderProperty, ::testing::Values(1, 2, 3));
+
+class LinkRelabelProperty : public ::testing::TestWithParam<int> {};
+
+// Renaming link ids (and moving the per-link arrays with them) leaves
+// every path's prediction where it was.
+TEST_P(LinkRelabelProperty, PredictionsAreInvariant) {
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 4'000;
+  util::RngStream rng(static_cast<std::uint64_t>(200 + GetParam()));
+  const data::Sample s = data::generate_sample(topo::nsfnet(), cfg, rng);
+  const data::Scaler sc = data::Scaler::fit({&s, 1}, 1);
+  const std::vector<topo::LinkId> perm =
+      random_permutation<topo::LinkId>(s.num_links(), rng);
+  data::Sample r = s;
+  for (std::size_t l = 0; l < s.num_links(); ++l) {
+    r.links[perm[l]] = s.links[l];
+    r.link_capacity_bps[perm[l]] = s.link_capacity_bps[l];
+  }
+  for (auto& p : r.paths)
+    for (auto& l : p.links) l = perm[l];
+  r.validate();
+
+  const std::vector<nn::Tensor> a = predict_both(s, sc);
+  const std::vector<nn::Tensor> b = predict_both(r, sc);
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    ASSERT_EQ(a[k].rows(), b[k].rows());
+    for (std::size_t i = 0; i < a[k].rows(); ++i)
+      expect_close(b[k](i, 0), a[k](i, 0),
+                   "kind " + std::to_string(k) + " path " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkRelabelProperty,
+                         ::testing::Values(1, 2, 3));
 
 class SimScaleProperty : public ::testing::TestWithParam<double> {};
 
