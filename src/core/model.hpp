@@ -80,8 +80,9 @@ class Model {
 
   /// Attach a message-passing plan memo (nullptr detaches).  The cache is
   /// not owned; it must outlive every forward() issued while attached.
-  /// Only serve::InferenceEngine attaches one (its model is then reachable
-  /// only as const); without a cache every forward builds its plan.
+  /// Only the engines a serve::ModelRegistry builds attach one, the
+  /// registry's shared cache (their models are then reachable only as
+  /// const); without a cache every forward builds its plan.
   void set_plan_cache(PlanCache* cache) noexcept { plan_cache_ = cache; }
   [[nodiscard]] PlanCache* plan_cache() const noexcept { return plan_cache_; }
 

@@ -1,7 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <algorithm>
-
 namespace rnx::core {
 
 std::shared_ptr<const MpPlan> PlanCache::get(const data::Sample& sample,
@@ -9,11 +7,9 @@ std::shared_ptr<const MpPlan> PlanCache::get(const data::Sample& sample,
   const Key key{&sample, use_nodes};
   {
     const util::MutexLock lock(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
+    if (const auto it = map_.find(key); it != map_.end()) {
       ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-      return it->second.plan;
+      return it->second;
     }
     ++misses_;
   }
@@ -21,86 +17,25 @@ std::shared_ptr<const MpPlan> PlanCache::get(const data::Sample& sample,
   // build_plan is deterministic, so a duplicate concurrent build is
   // wasted work at worst, never an inconsistency.
   auto plan = std::make_shared<const MpPlan>(build_plan(sample, use_nodes));
-  const std::size_t cost = plan->bytes();
   const util::MutexLock lock(mu_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    // First writer won the race; serve its copy and touch it.
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.plan;
-  }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{plan, cost, lru_.begin()});
-  bytes_ += cost;
-  peak_bytes_ = std::max(peak_bytes_, bytes_);
-  // The newly inserted entry may itself be evicted when it alone exceeds
-  // the budget — the caller's shared_ptr keeps the plan alive regardless.
-  enforce_budget_locked();
-  return plan;
-}
-
-void PlanCache::drop_locked(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) {
-  bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru);
-  map_.erase(it);
-}
-
-void PlanCache::enforce_budget_locked() {
-  if (byte_budget_ == 0) return;
-  while (bytes_ > byte_budget_ && !lru_.empty()) {
-    const auto victim = map_.find(lru_.back());
-    drop_locked(victim);
-    ++evictions_;
-  }
+  // On a lost race the first writer's copy stays and is served.
+  return map_.try_emplace(key, std::move(plan)).first->second;
 }
 
 void PlanCache::invalidate(const data::Sample& sample) {
   const util::MutexLock lock(mu_);
   for (const bool use_nodes : {false, true})
-    if (const auto it = map_.find(Key{&sample, use_nodes}); it != map_.end())
-      drop_locked(it);
+    map_.erase(Key{&sample, use_nodes});
 }
 
 void PlanCache::clear() {
   const util::MutexLock lock(mu_);
   map_.clear();
-  lru_.clear();
-  bytes_ = 0;
-}
-
-void PlanCache::set_byte_budget(std::size_t budget) {
-  const util::MutexLock lock(mu_);
-  byte_budget_ = budget;
-  enforce_budget_locked();
-}
-
-std::size_t PlanCache::size() const {
-  const util::MutexLock lock(mu_);
-  return map_.size();
-}
-
-std::uint64_t PlanCache::hits() const {
-  const util::MutexLock lock(mu_);
-  return hits_;
-}
-
-std::uint64_t PlanCache::misses() const {
-  const util::MutexLock lock(mu_);
-  return misses_;
 }
 
 PlanCache::Stats PlanCache::stats() const {
   const util::MutexLock lock(mu_);
-  Stats s;
-  s.size = map_.size();
-  s.lookups = hits_ + misses_;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.bytes = bytes_;
-  s.peak_bytes = peak_bytes_;
-  return s;
+  return Stats{map_.size(), hits_ + misses_, hits_, misses_};
 }
 
 }  // namespace rnx::core

@@ -17,7 +17,7 @@
 //
 // Training and evaluation attach no plan cache: every forward builds its
 // message-passing plan (core/plan.hpp), so streamed samples need no
-// address-lifetime rules.  Only serve::InferenceEngine caches plans.
+// address-lifetime rules.  Only serve::ModelRegistry caches plans.
 #pragma once
 
 #include <cstdint>

@@ -35,14 +35,14 @@ struct PairedPredictions {
 /// streamed source is pulled in bounded windows, so residency stays
 /// O(window + prefetch); an in-memory source goes out as one batch, so
 /// a pool balances mixed graph sizes over the whole pass.  `model` is
-/// taken non-const on purpose: a serve::InferenceEngine's model has a
-/// plan cache attached and is reachable only as `const core::Model&`,
-/// so the type keeps a cache-attached model out of every eval pass (a
-/// streamed sample's address is reused once dropped, and an
-/// address-keyed cache would serve it a stale plan).  With `per_sample`
-/// set, every sample gets a prediction (no label-based skipping) and
-/// the callback fires in sample order with (index, sample,
-/// predictions) — the CSV export hook.
+/// taken non-const on purpose: a serve::ModelRegistry engine's model
+/// has the registry's plan cache attached and is reachable only as
+/// `const core::Model&`, so the type keeps a cache-attached model out
+/// of every eval pass (a streamed sample's address is reused once
+/// dropped, and an address-keyed cache would serve it a stale plan).
+/// With `per_sample` set, every sample gets a prediction (no
+/// label-based skipping) and the callback fires in sample order with
+/// (index, sample, predictions) — the CSV export hook.
 [[nodiscard]] PairedPredictions predict_source(
     core::Model& model, data::SampleSource& src, const data::Scaler& scaler,
     std::uint64_t min_delivered,

@@ -7,33 +7,18 @@
 
 namespace rnx::serve {
 
-InferenceEngine::InferenceEngine(const std::string& path, std::size_t threads)
-    : InferenceEngine(load_bundle(path), threads) {}
-
-InferenceEngine::InferenceEngine(ModelBundle bundle, std::size_t threads)
-    : InferenceEngine(std::move(bundle), std::make_shared<core::PlanCache>(),
-                      threads) {}
+InferenceEngine::InferenceEngine(const std::string& path)
+    : InferenceEngine(load_bundle(path)) {}
 
 InferenceEngine::InferenceEngine(ModelBundle bundle,
-                                 std::shared_ptr<core::PlanCache> cache,
-                                 std::size_t threads)
-    : model_(std::move(bundle.model)),
+                                 std::shared_ptr<core::PlanCache> cache)
+    : plan_cache_(std::move(cache)),
+      model_(std::move(bundle.model)),
       scaler_(bundle.scaler),
-      target_(bundle.target),
-      plan_cache_(std::move(cache)) {
+      target_(bundle.target) {
   if (!model_)
     throw std::invalid_argument("InferenceEngine: bundle holds no model");
-  if (!plan_cache_)
-    throw std::invalid_argument("InferenceEngine: null plan cache");
-  if (threads == 0) threads = util::ThreadPool::hardware_threads();
-  if (threads > 1) pool_.emplace(threads);
   model_->set_plan_cache(plan_cache_.get());
-}
-
-InferenceEngine::~InferenceEngine() { model_->set_plan_cache(nullptr); }
-
-std::size_t InferenceEngine::threads() const noexcept {
-  return pool_ ? pool_->size() : 1;
 }
 
 double InferenceEngine::denormalize(double target_value) const {
@@ -53,14 +38,13 @@ std::vector<double> InferenceEngine::predict(
 }
 
 std::vector<std::vector<double>> InferenceEngine::predict_batch(
-    std::span<const data::Sample> samples) const {
+    std::span<const data::Sample> samples, util::ThreadPool* pool) const {
   // A concurrent caller that finds the pool busy runs its batch inline
   // (try_parallel_for), so no caller ever waits idle.
   std::vector<const data::Sample*> ptrs(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) ptrs[i] = &samples[i];
   std::vector<std::exception_ptr> errors;
-  std::vector<std::vector<double>> out =
-      predict_ptrs(ptrs, pool_ ? &*pool_ : nullptr, &errors);
+  std::vector<std::vector<double>> out = predict_ptrs(ptrs, pool, &errors);
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);  // first failing sample, in order
   return out;
@@ -89,11 +73,5 @@ double InferenceEngine::predict_mean(const data::Sample& sample) const {
   for (const double p : preds) sum += p;
   return sum / static_cast<double>(preds.size());
 }
-
-void InferenceEngine::invalidate(const data::Sample& sample) const {
-  plan_cache_->invalidate(sample);
-}
-
-void InferenceEngine::clear_plan_cache() const { plan_cache_->clear(); }
 
 }  // namespace rnx::serve

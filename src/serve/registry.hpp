@@ -5,9 +5,13 @@
 // v2 formats — from one process.  The registry owns one InferenceEngine
 // per named bundle plus the two resources they share (DESIGN.md §B2):
 //
-//  * one core::PlanCache — message-passing plans depend only on the
-//    sample's topology/routing and the use_nodes flag, not on weights,
-//    so a scenario queried against several models pays build_plan once;
+//  * one core::PlanCache, the only plan memo in serving (DESIGN.md §G)
+//    — message-passing plans depend only on the sample's
+//    topology/routing and the use_nodes flag, not on weights, so a
+//    scenario queried against several models pays build_plan once.
+//    Entries are keyed by sample address: a caller that mutates or
+//    destroys a served sample calls invalidate() (or clear_plan_cache())
+//    before serving it, or its address, again;
 //  * one util::ThreadPool — a single process gets one set of fan-out
 //    lanes, however many bundles it serves (per-engine pools would
 //    oversubscribe the host).
@@ -106,10 +110,6 @@ class ModelRegistry {
   // -- shared plan-cache lifetime hooks (core::PlanCache contract) ------
   void invalidate(const data::Sample& sample) { cache_->invalidate(sample); }
   void clear_plan_cache() { cache_->clear(); }
-  /// Cap the shared cache's resident plan bytes (LRU; 0 = unlimited).
-  void set_plan_cache_budget(std::size_t bytes) {
-    cache_->set_byte_budget(bytes);
-  }
 
  private:
   [[nodiscard]] std::shared_ptr<InferenceEngine> make_engine(

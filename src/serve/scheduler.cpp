@@ -398,9 +398,6 @@ void BatchScheduler::drain_loop() {
 }
 
 ServeStats BatchScheduler::stats() const {
-  // plan_cache stays default here: the scheduler has no cache of its own.
-  // Callers overlay the serving cache's counters (registry.plan_cache()
-  // .stats()) when they want the full picture — see tools/rnx_serve.
   const util::MutexLock lock(mu_);
   ServeStats out = stats_;
   out.kernel_isa = nn::kernels::active().name;

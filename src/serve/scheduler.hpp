@@ -243,7 +243,7 @@ class BatchScheduler {
   /// bridges the gap between the counter commit and the promise
   /// resolution so drain() cannot return with a future still pending.
   std::size_t executing_ RNX_GUARDED_BY(mu_) = 0;
-  /// Counters (plan_cache filled per snapshot).
+  /// Counters (kernel tags filled per snapshot).
   ServeStats stats_ RNX_GUARDED_BY(mu_);
   std::thread drainer_;
 };

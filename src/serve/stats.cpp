@@ -16,12 +16,7 @@ void print_stats(std::ostream& os, const ServeStats& s) {
      << "  queue      depth " << s.queue_depth << ", peak "
      << s.peak_queue_depth << "\n"
      << "  latency    mean " << s.mean_latency_us() << " us, max "
-     << s.latency_us_max << " us\n"
-     << "  plan cache " << s.plan_cache.size << " entries, "
-     << s.plan_cache.hits << " hits, " << s.plan_cache.misses
-     << " misses, " << s.plan_cache.evictions << " evictions, "
-     << s.plan_cache.bytes << " bytes (peak " << s.plan_cache.peak_bytes
-     << ")\n";
+     << s.latency_us_max << " us\n";
   if (s.kernel_isa != nullptr && s.kernel_isa[0] != '\0')
     os << "  kernels    " << s.kernel_isa << " (" << s.kernel_reason << ")\n";
 }

@@ -12,13 +12,15 @@
 // admission to request completion, so under the deterministic test rig
 // (scripted clock + manual drain) latency numbers are exact, not
 // statistical.
+//
+// The scheduler owns no plan cache, so the snapshot carries no cache
+// counters; the serving cache reports its own through
+// ModelRegistry::plan_cache().stats().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-
-#include "core/plan_cache.hpp"
 
 namespace rnx::serve {
 
@@ -46,9 +48,6 @@ struct ServeStats {
   // -- latency (admission -> completion, scheduler clock) --------------
   std::uint64_t latency_us_sum = 0;
   std::uint64_t latency_us_max = 0;
-
-  // -- shared plan cache (core::PlanCache::stats of the serving cache) --
-  core::PlanCache::Stats plan_cache;
 
   // -- kernel backend (nn::kernels dispatch; static strings) ------------
   const char* kernel_isa = "";     ///< active ISA tag, e.g. "avx2+fma"

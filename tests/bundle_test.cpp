@@ -20,6 +20,7 @@
 #include "topo/zoo.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -495,16 +496,40 @@ TEST(Engine, BatchMatchesSingleAndReusesPlans) {
   make_saved_bundle(path);
   const data::Dataset& ds = test_dataset();
 
-  const serve::InferenceEngine engine(path, 2);
-  EXPECT_EQ(engine.threads(), 2u);
+  const serve::InferenceEngine engine(path);
+  util::ThreadPool pool(2);
   const std::vector<std::vector<double>> batch =
-      engine.predict_batch(ds.samples());
+      engine.predict_batch(ds.samples(), &pool);
   ASSERT_EQ(batch.size(), ds.size());
   for (std::size_t si = 0; si < ds.size(); ++si)
     EXPECT_EQ(batch[si], engine.predict(ds[si]));
+  std::filesystem::remove(path);
+}
 
-  // The second pass over the same samples is served from the plan cache.
-  EXPECT_GT(engine.plan_cache().hits(), 0u);
+// A standalone engine builds its plan on every forward, so the what-if
+// loop may overwrite a request sample in place and predict again: the
+// second answer is the new routing's, never a plan remembered by address.
+TEST(Engine, StandaloneEngineSeesInPlaceMutation) {
+  const std::string path = "/tmp/rnx_bundle_engine_mutate.rnxb";
+  const SavedBundle saved = make_saved_bundle(path);
+  const data::Dataset& ds = test_dataset();
+  ASSERT_EQ(ds[0].paths.size(), ds[1].paths.size());
+  bool rerouted = false;
+  for (std::size_t p = 0; p < ds[0].paths.size(); ++p)
+    rerouted |= ds[0].paths[p].links != ds[1].paths[p].links;
+  ASSERT_TRUE(rerouted) << "test needs two different routings";
+
+  const serve::InferenceEngine engine(path);
+  data::Sample sample = ds[0];
+  (void)engine.predict(sample);
+  sample = ds[1];  // same object, another routing
+  const std::vector<double> served = engine.predict(sample);
+
+  const nn::NoGradGuard guard;
+  const nn::Tensor direct = saved.model->forward(sample, saved.scaler).value();
+  ASSERT_EQ(served.size(), static_cast<std::size_t>(direct.rows()));
+  for (std::size_t i = 0; i < served.size(); ++i)
+    EXPECT_EQ(served[i], saved.scaler.target_to_delay(direct(i, 0)));
   std::filesystem::remove(path);
 }
 

@@ -56,7 +56,7 @@ Args make_args(std::vector<std::string> argv_strings) {
   argv.push_back(const_cast<char*>("tool"));
   for (auto& s : argv_strings) argv.push_back(s.data());
   return Args(static_cast<int>(argv.size()), argv.data(),
-              {"epochs", "lr", "out", "plan-cache-mb"},
+              {"epochs", "lr", "out", "max-batch"},
               "usage: tool [options]");
 }
 
@@ -91,27 +91,27 @@ TEST(CliArgsDeathTest, UnknownFlagExits2) {
               ::testing::ExitedWithCode(2), "unknown flag");
 }
 
-// -- get_positive: the --plan-cache-mb contract ---------------------------
-// A byte budget of zero would mean "evict everything immediately" and a
-// negative one would wrap; both are usage errors (exit 2), matching how
-// rnx_serve parses --plan-cache-mb.
+// -- get_positive: the rnx_serve sizing-flag contract ---------------------
+// A micro-batch bound of zero could never form a batch and a negative one
+// would wrap; both are usage errors (exit 2), matching how rnx_serve
+// parses --max-batch, --queue-depth and --clients.
 
 TEST(CliArgs, PositiveValueParses) {
-  const Args args = make_args({"--plan-cache-mb", "64"});
-  EXPECT_EQ(args.get_positive("plan-cache-mb", std::size_t{1}), 64u);
+  const Args args = make_args({"--max-batch", "64"});
+  EXPECT_EQ(args.get_positive("max-batch", std::size_t{1}), 64u);
   // Absent flag falls back without tripping the zero check.
   EXPECT_EQ(args.get_positive("epochs", std::size_t{7}), 7u);
 }
 
-TEST(CliArgsDeathTest, ZeroPlanCacheBudgetExits2) {
-  const Args args = make_args({"--plan-cache-mb", "0"});
-  EXPECT_EXIT((void)args.get_positive("plan-cache-mb", std::size_t{64}),
+TEST(CliArgsDeathTest, ZeroMaxBatchExits2) {
+  const Args args = make_args({"--max-batch", "0"});
+  EXPECT_EXIT((void)args.get_positive("max-batch", std::size_t{16}),
               ::testing::ExitedWithCode(2), "positive integer");
 }
 
-TEST(CliArgsDeathTest, NegativePlanCacheBudgetExits2) {
-  const Args args = make_args({"--plan-cache-mb", "-16"});
-  EXPECT_EXIT((void)args.get_positive("plan-cache-mb", std::size_t{64}),
+TEST(CliArgsDeathTest, NegativeMaxBatchExits2) {
+  const Args args = make_args({"--max-batch", "-16"});
+  EXPECT_EXIT((void)args.get_positive("max-batch", std::size_t{16}),
               ::testing::ExitedWithCode(2), "non-negative");
 }
 

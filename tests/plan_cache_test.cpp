@@ -65,11 +65,11 @@ TEST(PlanCache, MissThenHitReturnsSamePlan) {
   const data::Sample s = line3_sample();
   PlanCache cache;
   const auto first = cache.get(s, /*use_nodes=*/false);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   const auto second = cache.get(s, /*use_nodes=*/false);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(first.get(), second.get());  // same object, not a rebuild
   expect_plans_equal(*first, core::build_plan(s, false));
 }
@@ -79,8 +79,8 @@ TEST(PlanCache, UseNodesVariantsAreDistinctEntries) {
   PlanCache cache;
   const auto plain = cache.get(s, false);
   const auto ext = cache.get(s, true);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.stats().size, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_NE(plain.get(), ext.get());
   expect_plans_equal(*ext, core::build_plan(s, true));
 }
@@ -92,12 +92,12 @@ TEST(PlanCache, InvalidateDropsBothVariants) {
   (void)cache.get(s, false);
   (void)cache.get(s, true);
   (void)cache.get(other, false);
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().size, 3u);
   cache.invalidate(s);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
   // Re-fetch is a rebuild (miss), not a stale hit.
   (void)cache.get(s, false);
-  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(PlanCache, SharedPlanSurvivesInvalidation) {
@@ -105,7 +105,7 @@ TEST(PlanCache, SharedPlanSurvivesInvalidation) {
   PlanCache cache;
   const auto plan = cache.get(s, true);
   cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().size, 0u);
   // The caller's shared_ptr keeps the plan alive.
   EXPECT_EQ(plan->num_paths, 2u);
 }
@@ -116,8 +116,8 @@ TEST(PlanCache, DistinctSamplesGetDistinctEntries) {
   PlanCache cache;
   (void)cache.get(a, false);
   (void)cache.get(b, false);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.stats().size, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(PlanCache, ConcurrentGetsYieldOnePlanPerKey) {
@@ -126,7 +126,7 @@ TEST(PlanCache, ConcurrentGetsYieldOnePlanPerKey) {
   util::ThreadPool pool(4);
   std::vector<std::shared_ptr<const MpPlan>> got(64);
   pool.parallel_for(64, [&](std::size_t i) { got[i] = cache.get(s, true); });
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
   for (const auto& p : got) {
     ASSERT_NE(p, nullptr);
     expect_plans_equal(*p, *got[0]);
@@ -151,111 +151,25 @@ TEST(PlanCache, ModelForwardIdenticalWithAndWithoutCache) {
   const nn::Tensor cached1 = model.forward(s, scaler).value();
   const nn::Tensor cached2 = model.forward(s, scaler).value();
   model.set_plan_cache(nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain.flat()[i], cached1.flat()[i]);
     EXPECT_EQ(cached1.flat()[i], cached2.flat()[i]);
   }
 }
 
-// -- byte budget / LRU eviction (DESIGN.md §G) -----------------------------
-
-TEST(PlanCache, ByteBudgetEnforcedWithLruEvictionOrder) {
-  const data::Sample a = line3_sample();
-  const data::Sample b = line3_sample();
-  const data::Sample c = line3_sample();
-  const std::size_t plan_bytes = core::build_plan(a, false).bytes();
-  ASSERT_GT(plan_bytes, 0u);
-
-  // Room for exactly two plans.
-  PlanCache cache(2 * plan_bytes);
-  (void)cache.get(a, false);
-  (void)cache.get(b, false);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().bytes, 2 * plan_bytes);
-
-  // Touch a so b becomes the LRU victim.
-  (void)cache.get(a, false);
-  (void)cache.get(c, false);  // evicts b, not a
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_LE(cache.stats().bytes, 2 * plan_bytes);  // budget holds
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // a survived (hit); b was evicted (miss -> rebuild).
-  const std::uint64_t misses_before = cache.misses();
-  (void)cache.get(a, false);
-  EXPECT_EQ(cache.misses(), misses_before);
-  (void)cache.get(b, false);
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-}
-
-TEST(PlanCache, OversizedPlanServesCallerWithoutResidency) {
-  const data::Sample s = line3_sample();
-  const std::size_t plan_bytes = core::build_plan(s, false).bytes();
-  // Budget below a single plan: the entry is evicted immediately, but
-  // the returned pointer must stay usable (shared ownership).
-  PlanCache cache(plan_bytes / 2);
-  const auto plan = cache.get(s, false);
-  EXPECT_EQ(plan->num_paths, 2u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // Peak still records the transient residency.
-  EXPECT_EQ(cache.stats().peak_bytes, plan_bytes);
-}
-
-TEST(PlanCache, SetByteBudgetEvictsImmediately) {
-  const data::Sample a = line3_sample();
-  const data::Sample b = line3_sample();
-  PlanCache cache;  // unlimited
-  (void)cache.get(a, false);
-  (void)cache.get(b, false);
-  const std::size_t plan_bytes = cache.stats().bytes / 2;
-  cache.set_byte_budget(plan_bytes);  // room for one
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // b is the more recently used entry, so a was the victim.
-  const std::uint64_t misses_before = cache.misses();
-  (void)cache.get(b, false);
-  EXPECT_EQ(cache.misses(), misses_before);
-}
-
 TEST(PlanCache, StatsConservationLaws) {
   const data::Sample a = line3_sample();
   const data::Sample b = line3_sample();
-  const std::size_t plan_bytes = core::build_plan(a, false).bytes();
-  PlanCache cache(plan_bytes);  // room for one: every alternation evicts
+  PlanCache cache;
   for (int round = 0; round < 5; ++round) {
-    (void)cache.get(a, false);
-    (void)cache.get(b, false);
-  }
-  const PlanCache::Stats st = cache.stats();
-  EXPECT_EQ(st.lookups, 10u);
-  EXPECT_EQ(st.hits + st.misses, st.lookups);
-  EXPECT_EQ(st.hits, 0u);  // ping-pong: the needed plan is always gone
-  EXPECT_EQ(st.misses, 10u);
-  EXPECT_EQ(st.evictions, 9u);  // every insert after the first evicts
-  EXPECT_EQ(st.size, 1u);
-  EXPECT_EQ(st.bytes, plan_bytes);
-  EXPECT_GE(st.peak_bytes, st.bytes);
-  EXPECT_LE(st.bytes, plan_bytes);  // budget invariant
-}
-
-TEST(PlanCache, UnlimitedBudgetNeverEvicts) {
-  const data::Sample a = line3_sample();
-  const data::Sample b = line3_sample();
-  PlanCache cache;  // byte_budget 0 = unlimited
-  for (int round = 0; round < 3; ++round) {
     (void)cache.get(a, false);
     (void)cache.get(b, true);
   }
   const PlanCache::Stats st = cache.stats();
-  EXPECT_EQ(st.evictions, 0u);
-  EXPECT_EQ(st.size, 2u);
-  EXPECT_EQ(st.hits, 4u);
-  EXPECT_EQ(st.misses, 2u);
-  EXPECT_EQ(st.bytes, st.peak_bytes);
+  EXPECT_EQ(st.lookups, 10u);
+  EXPECT_EQ(st.hits + st.misses, st.lookups);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 //  * GNN relabelling equivariance: renaming node ids (and permuting all
 //    attribute arrays consistently) must permute predictions, nothing
 //    else — the defining property of a graph neural network.  Renaming
-//    link ids leaves them unchanged; reordering the paths permutes them.
+//    link ids leaves them unchanged; reordering the paths permutes them;
+//    appending a disjoint copy of the graph leaves the original paths'
+//    predictions unchanged.
 //  * Simulator scale invariance: multiplying all capacities and rates by
 //    the same factor divides delays by that factor and preserves loss.
 //  * Routing determinism under weight permutation consistency.
@@ -183,6 +185,61 @@ TEST_P(LinkRelabelProperty, PredictionsAreInvariant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LinkRelabelProperty,
+                         ::testing::Values(1, 2, 3));
+
+/// `s` plus a disjoint copy of itself: the copy's nodes, links and paths
+/// are appended with every id offset past the original's.
+data::Sample with_disjoint_copy(const data::Sample& s) {
+  const topo::NodeId n0 = s.num_nodes;
+  const auto l0 = static_cast<topo::LinkId>(s.num_links());
+  data::Sample out = s;
+  out.num_nodes = 2 * n0;
+  out.queue_pkts.insert(out.queue_pkts.end(), s.queue_pkts.begin(),
+                        s.queue_pkts.end());
+  out.link_capacity_bps.insert(out.link_capacity_bps.end(),
+                               s.link_capacity_bps.begin(),
+                               s.link_capacity_bps.end());
+  for (topo::Link l : s.links) {
+    l.src += n0;
+    l.dst += n0;
+    out.links.push_back(l);
+  }
+  for (data::PathRecord p : s.paths) {
+    p.src += n0;
+    p.dst += n0;
+    for (auto& n : p.nodes) n += n0;
+    for (auto& l : p.links) l += l0;
+    out.paths.push_back(std::move(p));
+  }
+  return out;
+}
+
+class DisjointCopyProperty : public ::testing::TestWithParam<int> {};
+
+// Messages only travel along links, so a second component that shares no
+// node or link with the first cannot reach its paths: appending a
+// relabelled copy of the whole graph leaves the original paths'
+// predictions where they were.
+TEST_P(DisjointCopyProperty, OriginalPredictionsUnchanged) {
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 4'000;
+  util::RngStream rng(static_cast<std::uint64_t>(300 + GetParam()));
+  const data::Sample s = data::generate_sample(topo::nsfnet(), cfg, rng);
+  const data::Scaler sc = data::Scaler::fit({&s, 1}, 1);
+  const data::Sample r = with_disjoint_copy(s);
+  r.validate();
+
+  const std::vector<nn::Tensor> a = predict_both(s, sc);
+  const std::vector<nn::Tensor> b = predict_both(r, sc);
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    ASSERT_EQ(b[k].rows(), 2 * a[k].rows());
+    for (std::size_t i = 0; i < a[k].rows(); ++i)
+      expect_close(b[k](i, 0), a[k](i, 0),
+                   "kind " + std::to_string(k) + " path " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DisjointCopyProperty,
                          ::testing::Values(1, 2, 3));
 
 class SimScaleProperty : public ::testing::TestWithParam<double> {};

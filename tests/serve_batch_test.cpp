@@ -1,6 +1,6 @@
 // predict_batch coverage: empty batches, ragged sample sizes,
 // feature-gating and error order through the serial and the pooled batch
-// path, and concurrent batch calls sharing one engine pool.
+// path, and concurrent batch calls sharing one caller-owned pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "serve/inference.hpp"
 #include "topo/zoo.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -79,12 +80,14 @@ TEST(ServeBatch, RaggedSampleSizesInOneBatch) {
 // batch path with the same descriptive error as the single path — and
 // deterministically (first bad sample in sample order), not whichever
 // lane happened to fail first.  A later sample fails with another error
-// type, so the pooled engine pins the order, not just the message.
+// type, so the pooled batch pins the order, not just the message.
 TEST(ServeBatch, FeatureGateErrorIsIdenticalThroughBatchPath) {
-  for (const std::size_t threads : {1, 2}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  util::ThreadPool two(2);
+  for (util::ThreadPool* const pool :
+       std::initializer_list<util::ThreadPool*>{nullptr, &two}) {
+    SCOPED_TRACE(pool == nullptr ? "serial" : "pool=2");
     const serve::InferenceEngine engine(
-        make_bundle(/*scenario_features=*/true), threads);
+        make_bundle(/*scenario_features=*/true));
     std::vector<data::Sample> mixed(nsfnet_dataset().samples().begin(),
                                     nsfnet_dataset().samples().end());
     mixed[1].scenario_recorded = false;  // as loaded from a v1 dataset
@@ -101,24 +104,25 @@ TEST(ServeBatch, FeatureGateErrorIsIdenticalThroughBatchPath) {
         << single_path_error;
 
     try {
-      (void)engine.predict_batch(mixed);
+      (void)engine.predict_batch(mixed, pool);
       FAIL() << "batch path served a scenario-less sample";
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), single_path_error);
     }
     // Scenario-recording batches serve fine.
-    EXPECT_EQ(engine.predict_batch(nsfnet_dataset().samples()).size(),
+    EXPECT_EQ(engine.predict_batch(nsfnet_dataset().samples(), pool).size(),
               nsfnet_dataset().size());
   }
 }
 
 // The first engine serialized concurrent predict_batch calls on one
 // mutex; a private scheduler later coalesced them.  Now each call fans
-// out on the engine's pool, or runs inline while another call holds it.
+// out on the caller's pool, or runs inline while another call holds it.
 // Concurrent calls must neither deadlock nor change a single bit of
 // output.
 TEST(ServeBatch, ConcurrentBatchCallsCoalesceAndStayBitwiseIdentical) {
-  const serve::InferenceEngine engine(make_bundle(), /*threads=*/2);
+  const serve::InferenceEngine engine(make_bundle());
+  util::ThreadPool pool(2);
   const data::Dataset& ds = nsfnet_dataset();
   std::vector<std::vector<double>> expected;
   for (const data::Sample& s : ds.samples()) expected.push_back(engine.predict(s));
@@ -129,7 +133,7 @@ TEST(ServeBatch, ConcurrentBatchCallsCoalesceAndStayBitwiseIdentical) {
     callers.emplace_back([&] {
       for (int rep = 0; rep < 3; ++rep) {
         const std::vector<std::vector<double>> got =
-            engine.predict_batch(ds.samples());
+            engine.predict_batch(ds.samples(), &pool);
         if (got.size() != ds.size()) {
           ++mismatches;
           continue;

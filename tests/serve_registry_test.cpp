@@ -266,4 +266,33 @@ TEST(ServeRegistry, EnginesShareOnePlanCache) {
   EXPECT_GE(pc.hits, 1u);    // ...reused by the second engine
 }
 
+// The registry's cache keys plans by sample address, so a caller that
+// overwrites a served sample in place calls invalidate() before serving
+// it again; the mutated sample is then served exactly as an engine
+// without a cache serves it.
+TEST(ServeRegistry, InvalidateAfterInPlaceMutation) {
+  serve::ModelRegistry registry;
+  registry.add("delay", make_bundle(small_config(5)));
+  const data::Dataset& ds = test_dataset();
+  serve::BatchScheduler sched(manual_cfg());
+
+  data::Sample sample = ds[0];
+  serve::Submitted first =
+      sched.submit(registry, "delay", std::span(&sample, 1));
+  sched.flush();
+  (void)first.result.get();
+
+  sample = ds[1];  // same object, another routing
+  registry.invalidate(sample);
+  serve::Submitted second =
+      sched.submit(registry, "delay", std::span(&sample, 1));
+  sched.flush();
+  const serve::InferenceEngine uncached(make_bundle(small_config(5)));
+  EXPECT_EQ(second.result.get()[0], uncached.predict(ds[1]));
+
+  const core::PlanCache::Stats pc = registry.plan_cache().stats();
+  EXPECT_EQ(pc.hits, 0u);    // the old routing's plan was never served...
+  EXPECT_EQ(pc.misses, 2u);  // ...the new one was built after invalidate()
+}
+
 }  // namespace

@@ -102,8 +102,8 @@ class Args {
     return *v;
   }
   /// As the std::size_t get(), but additionally rejects zero — for
-  /// flags where 0 is as nonsensical as a negative value (a byte budget,
-  /// a worker count).  Negative input already dies in parse_size; both
+  /// flags where 0 is as nonsensical as a negative value (a batch bound,
+  /// a queue depth, a client count).  Negative input already dies in parse_size; both
   /// exit 2.
   [[nodiscard]] std::size_t get_positive(const std::string& key,
                                          std::size_t fallback) const {

@@ -58,7 +58,7 @@ int run(int argc, char** argv) {
       argc, argv,
       {"bundle", "data", "requests", "clients", "threads", "max-batch",
        "linger-us", "queue-depth", "seed", "verify", "deadline-ms",
-       "term-after", "plan-cache-mb"},
+       "term-after"},
       "usage: rnx_serve --bundle NAME=FILE [--bundle NAME=FILE ...] "
       "--data ds.rnxd [options]\n"
       "  --bundle NAME=FILE  register bundle FILE as model NAME\n"
@@ -70,9 +70,6 @@ int run(int argc, char** argv) {
       "  --max-batch B       micro-batch sample bound (default 16)\n"
       "  --linger-us L       micro-batch linger in us (default 100)\n"
       "  --queue-depth Q     admission bound in requests (default 1024)\n"
-      "  --plan-cache-mb M   cap the shared plan cache at M MiB (LRU\n"
-      "                      eviction); peak bytes / evictions appear in\n"
-      "                      the final stats so the budget can be sized\n"
       "  --seed S            request routing seed (default 1)\n"
       "  --deadline-ms D     per-request completion deadline (0 = none);\n"
       "                      expired requests resolve with a typed error\n"
@@ -89,14 +86,18 @@ int run(int argc, char** argv) {
     std::cerr << "error: need at least one --bundle and --data\n";
     return 2;
   }
+  // Sizing flags are usage errors (exit 2) before anything loads.
+  serve::SchedulerConfig cfg;
+  cfg.max_queue_depth = args.get_positive("queue-depth", std::size_t{1024});
+  cfg.max_batch_samples = args.get_positive("max-batch", std::size_t{16});
+  cfg.max_linger =
+      std::chrono::microseconds(args.get("linger-us", std::size_t{100}));
+  const std::size_t clients = args.get_positive("clients", std::size_t{4});
 
   std::cout << "kernels: " << nn::kernels::active().name << " ("
             << nn::kernels::dispatch_reason() << ")\n";
 
   serve::ModelRegistry registry(args.get("threads", std::size_t{0}));
-  if (args.has("plan-cache-mb"))
-    registry.set_plan_cache_budget(
-        args.get_positive("plan-cache-mb", std::size_t{64}) * 1024 * 1024);
   std::vector<std::string> names;
   for (const std::string& spec : bundle_specs) {
     const auto eq = spec.find('=');
@@ -125,11 +126,6 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  serve::SchedulerConfig cfg;
-  cfg.max_queue_depth = args.get("queue-depth", std::size_t{1024});
-  cfg.max_batch_samples = args.get("max-batch", std::size_t{16});
-  cfg.max_linger =
-      std::chrono::microseconds(args.get("linger-us", std::size_t{100}));
   serve::BatchScheduler scheduler(cfg, registry.pool());
 
   serve::SubmitOptions submit_opts;
@@ -140,8 +136,6 @@ int run(int argc, char** argv) {
 
   // Deterministic workload: one stream draws every request's route.
   const std::size_t requests = args.get("requests", std::size_t{256});
-  const std::size_t clients = std::max<std::size_t>(
-      args.get("clients", std::size_t{4}), 1);
   util::RngStream rng(args.get("seed", std::size_t{1}));
   std::vector<RequestPlan> plan(requests);
   for (RequestPlan& r : plan) {
@@ -249,8 +243,7 @@ int run(int argc, char** argv) {
   scheduler.drain();
   const double wall_s = wall.seconds();
 
-  serve::ServeStats stats = scheduler.stats();
-  stats.plan_cache = registry.plan_cache().stats();
+  const serve::ServeStats stats = scheduler.stats();
   serve::print_stats(std::cout, stats);
 
   std::vector<double> lat;
