@@ -6,7 +6,8 @@
 // down — no coordinated omission) against a two-bundle ModelRegistry
 // behind a threaded BatchScheduler.  Sweeps offered load as a fraction
 // of the measured serial service rate and reports p50/p99 latency,
-// completed throughput and shed fraction per point; emits
+// completed throughput, shed and failed fractions and the scheduler's
+// mean batch size per point; emits
 // BENCH_serve_latency.json for CI tracking (RNX_BENCH_QUICK honoured).
 #include <chrono>
 #include <cstdio>
@@ -52,7 +53,9 @@ struct LoadPoint {
   double completed_rps = 0;
   double p50_us = 0;
   double p99_us = 0;
-  double shed_fraction = 0;
+  double shed_fraction = 0;    ///< refused at admission or at the door
+  double failed_fraction = 0;  ///< admitted, then failed in the forward
+  double mean_batch_samples = 0;
 };
 
 LoadPoint run_point(const serve::ModelRegistry& registry,
@@ -67,7 +70,7 @@ LoadPoint run_point(const serve::ModelRegistry& registry,
 
   util::BoundedQueue<std::size_t> feed(256);
   std::vector<std::vector<double>> latencies(clients);
-  std::vector<std::size_t> shed(clients, 0);
+  std::vector<std::size_t> shed(clients, 0), failed(clients, 0);
 
   std::vector<std::thread> workers;
   workers.reserve(clients);
@@ -86,7 +89,7 @@ LoadPoint run_point(const serve::ModelRegistry& registry,
         try {
           (void)sub.result.get();
         } catch (const std::exception&) {
-          ++shed[c];  // failed requests leave the latency sample too
+          ++failed[c];  // failed requests leave the latency sample too
           continue;
         }
         const auto t1 = std::chrono::steady_clock::now();
@@ -112,10 +115,11 @@ LoadPoint run_point(const serve::ModelRegistry& registry,
   const double wall_s = wall.seconds();
 
   std::vector<double> lat;
-  std::size_t total_shed = gen_dropped;
+  std::size_t total_shed = gen_dropped, total_failed = 0;
   for (std::size_t c = 0; c < clients; ++c) {
     lat.insert(lat.end(), latencies[c].begin(), latencies[c].end());
     total_shed += shed[c];
+    total_failed += failed[c];
   }
   LoadPoint pt;
   pt.offered_rps = offered_rps;
@@ -125,6 +129,9 @@ LoadPoint run_point(const serve::ModelRegistry& registry,
   pt.p99_us = lat.empty() ? 0.0 : util::percentile(lat, 99);
   pt.shed_fraction =
       static_cast<double>(total_shed) / static_cast<double>(requests);
+  pt.failed_fraction =
+      static_cast<double>(total_failed) / static_cast<double>(requests);
+  pt.mean_batch_samples = sched.stats().mean_batch_samples();
   return pt;
 }
 
@@ -166,14 +173,15 @@ int main() {
       quick ? std::vector<double>{0.25, 0.6, 1.5}
             : std::vector<double>{0.25, 0.5, 0.9, 1.5};
 
-  std::printf("%10s %12s %12s %10s %10s %8s\n", "load", "offered",
-              "completed", "p50_us", "p99_us", "shed");
+  std::printf("%10s %12s %12s %10s %10s %8s %8s %6s\n", "load", "offered",
+              "completed", "p50_us", "p99_us", "shed", "failed", "batch");
   for (const double f : load_fractions) {
     const LoadPoint pt =
         run_point(registry, names, ds, f * service_rps, requests, clients);
-    std::printf("%9.2fx %12.1f %12.1f %10.1f %10.1f %7.1f%%\n", f,
-                pt.offered_rps, pt.completed_rps, pt.p50_us, pt.p99_us,
-                100.0 * pt.shed_fraction);
+    std::printf("%9.2fx %12.1f %12.1f %10.1f %10.1f %7.1f%% %7.1f%% %6.2f\n",
+                f, pt.offered_rps, pt.completed_rps, pt.p50_us, pt.p99_us,
+                100.0 * pt.shed_fraction, 100.0 * pt.failed_fraction,
+                pt.mean_batch_samples);
     char key[64];
     std::snprintf(key, sizeof(key), "load_%.2fx", f);
     result.add(std::string(key) + "_offered_rps", pt.offered_rps);
@@ -181,6 +189,9 @@ int main() {
     result.add(std::string(key) + "_p50_us", pt.p50_us);
     result.add(std::string(key) + "_p99_us", pt.p99_us);
     result.add(std::string(key) + "_shed_fraction", pt.shed_fraction);
+    result.add(std::string(key) + "_failed_fraction", pt.failed_fraction);
+    result.add(std::string(key) + "_mean_batch_samples",
+               pt.mean_batch_samples);
   }
 
   result.set_config("nsfnet replay, 2 bundles, clients=4, batch<=16, "

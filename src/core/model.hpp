@@ -96,13 +96,12 @@ class Model {
 
   /// Scattered-batch inference: as forward_batch, but over sample
   /// *pointers* so the batch can gather samples that are not contiguous
-  /// in memory — the serving scheduler coalesces samples from many
-  /// queued requests, and plan-cache keying by sample address requires
-  /// passing the original objects, never copies.  A non-null `errors`
-  /// vector (resized to samples.size()) captures each sample's forward
-  /// exception in its own slot instead of failing the whole batch, so a
-  /// multi-request batch isolates one request's bad sample from the
-  /// others; the corresponding output tensor stays empty.  With `errors`
+  /// in memory — plan-cache keying by sample address requires passing
+  /// the original objects, never copies.  A non-null `errors` vector
+  /// (resized to samples.size()) captures each sample's forward
+  /// exception in its own slot instead of failing the whole batch, so
+  /// InferenceEngine::predict_batch can rethrow the first bad sample in
+  /// sample order; the corresponding output tensor stays empty.  With `errors`
   /// null, the first exception propagates as in forward_batch.  A
   /// non-null `skip` mask (one entry per sample) leaves the marked slots
   /// as empty tensors without paying their forward pass — eval uses it

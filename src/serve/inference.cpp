@@ -1,5 +1,6 @@
 #include "serve/inference.hpp"
 
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -21,20 +22,20 @@ InferenceEngine::InferenceEngine(ModelBundle bundle,
   model_->set_plan_cache(plan_cache_.get());
 }
 
-double InferenceEngine::denormalize(double target_value) const {
-  return target_ == core::PredictionTarget::kDelay
-             ? scaler_.target_to_delay(target_value)
-             : scaler_.target_to_jitter(target_value);
+std::vector<double> InferenceEngine::to_physical(
+    const nn::Tensor& pred) const {
+  std::vector<double> out(pred.rows());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = target_ == core::PredictionTarget::kDelay
+                 ? scaler_.target_to_delay(pred(i, 0))
+                 : scaler_.target_to_jitter(pred(i, 0));
+  return out;
 }
 
 std::vector<double> InferenceEngine::predict(
     const data::Sample& sample) const {
   const nn::NoGradGuard guard;
-  const nn::Tensor pred = model_->forward(sample, scaler_).value();
-  std::vector<double> out(pred.rows());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = denormalize(pred(i, 0));
-  return out;
+  return to_physical(model_->forward(sample, scaler_).value());
 }
 
 std::vector<std::vector<double>> InferenceEngine::predict_batch(
@@ -44,24 +45,13 @@ std::vector<std::vector<double>> InferenceEngine::predict_batch(
   std::vector<const data::Sample*> ptrs(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) ptrs[i] = &samples[i];
   std::vector<std::exception_ptr> errors;
-  std::vector<std::vector<double>> out = predict_ptrs(ptrs, pool, &errors);
+  const std::vector<nn::Tensor> preds =
+      model_->forward_batch(ptrs, scaler_, pool, &errors);
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);  // first failing sample, in order
-  return out;
-}
-
-std::vector<std::vector<double>> InferenceEngine::predict_ptrs(
-    std::span<const data::Sample* const> samples, util::ThreadPool* pool,
-    std::vector<std::exception_ptr>* errors) const {
-  const std::vector<nn::Tensor> preds =
-      model_->forward_batch(samples, scaler_, pool, errors);
   std::vector<std::vector<double>> out(samples.size());
-  for (std::size_t si = 0; si < samples.size(); ++si) {
-    if (errors != nullptr && (*errors)[si] != nullptr) continue;
-    out[si].resize(preds[si].rows());
-    for (std::size_t i = 0; i < out[si].size(); ++i)
-      out[si][i] = denormalize(preds[si](i, 0));
-  }
+  for (std::size_t si = 0; si < samples.size(); ++si)
+    out[si] = to_physical(preds[si]);
   return out;
 }
 

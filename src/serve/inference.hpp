@@ -7,13 +7,13 @@
 // the message-passing plan on every forward, as training and
 // evaluation do, and batch fan-out runs on a pool the caller passes.
 //
-// Thread-safety (DESIGN.md §B, §B2): predict(), predict_batch() and
-// predict_ptrs() may be called concurrently from any number of threads
-// — forward() only reads the weights and autograd's no-grad mode is
-// thread-local.  The batch calls fan out on the caller's pool with
-// try_parallel_for: a caller that finds the pool busy runs its batch
-// inline, so no caller ever blocks idle.  Cross-request coalescing is
-// serve::BatchScheduler's job.
+// Thread-safety (DESIGN.md §B, §B2): predict() and predict_batch() may
+// be called concurrently from any number of threads — forward() only
+// reads the weights and autograd's no-grad mode is thread-local.
+// predict_batch() fans out on the caller's pool with try_parallel_for:
+// a caller that finds the pool busy runs its batch inline, so no caller
+// ever blocks idle.  Cross-request coalescing is serve::BatchScheduler's
+// job; it calls predict() once per sample, on the sample's own engine.
 //
 // Only the engines a serve::ModelRegistry builds get a plan cache, the
 // registry's shared one (DESIGN.md §G).  Their model is exposed only as
@@ -23,7 +23,6 @@
 // address-lifetime contract.  The engine itself holds no mutex.
 #pragma once
 
-#include <exception>
 #include <memory>
 #include <span>
 #include <string>
@@ -62,16 +61,6 @@ class InferenceEngine {
       std::span<const data::Sample> samples,
       util::ThreadPool* pool = nullptr) const;
 
-  /// Scattered batch over sample pointers: the BatchScheduler's
-  /// execution hook (batches gather samples from many queued requests).
-  /// With `errors` non-null, each sample's forward error lands in its
-  /// slot (the prediction slot stays empty) instead of failing the whole
-  /// batch.  `pool` belongs to the caller (e.g. the registry); if it is
-  /// busy the batch runs inline — never blocks.
-  [[nodiscard]] std::vector<std::vector<double>> predict_ptrs(
-      std::span<const data::Sample* const> samples, util::ThreadPool* pool,
-      std::vector<std::exception_ptr>* errors = nullptr) const;
-
   /// Mean predicted value over a scenario's paths — the what-if loop's
   /// scalar objective (examples/what_if_queue_upgrade.cpp).
   [[nodiscard]] double predict_mean(const data::Sample& sample) const;
@@ -86,7 +75,8 @@ class InferenceEngine {
   }
 
  private:
-  [[nodiscard]] double denormalize(double target_value) const;
+  /// One forward's normalized column in physical units.
+  [[nodiscard]] std::vector<double> to_physical(const nn::Tensor& pred) const;
 
   /// The registry's shared cache, co-owned so it outlives every forward
   /// of an engine a request still holds (and, declared first, the model

@@ -14,8 +14,8 @@ ModelRegistry::ModelRegistry(std::size_t threads)
 
 std::shared_ptr<InferenceEngine> ModelRegistry::make_engine(
     ModelBundle bundle) const {
-  // Engines share the registry cache; batches fan out on the registry
-  // pool, which the scheduler passes to predict_ptrs.
+  // Engines share the registry cache; a scheduler built on the registry
+  // pool fans each batch's samples out over it.
   return std::make_shared<InferenceEngine>(std::move(bundle), cache_);
 }
 

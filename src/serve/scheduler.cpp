@@ -130,10 +130,8 @@ bool BatchScheduler::front_ready_locked(ClockPoint now) const {
   if (pending_.empty()) return false;
   if (draining_) return true;  // no lingering while draining
   if (now - pending_.front().enqueued >= cfg_.max_linger) return true;
-  const InferenceEngine* engine = pending_.front().engine;
   std::size_t samples = 0;
   for (const Request& r : pending_) {
-    if (r.engine != engine) break;
     samples += r.samples.size();
     if (samples >= cfg_.max_batch_samples) return true;
   }
@@ -143,9 +141,8 @@ bool BatchScheduler::front_ready_locked(ClockPoint now) const {
 BatchScheduler::Batch BatchScheduler::take_front_locked() {
   Batch out;
   if (pending_.empty()) return out;
-  const InferenceEngine* engine = pending_.front().engine;
   std::size_t samples = 0;
-  while (!pending_.empty() && pending_.front().engine == engine) {
+  while (!pending_.empty()) {
     const std::size_t k = pending_.front().samples.size();
     if (!out.empty() && samples + k > cfg_.max_batch_samples) break;
     samples += k;
@@ -216,13 +213,16 @@ void BatchScheduler::reap() {
 
 void BatchScheduler::execute(Batch batch) {
   if (batch.empty()) return;
-  const InferenceEngine* engine = batch.front().engine;
-  std::size_t total = 0;
-  for (const Request& r : batch) total += r.samples.size();
-  std::vector<const data::Sample*> ptrs;
-  ptrs.reserve(total);
+  // One item per (request, sample), each forwarded on its own request's
+  // engine by the same per-sample predict() the serial path runs, so a
+  // batch spanning engines keeps every lane busy until its last item.
+  struct Item {
+    const InferenceEngine* engine;
+    const data::Sample* sample;
+  };
+  std::vector<Item> items;
   for (const Request& r : batch)
-    for (const data::Sample& s : r.samples) ptrs.push_back(&s);
+    for (const data::Sample& s : r.samples) items.push_back({r.engine, &s});
 
   // Injected execution faults (serve.execute[.slow]): a stalled model —
   // param microseconds, default 1ms — and a whole-batch failure, both at
@@ -232,14 +232,26 @@ void BatchScheduler::execute(Batch batch) {
         util::FaultInjector::instance().param("serve.execute.slow");
     std::this_thread::sleep_for(std::chrono::microseconds(us ? us : 1000));
   }
-  PredictionSet values;
-  std::vector<std::exception_ptr> errors;
+  PredictionSet values(items.size());
+  std::vector<std::exception_ptr> errors(items.size());
   std::exception_ptr batch_error;
   try {
     if (util::fault_fires("serve.execute"))
       throw util::FaultInjectedError(
           "injected whole-batch execution failure (serve.execute)");
-    values = engine->predict_ptrs(ptrs, pool_, &errors);
+    const auto run = [&](std::size_t i) {
+      try {
+        values[i] = items[i].engine->predict(*items[i].sample);
+      } catch (...) {
+        errors[i] = std::current_exception();  // fails its request only
+      }
+    };
+    // A pool busy with another batch runs this one inline, never waits.
+    const bool pooled = pool_ != nullptr && pool_->size() > 1 &&
+                        items.size() > 1 &&
+                        pool_->try_parallel_for(items.size(), run);
+    if (!pooled)
+      for (std::size_t i = 0; i < items.size(); ++i) run(i);
   } catch (...) {
     // Whole-batch failure (not a per-sample forward error): every
     // request in the batch fails with the same cause.

@@ -2,11 +2,11 @@
 // (DESIGN.md §B2).
 //
 // Callers enqueue predict requests (one or many samples against one
-// InferenceEngine); a drainer coalesces adjacent same-engine requests
-// into micro-batches, fans each batch over the shared util::ThreadPool
-// via Model::forward_batch, and completes per-request futures.  This
-// replaces InferenceEngine's old global batch mutex: concurrent callers
-// now *pool their work* instead of waiting in line.
+// InferenceEngine); a drainer coalesces the queue front into
+// micro-batches whatever the engines, fans each batch's samples over the
+// shared util::ThreadPool — every sample through its own request's
+// InferenceEngine::predict — and completes per-request futures.
+// Concurrent callers *pool their work* instead of waiting in line.
 //
 // Admission control: the pending queue is bounded (max_queue_depth
 // requests).  A request that arrives at a full queue is shed immediately
@@ -16,21 +16,22 @@
 //
 // Batch formation (exact, pinned by tests/serve_scheduler_test.cpp):
 // requests wait in strict admission order; a batch is always formed from
-// the queue *front* and extends over the maximal contiguous run of
-// same-engine requests whose combined sample count stays within
+// the queue *front* and extends over the longest prefix of requests,
+// whatever their engines, whose combined sample count stays within
 // max_batch_samples (requests are never split; a single request larger
 // than max_batch_samples forms its own oversized batch).  The front
-// batch is executed when either (a) its engine's contiguous prefix
-// reaches max_batch_samples — the full cut — or (b) the front request
-// has waited at least max_linger — the linger cut.  Batches therefore
-// *start* in admission order; concurrent executors may finish them out
-// of order.
+// batch is executed when either (a) the queue's prefix reaches
+// max_batch_samples — the full cut — or (b) the front request has
+// waited at least max_linger — the linger cut.  No request overtakes an
+// earlier one: batches *start* in admission order, though concurrent
+// executors may finish them out of order.
 //
 // Determinism: batching cannot change results.  Every sample's forward
 // pass is an independent pure function of (weights, sample, scaler)
 // written into its own output slot; no reduction ever crosses samples
-// (§T), so any grouping of requests into batches — and any lane count —
-// yields outputs bitwise-identical to serial InferenceEngine::predict.
+// (§T), so any grouping of requests into batches — mixed engines
+// included — and any lane count yields outputs bitwise-identical to
+// serial InferenceEngine::predict, the very function each sample runs.
 // The test rig exercises exactly this: scripted clock, manual drain, and
 // bitwise comparison against the serial path.
 //
@@ -75,8 +76,8 @@ using PredictionSet = std::vector<std::vector<double>>;
 struct SchedulerConfig {
   /// Pending requests admitted before shedding (units: requests).
   std::size_t max_queue_depth = 1024;
-  /// Full-cut threshold: a batch executes once the front contiguous
-  /// same-engine run reaches this many samples.
+  /// Full-cut threshold: a batch executes once the queue's front
+  /// requests, whatever their engines, reach this many samples.
   std::size_t max_batch_samples = 32;
   /// Linger cut: the longest a front request waits for batch-mates.
   std::chrono::microseconds max_linger{200};
@@ -144,10 +145,9 @@ class BatchScheduler {
   /// Registry-routed submission: resolves `model` by name and sheds with
   /// kUnknownModel when the registry holds no such bundle.  The request
   /// keeps the resolved engine alive (shared ownership), so a concurrent
-  /// ModelRegistry::swap_bundle never tears an in-flight batch: requests
-  /// admitted before the swap finish on the old engine, requests after
-  /// it run on the new one, and batches never mix the two (batching is
-  /// by engine identity).
+  /// ModelRegistry::swap_bundle never frees an engine under its request:
+  /// requests admitted before the swap finish on the old engine, requests
+  /// after it run on the new one, even when both share a batch.
   [[nodiscard]] Submitted submit(const ModelRegistry& registry,
                                  std::string_view model,
                                  std::span<const data::Sample> samples,
@@ -214,8 +214,8 @@ class BatchScheduler {
   /// while draining, any pending request is ready).
   [[nodiscard]] bool front_ready_locked(ClockPoint now) const
       RNX_REQUIRES(mu_);
-  /// Pop the front batch (maximal same-engine run within the sample
-  /// bound); empty when nothing is pending.
+  /// Pop the front batch (longest request prefix within the sample
+  /// bound, engines mixed); empty when nothing is pending.
   [[nodiscard]] Batch take_front_locked() RNX_REQUIRES(mu_);
   /// Sweep cancelled/expired requests out of the queue (counters
   /// committed under the lock; callers resolve them via resolve_dead).

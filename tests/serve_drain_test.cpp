@@ -1,10 +1,11 @@
 // Serving degradation rig (DESIGN.md §R): per-request deadlines,
 // cooperative cancellation, graceful drain, and hot bundle reload —
-// asserted exactly on the scripted clock wherever possible, with one
-// real-clock threaded test pinning only schedule-independent facts
-// (zero lost futures, conservation laws).
+// asserted exactly on the scripted clock wherever possible, with
+// real-clock threaded tests pinning only schedule-independent facts
+// (zero lost futures, pinned engines, conservation laws).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -316,9 +317,8 @@ TEST(ServeHotReload, SwapIsAtomicAndPinsInFlightRequests) {
   // A post-swap submission resolves the NEW engine...
   serve::Submitted fresh = sched.submit(registry, "m", one(0));
   clock.advance_us(100);
-  // ...and the two engines never share a batch (grouping is by engine
-  // identity), so two batches execute.
-  EXPECT_EQ(sched.pump(), 2u);
+  // ...and both share one batch, each request on the engine it pinned.
+  EXPECT_EQ(sched.pump(), 1u);
 
   const std::vector<double> got_old = pinned.result.get()[0];
   const std::vector<double> got_new = fresh.result.get()[0];
@@ -331,6 +331,72 @@ TEST(ServeHotReload, SwapIsAtomicAndPinsInFlightRequests) {
   EXPECT_EQ(registry.retired_alive(), 0u);
   registry.drain();
   EXPECT_EQ(registry.size(), 1u);
+}
+
+// Swaps under a live drainer: batches mix "a" requests pinned to either
+// weight set with "b" requests, and each answer must come from the
+// engine its request resolved at admission.
+TEST(ServeHotReload, SwapUnderThreadedLoadPinsEachRequest) {
+  const data::Dataset& ds = test_dataset();
+  const serve::InferenceEngine a5(make_bundle(5)), a7(make_bundle(7));
+  const serve::InferenceEngine b6(make_bundle(6));
+  std::vector<std::vector<double>> expect_a5, expect_a7, expect_b;
+  for (const data::Sample& s : ds.samples()) {
+    expect_a5.push_back(a5.predict(s));
+    expect_a7.push_back(a7.predict(s));
+    expect_b.push_back(b6.predict(s));
+  }
+  ASSERT_NE(expect_a5, expect_a7);  // the two variants are distinguishable
+
+  serve::ModelRegistry registry(2);
+  registry.add("a", make_bundle(5));
+  registry.add("b", make_bundle(6));
+  serve::SchedulerConfig cfg;
+  cfg.max_queue_depth = 10'000;  // the soak must not shed
+  cfg.max_batch_samples = 8;
+  cfg.max_linger = microseconds(200);
+  serve::BatchScheduler sched(cfg, registry.pool());
+
+  constexpr std::size_t kWriters = 4, kPerWriter = 30;
+  std::atomic<std::size_t> mismatches{0}, answered{0}, writers_left{kWriters};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (std::size_t i = 0; i < kPerWriter; ++i) {
+        const bool to_a = (w + i) % 2 == 0;
+        const std::size_t si = (w * 3 + i) % ds.size();
+        serve::Submitted sub = sched.submit(registry, to_a ? "a" : "b",
+                                            one(si));
+        if (!sub.admitted()) {  // no ASSERT here: the swap loop awaits us
+          ++mismatches;
+          continue;
+        }
+        const std::vector<double> got = sub.result.get().at(0);
+        ++answered;
+        const bool ok = to_a ? got == expect_a5[si] || got == expect_a7[si]
+                             : got == expect_b[si];
+        if (!ok) ++mismatches;
+      }
+      --writers_left;
+    });
+  std::size_t swaps = 0;
+  while (writers_left.load() > 0 || swaps < 2) {
+    registry.swap_bundle("a", make_bundle(swaps % 2 == 0 ? 7 : 5));
+    ++swaps;
+    std::this_thread::sleep_for(microseconds(500));
+  }
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(answered.load(), kWriters * kPerWriter);
+  EXPECT_EQ(mismatches.load(), 0u);
+  sched.drain();
+  registry.drain();
+  EXPECT_EQ(registry.retired_alive(), 0u);
+  const serve::ServeStats st = sched.stats();
+  EXPECT_EQ(st.completed, kWriters * kPerWriter);
+  EXPECT_EQ(st.admitted,
+            st.completed + st.failed + st.cancelled + st.expired);
+  EXPECT_EQ(st.in_flight(), 0u);
 }
 
 TEST(ServeHotReload, SwapUnknownNameThrowsAndChangesNothing) {

@@ -206,6 +206,9 @@ TEST(ServeRegistry, V1AndV2BundlesCoexistInOneRegistry) {
             registry.at("scenario").predict(ds[1]));
 
   const serve::ServeStats st = sched.stats();
+  // All three requests shared one batch: the gated failure stayed with
+  // its own request while its batch-mates on both engines completed.
+  EXPECT_EQ(st.batches, 1u);
   EXPECT_EQ(st.completed, 2u);
   EXPECT_EQ(st.failed, 1u);
   std::filesystem::remove(v1_path);

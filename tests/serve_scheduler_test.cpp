@@ -3,17 +3,19 @@
 // Every batching decision — linger expiry, full-batch cut, request
 // atomicity, overload shedding, shutdown — is asserted *exactly*, with a
 // scripted clock and manual drain: no sleeps, no real time, no flaky
-// timing.  The one threaded test (the many-writer soak) asserts only
+// timing.  The threaded tests (the many-writer soaks) assert only
 // schedule-independent facts: every request answered exactly once, every
 // answer bitwise-identical to serial predict(), counters conserved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -166,28 +168,35 @@ TEST(ServeScheduler, OversizedRequestFormsItsOwnBatch) {
   EXPECT_EQ(sched.stats().peak_batch_samples, 4u);
 }
 
-TEST(ServeScheduler, MultiEngineRequestsGroupByEngineInFifoOrder) {
+TEST(ServeScheduler, MultiEngineRequestsShareFifoBatches) {
   const serve::InferenceEngine a(make_bundle(5));
   const serve::InferenceEngine b(make_bundle(6));  // different weights
-  ScriptedClock clock;
-  serve::BatchScheduler sched(manual_cfg(clock, 64, 8, 100));
+  // Batches are cut by sample count alone, in admission order: {a,a,b,a}
+  // is one batch under a bound of 8, and {a,a} then {b,a} under 2.
+  for (const auto& [max_batch, batches] :
+       {std::pair<std::size_t, std::size_t>{8, 1}, {2, 2}}) {
+    ScriptedClock clock;
+    serve::BatchScheduler sched(manual_cfg(clock, 64, max_batch, 100));
 
-  serve::Submitted s0 = sched.submit(a, one(0));
-  serve::Submitted s1 = sched.submit(a, one(1));
-  serve::Submitted s2 = sched.submit(b, one(1));
-  serve::Submitted s3 = sched.submit(a, one(2));
-  clock.advance_us(100);
-  // Contiguous same-engine runs: {a,a}, {b}, {a} — strict FIFO, no
-  // reordering across the b request to merge the third a.
-  EXPECT_EQ(sched.pump(), 3u);
-  EXPECT_EQ(sched.stats().batches, 3u);
+    serve::Submitted s0 = sched.submit(a, one(0));
+    serve::Submitted s1 = sched.submit(a, one(1));
+    serve::Submitted s2 = sched.submit(b, one(1));
+    serve::Submitted s3 = sched.submit(a, one(2));
+    clock.advance_us(100);
+    EXPECT_EQ(sched.pump(), batches) << "max_batch=" << max_batch;
+    const serve::ServeStats st = sched.stats();
+    EXPECT_EQ(st.batches, batches) << "max_batch=" << max_batch;
+    EXPECT_EQ(st.batch_samples, 4u);
+    EXPECT_EQ(st.peak_batch_samples, std::min<std::size_t>(max_batch, 4));
 
-  EXPECT_EQ(s0.result.get()[0], a.predict(test_dataset()[0]));
-  EXPECT_EQ(s1.result.get()[0], a.predict(test_dataset()[1]));
-  EXPECT_EQ(s2.result.get()[0], b.predict(test_dataset()[1]));
-  EXPECT_EQ(s3.result.get()[0], a.predict(test_dataset()[2]));
+    // Each sample still runs on its own request's engine.
+    EXPECT_EQ(s0.result.get()[0], a.predict(test_dataset()[0]));
+    EXPECT_EQ(s1.result.get()[0], a.predict(test_dataset()[1]));
+    EXPECT_EQ(s2.result.get()[0], b.predict(test_dataset()[1]));
+    EXPECT_EQ(s3.result.get()[0], a.predict(test_dataset()[2]));
+  }
   // The two engines disagree on the shared sample (different weights),
-  // so the routing assertion above is not vacuous.
+  // so the routing assertions above are not vacuous.
   EXPECT_NE(a.predict(test_dataset()[1]), b.predict(test_dataset()[1]));
 }
 
@@ -286,7 +295,7 @@ TEST(ServeScheduler, FlushExecutesEverythingRegardlessOfLinger) {
   serve::Submitted s0 = sched.submit(a, one(0));
   serve::Submitted s1 = sched.submit(b, one(1));
   EXPECT_EQ(sched.pump(), 0u);  // a full second of linger left
-  EXPECT_EQ(sched.flush(), 2u);
+  EXPECT_EQ(sched.flush(), 1u);  // one batch holds both engines
   EXPECT_FALSE(s0.result.get().empty());
   EXPECT_FALSE(s1.result.get().empty());
 }
@@ -374,6 +383,58 @@ TEST(ServeScheduler, ManyWriterSoakAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(st.failed, 0u);
   EXPECT_EQ(st.in_flight(), 0u);
   EXPECT_EQ(st.batch_samples, st.completed);  // single-sample requests
+}
+
+// The soak again with two engines of different weights on a 2-lane
+// pool: batches now mix engines, and every answer must still come from
+// the writer's own engine.
+TEST(ServeScheduler, TwoEngineSoakAnswersEveryRequestExactlyOnce) {
+  const serve::InferenceEngine a(make_bundle(5));
+  const serve::InferenceEngine b(make_bundle(6));
+  const serve::InferenceEngine* engines[2] = {&a, &b};
+  const data::Dataset& ds = test_dataset();
+  std::vector<std::vector<double>> expected[2];
+  for (std::size_t e = 0; e < 2; ++e)
+    for (const data::Sample& s : ds.samples())
+      expected[e].push_back(engines[e]->predict(s));
+  ASSERT_NE(expected[0], expected[1]);  // routing is observable
+
+  util::ThreadPool pool(2);
+  serve::SchedulerConfig cfg;
+  cfg.max_queue_depth = 10'000;  // soak must not shed
+  cfg.max_batch_samples = 8;
+  // Long enough that writers blocked on earlier answers find company.
+  cfg.max_linger = microseconds(1000);
+  serve::BatchScheduler sched(cfg, &pool);
+
+  constexpr std::size_t kWriters = 8, kPerWriter = 25;
+  std::atomic<std::size_t> mismatches{0}, answered{0};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (std::size_t i = 0; i < kPerWriter; ++i) {
+        const std::size_t e = (w + i) % 2;  // alternate engines
+        const std::size_t si = (w * 7 + i) % ds.size();
+        serve::Submitted sub = sched.submit(*engines[e], one(si));
+        ASSERT_TRUE(sub.admitted());
+        const serve::PredictionSet got = sub.result.get();
+        ++answered;
+        if (got.size() != 1 || got[0] != expected[e][si]) ++mismatches;
+      }
+    });
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(answered.load(), kWriters * kPerWriter);
+  EXPECT_EQ(mismatches.load(), 0u);
+  const serve::ServeStats st = sched.stats();
+  EXPECT_EQ(st.submitted, kWriters * kPerWriter);
+  EXPECT_EQ(st.admitted, st.submitted);
+  EXPECT_EQ(st.shed, 0u);
+  EXPECT_EQ(st.completed, st.admitted);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.in_flight(), 0u);
+  EXPECT_EQ(st.batch_samples, st.completed);  // single-sample requests
+  EXPECT_GT(st.mean_batch_samples(), 1.0);
 }
 
 }  // namespace
