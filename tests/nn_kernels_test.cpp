@@ -22,6 +22,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -173,16 +175,58 @@ TEST(NnKernelsParity, ScalarOverrideRoutesToScalar) {
   EXPECT_EQ(&kernels::active(), &scalar);
 }
 
-// ---- transcendentals: small absolute bound + exact saturation --------------
+// ---- transcendentals: a few ulp + exact saturation -------------------------
+
+/// Doubles between a and b: 0 when equal (+0 and -0 count as equal), 1
+/// for neighbours.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto key = [](double v) {
+    std::int64_t i = 0;
+    std::memcpy(&i, &v, sizeof i);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t ka = key(a), kb = key(b);
+  return ka > kb ? static_cast<std::uint64_t>(ka - kb)
+                 : static_cast<std::uint64_t>(kb - ka);
+}
+
+/// The pinned bound on |x| <= kUlpRange; measured <= 4 on AVX2.
+constexpr std::uint64_t kMaxUlp = 8;
+constexpr double kUlpRange = 700.0;
+
+void expect_activations_close(const Backend& simd, const std::vector<double>& a) {
+  const Backend& scalar = kernels::scalar_backend();
+  const std::size_t n = a.size();
+  std::vector<double> ys(n), yv(n);
+  scalar.vsigmoid(ys.data(), a.data(), n);
+  simd.vsigmoid(yv.data(), a.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(std::isfinite(yv[i])) << "sigmoid x=" << a[i];
+    if (std::abs(a[i]) <= kUlpRange) {
+      EXPECT_LE(ulp_distance(ys[i], yv[i]), kMaxUlp) << "sigmoid x=" << a[i];
+    }
+    EXPECT_GE(yv[i], 0.0);
+    EXPECT_LE(yv[i], 1.0);
+  }
+  scalar.vtanh(ys.data(), a.data(), n);
+  simd.vtanh(yv.data(), a.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(std::isfinite(yv[i])) << "tanh x=" << a[i];
+    if (std::abs(a[i]) <= kUlpRange) {
+      EXPECT_LE(ulp_distance(ys[i], yv[i]), kMaxUlp) << "tanh x=" << a[i];
+    }
+    EXPECT_GE(yv[i], -1.0);
+    EXPECT_LE(yv[i], 1.0);
+  }
+}
 
 TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
   const Backend* simd = kernels::simd_backend();
   if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
-  const Backend& scalar = kernels::scalar_backend();
 
   for (const std::size_t n : kLens) {
-    // Wide range: the polynomial branch, the saturation branch and the
-    // tiny-argument branch all get hit.
+    // Wide range: every range-reduction step n, tiny arguments and the
+    // saturated tails all get hit.
     std::vector<double> a = rand_vec(n, 400 + n, -40.0, 40.0);
     if (n >= 4) {
       a[0] = 0.0;
@@ -190,23 +234,47 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
       a[2] = 750.0;   // beyond exp range: must saturate, not NaN
       a[3] = -750.0;
     }
-    std::vector<double> ys(n), yv(n);
-    scalar.vsigmoid(ys.data(), a.data(), n);
-    simd->vsigmoid(yv.data(), a.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(std::isfinite(yv[i])) << "sigmoid x=" << a[i];
-      EXPECT_NEAR(ys[i], yv[i], 1e-12) << "sigmoid x=" << a[i];
-      EXPECT_GE(yv[i], 0.0);
-      EXPECT_LE(yv[i], 1.0);
-    }
-    scalar.vtanh(ys.data(), a.data(), n);
-    simd->vtanh(yv.data(), a.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(std::isfinite(yv[i])) << "tanh x=" << a[i];
-      EXPECT_NEAR(ys[i], yv[i], 1e-12) << "tanh x=" << a[i];
-      EXPECT_GE(yv[i], -1.0);
-      EXPECT_LE(yv[i], 1.0);
-    }
+    expect_activations_close(*simd, a);
+  }
+  // Dense over the GRU's working range, where the gates live.
+  std::vector<double> dense;
+  for (int i = -20000; i <= 20000; ++i) dense.push_back(i * 1e-4);
+  expect_activations_close(*simd, dense);
+  // Both ends of the pinned range.
+  expect_activations_close(*simd, {-700.0, -690.5, -354.25, 354.25, 690.5,
+                                   700.0});
+}
+
+// NaN propagates lane by lane, and the infinities and out-of-range
+// finite arguments saturate to exactly the reference's limits.
+TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Seven lanes: one full vector and a ragged tail.
+  const std::vector<double> a = {nan, inf, -inf, 750.0, -750.0, 0.5, nan};
+  const std::size_t n = a.size();
+  std::vector<const Backend*> backends{&kernels::scalar_backend()};
+  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
+  for (const Backend* k : backends) {
+    SCOPED_TRACE(k->name);
+    std::vector<double> ys(n), yt(n);
+    k->vsigmoid(ys.data(), a.data(), n);
+    k->vtanh(yt.data(), a.data(), n);
+    EXPECT_TRUE(std::isnan(ys[0]));
+    EXPECT_TRUE(std::isnan(ys[6]));
+    EXPECT_TRUE(std::isnan(yt[0]));
+    EXPECT_TRUE(std::isnan(yt[6]));
+    EXPECT_EQ(ys[1], 1.0);
+    EXPECT_EQ(ys[2], 0.0);
+    EXPECT_EQ(ys[3], 1.0);
+    EXPECT_EQ(ys[4], 0.0);
+    EXPECT_EQ(yt[1], 1.0);
+    EXPECT_EQ(yt[2], -1.0);
+    EXPECT_EQ(yt[3], 1.0);
+    EXPECT_EQ(yt[4], -1.0);
+    // A NaN lane leaves its neighbours alone.
+    EXPECT_TRUE(std::isfinite(ys[5]));
+    EXPECT_TRUE(std::isfinite(yt[5]));
   }
 }
 
