@@ -4,7 +4,8 @@
 // GEANT2 working set; 256^3 is the throughput-bound shape; 229x12 and
 // 74x12 are the serve model's path and link steps, 229x12 also run in
 // place through GRUCell::step_indexed, and taped, forward and backward,
-// as training runs it).
+// as training runs it).  The activations also report ns per element, max
+// ulp from the scalar reference and their share of the 229x12 step.
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -12,9 +13,13 @@
 // identical code paths on identical buffers.  BENCH_nn_ops.json records
 // the detected ISA, the dispatch reason and per-shape speedups (the
 // DESIGN.md §K target: >= 4x matmul/GRU on AVX2 hosts).
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +42,17 @@ using nn::kernels::Backend;
 Tensor rand_tensor(std::size_t r, std::size_t c, std::uint64_t seed) {
   util::RngStream rng(seed);
   return nn::uniform_init(r, c, -1.0, 1.0, rng);
+}
+
+/// Doubles between a and b (+0 and -0 count as equal).
+double ulp_distance(double a, double b) {
+  const auto key = [](double v) {
+    std::int64_t i = 0;
+    std::memcpy(&i, &v, sizeof i);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t ka = key(a), kb = key(b);
+  return static_cast<double>(ka > kb ? ka - kb : kb - ka);
 }
 
 /// Time fn() until it has consumed ~min_seconds of wall clock (after one
@@ -254,6 +270,38 @@ int main() {
              simd_s("gru_step_taped_229x12") / untaped);
   result.add("gru_fwdbwd_over_untaped_229x12",
              simd_s("gru_step_fwdbwd_229x12") / untaped);
+
+  // The activations' speed and accuracy together on the best backend:
+  // ns per element, max ulp from the scalar reference over a fixed
+  // seeded sweep, and their share of a 229x12 step, which runs sigmoid
+  // on 2 * 229 * 12 gate elements and tanh on 229 * 12.
+  const double act_elems = 552.0 * 32.0;
+  const double sigmoid_ns = simd_s("sigmoid_552x32") / act_elems * 1e9;
+  const double tanh_ns = simd_s("tanh_552x32") / act_elems * 1e9;
+  result.add("sigmoid_ns_per_elem", sigmoid_ns);
+  result.add("tanh_ns_per_elem", tanh_ns);
+  std::vector<double> sweep(1 << 16);
+  util::RngStream sweep_rng(19);
+  for (double& v : sweep) v = sweep_rng.uniform(-30.0, 30.0);
+  const auto max_ulp = [&](auto member) {
+    const std::size_t n = sweep.size();
+    std::vector<double> ys(n), yb(n);
+    (scalar.*member)(ys.data(), sweep.data(), n);
+    (best.*member)(yb.data(), sweep.data(), n);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      worst = std::max(worst, ulp_distance(ys[i], yb[i]));
+    return worst;
+  };
+  result.add("sigmoid_max_ulp", max_ulp(&Backend::vsigmoid));
+  result.add("tanh_max_ulp", max_ulp(&Backend::vtanh));
+  const double step_elems = 229.0 * 12.0;
+  result.add("gru_act_share_229x12",
+             (2.0 * step_elems * sigmoid_ns + step_elems * tanh_ns) * 1e-9 /
+                 untaped);
+  std::cout << "\nactivations on " << best.name << ": sigmoid "
+            << std::setprecision(2) << sigmoid_ns << " ns/elem, tanh "
+            << tanh_ns << " ns/elem\n";
 
   result.write();
   return 0;

@@ -10,9 +10,10 @@
 //     mul+add contracted to FMA, no av == 0.0 skip, and matmul_nt_acc
 //     sums in 4+4 lanes instead of 2, so results agree to a small
 //     relative bound instead of bitwise;
-//   * vsigmoid/vtanh — Cephes-style polynomial exp instead of libm;
-//     agree to a few ulp over the finite range and saturate to the same
-//     0/±1 limits.
+//   * vsigmoid/vtanh — one division per vector each, a ratio of the
+//     same Cephes-style exp parts instead of libm; within 8 ulp for
+//     |x| <= 700 (measured <= 4), the same 0/±1 limits at ±inf, NaN in
+//     gives NaN out, and tanh(-0) = -0.
 #include "nn/kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -391,31 +392,30 @@ void vrelu(double* y, const double* a, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Vector exp, Cephes style (expm1-free range reduction + rational
-// polynomial), accurate to ~1-2 ulp over the finite range.  sigmoid/tanh
-// build on it.  This is where the GRU's elementwise time goes — libm exp
-// is the single hottest scalar op in the fused step.
+// sigmoid and tanh as one ratio each of the same Cephes exp parts.  This
+// is where the GRU's elementwise time goes, and the divider bounds it,
+// so each costs one division per vector.  Both are a few ulp from the
+// libm reference, with no cancellation near 0.
 // ---------------------------------------------------------------------------
 
-constexpr double kMaxLog = 709.782712893383996843;   // log(DBL_MAX)
 constexpr double kMinLog = -708.396418532264078749;  // log(DBL_MIN), normal
+constexpr double kSigmoidMaxArg = 708.0;  // s·Q stays finite below this
 
-inline __m256d vexp_pd(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d in = x;
-  x = _mm256_min_pd(_mm256_set1_pd(kMaxLog), x);
-  x = _mm256_max_pd(_mm256_set1_pd(kMinLog), x);
+/// e^x = s (Q + P) / (Q - P), s = 2^n, where P / Q = tanh(r / 2) on the
+/// reduced argument r = x - n ln2, |r| <= ln2 / 2.  x must lie in
+/// [kMinLog, kSigmoidMaxArg] (or be NaN, which reaches P and Q).
+struct ExpParts {
+  __m256d p, q, s;
+};
 
+inline ExpParts vexp_parts(__m256d x) {
   // n = round(x * log2(e)); r = x - n*ln2 in two pieces for accuracy.
   const __m256d vlog2e = _mm256_set1_pd(1.4426950408889634073599);
   const __m256d n = _mm256_round_pd(
       _mm256_mul_pd(x, vlog2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256d c1 = _mm256_set1_pd(6.93145751953125e-1);
-  const __m256d c2 = _mm256_set1_pd(1.42860682030941723212e-6);
-  x = _mm256_fnmadd_pd(n, c1, x);
-  x = _mm256_fnmadd_pd(n, c2, x);
+  x = _mm256_fnmadd_pd(n, _mm256_set1_pd(6.93145751953125e-1), x);
+  x = _mm256_fnmadd_pd(n, _mm256_set1_pd(1.42860682030941723212e-6), x);
 
-  // exp(r) = 1 + 2r·P(r²) / (Q(r²) − r·P(r²)), |r| <= ln2/2.
   const __m256d xx = _mm256_mul_pd(x, x);
   __m256d px = _mm256_set1_pd(1.26177193074810590878e-4);
   px = _mm256_fmadd_pd(px, xx, _mm256_set1_pd(3.02994407707441961300e-2));
@@ -425,32 +425,38 @@ inline __m256d vexp_pd(__m256d x) {
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.52448340349684104192e-3));
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.27265548208155028766e-1));
   qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.0));
-  const __m256d e =
-      _mm256_div_pd(px, _mm256_sub_pd(qx, px));
-  __m256d result = _mm256_fmadd_pd(_mm256_set1_pd(2.0), e, one);
 
-  // Scale by 2^n via direct exponent-field construction (|n| <= 1024, so
-  // the int32 path is exact).
-  const __m128i n32 = _mm256_cvtpd_epi32(n);
-  const __m256i n64 = _mm256_cvtepi32_epi64(n32);
+  // 2^n via direct exponent-field construction (|n| <= 1022, so the
+  // int32 path is exact).
+  const __m256i n64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
   const __m256i pow2 =
       _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
-  result = _mm256_mul_pd(result, _mm256_castsi256_pd(pow2));
-
-  // Saturate outside the clamped range like libm: +inf above, +0 below.
-  result = _mm256_blendv_pd(
-      result, _mm256_set1_pd(HUGE_VAL),
-      _mm256_cmp_pd(in, _mm256_set1_pd(kMaxLog), _CMP_GT_OQ));
-  result = _mm256_blendv_pd(
-      result, _mm256_setzero_pd(),
-      _mm256_cmp_pd(in, _mm256_set1_pd(-745.2), _CMP_LT_OQ));
-  return result;
+  return {px, qx, _mm256_castsi256_pd(pow2)};
 }
 
-inline __m256d vsigmoid_pd(__m256d x) {
+/// (s + 1) Q + (s - 1) P, the shared denominator: s e^r + 1 times Q - P.
+/// Rounding the P term and fusing the Q term (tanh's numerator too)
+/// measured the tighter of the two orders.
+inline __m256d exp_denominator(const ExpParts& e) {
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d e = vexp_pd(_mm256_sub_pd(_mm256_setzero_pd(), x));
-  return _mm256_div_pd(one, _mm256_add_pd(one, e));
+  return _mm256_fmadd_pd(_mm256_add_pd(e.s, one), e.q,
+                         _mm256_mul_pd(_mm256_sub_pd(e.s, one), e.p));
+}
+
+// sigma(x) = 1 / (1 + e^t), t = -x: (Q - P) / ((s + 1) Q + (s - 1) P).
+// t below kMinLog rounds s + 1 to 1 and s - 1 to -1, so the ratio is
+// exactly 1; t above kSigmoidMaxArg returns +0.  The constant goes first
+// in min/max, which return their second operand on NaN, so NaN
+// propagates.
+inline __m256d vsigmoid_pd(__m256d x) {
+  const __m256d t = _mm256_sub_pd(_mm256_setzero_pd(), x);
+  const __m256d tc = _mm256_max_pd(
+      _mm256_set1_pd(kMinLog),
+      _mm256_min_pd(_mm256_set1_pd(kSigmoidMaxArg), t));
+  const ExpParts e = vexp_parts(tc);
+  const __m256d y = _mm256_div_pd(_mm256_sub_pd(e.q, e.p), exp_denominator(e));
+  return _mm256_andnot_pd(
+      _mm256_cmp_pd(t, _mm256_set1_pd(kSigmoidMaxArg), _CMP_GT_OQ), y);
 }
 
 void vsigmoid(double* y, const double* a, std::size_t n) {
@@ -468,33 +474,22 @@ void vsigmoid(double* y, const double* a, std::size_t n) {
   }
 }
 
-// tanh, Cephes style: polynomial on |x| < 0.625, exp-based beyond.
+// tanh a = (e^2a - 1) / (e^2a + 1) = ((s - 1) Q + (s + 1) P) / ((s + 1) Q
+// + (s - 1) P) on a = min(22, |x|), with x's sign OR-ed back in (so
+// tanh(-0) = -0).  tanh(22) rounds to 1, and there s - 1 and s + 1 round
+// to s, so the ratio is exactly 1.  Near 0, n = 0 and the ratio is P / Q
+// on r = 2a: no cancellation.  NaN propagates through min as in sigmoid.
 inline __m256d vtanh_pd(__m256d x) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d sign_mask = _mm256_set1_pd(-0.0);
   const __m256d sign = _mm256_and_pd(x, sign_mask);
-  const __m256d ax = _mm256_andnot_pd(sign_mask, x);
-
-  // Large branch: 1 - 2/(exp(2|x|) + 1).  exp overflow -> 2/inf = 0 -> 1,
-  // so saturation falls out naturally.
-  const __m256d e = vexp_pd(_mm256_add_pd(ax, ax));
-  const __m256d big = _mm256_sub_pd(
-      one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e, one)));
-
-  // Small branch: x + x·z·P(z)/Q(z), z = x² — no cancellation near 0.
-  const __m256d z = _mm256_mul_pd(x, x);
-  __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-9.92877231001918586564e1));
-  p = _mm256_fmadd_pd(p, z, _mm256_set1_pd(-1.61468768441708447952e3));
-  __m256d q = _mm256_add_pd(z, _mm256_set1_pd(1.12811678491632931402e2));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(2.23548839060100448583e3));
-  q = _mm256_fmadd_pd(q, z, _mm256_set1_pd(4.84406305325125486048e3));
-  const __m256d small = _mm256_add_pd(
-      x, _mm256_mul_pd(_mm256_mul_pd(x, z), _mm256_div_pd(p, q)));
-
-  const __m256d use_small =
-      _mm256_cmp_pd(ax, _mm256_set1_pd(0.625), _CMP_LT_OQ);
-  return _mm256_blendv_pd(_mm256_or_pd(big, sign), small, use_small);
+  const __m256d a =
+      _mm256_min_pd(_mm256_set1_pd(22.0), _mm256_andnot_pd(sign_mask, x));
+  const ExpParts e = vexp_parts(_mm256_add_pd(a, a));
+  const __m256d num =
+      _mm256_fmadd_pd(_mm256_sub_pd(e.s, one), e.q,
+                      _mm256_mul_pd(_mm256_add_pd(e.s, one), e.p));
+  return _mm256_or_pd(_mm256_div_pd(num, exp_denominator(e)), sign);
 }
 
 void vtanh(double* y, const double* a, std::size_t n) {

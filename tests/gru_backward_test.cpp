@@ -10,9 +10,12 @@
 //   * TrainGolden: a digest of every parameter gradient of
 //     Trainer::sample_loss over the ForwardOracle sweep (both model
 //     kinds, both node rules, mean aggregation on and off, widths with
-//     and without a kernel) on the SIMD backend.  It was captured before
-//     the taped step ran the whole-step kernels, so it pins the kernels'
-//     gradients to the composed ones bit for bit.
+//     and without a kernel) on the SIMD backend.  It was first captured
+//     before the taped step ran the whole-step kernels, so it pins the
+//     kernels' gradients to the composed ones bit for bit.  It was
+//     re-captured when the AVX2 sigmoid and tanh became one division per
+//     vector: 243,363 of the 270,816 digested losses and grads moved, by
+//     at most 3.9e-14 absolute.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -315,7 +318,7 @@ TEST(TrainGolden, Avx2GradientDigest) {
               }
             }
           }
-  EXPECT_EQ(h, 0x6f3d49e9c36c3ce0ull) << std::hex << "0x" << h;
+  EXPECT_EQ(h, 0x0c8df01131aac8f9ull) << std::hex << "0x" << h;
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 //   * the matmul family keeps the per-cell ascending-p accumulation
 //     order but contracts mul+add into FMA, so it is pinned to a tight
 //     relative bound instead;
-//   * vsigmoid/vtanh use a vectorized polynomial on SIMD backends and
-//     are pinned to a small absolute bound plus exact saturation.
+//   * vsigmoid/vtanh are one ratio each of shared polynomial exp parts
+//     on SIMD backends (libm on scalar), pinned to <= 8 ulp of the
+//     scalar backend for |x| <= 700 (measured <= 4), exact saturation
+//     at +-inf and +-750, NaN propagation and tanh(-0) = -0.
 //
 // Shapes deliberately cover the ragged cases the register tiles must
 // tail-handle (1-wide, odd rows, column tails, empty) and matmul shapes
@@ -194,7 +196,8 @@ std::uint64_t ulp_distance(double a, double b) {
 constexpr std::uint64_t kMaxUlp = 8;
 constexpr double kUlpRange = 700.0;
 
-void expect_activations_close(const Backend& simd, const std::vector<double>& a) {
+void expect_activations_close(const Backend& simd,
+                              const std::vector<double>& a) {
   const Backend& scalar = kernels::scalar_backend();
   const std::size_t n = a.size();
   std::vector<double> ys(n), yv(n);
@@ -245,13 +248,15 @@ TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
                                    700.0});
 }
 
-// NaN propagates lane by lane, and the infinities and out-of-range
-// finite arguments saturate to exactly the reference's limits.
+// NaN propagates lane by lane, the infinities and out-of-range finite
+// arguments saturate to exactly the reference's limits, and tanh(-0) is
+// -0.
 TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  // Seven lanes: one full vector and a ragged tail.
-  const std::vector<double> a = {nan, inf, -inf, 750.0, -750.0, 0.5, nan};
+  // Nine lanes: two full vectors and a ragged tail.
+  const std::vector<double> a = {nan,  inf, -inf, 750.0, -750.0,
+                                 0.5, -0.0, 0.0,  nan};
   const std::size_t n = a.size();
   std::vector<const Backend*> backends{&kernels::scalar_backend()};
   if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
@@ -261,9 +266,9 @@ TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
     k->vsigmoid(ys.data(), a.data(), n);
     k->vtanh(yt.data(), a.data(), n);
     EXPECT_TRUE(std::isnan(ys[0]));
-    EXPECT_TRUE(std::isnan(ys[6]));
+    EXPECT_TRUE(std::isnan(ys[8]));
     EXPECT_TRUE(std::isnan(yt[0]));
-    EXPECT_TRUE(std::isnan(yt[6]));
+    EXPECT_TRUE(std::isnan(yt[8]));
     EXPECT_EQ(ys[1], 1.0);
     EXPECT_EQ(ys[2], 0.0);
     EXPECT_EQ(ys[3], 1.0);
@@ -275,6 +280,13 @@ TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
     // A NaN lane leaves its neighbours alone.
     EXPECT_TRUE(std::isfinite(ys[5]));
     EXPECT_TRUE(std::isfinite(yt[5]));
+    // tanh keeps the sign of zero, as std::tanh does.
+    EXPECT_EQ(ys[6], 0.5);
+    EXPECT_EQ(ys[7], 0.5);
+    EXPECT_EQ(yt[6], 0.0);
+    EXPECT_TRUE(std::signbit(yt[6]));
+    EXPECT_EQ(yt[7], 0.0);
+    EXPECT_FALSE(std::signbit(yt[7]));
   }
 }
 
