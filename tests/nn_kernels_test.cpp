@@ -200,27 +200,21 @@ void expect_activations_close(const Backend& simd,
                               const std::vector<double>& a) {
   const Backend& scalar = kernels::scalar_backend();
   const std::size_t n = a.size();
-  std::vector<double> ys(n), yv(n);
-  scalar.vsigmoid(ys.data(), a.data(), n);
-  simd.vsigmoid(yv.data(), a.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(std::isfinite(yv[i])) << "sigmoid x=" << a[i];
-    if (std::abs(a[i]) <= kUlpRange) {
-      EXPECT_LE(ulp_distance(ys[i], yv[i]), kMaxUlp) << "sigmoid x=" << a[i];
+  const auto check = [&](const char* name, auto member, double lo) {
+    std::vector<double> ys(n), yv(n);
+    (scalar.*member)(ys.data(), a.data(), n);
+    (simd.*member)(yv.data(), a.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(std::isfinite(yv[i])) << name << " x=" << a[i];
+      if (std::abs(a[i]) <= kUlpRange) {
+        EXPECT_LE(ulp_distance(ys[i], yv[i]), kMaxUlp) << name << " x=" << a[i];
+      }
+      EXPECT_GE(yv[i], lo);
+      EXPECT_LE(yv[i], 1.0);
     }
-    EXPECT_GE(yv[i], 0.0);
-    EXPECT_LE(yv[i], 1.0);
-  }
-  scalar.vtanh(ys.data(), a.data(), n);
-  simd.vtanh(yv.data(), a.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(std::isfinite(yv[i])) << "tanh x=" << a[i];
-    if (std::abs(a[i]) <= kUlpRange) {
-      EXPECT_LE(ulp_distance(ys[i], yv[i]), kMaxUlp) << "tanh x=" << a[i];
-    }
-    EXPECT_GE(yv[i], -1.0);
-    EXPECT_LE(yv[i], 1.0);
-  }
+  };
+  check("sigmoid", &Backend::vsigmoid, 0.0);
+  check("tanh", &Backend::vtanh, -1.0);
 }
 
 TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
