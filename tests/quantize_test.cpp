@@ -25,6 +25,7 @@
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 #include "nn/serialize.hpp"
 #include "serve/bundle.hpp"
 #include "serve/inference.hpp"
@@ -400,6 +401,103 @@ TEST(QuantizeBundle, SectionMagicMustMatchHeaderEncoding) {
         << e.what();
   }
   std::filesystem::remove(path);
+}
+
+// ---- parent-written v4 fixtures --------------------------------------------
+
+// tests/fixtures holds two v4 bundles written by save_bundle with fp16
+// and int8 weights: the extended model at DiskFormatGolden's config
+// (state_dim 8, readout_hidden 12, 3 iterations, init_seed 11) with its
+// fixed scaler moments, target delay, min_delivered 10.  Each is pinned
+// by three digests: the file bytes, the decoded fp64 weights (backend-
+// independent) and the scalar-backend predictions on fixture_dataset().
+struct Fixture {
+  const char* file;
+  WeightEncoding encoding;
+  std::uint64_t file_digest;
+  std::uint64_t weights_digest;
+  std::uint64_t scalar_predictions_digest;
+};
+constexpr Fixture kFixtures[] = {
+    {"ext_fp16_v4.rnxb", WeightEncoding::kFp16, 3477494399091911347ull,
+     7649064042824947956ull, 11937857935938710824ull},
+    {"ext_int8_v4.rnxb", WeightEncoding::kInt8, 6160407561766415403ull,
+     8583573126245381391ull, 2303476040042046429ull},
+};
+
+std::string fixture_path(const Fixture& fx) {
+  return std::string(RNX_LINT_SOURCE_DIR) + "/tests/fixtures/" + fx.file;
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// DiskFormatGolden's two-sample ring(4) dataset.
+const data::Dataset& fixture_dataset() {
+  static const data::Dataset ds = [] {
+    util::set_log_level(util::LogLevel::kWarn);
+    data::GeneratorConfig cfg;
+    cfg.target_packets = 2'000;
+    return data::Dataset(data::generate_dataset(topo::ring(4), 2, cfg, 7));
+  }();
+  return ds;
+}
+
+TEST(QuantizeBundle, FixtureBytesPinned) {
+  for (const Fixture& fx : kFixtures) {
+    const std::string bytes = slurp(fixture_path(fx));
+    ASSERT_FALSE(bytes.empty()) << fx.file;
+    EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), fx.file_digest) << fx.file;
+  }
+}
+
+TEST(QuantizeBundle, FixturesLoadAsV4) {
+  for (const Fixture& fx : kFixtures) {
+    const std::string bytes = slurp(fixture_path(fx));
+    ASSERT_GE(bytes.size(), 8u) << fx.file;
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, 4);
+    EXPECT_EQ(version, 4u) << fx.file;
+
+    const serve::ModelBundle b = serve::load_bundle(fixture_path(fx));
+    EXPECT_EQ(b.encoding, fx.encoding) << fx.file;
+    EXPECT_EQ(b.kind(), core::ModelKind::kExtended) << fx.file;
+    EXPECT_EQ(b.model->config().state_dim, 8u) << fx.file;
+    EXPECT_EQ(b.model->config().iterations, 3u) << fx.file;
+    EXPECT_EQ(b.min_delivered, 10u) << fx.file;
+  }
+}
+
+TEST(QuantizeBundle, FixtureDecodedWeightsPinned) {
+  for (const Fixture& fx : kFixtures) {
+    const serve::ModelBundle b = serve::load_bundle(fixture_path(fx));
+    std::uint64_t h = fnv1a(nullptr, 0);
+    for (const auto& [name, var] : b.model->named_params())
+      h = fnv1a(var.value().flat().data(),
+                var.value().size() * sizeof(double), h);
+    EXPECT_EQ(h, fx.weights_digest) << fx.file;
+  }
+}
+
+TEST(QuantizeBundle, FixtureScalarPredictionsPinned) {
+  const nn::kernels::ScopedBackendOverride scalar(
+      nn::kernels::scalar_backend());
+  for (const Fixture& fx : kFixtures) {
+    const serve::InferenceEngine engine(fixture_path(fx));
+    std::uint64_t h = fnv1a(nullptr, 0);
+    for (const auto& sample : fixture_dataset().samples()) {
+      const std::vector<double> p = engine.predict(sample);
+      h = fnv1a(p.data(), p.size() * sizeof(double), h);
+    }
+    EXPECT_EQ(h, fx.scalar_predictions_digest) << fx.file;
+  }
 }
 
 }  // namespace
