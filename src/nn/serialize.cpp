@@ -1,7 +1,6 @@
 #include "nn/serialize.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -20,36 +19,6 @@ constexpr std::string_view kQuantMagic = "RNXQ";
 constexpr std::uint32_t kVersion = 1;  // of both section kinds
 
 using Reader = util::Reader<>;
-
-void put_payload(std::ostream& f, std::span<const double> src,
-                 WeightEncoding enc) {
-  switch (enc) {
-    case WeightEncoding::kFp64:
-      util::put_span(f, src);
-      return;
-    case WeightEncoding::kFp16:
-      util::put(f, static_cast<std::uint8_t>(enc));
-      for (const double v : src) util::put(f, fp16_from_double(v));
-      return;
-    case WeightEncoding::kInt8: {
-      util::put(f, static_cast<std::uint8_t>(enc));
-      // Per-tensor symmetric calibration: scale = maxabs/127 so the
-      // largest weight maps exactly onto the int8 endpoints.  An
-      // all-zero tensor stores scale 0 and decodes to exact zeros.
-      double maxabs = 0.0;
-      for (const double v : src) maxabs = std::max(maxabs, std::fabs(v));
-      const double scale = maxabs > 0.0 ? maxabs / 127.0 : 0.0;
-      util::put(f, scale);
-      for (const double v : src) {
-        long q = scale > 0.0 ? std::lround(v / scale) : 0;
-        if (q > 127) q = 127;
-        if (q < -127) q = -127;
-        util::put(f, static_cast<std::int8_t>(q));
-      }
-      return;
-    }
-  }
-}
 
 // An "RNXQ" tensor carries its own encoding tag; any quantized tag is
 // accepted whatever encoding the caller selected the section with.
@@ -83,15 +52,8 @@ void get_payload(Reader& r, std::span<double> out, bool quantized,
 }
 }  // namespace
 
-void save_params(std::ostream& f, const NamedParams& params,
-                 WeightEncoding encoding) {
-  if (encoding > WeightEncoding::kInt8)
-    throw std::invalid_argument(
-        "save_params: unknown weight encoding " +
-        std::to_string(static_cast<unsigned>(encoding)));
-  const std::string_view magic =
-      encoding == WeightEncoding::kFp64 ? kMagic : kQuantMagic;
-  f.write(magic.data(), static_cast<std::streamsize>(magic.size()));
+void save_params(std::ostream& f, const NamedParams& params) {
+  f.write(kMagic.data(), static_cast<std::streamsize>(kMagic.size()));
   util::put(f, kVersion);
   util::put(f, static_cast<std::uint64_t>(params.size()));
   for (const auto& [name, var] : params) {
@@ -99,7 +61,7 @@ void save_params(std::ostream& f, const NamedParams& params,
     const Tensor& t = var.value();
     util::put(f, static_cast<std::uint64_t>(t.rows()));
     util::put(f, static_cast<std::uint64_t>(t.cols()));
-    put_payload(f, t.flat(), encoding);
+    util::put_span(f, t.flat());
   }
   if (!f) throw std::runtime_error("save_params: write failed");
 }
@@ -144,6 +106,11 @@ void load_params(std::istream& f, NamedParams& params,
     if (dst.rows() != rows || dst.cols() != cols)
       r.fail("shape mismatch for " + name);
     get_payload(r, dst.flat(), quantized, name);
+    // One non-finite weight (say an fp16 weight that overflowed to inf
+    // when it was written) makes every prediction non-finite.
+    if (!std::ranges::all_of(dst.flat(),
+                             [](double v) { return std::isfinite(v); }))
+      r.fail("non-finite weight in " + name);
   }
 }
 
@@ -157,7 +124,7 @@ void load_params(const std::string& path, NamedParams& params) {
   }
 }
 
-// ---- quantization primitives -----------------------------------------------
+// ---- encoding names and fp16 decoding -------------------------------------
 
 const char* to_string(WeightEncoding enc) noexcept {
   switch (enc) {
@@ -166,46 +133,6 @@ const char* to_string(WeightEncoding enc) noexcept {
     case WeightEncoding::kInt8: return "int8";
   }
   return "unknown";
-}
-
-WeightEncoding parse_weight_encoding(const std::string& s) {
-  if (s == "fp64") return WeightEncoding::kFp64;
-  if (s == "fp16") return WeightEncoding::kFp16;
-  if (s == "int8") return WeightEncoding::kInt8;
-  throw std::invalid_argument("unknown weight encoding '" + s +
-                              "' (expected fp64, fp16 or int8)");
-}
-
-std::uint16_t fp16_from_double(double v) noexcept {
-  // Contract: double -> float (hardware round-to-nearest-even), then
-  // float -> binary16 RNE.  Out-of-range magnitudes saturate to inf;
-  // NaN payloads keep a quiet bit so NaNs survive the round trip.
-  const auto bits = std::bit_cast<std::uint32_t>(static_cast<float>(v));
-  const std::uint32_t sign = (bits >> 16) & 0x8000u;
-  const std::uint32_t mag = bits & 0x7fffffffu;
-  if (mag >= 0x7f800000u)  // inf / NaN
-    return static_cast<std::uint16_t>(
-        sign | 0x7c00u | (mag > 0x7f800000u ? 0x0200u : 0u));
-  if (mag >= 0x47800000u)  // >= 2^16: beyond half range
-    return static_cast<std::uint16_t>(sign | 0x7c00u);
-  if (mag >= 0x38800000u) {  // normal half: rebias exponent, round 23->10
-    const std::uint32_t val = mag - 0x38000000u;
-    std::uint32_t h = val >> 13;
-    const std::uint32_t rem = val & 0x1fffu;
-    if (rem > 0x1000u || (rem == 0x1000u && (h & 1u))) ++h;
-    return static_cast<std::uint16_t>(sign | h);
-  }
-  if (mag >= 0x33000000u) {  // subnormal half
-    const std::uint32_t exp = mag >> 23;
-    const std::uint32_t mant = (mag & 0x7fffffu) | 0x800000u;
-    const std::uint32_t shift = 126u - exp;  // in [14, 24]
-    std::uint32_t h = mant >> shift;
-    const std::uint32_t rem = mant & ((1u << shift) - 1u);
-    const std::uint32_t halfway = 1u << (shift - 1u);
-    if (rem > halfway || (rem == halfway && (h & 1u))) ++h;
-    return static_cast<std::uint16_t>(sign | h);
-  }
-  return static_cast<std::uint16_t>(sign);  // underflows to signed zero
 }
 
 double fp16_to_double(std::uint16_t h) noexcept {

@@ -23,13 +23,8 @@ constexpr util::EnvelopeFormat kBundleFormat{
 
 void save_bundle(const std::string& path, const core::Model& model,
                  const data::Scaler& scaler, core::PredictionTarget target,
-                 std::uint64_t min_delivered, nn::WeightEncoding encoding) {
+                 std::uint64_t min_delivered) {
   using util::put;
-  // fp64 saves must stay byte-identical to the pre-quantization v3
-  // layout (no weight_encoding byte); only quantized saves emit v4.
-  const bool quantized = encoding != nn::WeightEncoding::kFp64;
-  const std::uint32_t version =
-      quantized ? kBundleVersion : kFp64BundleVersion;
   std::ostringstream body(std::ios::binary);
   put(body, static_cast<std::uint8_t>(model.kind()));
   put(body, static_cast<std::uint8_t>(target));
@@ -44,13 +39,12 @@ void save_bundle(const std::string& path, const core::Model& model,
   put(body, static_cast<std::uint8_t>(mc.scenario_features));
   put(body, static_cast<std::uint8_t>(mc.scale_invariant_features));
   put(body, static_cast<std::uint8_t>(mc.link_mean_aggregation));
-  if (quantized) put(body, static_cast<std::uint8_t>(encoding));
   put(body, mc.init_seed);
   put(body, std::array{scaler.traffic_moments(), scaler.capacity_moments(),
                        scaler.queue_moments(), scaler.log_delay_moments(),
                        scaler.log_jitter_moments()});
-  nn::save_params(body, model.named_params(), encoding);
-  util::write_envelope(path, kBundleFormat, version, body.view());
+  nn::save_params(body, model.named_params());
+  util::write_envelope(path, kBundleFormat, kFp64BundleVersion, body.view());
 }
 
 ModelBundle load_bundle(const std::string& path) {

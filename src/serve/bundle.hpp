@@ -17,7 +17,7 @@
 //     u8  scenario_features    (v2+ only; v1 bundles imply 0)
 //     u8  scale_invariant_features, u8 link_mean_aggregation
 //                              (v3+ only; older bundles imply 0)
-//     u8  weight_encoding      (v4+ only; nn::WeightEncoding, older
+//     u8  weight_encoding      (v4 only; nn::WeightEncoding, older
 //                               bundles imply 0 = fp64)
 //     u64 init_seed
 //     5 x (f64 mean, f64 stddev)  Scaler moments: traffic, capacity,
@@ -31,9 +31,9 @@
 // Versioning rule: any layout change bumps kBundleVersion; readers
 // reject unknown versions rather than guessing, but keep loading every
 // older version (v1 bundles predate the scenario engine and must keep
-// serving bitwise-identically; see DESIGN.md §B, §S).  fp64 saves keep
-// writing the v3 layout byte-for-byte — only quantized saves emit v4 —
-// so existing tooling that pins bundle bytes never sees a diff.
+// serving bitwise-identically; see DESIGN.md §B, §S).  save_bundle
+// writes the v3 layout.  v4 bundles (fp16 / int8 weights) can no
+// longer be written but still load; tests/fixtures pins two of them.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,10 @@
 
 namespace rnx::serve {
 
+/// Newest version load_bundle reads: v4 adds the weight_encoding byte.
 inline constexpr std::uint32_t kBundleVersion = 4;
 inline constexpr std::uint32_t kMinBundleVersion = 1;
-/// Version written for full-precision saves: the pre-quantization v3
-/// layout, preserved byte-identically (no weight_encoding byte).
+/// Version save_bundle writes: the v3 layout (no weight_encoding byte).
 inline constexpr std::uint32_t kFp64BundleVersion = 3;
 
 /// A deserialized bundle: the reconstructed model (weights loaded) plus
@@ -69,13 +69,11 @@ struct ModelBundle {
 
 /// Atomically write model weights + config + scaler moments + target as
 /// one .rnxb file; a failed save leaves any previous file at `path`
-/// intact.  Throws std::runtime_error on I/O failure.  With kFp64 (the
-/// default) the file is the byte-identical v3 layout; kFp16/kInt8 write
-/// a v4 bundle with a per-tensor-calibrated quantized weight section.
+/// intact.  The file is the v3 layout with an fp64 weight section.
+/// Throws std::runtime_error on I/O failure.
 void save_bundle(const std::string& path, const core::Model& model,
                  const data::Scaler& scaler, core::PredictionTarget target,
-                 std::uint64_t min_delivered,
-                 nn::WeightEncoding encoding = nn::WeightEncoding::kFp64);
+                 std::uint64_t min_delivered);
 
 /// Load a bundle, reconstructing the model via core::make_model.  Throws
 /// std::runtime_error with a descriptive message on missing file, bad

@@ -25,7 +25,7 @@ eval::Fig2Config mini_config() {
   cfg.gen.target_packets = 150'000;  // ~270 pkts/path: clean labels
   cfg.gen.util_lo = 0.7;   // queue-dominant load regime
   cfg.gen.util_hi = 0.95;
-  cfg.model.state_dim = 10;
+  cfg.model.state_dim = 12;  // a served width: the AVX2 GRU kernels run
   cfg.model.readout_hidden = 16;
   cfg.model.iterations = 3;
   cfg.train.epochs = 35;
@@ -54,6 +54,16 @@ TEST(Integration, Fig2ProtocolShapeHolds) {
   // The paper's headline: with queue-size variation in the data, the
   // extended architecture is clearly more accurate than the original.
   EXPECT_LT(ext_g.summary.median_ape, orig_g.summary.median_ape);
+
+  // The GEANT2 medians the scalar reference backend trains to.  Any
+  // backend must land within a tenth of the gap between the two models
+  // of them, so a kernel change that moves trained accuracy by a
+  // visible share of the headline fails here.
+  constexpr double kScalarExtMedianApe = 0.12044;
+  constexpr double kScalarOrigMedianApe = 0.18107;
+  const double tol = 0.1 * (kScalarOrigMedianApe - kScalarExtMedianApe);
+  EXPECT_NEAR(ext_g.summary.median_ape, kScalarExtMedianApe, tol);
+  EXPECT_NEAR(orig_g.summary.median_ape, kScalarOrigMedianApe, tol);
 
   // Generalization: the extended model remains predictive on the unseen
   // topology (positively correlated, bounded error).

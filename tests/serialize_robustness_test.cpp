@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -104,6 +105,41 @@ TEST(SerializeRobustness, TruncationInsideNameIsDescriptive) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
           << e.what();
       EXPECT_EQ(std::string(e.what()).find("unknown parameter"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A non-finite weight makes every prediction non-finite, so it is
+// refused at load in either section kind, naming the parameter.
+TEST(SerializeRobustness, NonFiniteWeightRejected) {
+  // A section holding one 1x2 tensor "w" with the given payload.
+  const auto section = [](const char* magic, const std::string& payload) {
+    std::string bytes = file_with_name_len(1, 1, "w", magic);
+    std::ostringstream f(std::ios::binary);
+    put(f, std::uint64_t{1});  // rows
+    put(f, std::uint64_t{2});  // cols
+    return bytes + f.str() + payload;
+  };
+  std::ostringstream nan64(std::ios::binary), inf16(std::ios::binary);
+  put(nan64, 0.5);
+  put(nan64, std::numeric_limits<double>::quiet_NaN());
+  put(inf16, static_cast<std::uint8_t>(WeightEncoding::kFp16));
+  put(inf16, std::uint16_t{0x3c00});  // 1.0
+  put(inf16, std::uint16_t{0x7c00});  // +inf
+  const std::pair<std::string, WeightEncoding> cases[] = {
+      {section("RNXW", nan64.str()), WeightEncoding::kFp64},
+      {section("RNXQ", inf16.str()), WeightEncoding::kFp16}};
+  for (const auto& [bytes, encoding] : cases) {
+    NamedParams params;
+    params.emplace_back("w", Var(Tensor(1, 2), true));
+    std::istringstream f(bytes, std::ios::binary);
+    try {
+      load_params(f, params, encoding);
+      FAIL() << to_string(encoding) << ": non-finite weight accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite weight in w"),
                 std::string::npos)
           << e.what();
     }

@@ -40,7 +40,7 @@ int run(int argc, char** argv) {
        "load", "scaler-from", "seed", "threads", "quiet",
        "scenario-features", "scale-invariant-features",
        "link-mean-aggregation", "checkpoint-dir", "checkpoint-every",
-       "resume", "quantize"},
+       "resume"},
       "usage: rnx_train --train ds.rnxd [--eval test.rnxd] [options]\n"
       "  --train FILE      training dataset (.rnxd, or a sharded .rnxm\n"
       "                    manifest — streamed, never fully in memory)\n"
@@ -56,11 +56,7 @@ int run(int argc, char** argv) {
       "                    training loss and eval, default 10\n"
       "  --save FILE       write trained weights only (.rnxw)\n"
       "  --save-bundle F   write self-contained model bundle (.rnxb):\n"
-      "                    weights + scaler moments + config + target\n"
-      "  --quantize E      weight encoding for --save-bundle: fp64\n"
-      "                    (default, byte-identical v3 bundle) | fp16 |\n"
-      "                    int8 (per-tensor symmetric calibration, v4\n"
-      "                    bundle; weights dequantize to fp64 on load)\n"
+      "                    fp64 weights + scaler moments + config + target\n"
       "  --load FILE       load weights instead of training\n"
       "  --scaler-from F   dataset for scaler statistics (eval-only mode)\n"
       "  --seed S          init/shuffle seed, default 42\n"
@@ -87,21 +83,6 @@ int run(int argc, char** argv) {
       "                    resumed run is bitwise-identical to an\n"
       "                    uninterrupted one\n"
       "  --quiet           suppress per-epoch logs");
-
-  // Validate the bundle encoding up front: a bad or orphaned
-  // --quantize must fail before hours of training, not after.
-  nn::WeightEncoding bundle_enc = nn::WeightEncoding::kFp64;
-  try {
-    bundle_enc =
-        nn::parse_weight_encoding(args.get("quantize", std::string("fp64")));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: --quantize: " << e.what() << "\n";
-    return 2;
-  }
-  if (args.has("quantize") && !args.has("save-bundle")) {
-    std::cerr << "error: --quantize requires --save-bundle\n";
-    return 2;
-  }
 
   // Data-parallel lanes, shared by training and evaluation.
   std::size_t threads = args.get("threads", std::size_t{1});
@@ -226,10 +207,8 @@ int run(int argc, char** argv) {
   }
   if (args.has("save-bundle")) {
     const std::string path = args.get("save-bundle", std::string());
-    serve::save_bundle(path, *model, scaler, *target, min_delivered,
-                       bundle_enc);
-    std::cout << "model bundle written: " << path << " ("
-              << nn::to_string(bundle_enc) << " weights)\n";
+    serve::save_bundle(path, *model, scaler, *target, min_delivered);
+    std::cout << "model bundle written: " << path << "\n";
   }
 
   if (args.has("eval")) {
