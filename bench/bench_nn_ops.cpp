@@ -3,9 +3,11 @@
 // transcendentals and full GRU steps (552 paths x 16 state dims is the
 // GEANT2 working set; 256^3 is the throughput-bound shape; 229x12 and
 // 74x12 are the serve model's path and link steps, 229x12 also run in
-// place through GRUCell::step_indexed, and taped, forward and backward,
-// as training runs it).  The activations also report ns per element, max
-// ulp from the scalar reference and their share of the 229x12 step.
+// place through GRUCell::step_indexed), and one whole path-RNN iteration
+// over a real GEANT2 extended plan (H=12) through nn::GruSweep, untaped
+// as serving runs it and taped, forward and backward, as training runs
+// it.  The activations also report ns per element, max ulp from the
+// scalar reference and their share of the 229x12 step.
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -25,11 +27,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/plan.hpp"
+#include "data/generator.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
+#include "topo/zoo.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -193,25 +198,46 @@ int main() {
       path_rows[i] = static_cast<nn::Index>(i * kPaths / kActive);
       elem_ids[i] = static_cast<nn::Index>((i * 7) % kLinks);
     }
+    const nn::NoGradGuard guard;
+    run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
+      cell.step_indexed(links, elem_ids, hidden, path_rows);
+    });
+  }
+  // One message-passing iteration of the path RNN on a GEANT2 extended
+  // plan, as Model::forward runs it: untaped (serving), and taped then
+  // back-propagated from its link messages and final states (training;
+  // every input requires grad).
+  {
+    constexpr std::size_t kHid = 12;
+    data::GeneratorConfig gen;
+    gen.target_packets = 2'000;
+    const core::MpPlan plan = core::build_plan(
+        data::generate_dataset(topo::geant2(), 1, gen, 20)[0], true);
+    util::RngStream rng(21);
+    const nn::GRUCell cell(kHid, kHid, rng);
+    const nn::Var initial(rand_tensor(plan.num_paths, kHid, 22), true);
+    const nn::Var links(rand_tensor(plan.num_links, kHid, 23), true);
+    const nn::Var nodes(rand_tensor(plan.num_nodes, kHid, 24), true);
+    const auto sweep = [&](bool taped) {
+      nn::GruSweep sw(cell, initial, {links, nodes}, plan.total_entries());
+      nn::Var link_msg;
+      for (std::size_t p = 0; p < plan.num_positions(); ++p) {
+        const core::PlanPosition pos = plan.position(p);
+        sw.step(pos.is_node ? nodes : links, pos.elem_ids, pos.path_rows);
+        if (pos.is_node) continue;
+        const nn::Var msg = sw.messages(plan.num_links);
+        link_msg = link_msg.defined() ? nn::add(link_msg, msg) : msg;
+      }
+      const nn::Var states = sw.states();
+      if (taped)
+        nn::add(nn::mean_all(link_msg), nn::mean_all(states)).backward();
+    };
+    const double flops = gru_flops(plan.total_entries(), kHid);
     {
       const nn::NoGradGuard guard;
-      run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
-        cell.step_indexed(links, elem_ids, hidden, path_rows);
-      });
+      run_both("gru_sweep_geant2x12", flops, [&] { sweep(false); });
     }
-    // The same position as training runs it: taped, then also back-
-    // propagated from the new states (every input requires grad).
-    const nn::Var train_links(rand_tensor(kLinks, kHid, 17), true);
-    const nn::Var train_hidden(rand_tensor(kPaths, kHid, 18), true);
-    run_both("gru_step_taped_229x12", gru_flops(kActive, kHid), [&] {
-      nn::Var h = train_hidden;
-      cell.step_indexed(train_links, elem_ids, h, path_rows);
-    });
-    run_both("gru_step_fwdbwd_229x12", 3.0 * gru_flops(kActive, kHid), [&] {
-      nn::Var h = train_hidden;
-      cell.step_indexed(train_links, elem_ids, h, path_rows);
-      nn::mean_all(h).backward();
-    });
+    run_both("gru_sweep_fwdbwd_geant2x12", 3.0 * flops, [&] { sweep(true); });
   }
   {
     util::RngStream rng(13);
@@ -257,19 +283,18 @@ int main() {
     if (c.name == "matmul_256x256x256") result.add("matmul_speedup", c.speedup());
     if (c.name == "gru_step_fwd_552x16") result.add("gru_speedup", c.speedup());
   }
-  // What training pays per path position over serving, on the best
-  // backend: the taped step, and the taped step plus its backward, over
-  // the untaped in-place step at the same shape.
+  // What training pays for a path-RNN iteration over serving, on the
+  // best backend: the taped sweep plus its backward over the untaped
+  // sweep of the same plan.
   const auto simd_s = [&](const std::string& name) {
     for (const Case& c : cases)
       if (c.name == name) return c.simd_s;
     return 0.0;
   };
+  result.add("gru_sweep_fwdbwd_over_untaped_geant2x12",
+             simd_s("gru_sweep_fwdbwd_geant2x12") /
+                 simd_s("gru_sweep_geant2x12"));
   const double untaped = simd_s("gru_step_indexed_229x12");
-  result.add("gru_taped_over_untaped_229x12",
-             simd_s("gru_step_taped_229x12") / untaped);
-  result.add("gru_fwdbwd_over_untaped_229x12",
-             simd_s("gru_step_fwdbwd_229x12") / untaped);
 
   // The activations' speed and accuracy together on the best backend:
   // ns per element, max ulp from the scalar reference over a fixed

@@ -309,26 +309,25 @@ nn::Var Model::forward(const data::Sample& sample,
       cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
 
   for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
-    nn::Var hidden = h_path;
+    // The path RNN over every position: in place without a tape, one
+    // tape node over all stepped rows with one (DESIGN.md §K).
+    nn::GruSweep sweep(rnn_path_, h_path, {h_link, h_node},
+                       plan.total_entries());
     nn::Var link_msg;  // (L x H) summed positional messages to links
     nn::Var node_msg;  // (N x H)
     for (std::size_t p = 0; p < plan.num_positions(); ++p) {
       // Extended plans interleave: even positions read node states, odd
       // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
-      rnn_path_.step_indexed(pos.is_node ? h_node : h_link, pos.elem_ids,
-                             hidden, pos.path_rows);
+      sweep.step(pos.is_node ? h_node : h_link, pos.elem_ids, pos.path_rows);
       // Each active path messages the element it just consumed: its new
-      // state, read back from `hidden` through path_rows, in row order.
-      const auto messages = [&](std::size_t num_elems) {
-        return nn::segment_sum(hidden, pos.path_rows, pos.elem_ids, num_elems);
-      };
+      // state, in row order.
       if (!pos.is_node)
-        accumulate(link_msg, messages(plan.num_links));
+        accumulate(link_msg, sweep.messages(plan.num_links));
       else if (positional_node_msgs)
-        accumulate(node_msg, messages(plan.num_nodes));
+        accumulate(node_msg, sweep.messages(plan.num_nodes));
     }
-    h_path = hidden;
+    h_path = sweep.states();
     update_entity(h_link, link_msg, link_inv_count, rnn_link_);
     if (!rnn_node_) continue;
     if (!positional_node_msgs) {

@@ -4,8 +4,10 @@
 // sizes]) to one prediction per path: the z-scored log mean delay (see
 // data::Scaler).  Per message-passing iteration:
 //   1. path update — RNN_P consumes each path's element sequence
-//      (position-vectorized; see core/plan.hpp); the RNN output at an
-//      element's position is the path's message to that element;
+//      (position-vectorized through nn::GruSweep, which records one tape
+//      node per iteration when training; see core/plan.hpp); the RNN
+//      output at an element's position is the path's message to that
+//      element;
 //   2. link update — RNN_L over the summed positional messages from the
 //      paths crossing the link;
 //   3. node update (extended only) — RNN_N over the element-wise sum of

@@ -3,9 +3,9 @@
 //
 // RouteNet's path update is an RNN over each path's element sequence.
 // Rather than looping path by path, we advance *all* paths one sequence
-// position per step: gather the active paths' hidden rows and the
-// position's element states, apply one GRU step, scatter the hidden rows
-// back.  The plan precomputes, for every position, which paths are active
+// position per step: the active paths' hidden rows take one GRU step on
+// the position's element states, read by index (nn::GruSweep).  The
+// plan precomputes, for every position, which paths are active
 // and which element (link — or node, in the extended architecture) each
 // one consumes, plus the aggregation index sets for the link and node
 // updates.

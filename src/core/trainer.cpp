@@ -13,6 +13,7 @@
 #include "core/plan.hpp"
 #include "data/source.hpp"
 #include "nn/ops.hpp"
+#include "nn/pool.hpp"
 #include "util/binio.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -342,6 +343,16 @@ std::vector<EpochRecord> Trainer::run_epochs(data::SampleSource& train,
                                              const data::Scaler& scaler,
                                              data::SampleSource* val,
                                              bool streaming) {
+  // The calling thread is lane 0, and its TensorPool keeps the largest
+  // tape buffers (the path-RNN arenas) for the next sample.  Nothing
+  // reuses them after the fit, so hand them back on every way out; the
+  // other lanes' pools end with the Trainer's threads.
+  struct DrainPool {
+    DrainPool() = default;
+    DrainPool(const DrainPool&) = delete;
+    DrainPool& operator=(const DrainPool&) = delete;
+    ~DrainPool() { nn::TensorPool::drain(); }
+  } const drain_pool;
   const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
 
   std::vector<EpochRecord> history;

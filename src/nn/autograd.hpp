@@ -25,9 +25,11 @@ using NodePtr = std::shared_ptr<Node>;
 
 struct Node {
   Node() = default;
-  /// Returns value/grad buffers to the thread-local TensorPool, so tape
-  /// teardown feeds the next step's op outputs (ops.cpp draws from the
-  /// pool) and steady-state training runs allocation-free.
+  /// Returns value/grad buffers to the thread-local TensorPool (up to
+  /// 64, the larger ones when full), so the next sample's large tape
+  /// buffers are reused.  Training is not allocation-free: per GEANT2
+  /// sample (extended model, H=12, T=4) 117 of 403 released buffers are
+  /// dropped and 155 of 398 acquires allocate (DESIGN.md S3).
   ~Node();
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "nn/init.hpp"
@@ -49,58 +50,61 @@ Var GRUCell::step(const Var& x, const Var& h) const {
   if (!fused_) return step_composed(x, h);
   if (grad_disabled()) {
     Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
-    if (step_kernel(y.flat().data(), x.value().flat().data(), nullptr,
-                    h.value().flat().data(), nullptr, x.rows()))
+    if (step_kernel(y.flat().data(), nullptr, x.value().flat().data(),
+                    nullptr, h.value().flat().data(), nullptr, x.rows()))
       return Var(std::move(y));
     TensorPool::release(std::move(y));
   }
   return step_fused(x, h);
 }
 
-bool GRUCell::step_kernel(double* y, const double* x, const Index* x_rows,
-                          const double* h, const Index* h_rows,
-                          std::size_t rows) const {
+bool GRUCell::step_kernel(double* y, const Index* y_rows, const double* x,
+                          const Index* x_rows, const double* h,
+                          const Index* h_rows, std::size_t rows) const {
   const auto kernel = kernels::active().gru_step;
   if (kernel == nullptr) return false;
-  return kernel(y, x, x_rows, h, h_rows, rows, in_, hid_, w_.weights(),
-                nullptr);
+  return kernel(y, y_rows, x, x_rows, h, h_rows, rows, in_, hid_,
+                w_.weights(), nullptr);
 }
 
-void GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
-                           Var& hidden,
-                           std::span<const Index> path_rows) const {
-  if (src.cols() != in_ || hidden.cols() != hid_ ||
-      elem_ids.size() != path_rows.size())
+void GRUCell::check_indexed(const Var& src, std::span<const Index> elem_ids,
+                            std::size_t hidden_rows,
+                            std::span<const Index> path_rows) const {
+  if (src.cols() != in_ || elem_ids.size() != path_rows.size())
     throw std::invalid_argument("GRUCell::step_indexed (" + name_ +
                                 "): shape mismatch");
   for (const Index e : elem_ids)
     if (e >= src.rows())
       throw std::out_of_range("GRUCell::step_indexed: element id out of range");
   thread_local std::vector<char> seen;
-  seen.assign(hidden.rows(), 0);
+  seen.assign(hidden_rows, 0);
   for (const Index r : path_rows) {
-    if (r >= hidden.rows())
+    if (r >= hidden_rows)
       throw std::out_of_range("GRUCell::step_indexed: path row out of range");
     if (seen[r] != 0)
       throw std::invalid_argument("GRUCell::step_indexed: duplicate path row");
     seen[r] = 1;
   }
-  if (!grad_disabled()) {
-    hidden = fused_ ? step_rows(src, elem_ids, hidden, path_rows)
-                    : scatter_rows(hidden, path_rows,
-                                   step_composed(
-                                       gather_rows(src, elem_ids),
-                                       gather_rows(hidden, path_rows)));
-    return;
-  }
+}
+
+void GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
+                           Var& hidden,
+                           std::span<const Index> path_rows) const {
+  if (hidden.cols() != hid_)
+    throw std::invalid_argument("GRUCell::step_indexed (" + name_ +
+                                "): shape mismatch");
+  check_indexed(src, elem_ids, hidden.rows(), path_rows);
+  if (!grad_disabled())
+    throw std::logic_error("GRUCell::step_indexed records no tape; a taped "
+                           "path RNN runs through GruSweep");
 
   // Copy-on-write: the caller's other handles keep the old states.
   if (hidden.node().use_count() > 1) hidden = Var(pooled_copy(hidden.value()));
   Tensor& hv = hidden.mutable_value();
   const std::size_t rows = path_rows.size();
-  if (fused_ && step_kernel(hv.flat().data(), src.value().flat().data(),
-                            elem_ids.data(), hv.flat().data(),
-                            path_rows.data(), rows))
+  if (fused_ && step_kernel(hv.flat().data(), path_rows.data(),
+                            src.value().flat().data(), elem_ids.data(),
+                            hv.flat().data(), path_rows.data(), rows))
     return;
 
   // No kernel for this backend or width: step the gathered rows, then
@@ -208,20 +212,20 @@ void colsum_acc(Tensor& bias_grad, const Tensor& g) {
   colsum_block_acc(bias_grad, g, 0);
 }
 
-/// dst (R x C) = rows idx of src.
-Tensor gather(const Tensor& src, std::span<const Index> idx) {
-  Tensor dst = TensorPool::acquire_uninit(idx.size(), src.cols());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const auto from = src.row(idx[i]);
+/// dst (R x C) = rows idx of src (null: src's first R rows).
+Tensor gather(const Tensor& src, const Index* idx, std::size_t rows) {
+  Tensor dst = TensorPool::acquire_uninit(rows, src.cols());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto from = src.row(idx != nullptr ? idx[i] : i);
     std::copy(from.begin(), from.end(), dst.row(i).begin());
   }
   return dst;
 }
 
 /// Composed forward of one step over contiguous rows: y, and z, r and n
-/// for the backward (all R x H, allocated by the caller).
-void composed_forward(const GruParams& p, Tensor& y, const Tensor& xv,
-                      const Tensor& hv, Tensor& z, Tensor& r, Tensor& n) {
+/// for the backward (all R x H, row i contiguous, owned by the caller).
+void composed_forward(const GruParams& p, double* y, const Tensor& xv,
+                      const Tensor& hv, double* z, double* r, double* n) {
   const std::size_t rows = xv.rows(), in = xv.cols(), hid = hv.cols();
   const auto& backend = kernels::active();
   // z/r gate pre-activations in one (R x 2H) panel and one kernel call:
@@ -245,73 +249,53 @@ void composed_forward(const GruParams& p, Tensor& y, const Tensor& xv,
   // z and r gates, then the reset-scaled hidden state feeding the
   // candidate matmul — one fused backend pass.
   Tensor rh = TensorPool::acquire_uninit(rows, hid);
-  backend.gru_gates(z.flat().data(), r.flat().data(), rh.flat().data(),
-                    a_zr.flat().data(), hv.flat().data(), rows, hid);
+  backend.gru_gates(z, r, rh.flat().data(), a_zr.flat().data(),
+                    hv.flat().data(), rows, hid);
   matmul_acc(an, rh, p.whn.value());
 
   // Candidate + state blend fused: n = tanh(an), y = (1-z) n + z h.
-  backend.gru_blend(n.flat().data(), y.flat().data(), an.flat().data(),
-                    z.flat().data(), hv.flat().data(), y.size());
+  backend.gru_blend(n, y, an.flat().data(), z, hv.flat().data(),
+                    rows * hid);
   TensorPool::release(std::move(a_zr));
   TensorPool::release(std::move(an));
   TensorPool::release(std::move(rh));
 }
 
-/// Forward of one step over `rows` rows: row i reads x row x_rows[i]
-/// and h row h_rows[i] and writes y row h_rows[i] (null index arrays:
-/// row i), and z, r and n (R x H, row i) are filled for the backward.
-/// The backend's whole-step kernel when it has one for this width, else
-/// the composed passes.
-void forward_saving(const GruParams& p, Tensor& y, const Tensor& xv,
+/// Forward of one step over `rows` rows that saves z, r and n (row i
+/// contiguous) for the backward: row i reads x row x_rows[i] and h row
+/// h_rows[i] (null: row i) and writes y row i, contiguous.  The backend's
+/// whole-step kernel when it has one for this width, else the composed
+/// passes over gathered rows.
+void forward_saving(const GruParams& p, double* y, const Tensor& xv,
                     const Index* x_rows, const Tensor& hv,
-                    const Index* h_rows, std::size_t rows, Tensor& z,
-                    Tensor& r, Tensor& n) {
-  const std::size_t hid = hv.cols();
-  z = TensorPool::acquire_uninit(rows, hid);
-  r = TensorPool::acquire_uninit(rows, hid);
-  n = TensorPool::acquire_uninit(rows, hid);
+                    const Index* h_rows, std::size_t rows, double* z,
+                    double* r, double* n) {
   if (rows == 0) return;
   const auto kernel = kernels::active().gru_step;
-  const kernels::GruActs save{z.flat().data(), r.flat().data(),
-                              n.flat().data()};
+  const kernels::GruActs save{z, r, n};
   if (kernel != nullptr &&
-      kernel(y.flat().data(), xv.flat().data(), x_rows, hv.flat().data(),
-             h_rows, rows, xv.cols(), hid, p.weights(), &save))
+      kernel(y, nullptr, xv.flat().data(), x_rows, hv.flat().data(), h_rows,
+             rows, xv.cols(), hv.cols(), p.weights(), &save))
     return;
-  if (h_rows == nullptr) {
+  if (x_rows == nullptr && h_rows == nullptr) {
     composed_forward(p, y, xv, hv, z, r, n);
     return;
   }
-  Tensor xs = gather(xv, {x_rows, rows});
-  Tensor hs = gather(hv, {h_rows, rows});
-  Tensor ys = TensorPool::acquire_uninit(rows, hid);
-  composed_forward(p, ys, xs, hs, z, r, n);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto from = ys.row(i);
-    std::copy(from.begin(), from.end(), y.row(h_rows[i]).begin());
-  }
+  Tensor xs = gather(xv, x_rows, rows);
+  Tensor hs = gather(hv, h_rows, rows);
+  composed_forward(p, y, xs, hs, z, r, n);
   TensorPool::release(std::move(xs));
   TensorPool::release(std::move(hs));
-  TensorPool::release(std::move(ys));
 }
 
-/// Backward of one step over contiguous rows: adds the parameter grads
-/// and, when xg / hg are non-null, dL/dx and dL/dh into them.  The
-/// backend's backward kernel when it has one for this shape (bitwise
-/// equal to what follows on that backend), else the composed backward.
-void backward(GruParams& p, const Tensor& g, const Tensor& xval,
-              const Tensor& hval, const Tensor& z, const Tensor& r,
-              const Tensor& n, Tensor* xg, Tensor* hg) {
+/// The composed backward of one step over contiguous rows: adds the
+/// parameter grads and, when xg / hg are non-null, dL/dx and dL/dh into
+/// them.  z, r and n are the saved activations, row i contiguous.
+void composed_backward(GruParams& p, const Tensor& g, const Tensor& xval,
+                       const Tensor& hval, const double* z, const double* r,
+                       const double* n, Tensor* xg, Tensor* hg) {
   const std::size_t nrows = g.rows(), hid = g.cols();
   const std::size_t in_dim = xval.cols();
-  const auto kernel = kernels::active().gru_step_backward;
-  if (kernel != nullptr &&
-      kernel(xg != nullptr ? xg->flat().data() : nullptr,
-             hg != nullptr ? hg->flat().data() : nullptr, p.grads(),
-             g.flat().data(), xval.flat().data(), hval.flat().data(),
-             z.flat().data(), r.flat().data(), n.flat().data(), nrows, in_dim,
-             hid, p.weights()))
-    return;
 
   // dan = g (1-z) (1-n^2);  daz = g (h-n) z (1-z);
   // rh2  = r h (recomputed — cheaper than storing a 4th tensor).
@@ -322,9 +306,9 @@ void backward(GruParams& p, const Tensor& g, const Tensor& xval,
   Tensor rh2 = TensorPool::acquire_uninit(nrows, hid);
   for (std::size_t row = 0; row < nrows; ++row) {
     const double* grow = g.row(row).data();
-    const double* zrow = z.row(row).data();
-    const double* rrow = r.row(row).data();
-    const double* nrow = n.row(row).data();
+    const double* zrow = z + row * hid;
+    const double* rrow = r + row * hid;
+    const double* nrow = n + row * hid;
     const double* hrow = hval.row(row).data();
     double* danrow = dan.row(row).data();
     double* dzr = d_zr.row(row).data();
@@ -347,7 +331,7 @@ void backward(GruParams& p, const Tensor& g, const Tensor& xval,
   matmul_nt_acc(drh, dan, p.whn.value());
   for (std::size_t row = 0; row < nrows; ++row) {
     const double* drhrow = drh.row(row).data();
-    const double* rrow = r.row(row).data();
+    const double* rrow = r + row * hid;
     const double* hrow = hval.row(row).data();
     double* dzr = d_zr.row(row).data() + hid;
     for (std::size_t c = 0; c < hid; ++c)
@@ -387,12 +371,11 @@ void backward(GruParams& p, const Tensor& g, const Tensor& xval,
     if (hg != nullptr) {
       add_block(*hg, dxh, 0, in_dim);
       const auto gf = g.flat();
-      const auto zf = z.flat(), rf = r.flat();
       const auto drhf = drh.flat();
       auto hgf = hg->flat();
       // dh += g z (direct blend term) + drh r (through the reset).
       for (std::size_t i = 0; i < hgf.size(); ++i)
-        hgf[i] += gf[i] * zf[i] + drhf[i] * rf[i];
+        hgf[i] += gf[i] * z[i] + drhf[i] * r[i];
     }
     TensorPool::release(std::move(wzr2));
     TensorPool::release(std::move(dxh));
@@ -404,12 +387,46 @@ void backward(GruParams& p, const Tensor& g, const Tensor& xval,
   TensorPool::release(std::move(drh));
 }
 
-/// The activations a taped step keeps for its backward; returned to the
-/// pool with the tape.
+/// Backward of one step over `rows` = g.rows() rows: row i read x row
+/// x_rows[i] and h row h_rows[i] (null: row i); g and the saved z, r and
+/// n are contiguous.  Adds the parameter grads and, when xg / hg are
+/// non-null, dL/dx and dL/dh (contiguous) into them.  The backend's
+/// backward kernel when it has one for this shape (bitwise equal to the
+/// composed backward on that backend), else the composed backward over
+/// gathered rows.
+void step_backward(GruParams& p, const Tensor& g, const Tensor& x,
+                   const Index* x_rows, const Tensor& h, const Index* h_rows,
+                   const double* z, const double* r, const double* n,
+                   Tensor* xg, Tensor* hg) {
+  const std::size_t rows = g.rows();
+  const auto kernel = kernels::active().gru_step_backward;
+  if (kernel != nullptr &&
+      kernel(xg != nullptr ? xg->flat().data() : nullptr,
+             hg != nullptr ? hg->flat().data() : nullptr, p.grads(),
+             g.flat().data(), x.flat().data(), x_rows, h.flat().data(),
+             h_rows, z, r, n, rows, x.cols(), g.cols(), p.weights()))
+    return;
+  if (x_rows == nullptr && h_rows == nullptr) {
+    composed_backward(p, g, x, h, z, r, n, xg, hg);
+    return;
+  }
+  Tensor xs = gather(x, x_rows, rows);
+  Tensor hs = gather(h, h_rows, rows);
+  composed_backward(p, g, xs, hs, z, r, n, xg, hg);
+  TensorPool::release(std::move(xs));
+  TensorPool::release(std::move(hs));
+}
+
+/// The activations a taped step or sweep keeps for its backward, one row
+/// per stepped row; returned to the pool with the tape.
 struct StepTape {
   Tensor z, r, n;
 
   StepTape() = default;
+  StepTape(std::size_t rows, std::size_t hid)
+      : z(TensorPool::acquire_uninit(rows, hid)),
+        r(TensorPool::acquire_uninit(rows, hid)),
+        n(TensorPool::acquire_uninit(rows, hid)) {}
   StepTape(const StepTape&) = default;
   StepTape(StepTape&&) = default;
   StepTape& operator=(const StepTape&) = default;
@@ -419,12 +436,18 @@ struct StepTape {
     TensorPool::release(std::move(r));
     TensorPool::release(std::move(n));
   }
+
+  /// Row `row` of each, for a kernel to fill or read.
+  [[nodiscard]] kernels::GruActs at(std::size_t row) {
+    const std::size_t off = row * z.cols();
+    return {z.flat().data() + off, r.flat().data() + off,
+            n.flat().data() + off};
+  }
 };
 
 /// dst rows idx += src (R x C), i ascending.
-void scatter_add(Tensor& dst, const std::vector<Index>& idx,
-                 const Tensor& src) {
-  for (std::size_t i = 0; i < idx.size(); ++i) {
+void scatter_add(Tensor& dst, const Index* idx, const Tensor& src) {
+  for (std::size_t i = 0; i < src.rows(); ++i) {
     auto to = dst.row(idx[i]);
     const auto from = src.row(i);
     for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
@@ -446,10 +469,11 @@ kernels::GruGrads GruParams::grads() {
 }
 
 Var GRUCell::step_fused(const Var& x, const Var& h) const {
-  StepTape tape;
+  StepTape tape(x.rows(), hid_);
   Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
-  forward_saving(w_, y, x.value(), nullptr, h.value(), nullptr, x.rows(),
-                 tape.z, tape.r, tape.n);
+  const kernels::GruActs saved = tape.at(0);
+  forward_saving(w_, y.flat().data(), x.value(), nullptr, h.value(), nullptr,
+                 x.rows(), saved.z, saved.r, saved.n);
   if (grad_disabled()) return Var(std::move(y));
 
   // One tape node for the whole step.
@@ -459,66 +483,11 @@ Var GRUCell::step_fused(const Var& x, const Var& h) const {
        w_.bn},
       [x = Var(x), h = Var(h), p = w_,
        tape = std::move(tape)](const Tensor& g) mutable {
-        backward(p, g, x.value(), h.value(), tape.z, tape.r, tape.n,
-                 x.requires_grad() ? &x.grad_ref() : nullptr,
-                 h.requires_grad() ? &h.grad_ref() : nullptr);
-      });
-}
-
-Var GRUCell::step_rows(const Var& src, std::span<const Index> elem_ids,
-                       const Var& hidden,
-                       std::span<const Index> path_rows) const {
-  StepTape tape;
-  Tensor next = pooled_copy(hidden.value());
-  forward_saving(w_, next, src.value(), elem_ids.data(), hidden.value(),
-                 path_rows.data(), path_rows.size(), tape.z, tape.r, tape.n);
-
-  // src before hidden is load-bearing: the backward sweep then reaches a
-  // position's messages (segment_sum over these rows) before the node
-  // rule's read of the last position's states, and adds their grads
-  // last, as the separate step output of gather -> step -> scatter did.
-  // TrainGolden and ModelGolden pin it.
-  return Var::make(
-      std::move(next),
-      {src, hidden, w_.wxz, w_.whz, w_.bz, w_.wxr, w_.whr, w_.br, w_.wxn,
-       w_.whn, w_.bn},
-      [src = Var(src), hidden = Var(hidden), p = w_, tape = std::move(tape),
-       elem_ids = std::vector<Index>(elem_ids.begin(), elem_ids.end()),
-       path_rows = std::vector<Index>(path_rows.begin(), path_rows.end())](
-          const Tensor& g) mutable {
-        // The rows left alone pass their grad through; the stepped rows'
-        // grad drives the step, whose input grads land in fresh rows
-        // first and then in the sources, the sums the gathers formed.
-        if (hidden.requires_grad()) {
-          thread_local std::vector<char> stepped;
-          stepped.assign(g.rows(), 0);
-          for (const Index r : path_rows) stepped[r] = 1;
-          Tensor& hg = hidden.grad_ref();
-          for (std::size_t r = 0; r < g.rows(); ++r) {
-            if (stepped[r] != 0) continue;
-            auto to = hg.row(r);
-            const auto from = g.row(r);
-            for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
-          }
-        }
-        Tensor gy = gather(g, path_rows);
-        Tensor xs = gather(src.value(), elem_ids);
-        Tensor hs = gather(hidden.value(), path_rows);
-        Tensor dx, dh;
-        if (src.requires_grad()) dx = TensorPool::acquire(xs.rows(), xs.cols());
-        if (hidden.requires_grad())
-          dh = TensorPool::acquire(hs.rows(), hs.cols());
-        backward(p, gy, xs, hs, tape.z, tape.r, tape.n,
-                 src.requires_grad() ? &dx : nullptr,
-                 hidden.requires_grad() ? &dh : nullptr);
-        if (hidden.requires_grad())
-          scatter_add(hidden.grad_ref(), path_rows, dh);
-        if (src.requires_grad()) scatter_add(src.grad_ref(), elem_ids, dx);
-        TensorPool::release(std::move(gy));
-        TensorPool::release(std::move(xs));
-        TensorPool::release(std::move(hs));
-        TensorPool::release(std::move(dx));
-        TensorPool::release(std::move(dh));
+        const kernels::GruActs acts = tape.at(0);
+        step_backward(p, g, x.value(), nullptr, h.value(), nullptr, acts.z,
+                      acts.r, acts.n,
+                      x.requires_grad() ? &x.grad_ref() : nullptr,
+                      h.requires_grad() ? &h.grad_ref() : nullptr);
       });
 }
 
@@ -528,6 +497,186 @@ std::vector<std::pair<std::string, Var>> GRUCell::named_params() const {
           {name_ + ".whr", w_.whr}, {name_ + ".br", w_.br},
           {name_ + ".wxn", w_.wxn}, {name_ + ".whn", w_.whn},
           {name_ + ".bn", w_.bn}};
+}
+
+// ---- the path RNN's sweep ---------------------------------------------------
+
+/// What a taped fused sweep records: per stepped row (entry k, arena row
+/// P + k) the path row it stepped, the x row it read and the arena row
+/// its h came from, and its z, r and n.
+struct GruSweep::Tape {
+  struct Position {
+    std::size_t offset;  ///< first entry
+    std::size_t rows;
+    std::size_t source;  ///< index into sources
+    bool h_in_arena;     ///< some h row is a stepped row, not an initial one
+  };
+
+  std::size_t paths = 0;
+  std::vector<Position> positions;
+  std::vector<Index> path_rows, elem_ids, h_rows;
+  std::vector<Index> latest;  ///< per path: arena row of its current state
+  StepTape acts;
+  const Tensor* arena = nullptr;  ///< the node's value
+  Var initial;
+  std::vector<Var> sources;
+  GruParams params;
+
+  void backward(const Tensor& g);
+};
+
+GruSweep::GruSweep(const GRUCell& cell, const Var& initial,
+                   const std::vector<Var>& sources, std::size_t entries)
+    : cell_(cell), hidden_(initial) {
+  if (initial.cols() != cell.hid_)
+    throw std::invalid_argument("GruSweep (" + cell.name_ +
+                                "): initial state width mismatch");
+  for (const Var& s : sources)
+    if (s.defined()) sources_.push_back(s);
+  if (grad_disabled() || !cell.fused_) return;
+
+  const std::size_t paths = initial.rows(), hid = cell.hid_;
+  auto tape = std::make_shared<Tape>();
+  tape->paths = paths;
+  tape->path_rows.reserve(entries);
+  tape->elem_ids.reserve(entries);
+  tape->h_rows.reserve(entries);
+  tape->latest.resize(paths);
+  std::iota(tape->latest.begin(), tape->latest.end(), Index{0});
+  tape->acts = StepTape(entries, hid);
+  tape->initial = initial;
+  tape->sources = sources_;
+  tape->params = cell.w_;
+
+  Tensor arena = TensorPool::acquire_uninit(paths + entries, hid);
+  const auto init = initial.value().flat();
+  std::copy(init.begin(), init.end(), arena.flat().begin());
+  std::vector<Var> parents{initial};
+  parents.insert(parents.end(), sources_.begin(), sources_.end());
+  const GruParams& w = cell.w_;
+  parents.insert(parents.end(), {w.wxz, w.whz, w.bz, w.wxr, w.whr, w.br,
+                                 w.wxn, w.whn, w.bn});
+  hidden_ = Var::make(std::move(arena), std::move(parents),
+                      [tape](const Tensor& g) { tape->backward(g); });
+  tape->arena = &hidden_.value();
+  tape_ = std::move(tape);
+}
+
+void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
+                    std::span<const Index> path_rows) {
+  const auto source = std::find_if(
+      sources_.begin(), sources_.end(),
+      [&](const Var& s) { return s.same_node(src); });
+  if (source == sources_.end())
+    throw std::invalid_argument("GruSweep::step: src is not a source");
+  if (tape_ == nullptr) {
+    if (grad_disabled()) {
+      cell_.step_indexed(src, elem_ids, hidden_, path_rows);
+    } else {
+      cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
+      hidden_ = scatter_rows(
+          hidden_, path_rows,
+          cell_.step_composed(gather_rows(src, elem_ids),
+                              gather_rows(hidden_, path_rows)));
+    }
+    last_ids_ = elem_ids;
+    last_rows_ = path_rows;
+    return;
+  }
+
+  Tape& t = *tape_;
+  cell_.check_indexed(src, elem_ids, t.paths, path_rows);
+  const std::size_t off = t.path_rows.size(), rows = path_rows.size();
+  if (rows > t.acts.z.rows() - off)
+    throw std::invalid_argument("GruSweep::step: more rows than entries");
+  last_ids_ = elem_ids;
+  last_rows_ = path_rows;
+  bool h_in_arena = false;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const Index r = path_rows[i];
+    t.path_rows.push_back(r);
+    t.elem_ids.push_back(elem_ids[i]);
+    t.h_rows.push_back(t.latest[r]);
+    h_in_arena = h_in_arena || t.latest[r] >= t.paths;
+    t.latest[r] = static_cast<Index>(t.paths + off + i);
+  }
+  t.positions.push_back({off, rows,
+                         static_cast<std::size_t>(source - sources_.begin()),
+                         h_in_arena});
+  Tensor& arena = hidden_.mutable_value();
+  const kernels::GruActs acts = t.acts.at(off);
+  forward_saving(t.params, arena.row(t.paths + off).data(), src.value(),
+                 t.elem_ids.data() + off, arena, t.h_rows.data() + off, rows,
+                 acts.z, acts.r, acts.n);
+}
+
+Var GruSweep::messages(std::size_t num_elems) const {
+  if (tape_ == nullptr)
+    return segment_sum(hidden_, last_rows_, last_ids_, num_elems);
+  // The last step's rows are the arena's last ones.
+  thread_local std::vector<Index> rows;
+  rows.resize(last_rows_.size());
+  std::iota(rows.begin(), rows.end(),
+            static_cast<Index>(tape_->paths + tape_->path_rows.size() -
+                               rows.size()));
+  return segment_sum(hidden_, rows, last_ids_, num_elems);
+}
+
+Var GruSweep::states() const {
+  if (tape_ == nullptr) return hidden_;
+  return gather_rows(hidden_, std::span<const Index>(tape_->latest));
+}
+
+void GruSweep::Tape::backward(const Tensor& g) {
+  const std::size_t hid = g.cols();
+  // carry row r: dL/dh of path r's state before the position being undone.
+  // It starts from the grad of the initial rows (non-zero only for paths
+  // no position steps) and takes each step's dh in turn.
+  Tensor carry = TensorPool::acquire_uninit(paths, hid);
+  std::copy(g.flat().begin(),
+            g.flat().begin() + static_cast<std::ptrdiff_t>(paths * hid),
+            carry.flat().begin());
+  const bool initial_grad = initial.requires_grad();
+  for (auto pos = positions.rbegin(); pos != positions.rend(); ++pos) {
+    if (pos->rows == 0) continue;
+    const Index* rows = path_rows.data() + pos->offset;
+    const Index* ids = elem_ids.data() + pos->offset;
+    Var& src = sources[pos->source];
+    // A stepped row's grad: what later steps sent back through its state,
+    // then its messages and the final-state reads (the arena rows' grad),
+    // added last.
+    Tensor gy = TensorPool::acquire_uninit(pos->rows, hid);
+    for (std::size_t i = 0; i < pos->rows; ++i) {
+      const double* c = carry.row(rows[i]).data();
+      const double* a = g.row(paths + pos->offset + i).data();
+      double* y = gy.row(i).data();
+      for (std::size_t j = 0; j < hid; ++j) y[j] = c[j] + a[j];
+    }
+    const bool need_dh = initial_grad || pos->h_in_arena;
+    Tensor dx, dh;
+    if (src.requires_grad()) dx = TensorPool::acquire(pos->rows, src.cols());
+    if (need_dh) dh = TensorPool::acquire(pos->rows, hid);
+    const kernels::GruActs a = acts.at(pos->offset);
+    step_backward(params, gy, src.value(), ids, *arena,
+                  h_rows.data() + pos->offset, a.z, a.r, a.n,
+                  src.requires_grad() ? &dx : nullptr,
+                  need_dh ? &dh : nullptr);
+    if (need_dh)
+      for (std::size_t i = 0; i < pos->rows; ++i) {
+        const auto from = dh.row(i);
+        std::copy(from.begin(), from.end(), carry.row(rows[i]).begin());
+      }
+    if (src.requires_grad()) scatter_add(src.grad_ref(), ids, dx);
+    TensorPool::release(std::move(gy));
+    TensorPool::release(std::move(dx));
+    TensorPool::release(std::move(dh));
+  }
+  if (initial_grad) {
+    auto to = initial.grad_ref().flat();
+    const auto from = carry.flat();
+    for (std::size_t i = 0; i < to.size(); ++i) to[i] += from[i];
+  }
+  TensorPool::release(std::move(carry));
 }
 
 }  // namespace rnx::nn

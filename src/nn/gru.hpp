@@ -1,4 +1,4 @@
-// Gated recurrent unit cell.
+// Gated recurrent unit cell, and the path RNN's sweep over positions.
 //
 // RouteNet uses recurrent units for all three state-update functions
 // (RNN_P over path sequences, RNN_L for link updates, RNN_N for node
@@ -14,6 +14,11 @@
 // the original composition; tests/gru_fused_test.cpp pins the two
 // against each other and against central differences.
 //
+// GruSweep runs RNN_P over every position of one message-passing
+// iteration.  Without a tape it updates the path states in place
+// (step_indexed); with one it records the whole sweep as a single tape
+// node over an arena of every stepped row (DESIGN.md §K).
+//
 // The fused step runs the backend's whole-step kernels when it has them
 // for this width (kernels::Backend::gru_step and gru_step_backward, AVX2
 // at H in {4, 8, 12, 16}), else matmul kernels and fused gate/blend
@@ -22,6 +27,7 @@
 // nothing; with one it also stores z, r and n for the backward.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -58,16 +64,13 @@ class GRUCell {
   /// whole-step kernels when it has them for this width, taped or not.
   [[nodiscard]] Var step(const Var& x, const Var& h) const;
 
-  /// One step over rows taken by index, as the position-vectorized path
-  /// RNN runs it: x = src[elem_ids], h = hidden[path_rows], and the new
-  /// states replace hidden's path_rows, where the caller reads them.
-  /// With a tape, hidden becomes one new node that holds the stepped
-  /// states and saves only z, r and n of the R stepped rows; its values
-  /// and grads equal those of gather_rows -> step -> scatter_rows bit for
-  /// bit.  Without one, hidden's rows are updated in place — after a copy
-  /// if another Var shares hidden's tensor.  Throws std::out_of_range for
-  /// an id or row out of range and std::invalid_argument for a repeated
-  /// row, before any state is read.
+  /// One step over rows taken by index, without a tape: x = src[elem_ids],
+  /// h = hidden[path_rows], and the new states replace hidden's path_rows
+  /// in place — after a copy if another Var shares hidden's tensor.
+  /// Throws std::out_of_range for an id or row out of range and
+  /// std::invalid_argument for a repeated row, before any state is read,
+  /// and std::logic_error when a tape is recording (GruSweep records the
+  /// taped path RNN).
   void step_indexed(const Var& src, std::span<const Index> elem_ids,
                     Var& hidden, std::span<const Index> path_rows) const;
 
@@ -86,16 +89,18 @@ class GRUCell {
   [[nodiscard]] std::vector<std::pair<std::string, Var>> named_params() const;
 
  private:
+  friend class GruSweep;
+
   [[nodiscard]] Var step_fused(const Var& x, const Var& h) const;
-  /// The taped step of step_indexed: the new (P x hidden_dim) states as
-  /// one node over validated rows.
-  [[nodiscard]] Var step_rows(const Var& src, std::span<const Index> elem_ids,
-                              const Var& hidden,
-                              std::span<const Index> path_rows) const;
+  /// step_indexed's guards: the throws it documents, over a hidden state
+  /// of hidden_rows rows.
+  void check_indexed(const Var& src, std::span<const Index> elem_ids,
+                     std::size_t hidden_rows,
+                     std::span<const Index> path_rows) const;
   /// The backend's whole-step kernel (kernels::Backend::gru_step) on raw
   /// rows; false when the active backend has none for this width.
-  bool step_kernel(double* y, const double* x, const Index* x_rows,
-                   const double* h, const Index* h_rows,
+  bool step_kernel(double* y, const Index* y_rows, const double* x,
+                   const Index* x_rows, const double* h, const Index* h_rows,
                    std::size_t rows) const;
 
   std::size_t in_;
@@ -103,6 +108,55 @@ class GRUCell {
   std::string name_;
   bool fused_ = true;
   GruParams w_;
+};
+
+/// One message-passing iteration of the path RNN: `cell` stepped
+/// position by position over rows of a (P x hidden_dim) path state, each
+/// position's rows reading their x rows by index from one of a fixed set
+/// of sources (the link or node states).
+///
+/// Without a tape the states are updated in place (step_indexed), and
+/// messages() and states() read them.  With one, each stepped row is
+/// written, in step order, to one arena of (P + entries) x hidden_dim:
+/// rows [0, P) hold the initial states, row P + k the k-th stepped row.
+/// The arena is the value of a single tape node whose parents are the
+/// initial states, the sources and the cell's nine weights; messages()
+/// and states() read their rows from it by index.  The node's backward
+/// walks the positions in reverse with dL/dh in one (P x hidden_dim)
+/// carry.  Its values and grads equal those of gather_rows -> step ->
+/// scatter_rows per position bit for bit.  A cell with set_fused(false)
+/// records that op-by-op tape instead (with step_composed), the
+/// reference it always was.
+class GruSweep {
+ public:
+  /// Starts from `initial` (P x hidden_dim).  `sources` are the Vars the
+  /// steps may read x rows from (undefined ones are skipped); `entries`
+  /// is the number of rows the steps step in total.
+  GruSweep(const GRUCell& cell, const Var& initial,
+           const std::vector<Var>& sources, std::size_t entries);
+
+  /// One position: rows path_rows step on x = src[elem_ids].  Throws as
+  /// step_indexed does, std::invalid_argument when src is not one of the
+  /// sources or the steps exceed `entries` — before any state is written.
+  void step(const Var& src, std::span<const Index> elem_ids,
+            std::span<const Index> path_rows);
+
+  /// The last step's messages (num_elems x hidden_dim): row e sums the new
+  /// states of the rows that read element e, in row order.  Reads the
+  /// spans passed to that step.
+  [[nodiscard]] Var messages(std::size_t num_elems) const;
+
+  /// The path states after the steps so far (P x hidden_dim).
+  [[nodiscard]] Var states() const;
+
+ private:
+  struct Tape;
+
+  const GRUCell& cell_;
+  std::vector<Var> sources_;
+  Var hidden_;  ///< the states, or the arena when tape_ is set
+  std::shared_ptr<Tape> tape_;
+  std::span<const Index> last_ids_, last_rows_;
 };
 
 }  // namespace rnx::nn

@@ -128,26 +128,31 @@ struct Backend {
   // -- whole GRU step (optional; nullptr if absent) ----------------------
   /// One step for `rows` rows: row i reads x row x_rows[i] (in wide) and
   /// h row h_rows[i] (hid wide) and writes the new state to y row
-  /// h_rows[i]; a null index array means row i.  y may be h itself
-  /// (in-place update) — the h_rows must then be distinct — but must not
-  /// overlap x.  Indices are trusted: callers validate them.  A non-null
-  /// `save` also receives z, r and n (a separate instantiation, so the
-  /// untaped step serving runs is unchanged).  Returns false, having
-  /// touched nothing, when the backend has no kernel for `hid`.
-  bool (*gru_step)(double* y, const double* x, const std::uint32_t* x_rows,
-                   const double* h, const std::uint32_t* h_rows,
-                   std::size_t rows, std::size_t in, std::size_t hid,
-                   const GruWeights& w, const GruActs* save);
-  /// Backward of one saved step over contiguous rows: g is dL/dy, x and
-  /// h the step's inputs, z/r/n its saved activations.  Adds dL/dx into
-  /// dx (rows x in) and dL/dh into dh (rows x hid) — either may be null —
-  /// and the parameter gradients into dw, each cell in the order the
-  /// composed backward of the same backend uses.
+  /// y_rows[i]; a null index array means row i.  y may be h itself
+  /// (in-place update) when every y row is an h row of the same i and the
+  /// h rows are distinct, or when no y row is an h row; y must not overlap
+  /// x.  Indices are trusted: callers validate them.  A non-null `save`
+  /// also receives z, r and n, row i contiguous (a separate
+  /// instantiation, so the untaped step serving runs is unchanged).
+  /// Returns false, having touched nothing, when the backend has no
+  /// kernel for `hid`.
+  bool (*gru_step)(double* y, const std::uint32_t* y_rows, const double* x,
+                   const std::uint32_t* x_rows, const double* h,
+                   const std::uint32_t* h_rows, std::size_t rows,
+                   std::size_t in, std::size_t hid, const GruWeights& w,
+                   const GruActs* save);
+  /// Backward of one saved step: g is dL/dy (rows x hid), row i of the
+  /// step read x row x_rows[i] and h row h_rows[i] (null: row i), and
+  /// z/r/n are its saved activations, row i contiguous.  Adds dL/dx into
+  /// dx (rows x in) and dL/dh into dh (rows x hid), both contiguous and
+  /// either may be null, and the parameter gradients into dw, each cell
+  /// in the order the composed backward of the same backend uses.
   /// Returns false, having touched nothing, when the backend has no
   /// kernel for (in, hid).
   bool (*gru_step_backward)(double* dx, double* dh, const GruGrads& dw,
                             const double* g, const double* x,
-                            const double* h, const double* z,
+                            const std::uint32_t* x_rows, const double* h,
+                            const std::uint32_t* h_rows, const double* z,
                             const double* r, const double* n,
                             std::size_t rows, std::size_t in,
                             std::size_t hid, const GruWeights& w);

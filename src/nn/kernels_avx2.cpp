@@ -609,9 +609,10 @@ inline void store_acc(double (&dst)[G][R][4 * V],
 // r and n out for a taped step's backward; kSave = false compiles to the
 // untaped step alone.
 template <std::size_t V, std::size_t R, bool kSave>
-inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
-                      const double* h, const std::uint32_t* h_rows,
-                      std::size_t i0, std::size_t in, const GruWeights& w,
+inline void gru_block(double* y, const std::uint32_t* y_rows, const double* x,
+                      const std::uint32_t* x_rows, const double* h,
+                      const std::uint32_t* h_rows, std::size_t i0,
+                      std::size_t in, const GruWeights& w,
                       const GruActs& save) {
   constexpr std::size_t kHid = 4 * V;
   const double* xr[R];
@@ -660,7 +661,7 @@ inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
   const __m256d one = _mm256_set1_pd(1.0);
   for (std::size_t r = 0; r < R; ++r) {
     double* yrow =
-        y + (h_rows != nullptr ? h_rows[i0 + r] : i0 + r) * kHid;
+        y + (y_rows != nullptr ? y_rows[i0 + r] : i0 + r) * kHid;
     for (std::size_t j = 0; j < kHid; j += 4) {
       const __m256d zf = _mm256_load_pd(zr[0][r] + j);
       const __m256d hv = _mm256_loadu_pd(hr[r] + j);
@@ -673,45 +674,53 @@ inline void gru_block(double* y, const double* x, const std::uint32_t* x_rows,
   }
 }
 
+/// The rows' index arrays (y_rows, x_rows, h_rows) of one gru_step call.
+struct StepRows {
+  const std::uint32_t* y;
+  const std::uint32_t* x;
+  const std::uint32_t* h;
+};
+
 template <std::size_t V, std::size_t R, bool kSave>
-void gru_rows(double* y, const double* x, const std::uint32_t* x_rows,
-              const double* h, const std::uint32_t* h_rows, std::size_t rows,
-              std::size_t in, const GruWeights& w, const GruActs& save) {
+void gru_rows(double* y, const double* x, const double* h, StepRows idx,
+              std::size_t rows, std::size_t in, const GruWeights& w,
+              const GruActs& save) {
   std::size_t i = 0;
   for (; i + R <= rows; i += R)
-    gru_block<V, R, kSave>(y, x, x_rows, h, h_rows, i, in, w, save);
+    gru_block<V, R, kSave>(y, idx.y, x, idx.x, h, idx.h, i, in, w, save);
   for (; i < rows; ++i)
-    gru_block<V, 1, kSave>(y, x, x_rows, h, h_rows, i, in, w, save);
+    gru_block<V, 1, kSave>(y, idx.y, x, idx.x, h, idx.h, i, in, w, save);
 }
 
 template <std::size_t V, std::size_t R>
-void gru_rows(double* y, const double* x, const std::uint32_t* x_rows,
-              const double* h, const std::uint32_t* h_rows, std::size_t rows,
-              std::size_t in, const GruWeights& w, const GruActs* save) {
+void gru_rows(double* y, const double* x, const double* h, StepRows idx,
+              std::size_t rows, std::size_t in, const GruWeights& w,
+              const GruActs* save) {
   if (save != nullptr)
-    gru_rows<V, R, true>(y, x, x_rows, h, h_rows, rows, in, w, *save);
+    gru_rows<V, R, true>(y, x, h, idx, rows, in, w, *save);
   else
-    gru_rows<V, R, false>(y, x, x_rows, h, h_rows, rows, in, w, GruActs{});
+    gru_rows<V, R, false>(y, x, h, idx, rows, in, w, GruActs{});
 }
 
-bool gru_step(double* y, const double* x, const std::uint32_t* x_rows,
-              const double* h, const std::uint32_t* h_rows, std::size_t rows,
-              std::size_t in, std::size_t hid, const GruWeights& w,
-              const GruActs* save) {
+bool gru_step(double* y, const std::uint32_t* y_rows, const double* x,
+              const std::uint32_t* x_rows, const double* h,
+              const std::uint32_t* h_rows, std::size_t rows, std::size_t in,
+              std::size_t hid, const GruWeights& w, const GruActs* save) {
+  const StepRows idx{y_rows, x_rows, h_rows};
   // Rows per block: enough independent FMA chains (2RV = 8..12) to cover
   // the FMA latency without spilling the 16 ymm registers.
   switch (hid) {
     case 4:
-      gru_rows<1, 4>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      gru_rows<1, 4>(y, x, h, idx, rows, in, w, save);
       return true;
     case 8:
-      gru_rows<2, 2>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      gru_rows<2, 2>(y, x, h, idx, rows, in, w, save);
       return true;
     case 12:
-      gru_rows<3, 2>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      gru_rows<3, 2>(y, x, h, idx, rows, in, w, save);
       return true;
     case 16:
-      gru_rows<4, 1>(y, x, x_rows, h, h_rows, rows, in, w, save);
+      gru_rows<4, 1>(y, x, h, idx, rows, in, w, save);
       return true;
     default: return false;
   }
@@ -736,8 +745,10 @@ bool gru_step(double* y, const double* x, const std::uint32_t* x_rows,
 //     the grad, as the composed backward's stacked [x|h] panel does;
 //   * bias grads as column sums, rows ascending, onto the grad (an FMA
 //     with 1.0 rounds exactly like the add).
-// Phase 1 walks the rows once with dan and dzr = [daz | dar] in
-// registers, writes the input grads and stores dan, dzr and r.*h.
+// x and h rows taken by index are first copied into contiguous scratch
+// (same values, so no bit moves).  Phase 1 walks the rows once with dan
+// and dzr = [daz | dar] in registers, writes the input grads and stores
+// dan, dzr and r.*h.
 // Phase 2 sweeps the weight and bias grads with register accumulator
 // tiles, one L1-sized block of rows at a time; a cell's FMA chain
 // carries over from block to block through memory, unchanged.
@@ -755,11 +766,11 @@ inline __m256d nt_dot4(const __m256d (&a)[N], Row row) {
   return hsum4(acc[0], acc[1], acc[2], acc[3]);
 }
 
-// Phase 1 for row i.  The scratch rows are dan (hid), dzr (2 hid) and
-// rh (hid) wide.
+// Phase 1 for row i, whose h row is hi.  The scratch rows are dan (hid),
+// dzr (2 hid) and rh (hid) wide.
 template <std::size_t V>
 inline void gru_backward_row(double* dx, double* dh, const double* g,
-                             const double* h, const double* z,
+                             const double* hi, const double* z,
                              const double* r, const double* n, std::size_t i,
                              std::size_t in, const GruWeights& w,
                              double* dan_out, double* dzr_out,
@@ -771,7 +782,6 @@ inline void gru_backward_row(double* dx, double* dh, const double* g,
   const double* zi = z + i * kHid;
   const double* ri = r + i * kHid;
   const double* ni = n + i * kHid;
-  const double* hi = h + i * kHid;
 
   __m256d dan[V], dzr[2 * V];
   for (std::size_t v = 0; v < V; ++v) {
@@ -894,20 +904,36 @@ void tn_grad_rows(double* dst, std::size_t count, const double* a,
 /// tile sweeps them.
 constexpr std::size_t kGradRowBlock = 32;
 
+/// Rows idx of src (row width `width`) in a thread-local contiguous copy
+/// that phase 2 sweeps; src itself when idx is null.
+const double* contiguous_rows(std::vector<double>& copy, const double* src,
+                              const std::uint32_t* idx, std::size_t rows,
+                              std::size_t width) {
+  if (idx == nullptr) return src;
+  copy.resize(rows * width);
+  for (std::size_t i = 0; i < rows; ++i)
+    std::memcpy(copy.data() + i * width, src + idx[i] * width,
+                width * sizeof(double));
+  return copy.data();
+}
+
 template <std::size_t V>
 void gru_backward(double* dx, double* dh, const GruGrads& dw, const double* g,
-                  const double* x, const double* h, const double* z,
-                  const double* r, const double* n, std::size_t rows,
-                  std::size_t in, const GruWeights& w) {
+                  const double* x_src, const std::uint32_t* x_rows,
+                  const double* h_src, const std::uint32_t* h_rows,
+                  const double* z, const double* r, const double* n,
+                  std::size_t rows, std::size_t in, const GruWeights& w) {
   constexpr std::size_t kHid = 4 * V;
-  static thread_local std::vector<double> scratch, zr;
+  static thread_local std::vector<double> scratch, zr, x_copy, h_copy;
+  const double* x = contiguous_rows(x_copy, x_src, x_rows, rows, in);
+  const double* h = contiguous_rows(h_copy, h_src, h_rows, rows, kHid);
   scratch.resize(rows * 4 * kHid);
   double* dan = scratch.data();
   double* dzr = dan + rows * kHid;
   double* rh = dzr + rows * 2 * kHid;
   for (std::size_t i = 0; i < rows; ++i)
-    gru_backward_row<V>(dx, dh, g, h, z, r, n, i, in, w, dan + i * kHid,
-                        dzr + i * 2 * kHid, rh + i * kHid);
+    gru_backward_row<V>(dx, dh, g, h + i * kHid, z, r, n, i, in, w,
+                        dan + i * kHid, dzr + i * 2 * kHid, rh + i * kHid);
 
   // The z/r weight grads of the x rows, then of the h rows, as the
   // fresh ((in + hid) x 2 hid) block of the composed backward, and one
@@ -949,23 +975,28 @@ void gru_backward(double* dx, double* dh, const GruGrads& dw, const double* g,
 }
 
 bool gru_step_backward(double* dx, double* dh, const GruGrads& dw,
-                       const double* g, const double* x, const double* h,
-                       const double* z, const double* r, const double* n,
-                       std::size_t rows, std::size_t in, std::size_t hid,
-                       const GruWeights& w) {
+                       const double* g, const double* x,
+                       const std::uint32_t* x_rows, const double* h,
+                       const std::uint32_t* h_rows, const double* z,
+                       const double* r, const double* n, std::size_t rows,
+                       std::size_t in, std::size_t hid, const GruWeights& w) {
   if (in % 4 != 0) return false;
   switch (hid) {
     case 4:
-      gru_backward<1>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      gru_backward<1>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
+                      w);
       return true;
     case 8:
-      gru_backward<2>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      gru_backward<2>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
+                      w);
       return true;
     case 12:
-      gru_backward<3>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      gru_backward<3>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
+                      w);
       return true;
     case 16:
-      gru_backward<4>(dx, dh, dw, g, x, h, z, r, n, rows, in, w);
+      gru_backward<4>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
+                      w);
       return true;
     default: return false;
   }

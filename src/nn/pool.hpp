@@ -2,8 +2,11 @@
 //
 // One GRU step used to allocate ~15 tape tensors; the fused kernel cuts
 // that to a handful of gate buffers whose shapes repeat every step.  The
-// pool recycles those buffers through a small thread-local free list so
-// the hot training loop stops hitting the allocator (DESIGN.md S3).
+// pool recycles buffers through a small thread-local free list, so the
+// large ones a training sample's tape holds (the path-RNN sweep's
+// arenas) are reused by the next sample instead of being allocated and
+// faulted in again.  It does not make training allocation-free: small
+// buffers still come from the allocator (DESIGN.md S3 has the counts).
 //
 // Thread-local by construction: each trainer lane has its own list, so
 // acquire/release need no synchronization and recycled buffers never
@@ -19,7 +22,9 @@ namespace rnx::nn {
 class TensorPool {
  public:
   /// A rows x cols tensor, zero-filled, backed by a recycled buffer when
-  /// one is available on this thread's free list.
+  /// this thread's free list holds one of rows * cols to twice that
+  /// capacity (the smallest such), else by the largest one of half that
+  /// capacity or more, grown.
   [[nodiscard]] static Tensor acquire(std::size_t rows, std::size_t cols);
 
   /// As acquire(), but with unspecified contents — for buffers every
@@ -29,7 +34,8 @@ class TensorPool {
                                              std::size_t cols);
 
   /// Return a tensor's buffer to this thread's free list.  The tensor is
-  /// left empty; releasing an empty tensor is a no-op.
+  /// left empty; releasing an empty tensor is a no-op.  A full list keeps
+  /// its largest buffers.
   static void release(Tensor&& t);
 
   /// Buffers currently parked on this thread's free list (tests).

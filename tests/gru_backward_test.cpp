@@ -5,8 +5,14 @@
 //     and backward of the same backend, bit for bit, for every kernel
 //     width, ragged row counts, every combination of x/h requires_grad
 //     and a second backward that accumulates onto non-zero grads; and
-//     the taped step_indexed against gather_rows -> step -> scatter_rows
-//     rebuilt from the public ops, on the scalar and the SIMD backend;
+//     the taped path-RNN sweep over shuffled positions against
+//     gather_rows -> step -> scatter_rows rebuilt from the public ops, on
+//     the scalar and the SIMD backend;
+//   * GruSweep: the taped sweep over real NSFNET and GEANT2 plans against
+//     the same per-position tape, values and every grad bit for bit, for
+//     widths with and without a kernel, every requires_grad combination
+//     of its sources and a second round accumulating onto the grads of
+//     the first; and its guards;
 //   * TrainGolden: a digest of every parameter gradient of
 //     Trainer::sample_loss over the ForwardOracle sweep (both model
 //     kinds, both node rules, mean aggregation on and off, widths with
@@ -21,11 +27,14 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/model.hpp"
+#include "core/plan.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
@@ -161,12 +170,12 @@ TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
     const nn::kernels::GruGrads none{};
     EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, none, nullptr,
                                          nullptr, nullptr, nullptr, nullptr,
-                                         nullptr, 5, in, hid,
-                                         weights_of(cell)));
+                                         nullptr, nullptr, nullptr, 5, in,
+                                         hid, weights_of(cell)));
   }
 }
 
-// ---- the taped indexed step against the triple it replaced -----------------
+// ---- the taped sweep against the triple it replaced --------------------------
 
 // Two positions of a path RNN over `kPaths` paths and `kElems` elements,
 // as Model::forward runs them: each position steps a shuffled subset of
@@ -199,14 +208,16 @@ struct Unroll {
 
 /// Runs the unroll, then back-propagates a loss that reads the final
 /// states, every position's messages and the element states directly.
-/// `indexed` picks step_indexed; otherwise the gather -> step -> scatter
-/// triple built from the public ops.
+/// `indexed` picks the taped GruSweep; otherwise the gather -> step ->
+/// scatter triple built from the public ops.
 StepResult unroll(const nn::GRUCell& cell, const Unroll& u,
                   const Tensor& src0, const Tensor& hidden0,
                   const Tensor& w_state, const Tensor& w_msg, bool indexed) {
   const Var src(src0, true);
   const Var start(hidden0, true);
   Var hidden = start;
+  nn::GruSweep sweep(cell, start, {src},
+                     u.path_rows.size() * u.path_rows[0].size());
   std::vector<Tensor> values;
   Var loss = nn::sum_all(nn::mul(src, src));
   for (std::size_t pos = 0; pos < u.path_rows.size(); ++pos) {
@@ -214,8 +225,9 @@ StepResult unroll(const nn::GRUCell& cell, const Unroll& u,
     const std::vector<Index>& ids = u.elem_ids[pos];
     Var msg;
     if (indexed) {
-      cell.step_indexed(src, ids, hidden, rows);
-      msg = nn::segment_sum(hidden, rows, ids, Unroll::kElems);
+      sweep.step(src, ids, rows);
+      msg = sweep.messages(Unroll::kElems);
+      hidden = sweep.states();
     } else {
       const Var h2 =
           cell.step(nn::gather_rows(src, ids), nn::gather_rows(hidden, rows));
@@ -261,6 +273,204 @@ TEST(GruStepBackward, IndexedStepMatchesGatherStepScatterBitwise) {
         EXPECT_TRUE(got == want);
       }
   }
+}
+
+// ---- the sweep over real plans ----------------------------------------------
+
+/// One topology's plans: every path of a generated sample, so path
+/// lengths differ and some paths are one hop long.
+struct PlanSet {
+  core::MpPlan original, extended;
+};
+
+PlanSet plans_of(const topo::Topology& topology) {
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 2'000;
+  const auto samples = data::generate_dataset(topology, 1, cfg, 23);
+  return {core::build_plan(samples[0], false),
+          core::build_plan(samples[0], true)};
+}
+
+const PlanSet& nsfnet_plans() {
+  static const PlanSet plans = plans_of(topo::nsfnet());
+  return plans;
+}
+
+const PlanSet& geant2_plans() {
+  static const PlanSet plans = plans_of(topo::geant2());
+  return plans;
+}
+
+/// The fixed inputs of one sweep: the cell, the initial path states, the
+/// link and node states the positions read, and the loss weights.
+struct SweepInputs {
+  nn::GRUCell cell;
+  Tensor initial, links, nodes;
+  Tensor w_state, w_link, w_node;
+
+  SweepInputs(const core::MpPlan& plan, std::size_t hid, util::RngStream& rng)
+      : cell(hid, hid, rng),
+        initial(random_tensor(plan.num_paths, hid, rng)),
+        links(random_tensor(plan.num_links, hid, rng)),
+        nodes(random_tensor(plan.num_nodes, hid, rng)),
+        w_state(random_tensor(plan.num_paths, hid, rng)),
+        w_link(random_tensor(plan.num_links, hid, rng)),
+        w_node(random_tensor(plan.num_nodes, hid, rng)) {}
+};
+
+/// Which of the sweep's inputs require grad (the weights always do).
+struct GradMask {
+  bool initial, links, nodes;
+};
+
+/// Two rounds of forward and backward over every position of `plan`,
+/// the second adding onto the grads of the first.  The loss reads the
+/// sources directly, every position's messages and the final states.
+/// `sweep` picks the taped GruSweep; otherwise gather_rows -> step ->
+/// scatter_rows per position, messages by segment_sum of the step's
+/// output.  Returns the second round's values, then every grad.
+StepResult sweep_rounds(const SweepInputs& in, const core::MpPlan& plan,
+                        GradMask mask, bool sweep) {
+  const Var initial(in.initial, mask.initial);
+  const Var links(in.links, mask.links);
+  const Var nodes(in.nodes, mask.nodes);
+  StepResult out;
+  for (int round = 0; round < 2; ++round) {
+    out.tensors.clear();
+    Var loss = nn::add(nn::sum_all(nn::mul(links, links)),
+                       nn::sum_all(nn::mul(nodes, nodes)));
+    nn::GruSweep sw(in.cell, initial, {links, nodes}, plan.total_entries());
+    Var hidden = initial;
+    for (std::size_t p = 0; p < plan.num_positions(); ++p) {
+      const core::PlanPosition pos = plan.position(p);
+      const Var& src = pos.is_node ? nodes : links;
+      const std::size_t elems = pos.is_node ? plan.num_nodes : plan.num_links;
+      Var msg;
+      if (sweep) {
+        sw.step(src, pos.elem_ids, pos.path_rows);
+        msg = sw.messages(elems);
+      } else {
+        const Var h2 = in.cell.step(nn::gather_rows(src, pos.elem_ids),
+                                    nn::gather_rows(hidden, pos.path_rows));
+        hidden = nn::scatter_rows(hidden, pos.path_rows, h2);
+        msg = nn::segment_sum(h2, pos.elem_ids, elems);
+      }
+      out.tensors.push_back(msg.value());
+      loss = nn::add(loss, nn::sum_all(nn::mul(
+                               msg, nn::constant(pos.is_node ? in.w_node
+                                                             : in.w_link))));
+    }
+    if (sweep) hidden = sw.states();
+    loss = nn::add(loss, nn::sum_all(nn::mul(hidden, nn::constant(in.w_state))));
+    loss.backward();
+    out.tensors.push_back(hidden.value());
+    out.tensors.push_back(loss.value());
+  }
+  for (const Var* v : {&initial, &links, &nodes})
+    if (v->requires_grad()) out.tensors.push_back(v->grad());
+  for (auto& [name, p] : in.cell.named_params()) {
+    out.tensors.push_back(p.grad());
+    p.zero_grad();
+  }
+  return out;
+}
+
+TEST(GruSweep, MatchesPerPositionTapeOnPlansBitwise) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const auto& [topo_name, plans_fn] :
+         {std::pair{"nsfnet", &nsfnet_plans}, {"geant2", &geant2_plans}}) {
+      const PlanSet& plans = plans_fn();
+      for (const core::MpPlan* plan : {&plans.original, &plans.extended}) {
+        // Paths of one hop stop early, so path lengths differ.
+        const std::size_t hop = plan->interleaved() ? 2 : 1;
+        ASSERT_EQ(plan->position(0).path_rows.size(), plan->num_paths);
+        ASSERT_LT(plan->position(hop).path_rows.size(), plan->num_paths);
+        for (const std::size_t hid : {4, 8, 10, 12, 16}) {
+          util::RngStream rng(7300 + hid + 1000 * plan->interleaved());
+          const SweepInputs in(*plan, hid, rng);
+          for (const bool g_initial : {false, true})
+            for (const bool g_links : {false, true})
+              for (const bool g_nodes : {false, true}) {
+                SCOPED_TRACE(std::string(backend->name) + " " + topo_name +
+                             (plan->interleaved() ? " extended" : " original") +
+                             " hid=" + std::to_string(hid) + " grads=" +
+                             std::to_string(g_initial) +
+                             std::to_string(g_links) +
+                             std::to_string(g_nodes));
+                const GradMask mask{g_initial, g_links, g_nodes};
+                const StepResult want = sweep_rounds(in, *plan, mask, false);
+                const StepResult got = sweep_rounds(in, *plan, mask, true);
+                EXPECT_TRUE(got == want);
+              }
+        }
+      }
+    }
+  }
+}
+
+// A path no position steps keeps its initial state and passes its grad
+// straight through.
+TEST(GruSweep, UnsteppedRowKeepsStateAndGrad) {
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    util::RngStream rng(7400);
+    const nn::GRUCell cell(12, 12, rng);
+    const Var initial(random_tensor(3, 12, rng), true);
+    const Var links(random_tensor(2, 12, rng), true);
+    const std::vector<Index> rows{2, 0}, ids{1, 1};
+    nn::GruSweep sweep(cell, initial, {links}, rows.size());
+    sweep.step(links, ids, rows);
+    const Var states = sweep.states();
+    for (std::size_t c = 0; c < 12; ++c)
+      EXPECT_EQ(states.value()(1, c), initial.value()(1, c));
+    nn::sum_all(states).backward();
+    for (std::size_t c = 0; c < 12; ++c)
+      EXPECT_EQ(initial.grad()(1, c), 1.0);
+  }
+}
+
+// Every guard throws before the arena is written: the states read back
+// unchanged and a later valid step still runs.
+TEST(GruSweep, StepValidatesBeforeWriting) {
+  util::RngStream rng(7500);
+  const nn::GRUCell cell(12, 12, rng);
+  const Var links(random_tensor(5, 12, rng), true);
+  const Var stranger(random_tensor(5, 12, rng), true);
+  const Tensor start = random_tensor(6, 12, rng);
+  const std::vector<Index> ok_ids{0, 4}, bad_ids{0, 5};
+  const std::vector<Index> ok_rows{1, 3}, bad_rows{1, 6}, dup_rows{3, 3};
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const bool taped : {false, true}) {
+      SCOPED_TRACE(std::string(backend->name) + " taped=" +
+                   std::to_string(taped));
+      std::optional<nn::NoGradGuard> guard;
+      if (!taped) guard.emplace();
+      const Var initial{Tensor(start)};
+      nn::GruSweep sweep(cell, initial, {links}, ok_rows.size());
+      EXPECT_THROW(sweep.step(links, bad_ids, ok_rows), std::out_of_range);
+      EXPECT_THROW(sweep.step(links, ok_ids, bad_rows), std::out_of_range);
+      EXPECT_THROW(sweep.step(links, ok_ids, dup_rows), std::invalid_argument);
+      EXPECT_THROW(sweep.step(stranger, ok_ids, ok_rows),
+                   std::invalid_argument);
+      EXPECT_TRUE(bitwise_equal(sweep.states().value(), start));
+      sweep.step(links, ok_ids, ok_rows);
+      if (taped) {  // the arena holds exactly `entries` stepped rows
+        EXPECT_THROW(sweep.step(links, ok_ids, ok_rows), std::invalid_argument);
+      }
+    }
+  }
+}
+
+// step_indexed is the untaped update only.
+TEST(GruSweep, StepIndexedRefusesATape) {
+  util::RngStream rng(7600);
+  const nn::GRUCell cell(4, 4, rng);
+  const Var links(random_tensor(2, 4, rng), true);
+  Var hidden(random_tensor(2, 4, rng));
+  const std::vector<Index> rows{0}, ids{1};
+  EXPECT_THROW(cell.step_indexed(links, ids, hidden, rows), std::logic_error);
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;

@@ -127,6 +127,42 @@ TEST(TensorPool, RecyclesBuffers) {
   TensorPool::drain();
 }
 
+// A request takes the smallest pooled buffer of its size to twice that,
+// so a large buffer waits for a large request; a full pool keeps its
+// largest buffers; a buffer a little too small is grown.
+TEST(TensorPool, BestFitKeepsLargeBuffers) {
+  TensorPool::drain();
+  TensorPool::release(Tensor(100, 100));
+  TensorPool::release(Tensor(2, 2));
+  const Tensor small = TensorPool::acquire_uninit(1, 3);  // capacity 4 fits
+  EXPECT_EQ(TensorPool::pooled_count(), 1u);
+  const Tensor tiny = TensorPool::acquire(1, 1);  // nothing within 2x
+  EXPECT_EQ(TensorPool::pooled_count(), 1u);
+  EXPECT_EQ(small.size() + tiny.size(), 4u);
+  const Tensor big = TensorPool::acquire(90, 100);
+  EXPECT_EQ(TensorPool::pooled_count(), 0u);
+  for (const double v : big.flat()) EXPECT_EQ(v, 0.0);
+
+  for (int i = 0; i < 64; ++i) TensorPool::release(Tensor(1, 2));
+  TensorPool::release(Tensor(50, 50));  // full: replaces a small one
+  TensorPool::release(Tensor(1, 1));  // full, smaller than all: dropped
+  EXPECT_EQ(TensorPool::pooled_count(), 64u);
+  EXPECT_EQ(TensorPool::acquire_uninit(40, 50).rows(), 40u);
+  EXPECT_EQ(TensorPool::pooled_count(), 63u);
+
+  // Nothing fits: a buffer of at least half the size is grown, a smaller
+  // one stays.
+  TensorPool::drain();
+  TensorPool::release(Tensor(30, 50));
+  TensorPool::release(Tensor(10, 10));
+  const Tensor grown = TensorPool::acquire(40, 50);
+  EXPECT_EQ(TensorPool::pooled_count(), 1u);
+  for (const double v : grown.flat()) EXPECT_EQ(v, 0.0);
+  (void)TensorPool::acquire_uninit(40, 50);
+  EXPECT_EQ(TensorPool::pooled_count(), 1u);
+  TensorPool::drain();
+}
+
 TEST(TensorPool, TakeBufferEmptiesTensor) {
   Tensor t(3, 2);
   auto buf = std::move(t).take_buffer();

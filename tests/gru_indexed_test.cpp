@@ -10,8 +10,9 @@
 //     state widths with and without a kernel;
 //   * index guards: corrupted link and node ids, short per-entity
 //     vectors and short node sequences in a Sample raise
-//     std::out_of_range from Model::forward and InferenceEngine::predict
-//     instead of reading or writing out of bounds.
+//     std::out_of_range from Model::forward, InferenceEngine::predict and
+//     the taped forward of Trainer::sample_loss instead of reading or
+//     writing out of bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "nn/gru.hpp"
@@ -182,19 +184,28 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
     const Tensor want = taped_reference(cell, src, Var(start), pos);
 
     Tensor out_of_place = Tensor::zeros(Position::kPaths, hid);
-    ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(), p(src),
+    ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(),
+                               pos.path_rows.data(), p(src),
                                pos.elem_ids.data(), start.flat().data(),
                                pos.path_rows.data(), pos.path_rows.size(),
                                hid, hid, w, nullptr));
     Tensor in_place = start;
-    ASSERT_TRUE(simd->gru_step(in_place.flat().data(), p(src),
-                               pos.elem_ids.data(), in_place.flat().data(),
+    ASSERT_TRUE(simd->gru_step(in_place.flat().data(), pos.path_rows.data(),
+                               p(src), pos.elem_ids.data(),
+                               in_place.flat().data(), pos.path_rows.data(),
+                               pos.path_rows.size(), hid, hid, w, nullptr));
+    // Contiguous output: row i of y for the i-th stepped row.
+    Tensor contiguous = Tensor::zeros(pos.path_rows.size(), hid);
+    ASSERT_TRUE(simd->gru_step(contiguous.flat().data(), nullptr, p(src),
+                               pos.elem_ids.data(), start.flat().data(),
                                pos.path_rows.data(), pos.path_rows.size(),
                                hid, hid, w, nullptr));
     EXPECT_TRUE(bitwise_equal(in_place, want));
-    for (const Index r : pos.path_rows)
-      for (std::size_t c = 0; c < hid; ++c)
-        EXPECT_EQ(out_of_place(r, c), want(r, c));
+    for (std::size_t i = 0; i < pos.path_rows.size(); ++i)
+      for (std::size_t c = 0; c < hid; ++c) {
+        EXPECT_EQ(out_of_place(pos.path_rows[i], c), want(pos.path_rows[i], c));
+        EXPECT_EQ(contiguous(i, c), want(pos.path_rows[i], c));
+      }
   }
 
   // An unsupported width is declined before any memory is touched.
@@ -202,8 +213,8 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
   const nn::GRUCell cell(10, 10, rng);
   const nn::kernels::GruWeights w = weights_of(cell);
   EXPECT_FALSE(
-      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, 5, 10, 10, w,
-                     nullptr));
+      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, 5,
+                     10, 10, w, nullptr));
 }
 
 TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {
@@ -323,6 +334,10 @@ TEST(ForwardOracle, UnfusedConfigStaysComposed) {
 
 // ---- index guards at the model boundary ---------------------------------------
 
+/// Low enough that the NSFNET samples have labelled paths, so
+/// Trainer::sample_loss runs the forward.
+constexpr std::uint64_t kMinDelivered = 1;
+
 /// One way a Sample can be corrupt.  `extended_only` marks fields the
 /// original model never reads (node ids, queue sizes): for it the
 /// corruption is inert.
@@ -384,12 +399,22 @@ TEST(ModelIndexGuards, CorruptedIdsThrowOutOfRange) {
         bundle.scaler = sc;
         const serve::InferenceEngine engine(std::move(bundle));
         const core::Model& model = engine.model();
+        // The taped forward training runs: the guards throw before the
+        // path-RNN sweep writes its arena.
+        const auto taped_loss = [&] {
+          return core::Trainer::sample_loss(model, bad, sc, kMinDelivered);
+        };
         if (c.extended_only && kind == core::ModelKind::kOriginal) {
-          const nn::NoGradGuard guard;
-          const Var pred = model.forward(bad, sc);
-          for (const double v : pred.value().flat())
-            EXPECT_TRUE(std::isfinite(v));
+          {
+            const nn::NoGradGuard guard;
+            const Var pred = model.forward(bad, sc);
+            for (const double v : pred.value().flat())
+              EXPECT_TRUE(std::isfinite(v));
+          }
           for (const double v : engine.predict(bad)) EXPECT_TRUE(std::isfinite(v));
+          const Var loss = taped_loss();
+          ASSERT_TRUE(loss.defined());
+          EXPECT_TRUE(std::isfinite(loss.value().item()));
           continue;
         }
         {
@@ -397,12 +422,17 @@ TEST(ModelIndexGuards, CorruptedIdsThrowOutOfRange) {
           EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
         }
         EXPECT_THROW((void)engine.predict(bad), std::out_of_range);
+        ASSERT_TRUE(core::Trainer::sample_loss(model, ds.samples()[0], sc,
+                                               kMinDelivered)
+                        .defined());  // the clean sample reaches the forward
+        EXPECT_THROW((void)taped_loss(), std::out_of_range);
       }
   }
 }
 
 // Mean aggregation counts messages per id before the first gather runs;
-// a corrupted id must not write past its counter array.
+// a corrupted id must not write past its counter array, with a tape or
+// without.
 TEST(ModelIndexGuards, MeanAggregationRejectsCorruptedIds) {
   const data::Dataset& ds = nsfnet_samples();
   const data::Scaler sc = data::Scaler::fit(ds.samples());
@@ -411,11 +441,17 @@ TEST(ModelIndexGuards, MeanAggregationRejectsCorruptedIds) {
   cfg.link_mean_aggregation = true;
   cfg.node_mean_aggregation = true;
   const core::Model model(core::ModelKind::kExtended, cfg);
-  const nn::NoGradGuard guard;
-  for (const auto corrupt : {corrupt_link_id, corrupt_node_id}) {
-    data::Sample bad = ds.samples()[0];
-    corrupt(bad);
-    EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
+  for (const Backend* backend : backends()) {
+    const ScopedBackendOverride pin(*backend);
+    for (const auto corrupt : {corrupt_link_id, corrupt_node_id}) {
+      data::Sample bad = ds.samples()[0];
+      corrupt(bad);
+      EXPECT_THROW(
+          (void)core::Trainer::sample_loss(model, bad, sc, kMinDelivered),
+          std::out_of_range);
+      const nn::NoGradGuard guard;
+      EXPECT_THROW((void)model.forward(bad, sc), std::out_of_range);
+    }
   }
 }
 

@@ -1,16 +1,22 @@
 // Numerical gradient verification of every differentiable op, the GRU
-// cell, layers and composite expressions (DESIGN.md S3 acceptance bar:
-// every backward pinned against central differences).
+// cell, the path-RNN sweep, layers, composite expressions and an
+// extended-model loss (DESIGN.md S3 acceptance bar: every backward
+// pinned against central differences).
 #include <gtest/gtest.h>
 
 #include <span>
 #include <vector>
 
+#include "core/model.hpp"
+#include "core/trainer.hpp"
+#include "data/generator.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
+#include "topo/zoo.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -266,6 +272,63 @@ TEST(CompositeGradient, MessagePassingShapedExpression) {
       },
       params);
   EXPECT_LT(rep.max_rel_err, kTol);
+}
+
+// ---- the path-RNN sweep ----------------------------------------------------
+
+// One taped sweep over paths of three, two, one and no elements, reading
+// link and node states in turn, then its messages and final states.
+TEST(SweepGradient, PathSweepAllInputs) {
+  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+  RngStream rng(13);
+  GRUCell cell(3, 3, rng, "p");
+  Var initial = rand_param(4, 3, rng);
+  Var links = rand_param(3, 3, rng);
+  Var nodes = rand_param(2, 3, rng);
+  const std::vector<std::vector<Index>> rows{{0, 1, 2}, {0, 1}, {1}};
+  const std::vector<std::vector<Index>> ids{{1, 0, 2}, {1, 1}, {0}};
+  std::vector<Var> params{initial, links, nodes};
+  for (auto& [n, v] : cell.named_params()) params.push_back(v);
+  auto rep = grad_check(
+      [&] {
+        GruSweep sweep(cell, initial, {links, nodes}, 6);
+        Var loss;
+        for (std::size_t p = 0; p < rows.size(); ++p) {
+          const bool node = p % 2 == 1;
+          sweep.step(node ? nodes : links, ids[p], rows[p]);
+          const Var msg = sweep.messages(node ? 2 : 3);
+          const Var term = mean_all(mul(msg, msg));
+          loss = loss.defined() ? add(loss, term) : term;
+        }
+        return add(loss, mean_all(mul(sweep.states(), initial)));
+      },
+      params);
+  EXPECT_LT(rep.max_rel_err, kTol) << "entries=" << rep.entries;
+}
+
+// The training loss of the extended model, whose every path-RNN
+// iteration is one sweep node: all parameters, scalar backend.
+TEST(SweepGradient, ExtendedModelLoss) {
+  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+  rnx::data::GeneratorConfig gen;
+  gen.target_packets = 2'000;
+  const auto samples =
+      rnx::data::generate_dataset(rnx::topo::ring(5), 1, gen, 29);
+  const auto scaler = rnx::data::Scaler::fit(samples);
+  rnx::core::ModelConfig cfg;
+  cfg.state_dim = 4;
+  cfg.readout_hidden = 4;
+  cfg.iterations = 2;
+  const rnx::core::Model model(rnx::core::ModelKind::kExtended, cfg);
+  std::vector<Var> params;
+  for (auto& [n, v] : model.named_params()) params.push_back(v);
+  auto rep = grad_check(
+      [&] {
+        return rnx::core::Trainer::sample_loss(model, samples[0], scaler, 1);
+      },
+      params);
+  EXPECT_GT(rep.entries, 300u);
+  EXPECT_LT(rep.max_rel_err, 1e-6) << "entries=" << rep.entries;
 }
 
 }  // namespace
