@@ -1,11 +1,23 @@
 // Fused GRU kernel vs the op-by-op composition: value parity, gradient
 // parity, central-difference gradcheck, and tensor-pool behaviour.
+//
+// GruProject.*: the whole-step kernels (kernels::Backend::gru_step) against
+// the same backend's matmul route (matmul_acc + gru_gates + gru_blend),
+// bitwise, through GRUCell::step and nn::GruSweep: contiguous and indexed
+// rows, x rows repeated across rows and positions, odd row counts, taped
+// and untaped, and sweeps whose sources are replaced between iterations.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "nn/gradcheck.hpp"
 #include "nn/gru.hpp"
+#include "nn/kernels.hpp"
 #include "nn/ops.hpp"
 #include "nn/pool.hpp"
 #include "util/rng.hpp"
@@ -168,6 +180,236 @@ TEST(TensorPool, TakeBufferEmptiesTensor) {
   auto buf = std::move(t).take_buffer();
   EXPECT_EQ(buf.size(), 6u);
   EXPECT_TRUE(t.empty());  // NOLINT(bugprone-use-after-move): documented
+}
+
+// ---- whole-step kernels vs the matmul route ---------------------------------
+
+using kernels::Backend;
+using kernels::ScopedBackendOverride;
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         (a.size() == 0 ||  // empty tensors may hold null data pointers
+          std::memcmp(a.flat().data(), b.flat().data(),
+                      a.size() * sizeof(double)) == 0);
+}
+
+bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!bitwise_equal(a[i], b[i])) return false;
+  return true;
+}
+
+/// `b` without its whole-step GRU kernels: every step runs b's matmul
+/// kernels and its gru_gates / gru_blend passes.
+Backend matmul_route(const Backend& b) {
+  Backend composed = b;
+  composed.gru_step = nullptr;
+  composed.gru_step_backward = nullptr;
+  return composed;
+}
+
+/// The SIMD backend when it has the whole-step kernels, else null.
+const Backend* step_kernel_backend() {
+  const Backend* simd = kernels::simd_backend();
+  return simd != nullptr && simd->gru_step != nullptr ? simd : nullptr;
+}
+
+/// One contiguous step, then (taped) a backward of a non-uniform loss:
+/// y, then dL/dx, dL/dh and the nine parameter grads.
+std::vector<Tensor> contiguous_step(const GRUCell& cell, const Tensor& xv,
+                                    const Tensor& hv, const Tensor& weight,
+                                    bool taped) {
+  std::optional<NoGradGuard> guard;
+  if (!taped) guard.emplace();
+  const Var x(xv, taped);
+  const Var h(hv, taped);
+  const Var y = cell.step(x, h);
+  std::vector<Tensor> out{y.value()};
+  if (!taped) return out;
+  sum_all(mul(y, constant(weight))).backward();
+  out.push_back(x.grad());
+  out.push_back(h.grad());
+  for (auto& [name, p] : cell.named_params()) {
+    out.push_back(p.grad());
+    p.zero_grad();
+  }
+  return out;
+}
+
+TEST(GruProject, ContiguousStepMatchesMatmulRouteBitwise) {
+  const Backend* simd = step_kernel_backend();
+  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  const Backend composed = matmul_route(*simd);
+  for (const std::size_t hid : {4, 8, 12, 16})
+    for (const std::size_t in : {hid, std::size_t{3}})
+      for (const std::size_t rows : {1, 2, 3, 5, 229})
+        for (const bool taped : {false, true}) {
+          SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                       std::to_string(in) + " rows=" + std::to_string(rows) +
+                       " taped=" + std::to_string(taped));
+          RngStream rng(8000 + 53 * hid + 7 * in + rows);
+          const GRUCell cell(in, hid, rng);
+          const Tensor xv = random_tensor(rows, in, rng);
+          const Tensor hv = random_tensor(rows, hid, rng);
+          const Tensor weight = random_tensor(rows, hid, rng);
+          std::vector<Tensor> want, got;
+          {
+            const ScopedBackendOverride pin(composed);
+            want = contiguous_step(cell, xv, hv, weight, taped);
+          }
+          {
+            const ScopedBackendOverride pin(*simd);
+            got = contiguous_step(cell, xv, hv, weight, taped);
+          }
+          EXPECT_TRUE(bitwise_equal(got, want));
+        }
+}
+
+/// Positions of a path RNN over kPaths path rows reading a source of
+/// kElems rows: each steps `rows` distinct, shuffled path rows, and the
+/// few source rows repeat within a position and across positions.
+struct Positions {
+  static constexpr std::size_t kPaths = 40;
+  static constexpr std::size_t kElems = 5;
+  std::vector<std::vector<Index>> path_rows, elem_ids;
+
+  Positions(std::size_t count, std::size_t rows, RngStream& rng) {
+    for (std::size_t pos = 0; pos < count; ++pos) {
+      std::vector<Index> all(kPaths);
+      std::iota(all.begin(), all.end(), Index{0});
+      std::vector<Index> prow, eid;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const auto j = static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(i), static_cast<std::int64_t>(kPaths) - 1));
+        std::swap(all[i], all[j]);
+        prow.push_back(all[i]);
+        eid.push_back(static_cast<Index>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kElems) - 1)));
+      }
+      path_rows.push_back(std::move(prow));
+      elem_ids.push_back(std::move(eid));
+    }
+  }
+
+  [[nodiscard]] std::size_t entries() const {
+    std::size_t n = 0;
+    for (const auto& r : path_rows) n += r.size();
+    return n;
+  }
+};
+
+/// One sweep over `ps`, then (taped) a backward of a loss over every
+/// position's messages and the final states: each message, the states,
+/// then the source's, the initial states' and the cell's grads.
+std::vector<Tensor> indexed_sweep(const GRUCell& cell, const Positions& ps,
+                                  const Tensor& src0, const Tensor& initial0,
+                                  const Tensor& w_msg, const Tensor& w_state,
+                                  bool taped) {
+  std::optional<NoGradGuard> guard;
+  if (!taped) guard.emplace();
+  const Var src(src0, taped);
+  const Var initial(initial0, taped);
+  GruSweep sweep(cell, initial, {src}, ps.entries());
+  std::vector<Tensor> out;
+  Var loss;
+  for (std::size_t p = 0; p < ps.path_rows.size(); ++p) {
+    sweep.step(src, ps.elem_ids[p], ps.path_rows[p]);
+    const Var msg = sweep.messages(Positions::kElems);
+    out.push_back(msg.value());
+    if (taped) {
+      const Var term = sum_all(mul(msg, constant(w_msg)));
+      loss = loss.defined() ? add(loss, term) : term;
+    }
+  }
+  const Var states = sweep.states();
+  out.push_back(states.value());
+  if (!taped) return out;
+  add(loss, sum_all(mul(states, constant(w_state)))).backward();
+  out.push_back(src.grad());
+  out.push_back(initial.grad());
+  for (auto& [name, p] : cell.named_params()) {
+    out.push_back(p.grad());
+    p.zero_grad();
+  }
+  return out;
+}
+
+TEST(GruProject, IndexedSweepMatchesMatmulRouteBitwise) {
+  const Backend* simd = step_kernel_backend();
+  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  const Backend composed = matmul_route(*simd);
+  for (const std::size_t hid : {4, 8, 12, 16})
+    for (const std::size_t in : {hid, std::size_t{3}})
+      for (const std::size_t rows : {1, 3, 5, 37})
+        for (const bool taped : {false, true}) {
+          SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                       std::to_string(in) + " rows=" + std::to_string(rows) +
+                       " taped=" + std::to_string(taped));
+          RngStream rng(8100 + 53 * hid + 7 * in + rows);
+          const GRUCell cell(in, hid, rng);
+          const Positions ps(3, rows, rng);
+          const Tensor src = random_tensor(Positions::kElems, in, rng);
+          const Tensor initial = random_tensor(Positions::kPaths, hid, rng);
+          const Tensor w_msg = random_tensor(Positions::kElems, hid, rng);
+          const Tensor w_state = random_tensor(Positions::kPaths, hid, rng);
+          std::vector<Tensor> want, got;
+          {
+            const ScopedBackendOverride pin(composed);
+            want = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
+          }
+          {
+            const ScopedBackendOverride pin(*simd);
+            got = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
+          }
+          EXPECT_TRUE(bitwise_equal(got, want));
+        }
+}
+
+// Two iterations, as Model::forward runs them: the second sweep reads a
+// replaced source (and starts from the first one's states), so it must
+// not step on anything computed from the first source.  The reference
+// steps each position on its own: step_indexed untaped, gather_rows ->
+// step -> scatter_rows taped.
+TEST(GruProject, SweepsWithReplacedSourcesMatchPerPositionSteps) {
+  std::vector<const Backend*> backends{&kernels::scalar_backend()};
+  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
+  for (const Backend* backend : backends)
+    for (const std::size_t hid : {4, 10, 12})
+      for (const bool taped : {false, true}) {
+        SCOPED_TRACE(std::string(backend->name) + " hid=" +
+                     std::to_string(hid) + " taped=" + std::to_string(taped));
+        const ScopedBackendOverride pin(*backend);
+        std::optional<NoGradGuard> guard;
+        if (!taped) guard.emplace();
+        RngStream rng(8200 + hid);
+        const GRUCell cell(hid, hid, rng);
+        const Positions ps(3, 23, rng);
+        const Tensor initial = random_tensor(Positions::kPaths, hid, rng);
+        const std::vector<Tensor> srcs{
+            random_tensor(Positions::kElems, hid, rng),
+            random_tensor(Positions::kElems, hid, rng)};
+
+        Var swept{Tensor(initial)};
+        Var stepped{Tensor(initial)};
+        for (const Tensor& s : srcs) {
+          const Var src{Tensor(s)};
+          GruSweep sweep(cell, swept, {src}, ps.entries());
+          for (std::size_t p = 0; p < ps.path_rows.size(); ++p) {
+            sweep.step(src, ps.elem_ids[p], ps.path_rows[p]);
+            if (!taped) {
+              cell.step_indexed(src, ps.elem_ids[p], stepped, ps.path_rows[p]);
+              continue;
+            }
+            const Var h2 = cell.step(gather_rows(src, ps.elem_ids[p]),
+                                     gather_rows(stepped, ps.path_rows[p]));
+            stepped = scatter_rows(stepped, ps.path_rows[p], h2);
+          }
+          swept = sweep.states();
+          EXPECT_TRUE(bitwise_equal(swept.value(), stepped.value()));
+        }
+      }
 }
 
 }  // namespace
