@@ -3,11 +3,16 @@
 // transcendentals and full GRU steps (552 paths x 16 state dims is the
 // GEANT2 working set; 256^3 is the throughput-bound shape; 229x12 and
 // 74x12 are the serve model's path and link steps, 229x12 also run in
-// place through GRUCell::step_indexed), and one whole path-RNN iteration
-// over a real GEANT2 extended plan (H=12) through nn::GruSweep, untaped
-// as serving runs it and taped, forward and backward, as training runs
-// it.  The activations also report ns per element, max ulp from the
-// scalar reference and their share of the 229x12 step.
+// place through GRUCell::step_indexed), one projection of a GEANT2
+// link+node source through the path GRU's input weights (98x12), and one
+// whole path-RNN iteration over a real GEANT2 extended plan (H=12)
+// through nn::GruSweep, untaped as serving runs it and taped, forward
+// and backward, as training runs it.  The activations also report ns per
+// element, max ulp from the scalar reference and their share of the
+// 229x12 step.  The GFLOP/s columns of the gru_step_* and gru_sweep_*
+// rows count the nominal, unhoisted step, 12*R*H^2 flops at in == H,
+// although a sweep projects each source row once and steps only the h
+// terms, so they stay comparable across versions of the kernels.
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -167,7 +172,8 @@ int main() {
   }
 
   // -- GRU steps (the message-passing hot loop) ------------------------
-  // Matmul flops of one step over `rows` rows at in == hid: 12*R*H^2.
+  // Nominal matmul flops of one step over `rows` rows at in == hid:
+  // 12*R*H^2, whatever share of it the kernels hoist out of the step.
   const auto gru_flops = [](std::size_t rows, std::size_t hid) {
     return 12.0 * static_cast<double>(rows * hid * hid);
   };
@@ -201,6 +207,40 @@ int main() {
     const nn::NoGradGuard guard;
     run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
       cell.step_indexed(links, elem_ids, hidden, path_rows);
+    });
+  }
+  // One projection of a GEANT2 source: its 74 link and 24 node rows
+  // through [Wxz|Wxr|Wxn] from the biases, the product a sweep forms
+  // once per source row.  The scalar backend has no projection kernel and
+  // runs the same product as one matmul.
+  {
+    constexpr std::size_t kRows = 98, kHid = 12;
+    const Tensor x = rand_tensor(kRows, kHid, 25);
+    const Tensor wx = rand_tensor(kHid, 3 * kHid, 26);
+    const Tensor bias = rand_tensor(1, 3 * kHid, 27);
+    // The same weights split per gate, as GruWeights holds them.
+    std::vector<Tensor> gate_w(3, Tensor(kHid, kHid));
+    std::vector<Tensor> gate_b(3, Tensor(1, kHid));
+    for (std::size_t g = 0; g < 3; ++g)
+      for (std::size_t c = 0; c < kHid; ++c) {
+        gate_b[g](0, c) = bias(0, g * kHid + c);
+        for (std::size_t p = 0; p < kHid; ++p)
+          gate_w[g](p, c) = wx(p, g * kHid + c);
+      }
+    const auto d = [](const Tensor& t) { return t.flat().data(); };
+    const nn::kernels::GruWeights w{d(gate_w[0]), nullptr, d(gate_b[0]),
+                                    d(gate_w[1]), nullptr, d(gate_b[1]),
+                                    d(gate_w[2]), nullptr, d(gate_b[2])};
+    Tensor u(kRows, 3 * kHid);
+    run_both("gru_project_98x12", 2.0 * kRows * kHid * 3 * kHid, [&] {
+      const Backend& b = nn::kernels::active();
+      if (b.gru_project != nullptr &&
+          b.gru_project(u.flat().data(), x.flat().data(), nullptr, kRows,
+                        kHid, kHid, w))
+        return;
+      for (std::size_t r = 0; r < kRows; ++r)
+        std::copy(bias.flat().begin(), bias.flat().end(), u.row(r).begin());
+      nn::matmul_acc(u, x, wx);
     });
   }
   // One message-passing iteration of the path RNN on a GEANT2 extended
@@ -277,6 +317,9 @@ int main() {
       result.add(c.name + "_simd_gflops", c.flops_per_iter / c.simd_s / 1e9);
     }
   }
+
+  std::cout << "(gru_step_* and gru_sweep_* GFLOP/s count the nominal, "
+               "unhoisted step: 12*R*H^2 flops at in == H)\n";
 
   // Headline numbers CI tracks against the >= 4x DESIGN.md §K target.
   for (const Case& c : cases) {

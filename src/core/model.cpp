@@ -309,6 +309,12 @@ nn::Var Model::forward(const data::Sample& sample,
       cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
 
   for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
+    // The readout reads only the path states, so the last iteration
+    // stops after the path RNN: its messages and entity updates would be
+    // dead work (a taped backward would never visit them).  A T=1 model
+    // therefore never reads plan.inc_node_ids, and nothing it does not
+    // read is validated.
+    const bool last = iter + 1 == cfg_.iterations;
     // The path RNN over every position: in place without a tape, one
     // tape node over all stepped rows with one (DESIGN.md §K).
     nn::GruSweep sweep(rnn_path_, h_path, {h_link, h_node},
@@ -320,6 +326,7 @@ nn::Var Model::forward(const data::Sample& sample,
       // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
       sweep.step(pos.is_node ? h_node : h_link, pos.elem_ids, pos.path_rows);
+      if (last) continue;
       // Each active path messages the element it just consumed: its new
       // state, in row order.
       if (!pos.is_node)
@@ -328,6 +335,7 @@ nn::Var Model::forward(const data::Sample& sample,
         accumulate(node_msg, sweep.messages(plan.num_nodes));
     }
     h_path = sweep.states();
+    if (last) break;
     update_entity(h_link, link_msg, link_inv_count, rnn_link_);
     if (!rnn_node_) continue;
     if (!positional_node_msgs) {

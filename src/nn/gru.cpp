@@ -48,23 +48,41 @@ Var GRUCell::step(const Var& x, const Var& h) const {
         std::to_string(h.rows()) + "x" + std::to_string(h.cols()) +
         ", cell in=" + std::to_string(in_) + " hid=" + std::to_string(hid_));
   if (!fused_) return step_composed(x, h);
-  if (grad_disabled()) {
+  Tensor u;
+  if (grad_disabled() &&
+      project(u, x.value().flat().data(), nullptr, x.rows())) {
     Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
-    if (step_kernel(y.flat().data(), nullptr, x.value().flat().data(),
-                    nullptr, h.value().flat().data(), nullptr, x.rows()))
-      return Var(std::move(y));
+    const bool stepped =
+        step_kernel(y.flat().data(), nullptr, u.flat().data(), nullptr,
+                    h.value().flat().data(), nullptr, x.rows());
+    TensorPool::release(std::move(u));
+    if (stepped) return Var(std::move(y));
     TensorPool::release(std::move(y));
   }
   return step_fused(x, h);
 }
 
-bool GRUCell::step_kernel(double* y, const Index* y_rows, const double* x,
-                          const Index* x_rows, const double* h,
+bool GRUCell::project(Tensor& u, const double* x, const Index* x_rows,
+                      std::size_t rows) const {
+  const auto& backend = kernels::active();
+  if (backend.gru_project == nullptr || backend.gru_step == nullptr)
+    return false;
+  Tensor out = TensorPool::acquire_uninit(rows, 3 * hid_);
+  if (!backend.gru_project(out.flat().data(), x, x_rows, rows, in_, hid_,
+                           w_.weights())) {
+    TensorPool::release(std::move(out));
+    return false;
+  }
+  u = std::move(out);
+  return true;
+}
+
+bool GRUCell::step_kernel(double* y, const Index* y_rows, const double* u,
+                          const Index* u_rows, const double* h,
                           const Index* h_rows, std::size_t rows) const {
   const auto kernel = kernels::active().gru_step;
-  if (kernel == nullptr) return false;
-  return kernel(y, y_rows, x, x_rows, h, h_rows, rows, in_, hid_,
-                w_.weights(), nullptr);
+  return kernel != nullptr && kernel(y, y_rows, u, u_rows, h, h_rows, rows,
+                                     hid_, w_.weights(), nullptr);
 }
 
 void GRUCell::check_indexed(const Var& src, std::span<const Index> elem_ids,
@@ -97,15 +115,32 @@ void GRUCell::step_indexed(const Var& src, std::span<const Index> elem_ids,
   if (!grad_disabled())
     throw std::logic_error("GRUCell::step_indexed records no tape; a taped "
                            "path RNN runs through GruSweep");
+  update_rows(src, elem_ids, nullptr, hidden, path_rows);
+}
 
+void GRUCell::update_rows(const Var& src, std::span<const Index> elem_ids,
+                          const Tensor* src_u, Var& hidden,
+                          std::span<const Index> path_rows) const {
   // Copy-on-write: the caller's other handles keep the old states.
   if (hidden.node().use_count() > 1) hidden = Var(pooled_copy(hidden.value()));
   Tensor& hv = hidden.mutable_value();
   const std::size_t rows = path_rows.size();
-  if (fused_ && step_kernel(hv.flat().data(), path_rows.data(),
-                            src.value().flat().data(), elem_ids.data(),
-                            hv.flat().data(), path_rows.data(), rows))
-    return;
+  if (fused_) {
+    // Row i's u: src's projection at elem_ids[i], or row i of the rows
+    // read, projected here.
+    Tensor read_u;
+    const bool projected =
+        src_u != nullptr ||
+        project(read_u, src.value().flat().data(), elem_ids.data(), rows);
+    const bool stepped =
+        projected &&
+        step_kernel(hv.flat().data(), path_rows.data(),
+                    (src_u != nullptr ? *src_u : read_u).flat().data(),
+                    src_u != nullptr ? elem_ids.data() : nullptr,
+                    hv.flat().data(), path_rows.data(), rows);
+    TensorPool::release(std::move(read_u));
+    if (stepped) return;
+  }
 
   // No kernel for this backend or width: step the gathered rows, then
   // write them back in place.
@@ -263,19 +298,20 @@ void composed_forward(const GruParams& p, double* y, const Tensor& xv,
 
 /// Forward of one step over `rows` rows that saves z, r and n (row i
 /// contiguous) for the backward: row i reads x row x_rows[i] and h row
-/// h_rows[i] (null: row i) and writes y row i, contiguous.  The backend's
-/// whole-step kernel when it has one for this width, else the composed
-/// passes over gathered rows.
-void forward_saving(const GruParams& p, double* y, const Tensor& xv,
-                    const Index* x_rows, const Tensor& hv,
+/// h_rows[i] (null: row i) and writes y row i, contiguous.  Given u, xv
+/// projected row for row (GRUCell::project), the backend's whole-step
+/// kernel reads u's rows at x_rows; without one, or when the kernel
+/// declines, the composed passes run over gathered rows.
+void forward_saving(const GruParams& p, double* y, const Tensor* u,
+                    const Tensor& xv, const Index* x_rows, const Tensor& hv,
                     const Index* h_rows, std::size_t rows, double* z,
                     double* r, double* n) {
   if (rows == 0) return;
   const auto kernel = kernels::active().gru_step;
   const kernels::GruActs save{z, r, n};
-  if (kernel != nullptr &&
-      kernel(y, nullptr, xv.flat().data(), x_rows, hv.flat().data(), h_rows,
-             rows, xv.cols(), hv.cols(), p.weights(), &save))
+  if (u != nullptr && kernel != nullptr &&
+      kernel(y, nullptr, u->flat().data(), x_rows, hv.flat().data(), h_rows,
+             rows, hv.cols(), p.weights(), &save))
     return;
   if (x_rows == nullptr && h_rows == nullptr) {
     composed_forward(p, y, xv, hv, z, r, n);
@@ -472,8 +508,13 @@ Var GRUCell::step_fused(const Var& x, const Var& h) const {
   StepTape tape(x.rows(), hid_);
   Tensor y = TensorPool::acquire_uninit(x.rows(), hid_);
   const kernels::GruActs saved = tape.at(0);
-  forward_saving(w_, y.flat().data(), x.value(), nullptr, h.value(), nullptr,
-                 x.rows(), saved.z, saved.r, saved.n);
+  Tensor u;
+  const bool projected =
+      project(u, x.value().flat().data(), nullptr, x.rows());
+  forward_saving(w_, y.flat().data(), projected ? &u : nullptr, x.value(),
+                 nullptr, h.value(), nullptr, x.rows(), saved.z, saved.r,
+                 saved.n);
+  TensorPool::release(std::move(u));
   if (grad_disabled()) return Var(std::move(y));
 
   // One tape node for the whole step.
@@ -531,9 +572,22 @@ GruSweep::GruSweep(const GRUCell& cell, const Var& initial,
   if (initial.cols() != cell.hid_)
     throw std::invalid_argument("GruSweep (" + cell.name_ +
                                 "): initial state width mismatch");
-  for (const Var& s : sources)
-    if (s.defined()) sources_.push_back(s);
-  if (grad_disabled() || !cell.fused_) return;
+  for (const Var& s : sources) {
+    if (!s.defined()) continue;
+    if (s.cols() != cell.in_)
+      throw std::invalid_argument("GruSweep (" + cell.name_ +
+                                  "): source width mismatch");
+    sources_.push_back(s);
+  }
+  if (!cell.fused_) return;
+  // Every stepped row reads a row of a fixed source: project each source
+  // row once for the whole sweep.
+  for (const Var& s : sources_) {
+    Tensor u;
+    if (!cell.project(u, s.value().flat().data(), nullptr, s.rows())) break;
+    projected_.push_back(std::move(u));
+  }
+  if (grad_disabled()) return;
 
   const std::size_t paths = initial.rows(), hid = cell.hid_;
   auto tape = std::make_shared<Tape>();
@@ -562,6 +616,10 @@ GruSweep::GruSweep(const GRUCell& cell, const Var& initial,
   tape_ = std::move(tape);
 }
 
+GruSweep::~GruSweep() {
+  for (Tensor& u : projected_) TensorPool::release(std::move(u));
+}
+
 void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
                     std::span<const Index> path_rows) {
   const auto source = std::find_if(
@@ -569,9 +627,12 @@ void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
       [&](const Var& s) { return s.same_node(src); });
   if (source == sources_.end())
     throw std::invalid_argument("GruSweep::step: src is not a source");
+  const auto k = static_cast<std::size_t>(source - sources_.begin());
+  const Tensor* u = k < projected_.size() ? &projected_[k] : nullptr;
   if (tape_ == nullptr) {
     if (grad_disabled()) {
-      cell_.step_indexed(src, elem_ids, hidden_, path_rows);
+      cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
+      cell_.update_rows(src, elem_ids, u, hidden_, path_rows);
     } else {
       cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
       hidden_ = scatter_rows(
@@ -600,12 +661,10 @@ void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
     h_in_arena = h_in_arena || t.latest[r] >= t.paths;
     t.latest[r] = static_cast<Index>(t.paths + off + i);
   }
-  t.positions.push_back({off, rows,
-                         static_cast<std::size_t>(source - sources_.begin()),
-                         h_in_arena});
+  t.positions.push_back({off, rows, k, h_in_arena});
   Tensor& arena = hidden_.mutable_value();
   const kernels::GruActs acts = t.acts.at(off);
-  forward_saving(t.params, arena.row(t.paths + off).data(), src.value(),
+  forward_saving(t.params, arena.row(t.paths + off).data(), u, src.value(),
                  t.elem_ids.data() + off, arena, t.h_rows.data() + off, rows,
                  acts.z, acts.r, acts.n);
 }

@@ -20,10 +20,10 @@
 // node over an arena of every stepped row (DESIGN.md §K).
 //
 // The fused step runs the backend's whole-step kernels when it has them
-// for this width (kernels::Backend::gru_step and gru_step_backward, AVX2
-// at H in {4, 8, 12, 16}), else matmul kernels and fused gate/blend
-// passes.  Both routes give the same bits on one backend, values and
-// gradients alike (DESIGN.md §K).  Without a tape the kernel saves
+// for this width (kernels::Backend::gru_project, gru_step and
+// gru_step_backward, AVX2 at H in {4, 8, 12, 16}), else matmul kernels
+// and fused gate/blend passes.  Both routes give the same bits on one
+// backend, values and gradients alike (DESIGN.md §K).  Without a tape the kernel saves
 // nothing; with one it also stores z, r and n for the backward.
 #pragma once
 
@@ -97,11 +97,24 @@ class GRUCell {
   void check_indexed(const Var& src, std::span<const Index> elem_ids,
                      std::size_t hidden_rows,
                      std::span<const Index> path_rows) const;
+  /// u = x's rows x_rows (null: its first `rows`) through the input
+  /// weights, [bz|br|bn] + x [Wxz|Wxr|Wxn] (kernels::Backend::gru_project),
+  /// in a pooled (rows x 3*hidden_dim) tensor; false, with u untouched,
+  /// when the active backend has no whole-step kernel for this width.
+  bool project(Tensor& u, const double* x, const Index* x_rows,
+               std::size_t rows) const;
   /// The backend's whole-step kernel (kernels::Backend::gru_step) on raw
-  /// rows; false when the active backend has none for this width.
-  bool step_kernel(double* y, const Index* y_rows, const double* x,
-                   const Index* x_rows, const double* h, const Index* h_rows,
+  /// rows of projected inputs; false when the active backend has none
+  /// for this width.
+  bool step_kernel(double* y, const Index* y_rows, const double* u,
+                   const Index* u_rows, const double* h, const Index* h_rows,
                    std::size_t rows) const;
+  /// step_indexed's update after its guards: hidden's path_rows step on
+  /// x = src[elem_ids], in place.  src_u, when non-null, is all of src
+  /// projected (project()); null projects the rows read here.
+  void update_rows(const Var& src, std::span<const Index> elem_ids,
+                   const Tensor* src_u, Var& hidden,
+                   std::span<const Index> path_rows) const;
 
   std::size_t in_;
   std::size_t hid_;
@@ -115,7 +128,13 @@ class GRUCell {
 /// position's rows reading their x rows by index from one of a fixed set
 /// of sources (the link or node states).
 ///
-/// Without a tape the states are updated in place (step_indexed), and
+/// A fused cell whose backend has the whole-step kernels projects every
+/// source row through the input weights once, at construction (taped or
+/// not), and each step reads those projections by element id.  The
+/// sources must therefore not change during a sweep: Model::forward
+/// replaces the link and node states only after states().
+///
+/// Without a tape the states are updated in place (as step_indexed), and
 /// messages() and states() read them.  With one, each stepped row is
 /// written, in step order, to one arena of (P + entries) x hidden_dim:
 /// rows [0, P) hold the initial states, row P + k the k-th stepped row.
@@ -131,9 +150,14 @@ class GruSweep {
  public:
   /// Starts from `initial` (P x hidden_dim).  `sources` are the Vars the
   /// steps may read x rows from (undefined ones are skipped); `entries`
-  /// is the number of rows the steps step in total.
+  /// is the number of rows the steps step in total.  Throws
+  /// std::invalid_argument, before reading anything, when `initial` is not
+  /// hidden_dim wide or a source is not input_dim wide.
   GruSweep(const GRUCell& cell, const Var& initial,
            const std::vector<Var>& sources, std::size_t entries);
+  ~GruSweep();
+  GruSweep(const GruSweep&) = delete;
+  GruSweep& operator=(const GruSweep&) = delete;
 
   /// One position: rows path_rows step on x = src[elem_ids].  Throws as
   /// step_indexed does, std::invalid_argument when src is not one of the
@@ -154,6 +178,9 @@ class GruSweep {
 
   const GRUCell& cell_;
   std::vector<Var> sources_;
+  /// Per source, its rows projected (GRUCell::project); empty when the
+  /// step kernel does not run.
+  std::vector<Tensor> projected_;
   Var hidden_;  ///< the states, or the arena when tape_ is set
   std::shared_ptr<Tape> tape_;
   std::span<const Index> last_ids_, last_rows_;

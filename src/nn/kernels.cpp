@@ -161,7 +161,8 @@ const Backend& scalar_backend() noexcept {
       &scalar::vtanh,
       &scalar::gru_gates,
       &scalar::gru_blend,
-      nullptr,  // gru_step: the composed path is the reference
+      nullptr,  // gru_project: the composed path is the reference
+      nullptr,  // gru_step: likewise
       nullptr,  // gru_step_backward: likewise
   };
   return backend;

@@ -17,8 +17,9 @@
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
 //
 // Only avx2+fma provides the optional whole-step GRU kernels, for narrow
-// hidden widths: `gru_step` (the forward, which a taped step also runs to
-// save the activations its backward needs) and `gru_step_backward`.
+// hidden widths: `gru_project` and `gru_step` (the forward, which a taped
+// step also runs to save the activations its backward needs) and
+// `gru_step_backward`.
 // Their outputs and gradients are bitwise-equal to the same backend's
 // composition of matmul kernels and gru_gates / gru_blend passes
 // (DESIGN.md §K).
@@ -126,21 +127,36 @@ struct Backend {
                     const double* z, const double* h, std::size_t n);
 
   // -- whole GRU step (optional; nullptr if absent) ----------------------
-  /// One step for `rows` rows: row i reads x row x_rows[i] (in wide) and
-  /// h row h_rows[i] (hid wide) and writes the new state to y row
-  /// y_rows[i]; a null index array means row i.  y may be h itself
-  /// (in-place update) when every y row is an h row of the same i and the
-  /// h rows are distinct, or when no y row is an h row; y must not overlap
-  /// x.  Indices are trusted: callers validate them.  A non-null `save`
-  /// also receives z, r and n, row i contiguous (a separate
-  /// instantiation, so the untaped step serving runs is unchanged).
-  /// Returns false, having touched nothing, when the backend has no
-  /// kernel for `hid`.
-  bool (*gru_step)(double* y, const std::uint32_t* y_rows, const double* x,
-                   const std::uint32_t* x_rows, const double* h,
+  // A backend has gru_project and gru_step both or neither, for the same
+  // widths.  The step is split in two so a source row that many stepped
+  // rows read is multiplied by the input weights once: gru_project turns
+  // x rows into u rows, and gru_step finishes the step from them.
+  /// u row i (3*hid wide, [z | r | n]) = [bz | br | bn] + x row x_rows[i]
+  /// (in wide; null: row i) times [Wxz | Wxr | Wxn]: the three gates'
+  /// pre-activations up to the h terms, each cell the bias and then the x
+  /// terms p-ascending as FMA.  u must not overlap x.  Indices are
+  /// trusted: callers validate them.  Returns false, having touched
+  /// nothing, when the backend has no kernel for `hid`.
+  bool (*gru_project)(double* u, const double* x,
+                      const std::uint32_t* x_rows, std::size_t rows,
+                      std::size_t in, std::size_t hid, const GruWeights& w);
+  /// One step for `rows` rows from projected inputs: row i reads u row
+  /// u_rows[i] (gru_project's layout) and h row h_rows[i] (hid wide) and
+  /// writes the new state to y row y_rows[i]; a null index array means
+  /// row i.  Each pre-activation starts from its u cell and adds the h
+  /// terms (z, r) or the r.*h terms (candidate) p-ascending, so the step
+  /// equals the matmul route over [x|h] bit for bit.  Only Whz, Whr and
+  /// Whn of `w` are read.  y may be h itself (in-place update) when every
+  /// y row is an h row of the same i and the h rows are distinct, or when
+  /// no y row is an h row; y must not overlap u.  Indices are trusted:
+  /// callers validate them.  A non-null `save` also receives z, r and n,
+  /// row i contiguous (a separate instantiation, so the untaped step
+  /// serving runs is unchanged).  Returns false, having touched nothing,
+  /// when the backend has no kernel for `hid`.
+  bool (*gru_step)(double* y, const std::uint32_t* y_rows, const double* u,
+                   const std::uint32_t* u_rows, const double* h,
                    const std::uint32_t* h_rows, std::size_t rows,
-                   std::size_t in, std::size_t hid, const GruWeights& w,
-                   const GruActs* save);
+                   std::size_t hid, const GruWeights& w, const GruActs* save);
   /// Backward of one saved step: g is dL/dy (rows x hid), row i of the
   /// step read x row x_rows[i] and h row h_rows[i] (null: row i), and
   /// z/r/n are its saved activations, row i contiguous.  Adds dL/dx into

@@ -544,7 +544,8 @@ void gru_blend(double* nout, double* y, const double* an, const double* z,
 }
 
 // ---------------------------------------------------------------------------
-// gru_step: one whole GRU step for narrow hidden widths (hid = 4V).
+// gru_project + gru_step: one whole GRU step for narrow hidden widths
+// (hid = 4V), in two parts.
 //
 // At hid <= 16 the composed step's matmuls have N = hid or 2*hid, so most
 // columns miss the 2x16 tile and run one latency-bound FMA chain per
@@ -553,13 +554,21 @@ void gru_blend(double* nout, double* y, const double* an, const double* z,
 // (then its candidate pre-activations) in 2RV (then RV) registers for the
 // whole reduction, and the gates and blend run on a few KiB of stack.
 //
+// gru_project computes the bias and x terms of all three pre-activations
+// once per source row; gru_step starts each stepped row's accumulators
+// from its u row and adds only the h terms.  The path RNN steps every
+// link and node row many times per sweep, so the split takes the x terms,
+// 3*in*hid FMAs per stepped row, out of the step.
+//
 // Bitwise contract: every cell goes through the exact operation sequence
 // of matmul_acc + gru_gates + gru_blend on this backend — start from the
 // bias, FMA the x terms p-ascending, then the h (z/r) or r.*h (candidate)
 // terms p-ascending; vsigmoid_pd/vtanh_pd lane-wise (both are pure per
 // lane, so vector position never matters); the blend's sub/mul/mul/add
-// unfused.  The weights are read in place: row p of Wxz and of Wxr is the
-// z and r half of row p of the stacked panel step_fused multiplies by.
+// unfused.  Storing an accumulator to u after its x terms and loading it
+// back in gru_step changes no bit.  The weights are read in place: row p
+// of Wxz and of Wxr is the z and r half of row p of the stacked panel
+// step_fused multiplies by.
 // ---------------------------------------------------------------------------
 
 // acc[g][r][v] += sum over p < k of rows[r][p] * w[g][p][4v .. 4v+3],
@@ -584,6 +593,28 @@ inline void fma_terms(__m256d (&acc)[G][R][V], const double* const (&rows)[R],
   }
 }
 
+/// acc[g][r] = row r's gate g: hid-wide slice g of u row rows[r].
+template <std::size_t G, std::size_t V, std::size_t R>
+inline void load_u(__m256d (&acc)[G][R][V], const double* const (&rows)[R],
+                   std::size_t first_gate) {
+  constexpr std::size_t kHid = 4 * V;
+  for (std::size_t g = 0; g < G; ++g)
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t v = 0; v < V; ++v)
+        acc[g][r][v] =
+            _mm256_loadu_pd(rows[r] + (first_gate + g) * kHid + 4 * v);
+}
+
+/// dst[g][row0 + r] = acc[g][r].
+template <std::size_t G, std::size_t V, std::size_t R, std::size_t N>
+inline void store_acc(double (&dst)[G][N][4 * V], std::size_t row0,
+                      const __m256d (&acc)[G][R][V]) {
+  for (std::size_t g = 0; g < G; ++g)
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t v = 0; v < V; ++v)
+        _mm256_store_pd(dst[g][row0 + r] + 4 * v, acc[g][r][v]);
+}
+
 /// acc[g][r] = bias[g] for every row r.
 template <std::size_t G, std::size_t V, std::size_t R>
 inline void set_bias(__m256d (&acc)[G][R][V], const double* const (&bias)[G]) {
@@ -594,133 +625,190 @@ inline void set_bias(__m256d (&acc)[G][R][V], const double* const (&bias)[G]) {
     }
 }
 
+/// u rows[r] gates [first_gate, first_gate + G) = acc[g][r].
 template <std::size_t G, std::size_t V, std::size_t R>
-inline void store_acc(double (&dst)[G][R][4 * V],
-                      const __m256d (&acc)[G][R][V]) {
+inline void store_u(double* const (&rows)[R], std::size_t first_gate,
+                    const __m256d (&acc)[G][R][V]) {
+  constexpr std::size_t kHid = 4 * V;
   for (std::size_t g = 0; g < G; ++g)
     for (std::size_t r = 0; r < R; ++r)
       for (std::size_t v = 0; v < V; ++v)
-        _mm256_store_pd(dst[g][r] + 4 * v, acc[g][r][v]);
+        _mm256_storeu_pd(rows[r] + (first_gate + g) * kHid + 4 * v,
+                         acc[g][r][v]);
 }
 
-// One block of R rows.  Pre-activations: bias, then the x terms, then
-// the h terms (z/r) or r.*h terms (candidate) — the stacked [x|h] and
-// [x|r.*h] reductions of step_fused, cell by cell.  kSave also copies z,
-// r and n out for a taped step's backward; kSave = false compiles to the
-// untaped step alone.
-template <std::size_t V, std::size_t R, bool kSave>
-inline void gru_block(double* y, const std::uint32_t* y_rows, const double* x,
-                      const std::uint32_t* x_rows, const double* h,
-                      const std::uint32_t* h_rows, std::size_t i0,
-                      std::size_t in, const GruWeights& w,
-                      const GruActs& save) {
+// One block of R source rows: u = [bz|br|bn] + x [Wxz|Wxr|Wxn], the z/r
+// pair and then the candidate in registers, as gru_block keeps them.
+template <std::size_t V, std::size_t R>
+inline void project_block(double* u, const double* x,
+                          const std::uint32_t* x_rows, std::size_t i0,
+                          std::size_t in, const GruWeights& w) {
   constexpr std::size_t kHid = 4 * V;
   const double* xr[R];
-  const double* hr[R];
+  double* ur[R];
   for (std::size_t r = 0; r < R; ++r) {
     xr[r] = x + (x_rows != nullptr ? x_rows[i0 + r] : i0 + r) * in;
-    hr[r] = h + (h_rows != nullptr ? h_rows[i0 + r] : i0 + r) * kHid;
+    ur[r] = u + (i0 + r) * 3 * kHid;
   }
-
-  // Gates: zr[0] = z, zr[1] = r .* h.
-  alignas(32) double zr[2][R][kHid];
   {
     __m256d acc[2][R][V];
     set_bias<2, V, R>(acc, {w.bz, w.br});
     fma_terms<2, V, R>(acc, xr, {w.wxz, w.wxr}, in);
-    fma_terms<2, V, R>(acc, hr, {w.whz, w.whr}, kHid);
-    store_acc<2, V, R>(zr, acc);
+    store_u<2, V, R>(ur, 0, acc);
   }
-  vsigmoid(zr[0][0], zr[0][0], 2 * R * kHid);
-  if constexpr (kSave)
-    for (std::size_t r = 0; r < R; ++r) {
-      std::memcpy(save.z + (i0 + r) * kHid, zr[0][r], kHid * sizeof(double));
-      std::memcpy(save.r + (i0 + r) * kHid, zr[1][r], kHid * sizeof(double));
-    }
-  const double* rh[R];
-  for (std::size_t r = 0; r < R; ++r) {
-    vmul(zr[1][r], zr[1][r], hr[r], kHid);
-    rh[r] = zr[1][r];
-  }
-
-  // Candidate.
-  alignas(32) double cand[1][R][kHid];
   {
     __m256d acc[1][R][V];
     set_bias<1, V, R>(acc, {w.bn});
     fma_terms<1, V, R>(acc, xr, {w.wxn}, in);
-    fma_terms<1, V, R>(acc, rh, {w.whn}, kHid);
-    store_acc<1, V, R>(cand, acc);
+    store_u<1, V, R>(ur, 2, acc);
   }
-  vtanh(cand[0][0], cand[0][0], R * kHid);
+}
+
+template <std::size_t V, std::size_t R>
+void project_rows(double* u, const double* x, const std::uint32_t* x_rows,
+                  std::size_t rows, std::size_t in, const GruWeights& w) {
+  std::size_t i = 0;
+  for (; i + R <= rows; i += R) project_block<V, R>(u, x, x_rows, i, in, w);
+  for (; i < rows; ++i) project_block<V, 1>(u, x, x_rows, i, in, w);
+}
+
+bool gru_project(double* u, const double* x, const std::uint32_t* x_rows,
+                 std::size_t rows, std::size_t in, std::size_t hid,
+                 const GruWeights& w) {
+  // Rows per block as in gru_step.
+  switch (hid) {
+    case 4: project_rows<1, 4>(u, x, x_rows, rows, in, w); return true;
+    case 8: project_rows<2, 2>(u, x, x_rows, rows, in, w); return true;
+    case 12: project_rows<3, 2>(u, x, x_rows, rows, in, w); return true;
+    case 16: project_rows<4, 1>(u, x, x_rows, rows, in, w); return true;
+    default: return false;
+  }
+}
+
+// One group of B blocks of R stepped rows.  Pre-activations: the u cell
+// (bias and x terms), then the h terms (z/r) or r.*h terms (candidate) —
+// the stacked [x|h] and [x|r.*h] reductions of step_fused, cell by cell.
+// Each block of R rows keeps its accumulators in registers; the group
+// runs each phase over all its blocks before the next phase, so the
+// blocks' independent FMA chains and activations overlap.  kSave also
+// copies z, r and n out for a taped step's backward; kSave = false
+// compiles to the untaped step alone.
+template <std::size_t V, std::size_t R, std::size_t B, bool kSave>
+inline void gru_block(double* y, const std::uint32_t* y_rows, const double* u,
+                      const std::uint32_t* u_rows, const double* h,
+                      const std::uint32_t* h_rows, std::size_t i0,
+                      const GruWeights& w, const GruActs& save) {
+  constexpr std::size_t kHid = 4 * V, kRows = R * B;
+  const double* ur[B][R];
+  const double* hr[B][R];
+  for (std::size_t b = 0; b < B; ++b)
+    for (std::size_t r = 0; r < R; ++r) {
+      const std::size_t i = i0 + b * R + r;
+      ur[b][r] = u + (u_rows != nullptr ? u_rows[i] : i) * 3 * kHid;
+      hr[b][r] = h + (h_rows != nullptr ? h_rows[i] : i) * kHid;
+    }
+
+  // Gates: zr[0] = z, zr[1] = r .* h.
+  alignas(32) double zr[2][kRows][kHid];
+  for (std::size_t b = 0; b < B; ++b) {
+    __m256d acc[2][R][V];
+    load_u<2, V, R>(acc, ur[b], 0);
+    fma_terms<2, V, R>(acc, hr[b], {w.whz, w.whr}, kHid);
+    store_acc<2, V, R, kRows>(zr, b * R, acc);
+  }
+  vsigmoid(zr[0][0], zr[0][0], 2 * kRows * kHid);
+  if constexpr (kSave) {
+    std::memcpy(save.z + i0 * kHid, zr[0][0], kRows * kHid * sizeof(double));
+    std::memcpy(save.r + i0 * kHid, zr[1][0], kRows * kHid * sizeof(double));
+  }
+  const double* rh[B][R];
+  for (std::size_t b = 0; b < B; ++b)
+    for (std::size_t r = 0; r < R; ++r) {
+      double* row = zr[1][b * R + r];
+      vmul(row, row, hr[b][r], kHid);
+      rh[b][r] = row;
+    }
+
+  // Candidate.
+  alignas(32) double cand[1][kRows][kHid];
+  for (std::size_t b = 0; b < B; ++b) {
+    __m256d acc[1][R][V];
+    load_u<1, V, R>(acc, ur[b], 2);
+    fma_terms<1, V, R>(acc, rh[b], {w.whn}, kHid);
+    store_acc<1, V, R, kRows>(cand, b * R, acc);
+  }
+  vtanh(cand[0][0], cand[0][0], kRows * kHid);
   if constexpr (kSave)
-    std::memcpy(save.n + i0 * kHid, cand[0][0], R * kHid * sizeof(double));
+    std::memcpy(save.n + i0 * kHid, cand[0][0], kRows * kHid * sizeof(double));
 
   // Blend y = (1 - z) .* n + z .* h.  Row r's h is read in full before
   // its y is written, and no other row reads it, so y may be h itself.
   const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t r = 0; r < R; ++r) {
-    double* yrow =
-        y + (y_rows != nullptr ? y_rows[i0 + r] : i0 + r) * kHid;
-    for (std::size_t j = 0; j < kHid; j += 4) {
-      const __m256d zf = _mm256_load_pd(zr[0][r] + j);
-      const __m256d hv = _mm256_loadu_pd(hr[r] + j);
-      _mm256_storeu_pd(
-          yrow + j,
-          _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(one, zf),
-                                      _mm256_load_pd(cand[0][r] + j)),
-                        _mm256_mul_pd(zf, hv)));
+  for (std::size_t b = 0; b < B; ++b)
+    for (std::size_t r = 0; r < R; ++r) {
+      const std::size_t k = b * R + r, i = i0 + k;
+      double* yrow = y + (y_rows != nullptr ? y_rows[i] : i) * kHid;
+      for (std::size_t j = 0; j < kHid; j += 4) {
+        const __m256d zf = _mm256_load_pd(zr[0][k] + j);
+        const __m256d hv = _mm256_loadu_pd(hr[b][r] + j);
+        _mm256_storeu_pd(
+            yrow + j,
+            _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(one, zf),
+                                        _mm256_load_pd(cand[0][k] + j)),
+                          _mm256_mul_pd(zf, hv)));
+      }
     }
-  }
 }
 
-/// The rows' index arrays (y_rows, x_rows, h_rows) of one gru_step call.
+/// The rows' index arrays (y_rows, u_rows, h_rows) of one gru_step call.
 struct StepRows {
   const std::uint32_t* y;
-  const std::uint32_t* x;
+  const std::uint32_t* u;
   const std::uint32_t* h;
 };
 
 template <std::size_t V, std::size_t R, bool kSave>
-void gru_rows(double* y, const double* x, const double* h, StepRows idx,
-              std::size_t rows, std::size_t in, const GruWeights& w,
-              const GruActs& save) {
+void gru_rows(double* y, const double* u, const double* h, StepRows idx,
+              std::size_t rows, const GruWeights& w, const GruActs& save) {
+  // Groups of 8 rows, then blocks of R, then single rows.
+  constexpr std::size_t kB = 8 / R;
   std::size_t i = 0;
+  for (; i + R * kB <= rows; i += R * kB)
+    gru_block<V, R, kB, kSave>(y, idx.y, u, idx.u, h, idx.h, i, w, save);
   for (; i + R <= rows; i += R)
-    gru_block<V, R, kSave>(y, idx.y, x, idx.x, h, idx.h, i, in, w, save);
+    gru_block<V, R, 1, kSave>(y, idx.y, u, idx.u, h, idx.h, i, w, save);
   for (; i < rows; ++i)
-    gru_block<V, 1, kSave>(y, idx.y, x, idx.x, h, idx.h, i, in, w, save);
+    gru_block<V, 1, 1, kSave>(y, idx.y, u, idx.u, h, idx.h, i, w, save);
 }
 
 template <std::size_t V, std::size_t R>
-void gru_rows(double* y, const double* x, const double* h, StepRows idx,
-              std::size_t rows, std::size_t in, const GruWeights& w,
-              const GruActs* save) {
+void gru_rows(double* y, const double* u, const double* h, StepRows idx,
+              std::size_t rows, const GruWeights& w, const GruActs* save) {
   if (save != nullptr)
-    gru_rows<V, R, true>(y, x, h, idx, rows, in, w, *save);
+    gru_rows<V, R, true>(y, u, h, idx, rows, w, *save);
   else
-    gru_rows<V, R, false>(y, x, h, idx, rows, in, w, GruActs{});
+    gru_rows<V, R, false>(y, u, h, idx, rows, w, GruActs{});
 }
 
-bool gru_step(double* y, const std::uint32_t* y_rows, const double* x,
-              const std::uint32_t* x_rows, const double* h,
-              const std::uint32_t* h_rows, std::size_t rows, std::size_t in,
-              std::size_t hid, const GruWeights& w, const GruActs* save) {
-  const StepRows idx{y_rows, x_rows, h_rows};
+bool gru_step(double* y, const std::uint32_t* y_rows, const double* u,
+              const std::uint32_t* u_rows, const double* h,
+              const std::uint32_t* h_rows, std::size_t rows, std::size_t hid,
+              const GruWeights& w, const GruActs* save) {
+  const StepRows idx{y_rows, u_rows, h_rows};
   // Rows per block: enough independent FMA chains (2RV = 8..12) to cover
   // the FMA latency without spilling the 16 ymm registers.
   switch (hid) {
     case 4:
-      gru_rows<1, 4>(y, x, h, idx, rows, in, w, save);
+      gru_rows<1, 4>(y, u, h, idx, rows, w, save);
       return true;
     case 8:
-      gru_rows<2, 2>(y, x, h, idx, rows, in, w, save);
+      gru_rows<2, 2>(y, u, h, idx, rows, w, save);
       return true;
     case 12:
-      gru_rows<3, 2>(y, x, h, idx, rows, in, w, save);
+      gru_rows<3, 2>(y, u, h, idx, rows, w, save);
       return true;
     case 16:
-      gru_rows<4, 1>(y, x, h, idx, rows, in, w, save);
+      gru_rows<4, 1>(y, u, h, idx, rows, w, save);
       return true;
     default: return false;
   }
@@ -1022,6 +1110,7 @@ const Backend* simd_backend() noexcept {
       &avx2::vtanh,
       &avx2::gru_gates,
       &avx2::gru_blend,
+      &avx2::gru_project,
       &avx2::gru_step,
       &avx2::gru_step_backward,
   };

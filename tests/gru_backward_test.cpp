@@ -72,6 +72,7 @@ std::vector<const Backend*> backends() {
 /// composed passes and the composed backward on b's matmul kernels.
 Backend without_gru_kernels(const Backend& b) {
   Backend composed = b;
+  composed.gru_project = nullptr;
   composed.gru_step = nullptr;
   composed.gru_step_backward = nullptr;
   return composed;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,7 @@ bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
 /// kernels and its gru_gates / gru_blend passes.
 Backend matmul_route(const Backend& b) {
   Backend composed = b;
+  composed.gru_project = nullptr;
   composed.gru_step = nullptr;
   composed.gru_step_backward = nullptr;
   return composed;
@@ -213,7 +215,139 @@ Backend matmul_route(const Backend& b) {
 /// The SIMD backend when it has the whole-step kernels, else null.
 const Backend* step_kernel_backend() {
   const Backend* simd = kernels::simd_backend();
-  return simd != nullptr && simd->gru_step != nullptr ? simd : nullptr;
+  return simd != nullptr && simd->gru_project != nullptr &&
+                 simd->gru_step != nullptr
+             ? simd
+             : nullptr;
+}
+
+/// One step's output and the activations it saves, each (rows x hid).
+struct StepOut {
+  Tensor y, z, r, n;
+};
+
+/// The matmul route of one step over contiguous rows, as the composed
+/// forward runs it on `b`: [x|h] times the stacked z/r weights from the
+/// biases, gru_gates, then x Wxn and (r.*h) Whn from bn, then gru_blend.
+StepOut matmul_route_step(const Backend& b, const GRUCell& cell,
+                          const Tensor& x, const Tensor& h) {
+  const std::size_t rows = x.rows(), in = x.cols(), hid = h.cols();
+  const auto params = cell.named_params();  // wxz whz bz wxr whr br wxn whn bn
+  const auto w = [&](std::size_t i) -> const Tensor& {
+    return params[i].second.value();
+  };
+  Tensor xh(rows, in + hid), w_zr(in + hid, 2 * hid), a_zr(rows, 2 * hid);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < in; ++c) xh(i, c) = x(i, c);
+    for (std::size_t c = 0; c < hid; ++c) xh(i, in + c) = h(i, c);
+    for (std::size_t c = 0; c < hid; ++c) {
+      a_zr(i, c) = w(2)(0, c);
+      a_zr(i, hid + c) = w(5)(0, c);
+    }
+  }
+  for (std::size_t p = 0; p < in + hid; ++p)
+    for (std::size_t c = 0; c < hid; ++c) {
+      w_zr(p, c) = p < in ? w(0)(p, c) : w(1)(p - in, c);
+      w_zr(p, hid + c) = p < in ? w(3)(p, c) : w(4)(p - in, c);
+    }
+  b.matmul_acc(a_zr.flat().data(), xh.flat().data(), w_zr.flat().data(), rows,
+               in + hid, 2 * hid);
+  Tensor an(rows, hid);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t c = 0; c < hid; ++c) an(i, c) = w(8)(0, c);
+  b.matmul_acc(an.flat().data(), x.flat().data(), w(6).flat().data(), rows,
+               in, hid);
+  StepOut out{Tensor(rows, hid), Tensor(rows, hid), Tensor(rows, hid),
+              Tensor(rows, hid)};
+  Tensor rh(rows, hid);
+  b.gru_gates(out.z.flat().data(), out.r.flat().data(), rh.flat().data(),
+              a_zr.flat().data(), h.flat().data(), rows, hid);
+  b.matmul_acc(an.flat().data(), rh.flat().data(), w(7).flat().data(), rows,
+               hid, hid);
+  b.gru_blend(out.n.flat().data(), out.y.flat().data(), an.flat().data(),
+              out.z.flat().data(), h.flat().data(), rows * hid);
+  return out;
+}
+
+Tensor rows_of(const Tensor& src, const std::vector<Index>& idx) {
+  Tensor out(idx.size(), src.cols());
+  for (std::size_t i = 0; i < idx.size(); ++i)
+    for (std::size_t c = 0; c < src.cols(); ++c) out(i, c) = src(idx[i], c);
+  return out;
+}
+
+// The raw kernel pair: gru_project over a whole source (u read by
+// x_rows) or over the rows read (u read in order), then gru_step, against
+// the matmul route over the gathered rows.
+TEST(GruProject, KernelPairMatchesMatmulRouteBitwise) {
+  const Backend* simd = step_kernel_backend();
+  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  constexpr std::size_t kSrcRows = 7;
+  for (const std::size_t hid : {4, 8, 12, 16})
+    for (const std::size_t in : {hid, std::size_t{3}})
+      for (const std::size_t rows : {1, 2, 3, 5, 229})
+        for (const bool indexed : {false, true})
+          for (const bool save : {false, true}) {
+            SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                         std::to_string(in) + " rows=" + std::to_string(rows) +
+                         " indexed=" + std::to_string(indexed) +
+                         " save=" + std::to_string(save));
+            RngStream rng(8300 + 53 * hid + 7 * in + rows);
+            const GRUCell cell(in, hid, rng);
+            const auto params = cell.named_params();
+            const auto pw = [&](std::size_t i) {
+              return params[i].second.value().flat().data();
+            };
+            const kernels::GruWeights w{pw(0), pw(1), pw(2), pw(3), pw(4),
+                                        pw(5), pw(6), pw(7), pw(8)};
+            // Indexed: x rows repeat (kSrcRows source rows), h rows are a
+            // shuffled subset of a larger state.
+            const std::size_t x_src = indexed ? kSrcRows : rows;
+            const std::size_t h_src = indexed ? rows + 4 : rows;
+            const Tensor x = random_tensor(x_src, in, rng);
+            const Tensor h = random_tensor(h_src, hid, rng);
+            std::vector<Index> x_rows(rows), h_rows(h_src);
+            std::iota(x_rows.begin(), x_rows.end(), Index{0});
+            std::iota(h_rows.begin(), h_rows.end(), Index{0});
+            if (indexed) {
+              for (auto& e : x_rows)
+                e = static_cast<Index>(rng.uniform_int(0, kSrcRows - 1));
+              for (std::size_t i = h_src - 1; i > 0; --i)
+                std::swap(h_rows[i], h_rows[static_cast<std::size_t>(
+                                         rng.uniform_int(0, i))]);
+            }
+            h_rows.resize(rows);
+            const StepOut want = matmul_route_step(
+                *simd, cell, rows_of(x, x_rows), rows_of(h, h_rows));
+
+            const Index* xi = indexed ? x_rows.data() : nullptr;
+            const Index* hi = indexed ? h_rows.data() : nullptr;
+            Tensor u_src(x_src, 3 * hid), u_read(rows, 3 * hid);
+            ASSERT_TRUE(simd->gru_project(u_src.flat().data(),
+                                          x.flat().data(), nullptr, x_src, in,
+                                          hid, w));
+            ASSERT_TRUE(simd->gru_project(u_read.flat().data(),
+                                          x.flat().data(), xi, rows, in, hid,
+                                          w));
+            for (const bool per_source : {false, true}) {
+              StepOut got{Tensor(rows, hid), Tensor(rows, hid),
+                          Tensor(rows, hid), Tensor(rows, hid)};
+              const kernels::GruActs acts{got.z.flat().data(),
+                                          got.r.flat().data(),
+                                          got.n.flat().data()};
+              ASSERT_TRUE(simd->gru_step(
+                  got.y.flat().data(), nullptr,
+                  (per_source ? u_src : u_read).flat().data(),
+                  per_source ? xi : nullptr, h.flat().data(), hi, rows, hid,
+                  w, save ? &acts : nullptr));
+              EXPECT_TRUE(bitwise_equal(got.y, want.y));
+              if (save) {
+                EXPECT_TRUE(bitwise_equal(got.z, want.z));
+                EXPECT_TRUE(bitwise_equal(got.r, want.r));
+                EXPECT_TRUE(bitwise_equal(got.n, want.n));
+              }
+            }
+          }
 }
 
 /// One contiguous step, then (taped) a backward of a non-uniform loss:
@@ -410,6 +544,36 @@ TEST(GruProject, SweepsWithReplacedSourcesMatchPerPositionSteps) {
           EXPECT_TRUE(bitwise_equal(swept.value(), stepped.value()));
         }
       }
+}
+
+// A source of the wrong width is refused by the constructor, before any
+// source is projected: the pool lends nothing and no value changes.
+TEST(GruProject, SweepRejectsSourceWidthBeforeReading) {
+  std::vector<const Backend*> backends{&kernels::scalar_backend()};
+  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
+  RngStream rng(8400);
+  const GRUCell cell(5, 12, rng);
+  const Tensor start = random_tensor(6, 12, rng);
+  const Var good(random_tensor(4, 5, rng), true);
+  const Var bad(random_tensor(4, 12, rng), true);
+  for (const Backend* backend : backends)
+    for (const bool taped : {false, true}) {
+      SCOPED_TRACE(std::string(backend->name) + " taped=" +
+                   std::to_string(taped));
+      const ScopedBackendOverride pin(*backend);
+      std::optional<NoGradGuard> guard;
+      if (!taped) guard.emplace();
+      const Var initial{Tensor(start)};
+      TensorPool::drain();
+      TensorPool::release(Tensor(4, 3 * 12));
+      EXPECT_THROW(GruSweep(cell, initial, {good, bad}, 2),
+                   std::invalid_argument);
+      EXPECT_EQ(TensorPool::pooled_count(), 1u);
+      EXPECT_TRUE(bitwise_equal(initial.value(), start));
+      // An undefined source is skipped; the right widths construct.
+      EXPECT_NO_THROW(GruSweep(cell, initial, {good, Var()}, 2));
+      TensorPool::drain();
+    }
 }
 
 }  // namespace

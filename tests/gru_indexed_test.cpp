@@ -165,11 +165,14 @@ nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
   return {p(0), p(1), p(2), p(3), p(4), p(5), p(6), p(7), p(8)};
 }
 
-// The raw backend entry: widths it claims, out-of-place and in-place
-// output, and the decline that leaves memory untouched.
+// The raw backend entries: widths they claim, out-of-place and in-place
+// output, and the decline that leaves memory untouched.  gru_project
+// runs once over the whole source; every gru_step call reads its rows by
+// element id.
 TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
   const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step == nullptr)
+  if (simd == nullptr || simd->gru_step == nullptr ||
+      simd->gru_project == nullptr)
     GTEST_SKIP() << "no whole-step GRU kernel on this host";
   const ScopedBackendOverride pin(*simd);
   const auto p = [](const Var& v) { return v.value().flat().data(); };
@@ -183,23 +186,26 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
     const Position pos(229, rng);
     const Tensor want = taped_reference(cell, src, Var(start), pos);
 
+    Tensor u(Position::kElems, 3 * hid);
+    ASSERT_TRUE(simd->gru_project(u.flat().data(), p(src), nullptr,
+                                  Position::kElems, hid, hid, w));
     Tensor out_of_place = Tensor::zeros(Position::kPaths, hid);
     ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(),
-                               pos.path_rows.data(), p(src),
+                               pos.path_rows.data(), u.flat().data(),
                                pos.elem_ids.data(), start.flat().data(),
                                pos.path_rows.data(), pos.path_rows.size(),
-                               hid, hid, w, nullptr));
+                               hid, w, nullptr));
     Tensor in_place = start;
     ASSERT_TRUE(simd->gru_step(in_place.flat().data(), pos.path_rows.data(),
-                               p(src), pos.elem_ids.data(),
+                               u.flat().data(), pos.elem_ids.data(),
                                in_place.flat().data(), pos.path_rows.data(),
-                               pos.path_rows.size(), hid, hid, w, nullptr));
+                               pos.path_rows.size(), hid, w, nullptr));
     // Contiguous output: row i of y for the i-th stepped row.
     Tensor contiguous = Tensor::zeros(pos.path_rows.size(), hid);
-    ASSERT_TRUE(simd->gru_step(contiguous.flat().data(), nullptr, p(src),
-                               pos.elem_ids.data(), start.flat().data(),
-                               pos.path_rows.data(), pos.path_rows.size(),
-                               hid, hid, w, nullptr));
+    ASSERT_TRUE(simd->gru_step(contiguous.flat().data(), nullptr,
+                               u.flat().data(), pos.elem_ids.data(),
+                               start.flat().data(), pos.path_rows.data(),
+                               pos.path_rows.size(), hid, w, nullptr));
     EXPECT_TRUE(bitwise_equal(in_place, want));
     for (std::size_t i = 0; i < pos.path_rows.size(); ++i)
       for (std::size_t c = 0; c < hid; ++c) {
@@ -212,9 +218,15 @@ TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
   util::RngStream rng(3100);
   const nn::GRUCell cell(10, 10, rng);
   const nn::kernels::GruWeights w = weights_of(cell);
-  EXPECT_FALSE(
-      simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, 5,
-                     10, 10, w, nullptr));
+  EXPECT_FALSE(simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr,
+                              nullptr, 5, 10, w, nullptr));
+  const Tensor x = random_tensor(5, 10, rng);
+  const Tensor untouched = random_tensor(5, 30, rng);
+  Tensor u = untouched;
+  EXPECT_FALSE(simd->gru_project(u.flat().data(), x.flat().data(), nullptr, 5,
+                                 10, 10, w));
+  EXPECT_TRUE(bitwise_equal(u, untouched));
+  EXPECT_FALSE(simd->gru_project(nullptr, nullptr, nullptr, 5, 10, 10, w));
 }
 
 TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {
