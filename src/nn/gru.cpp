@@ -630,11 +630,10 @@ void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
   const auto k = static_cast<std::size_t>(source - sources_.begin());
   const Tensor* u = k < projected_.size() ? &projected_[k] : nullptr;
   if (tape_ == nullptr) {
+    cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
     if (grad_disabled()) {
-      cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
       cell_.update_rows(src, elem_ids, u, hidden_, path_rows);
     } else {
-      cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
       hidden_ = scatter_rows(
           hidden_, path_rows,
           cell_.step_composed(gather_rows(src, elem_ids),

@@ -1,11 +1,12 @@
 // Fused GRU kernel vs the op-by-op composition: value parity, gradient
 // parity, central-difference gradcheck, and tensor-pool behaviour.
 //
-// GruProject.*: the whole-step kernels (kernels::Backend::gru_step) against
-// the same backend's matmul route (matmul_acc + gru_gates + gru_blend),
-// bitwise, through GRUCell::step and nn::GruSweep: contiguous and indexed
-// rows, x rows repeated across rows and positions, odd row counts, taped
-// and untaped, and sweeps whose sources are replaced between iterations.
+// GruProject.*: the whole-step kernels (kernels::Backend::gru_project and
+// gru_step) against the same backend's matmul route (matmul_acc +
+// gru_gates + gru_blend), bitwise, on raw rows and through nn::GruSweep:
+// contiguous and indexed rows, x rows repeated across rows and positions,
+// odd row counts, taped and untaped; sweeps whose sources are replaced
+// between iterations; and the sweep's source-width guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -348,57 +349,6 @@ TEST(GruProject, KernelPairMatchesMatmulRouteBitwise) {
               }
             }
           }
-}
-
-/// One contiguous step, then (taped) a backward of a non-uniform loss:
-/// y, then dL/dx, dL/dh and the nine parameter grads.
-std::vector<Tensor> contiguous_step(const GRUCell& cell, const Tensor& xv,
-                                    const Tensor& hv, const Tensor& weight,
-                                    bool taped) {
-  std::optional<NoGradGuard> guard;
-  if (!taped) guard.emplace();
-  const Var x(xv, taped);
-  const Var h(hv, taped);
-  const Var y = cell.step(x, h);
-  std::vector<Tensor> out{y.value()};
-  if (!taped) return out;
-  sum_all(mul(y, constant(weight))).backward();
-  out.push_back(x.grad());
-  out.push_back(h.grad());
-  for (auto& [name, p] : cell.named_params()) {
-    out.push_back(p.grad());
-    p.zero_grad();
-  }
-  return out;
-}
-
-TEST(GruProject, ContiguousStepMatchesMatmulRouteBitwise) {
-  const Backend* simd = step_kernel_backend();
-  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
-  const Backend composed = matmul_route(*simd);
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t in : {hid, std::size_t{3}})
-      for (const std::size_t rows : {1, 2, 3, 5, 229})
-        for (const bool taped : {false, true}) {
-          SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
-                       std::to_string(in) + " rows=" + std::to_string(rows) +
-                       " taped=" + std::to_string(taped));
-          RngStream rng(8000 + 53 * hid + 7 * in + rows);
-          const GRUCell cell(in, hid, rng);
-          const Tensor xv = random_tensor(rows, in, rng);
-          const Tensor hv = random_tensor(rows, hid, rng);
-          const Tensor weight = random_tensor(rows, hid, rng);
-          std::vector<Tensor> want, got;
-          {
-            const ScopedBackendOverride pin(composed);
-            want = contiguous_step(cell, xv, hv, weight, taped);
-          }
-          {
-            const ScopedBackendOverride pin(*simd);
-            got = contiguous_step(cell, xv, hv, weight, taped);
-          }
-          EXPECT_TRUE(bitwise_equal(got, want));
-        }
 }
 
 /// Positions of a path RNN over kPaths path rows reading a source of
