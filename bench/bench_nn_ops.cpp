@@ -10,9 +10,11 @@
 // and backward, as training runs it.  The activations also report ns per
 // element, max ulp from the scalar reference and their share of the
 // 229x12 step.  The GFLOP/s columns of the gru_step_* and gru_sweep_*
-// rows count the nominal, unhoisted step, 12*R*H^2 flops at in == H,
+// rows count the nominal, unhoisted step, 12*R*H^2 flops at in == H, and
+// the fwdbwd rows the nominal, unhoisted backward (twice the forward),
 // although a sweep projects each source row once and steps only the h
-// terms, so they stay comparable across versions of the kernels.
+// terms, and its backward runs the x side once per source row; so they
+// stay comparable across versions of the kernels.
 //
 // Every kernel runs twice in-process — once pinned to the scalar
 // reference backend, once to the runtime-dispatched SIMD backend — via
@@ -319,7 +321,8 @@ int main() {
   }
 
   std::cout << "(gru_step_* and gru_sweep_* GFLOP/s count the nominal, "
-               "unhoisted step: 12*R*H^2 flops at in == H)\n";
+               "unhoisted step: 12*R*H^2 flops at in == H; the fwdbwd rows "
+               "also the unhoisted backward, twice that)\n";
 
   // Headline numbers CI tracks against the >= 4x DESIGN.md §K target.
   for (const Case& c : cases) {

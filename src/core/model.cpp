@@ -1,5 +1,6 @@
 #include "core/model.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <span>
@@ -119,6 +120,18 @@ void require_per_entity(std::size_t have, std::size_t entities,
                             " entities");
 }
 
+// A non-finite input feature would reach every path through the link and
+// node sums, and the readout's ReLU maps NaN to 0, so every prediction of
+// the sample would silently read the readout's output bias.  Column 0
+// holds the input feature; the scenario columns come from checked enums.
+void require_finite_features(const nn::Tensor& t, const char* entity) {
+  for (std::size_t i = 0; i < t.rows(); ++i)
+    if (!std::isfinite(t(i, 0)))
+      throw std::invalid_argument("initial states: " + std::string(entity) +
+                                  " " + std::to_string(i) +
+                                  " has a non-finite input feature");
+}
+
 // Column of a scenario enum's one-hot input: `first` plus the value,
 // which must name one of `count` members (a corrupted enum would write
 // past the state row).
@@ -217,6 +230,7 @@ nn::Var initial_path_states(const data::Sample& s, const data::Scaler& sc,
       t(i, traffic_col) = 1.0;
     }
   }
+  require_finite_features(t, "path");
   return nn::constant(std::move(t));
 }
 
@@ -239,6 +253,7 @@ nn::Var initial_link_states(const data::Sample& s, const data::Scaler& sc,
                        sim::kNumSchedulerPolicies, "scheduler policy");
     for (std::size_t l = 0; l < s.num_links(); ++l) t(l, policy_col) = 1.0;
   }
+  require_finite_features(t, "link");
   return nn::constant(std::move(t));
 }
 
@@ -253,6 +268,7 @@ nn::Var initial_node_states(const data::Sample& s, const data::Scaler& sc,
     for (std::size_t n = 0; n < s.num_nodes; ++n)
       t(n, 0) = sc.queue(s.queue_pkts[n]);
   }
+  require_finite_features(t, "node");
   return nn::constant(std::move(t));
 }
 

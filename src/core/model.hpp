@@ -63,7 +63,8 @@ class Model {
 
   /// Predictions (P x 1 Var) for every path of the sample, in the
   /// sample's path order.  Differentiable; wrap in nn::NoGradGuard for
-  /// inference.
+  /// inference.  Throws std::invalid_argument naming the entity when an
+  /// input feature is not finite (the initial-state functions below).
   [[nodiscard]] nn::Var forward(const data::Sample& sample,
                                 const data::Scaler& scaler) const;
 
@@ -148,6 +149,8 @@ class Model {
                                                 const ModelConfig& cfg);
 
 // -- initial entity states ------------------------------------------------
+// Each throws std::invalid_argument naming the entity ("path 3", "link
+// 5") when its column-0 feature is NaN or infinite.
 
 /// (P x H) initial path states: column 0 carries the z-scored offered
 /// traffic — or, with cfg.scale_invariant_features, the dimensionless

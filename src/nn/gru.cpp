@@ -423,34 +423,42 @@ void composed_backward(GruParams& p, const Tensor& g, const Tensor& xval,
   TensorPool::release(std::move(drh));
 }
 
-/// Backward of one step over `rows` = g.rows() rows: row i read x row
-/// x_rows[i] and h row h_rows[i] (null: row i); g and the saved z, r and
-/// n are contiguous.  Adds the parameter grads and, when xg / hg are
-/// non-null, dL/dx and dL/dh (contiguous) into them.  The backend's
-/// backward kernel when it has one for this shape (bitwise equal to the
-/// composed backward on that backend), else the composed backward over
-/// gathered rows.
-void step_backward(GruParams& p, const Tensor& g, const Tensor& x,
-                   const Index* x_rows, const Tensor& h, const Index* h_rows,
-                   const double* z, const double* r, const double* n,
-                   Tensor* xg, Tensor* hg) {
-  const std::size_t rows = g.rows();
-  const auto kernel = kernels::active().gru_step_backward;
-  if (kernel != nullptr &&
-      kernel(xg != nullptr ? xg->flat().data() : nullptr,
-             hg != nullptr ? hg->flat().data() : nullptr, p.grads(),
-             g.flat().data(), x.flat().data(), x_rows, h.flat().data(),
-             h_rows, z, r, n, rows, x.cols(), g.cols(), p.weights()))
-    return;
-  if (x_rows == nullptr && h_rows == nullptr) {
-    composed_backward(p, g, x, h, z, r, n, xg, hg);
-    return;
+/// dst (in x 3H) = [Wxz | Wxr | Wxn], the input weights side by side.
+void build_x_panel(Tensor& dst, const GruParams& p) {
+  const std::size_t h = p.wxz.cols();
+  const Tensor* parts[] = {&p.wxz.value(), &p.wxr.value(), &p.wxn.value()};
+  for (std::size_t r = 0; r < dst.rows(); ++r) {
+    double* d = dst.row(r).data();
+    for (std::size_t k = 0; k < 3; ++k) {
+      const double* w = parts[k]->row(r).data();
+      for (std::size_t c = 0; c < h; ++c) d[k * h + c] = w[c];
+    }
   }
-  Tensor xs = gather(x, x_rows, rows);
-  Tensor hs = gather(h, h_rows, rows);
-  composed_backward(p, g, xs, hs, z, r, n, xg, hg);
-  TensorPool::release(std::move(xs));
-  TensorPool::release(std::move(hs));
+}
+
+/// The x side of the backward over x's rows, from du (rows x 3H): row j
+/// holds [dz | dr | dn] summed over every stepped row that read x row j
+/// (kernels::Backend::gru_step_backward).  Adds du [Wxz|Wxr|Wxn]^T into
+/// xg when it is non-null, x^T du into the three input-weight grads (one
+/// in x 3H panel) and du's column sums into the three bias grads.
+void x_side_backward(GruParams& p, const Tensor& du, const Tensor& x,
+                     Tensor* xg) {
+  const std::size_t in = x.cols(), hid = du.cols() / 3;
+  if (xg != nullptr) {
+    Tensor w = TensorPool::acquire_uninit(in, 3 * hid);
+    build_x_panel(w, p);
+    matmul_nt_acc(*xg, du, w);
+    TensorPool::release(std::move(w));
+  }
+  Tensor dw = TensorPool::acquire(in, 3 * hid);
+  matmul_tn_acc(dw, x, du);
+  if (p.wxz.requires_grad()) add_block(p.wxz.grad_ref(), dw, 0, 0);
+  if (p.wxr.requires_grad()) add_block(p.wxr.grad_ref(), dw, 0, hid);
+  if (p.wxn.requires_grad()) add_block(p.wxn.grad_ref(), dw, 0, 2 * hid);
+  TensorPool::release(std::move(dw));
+  if (p.bz.requires_grad()) colsum_block_acc(p.bz.grad_ref(), du, 0);
+  if (p.br.requires_grad()) colsum_block_acc(p.br.grad_ref(), du, hid);
+  if (p.bn.requires_grad()) colsum_block_acc(p.bn.grad_ref(), du, 2 * hid);
 }
 
 /// The activations a taped step or sweep keeps for its backward, one row
@@ -481,13 +489,42 @@ struct StepTape {
   }
 };
 
-/// dst rows idx += src (R x C), i ascending.
-void scatter_add(Tensor& dst, const Index* idx, const Tensor& src) {
-  for (std::size_t i = 0; i < src.rows(); ++i) {
-    auto to = dst.row(idx[i]);
-    const auto from = src.row(i);
-    for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
+/// The composed backward of one sweep position over `rows` rows: row i
+/// stepped path row path_rows[i] from h row h_rows[i], reading x row
+/// ids[i].  Its dL/dy is carry row path_rows[i] + g row i, and its dL/dh
+/// replaces that carry row; dL/dx is added into xg's row ids[i] when xg
+/// is non-null.  The route of a backend without the backward kernel for
+/// this width.
+void composed_position_backward(GruParams& p, Tensor& carry,
+                                const Index* path_rows, const double* g,
+                                const Tensor& x, const Index* ids, Tensor* xg,
+                                const Tensor& h, const Index* h_rows,
+                                std::size_t rows, const kernels::GruActs& a) {
+  const std::size_t hid = carry.cols();
+  Tensor gy = TensorPool::acquire_uninit(rows, hid);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* c = carry.row(path_rows[i]).data();
+    const double* gi = g + i * hid;
+    double* y = gy.row(i).data();
+    for (std::size_t j = 0; j < hid; ++j) y[j] = c[j] + gi[j];
   }
+  Tensor xs = gather(x, ids, rows);
+  Tensor hs = gather(h, h_rows, rows);
+  Tensor dx, dh = TensorPool::acquire(rows, hid);
+  if (xg != nullptr) dx = TensorPool::acquire(rows, x.cols());
+  composed_backward(p, gy, xs, hs, a.z, a.r, a.n, xg != nullptr ? &dx : nullptr,
+                    &dh);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto from = dh.row(i);
+    std::copy(from.begin(), from.end(), carry.row(path_rows[i]).begin());
+  }
+  if (xg != nullptr)  // rows ids += dx, i ascending
+    for (std::size_t i = 0; i < rows; ++i) {
+      auto to = xg->row(ids[i]);
+      const auto from = dx.row(i);
+      for (std::size_t c = 0; c < to.size(); ++c) to[c] += from[c];
+    }
+  for (Tensor* t : {&gy, &xs, &hs, &dx, &dh}) TensorPool::release(std::move(*t));
 }
 
 }  // namespace
@@ -524,11 +561,21 @@ Var GRUCell::step_fused(const Var& x, const Var& h) const {
        w_.bn},
       [x = Var(x), h = Var(h), p = w_,
        tape = std::move(tape)](const Tensor& g) mutable {
-        const kernels::GruActs acts = tape.at(0);
-        step_backward(p, g, x.value(), nullptr, h.value(), nullptr, acts.z,
-                      acts.r, acts.n,
-                      x.requires_grad() ? &x.grad_ref() : nullptr,
-                      h.requires_grad() ? &h.grad_ref() : nullptr);
+        const kernels::GruActs a = tape.at(0);
+        Tensor* xg = x.requires_grad() ? &x.grad_ref() : nullptr;
+        Tensor* hg = h.requires_grad() ? &h.grad_ref() : nullptr;
+        const auto kernel = kernels::active().gru_step_backward;
+        Tensor du;
+        if (kernel != nullptr) du = TensorPool::acquire(g.rows(), 3 * g.cols());
+        if (kernel != nullptr &&
+            kernel(du.flat().data(), nullptr,
+                   hg != nullptr ? hg->flat().data() : nullptr, nullptr,
+                   g.flat().data(), h.value().flat().data(), nullptr, a.z,
+                   a.r, a.n, g.rows(), g.cols(), p.weights(), p.grads()))
+          x_side_backward(p, du, x.value(), xg);
+        else
+          composed_backward(p, g, x.value(), h.value(), a.z, a.r, a.n, xg, hg);
+        TensorPool::release(std::move(du));
       });
 }
 
@@ -550,7 +597,6 @@ struct GruSweep::Tape {
     std::size_t offset;  ///< first entry
     std::size_t rows;
     std::size_t source;  ///< index into sources
-    bool h_in_arena;     ///< some h row is a stepped row, not an initial one
   };
 
   std::size_t paths = 0;
@@ -651,16 +697,14 @@ void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
     throw std::invalid_argument("GruSweep::step: more rows than entries");
   last_ids_ = elem_ids;
   last_rows_ = path_rows;
-  bool h_in_arena = false;
   for (std::size_t i = 0; i < rows; ++i) {
     const Index r = path_rows[i];
     t.path_rows.push_back(r);
     t.elem_ids.push_back(elem_ids[i]);
     t.h_rows.push_back(t.latest[r]);
-    h_in_arena = h_in_arena || t.latest[r] >= t.paths;
     t.latest[r] = static_cast<Index>(t.paths + off + i);
   }
-  t.positions.push_back({off, rows, k, h_in_arena});
+  t.positions.push_back({off, rows, k});
   Tensor& arena = hidden_.mutable_value();
   const kernels::GruActs acts = t.acts.at(off);
   forward_saving(t.params, arena.row(t.paths + off).data(), u, src.value(),
@@ -694,42 +738,44 @@ void GruSweep::Tape::backward(const Tensor& g) {
   std::copy(g.flat().begin(),
             g.flat().begin() + static_cast<std::ptrdiff_t>(paths * hid),
             carry.flat().begin());
-  const bool initial_grad = initial.requires_grad();
+  // With the backend's backward kernel, each source's DU: per source row,
+  // the pre-activation grads of every stepped row that read it, summed;
+  // its x side runs once per source row after the last position.
+  auto kernel = kernels::active().gru_step_backward;
+  std::vector<Tensor> du(sources.size());
   for (auto pos = positions.rbegin(); pos != positions.rend(); ++pos) {
     if (pos->rows == 0) continue;
     const Index* rows = path_rows.data() + pos->offset;
     const Index* ids = elem_ids.data() + pos->offset;
-    Var& src = sources[pos->source];
-    // A stepped row's grad: what later steps sent back through its state,
-    // then its messages and the final-state reads (the arena rows' grad),
-    // added last.
-    Tensor gy = TensorPool::acquire_uninit(pos->rows, hid);
-    for (std::size_t i = 0; i < pos->rows; ++i) {
-      const double* c = carry.row(rows[i]).data();
-      const double* a = g.row(paths + pos->offset + i).data();
-      double* y = gy.row(i).data();
-      for (std::size_t j = 0; j < hid; ++j) y[j] = c[j] + a[j];
-    }
-    const bool need_dh = initial_grad || pos->h_in_arena;
-    Tensor dx, dh;
-    if (src.requires_grad()) dx = TensorPool::acquire(pos->rows, src.cols());
-    if (need_dh) dh = TensorPool::acquire(pos->rows, hid);
+    const Index* hr = h_rows.data() + pos->offset;
+    // A stepped row's grad: what later steps sent back through its state
+    // (its carry row), then its messages and the final-state reads (the
+    // arena rows' grad).
+    const double* ga = g.row(paths + pos->offset).data();
     const kernels::GruActs a = acts.at(pos->offset);
-    step_backward(params, gy, src.value(), ids, *arena,
-                  h_rows.data() + pos->offset, a.z, a.r, a.n,
-                  src.requires_grad() ? &dx : nullptr,
-                  need_dh ? &dh : nullptr);
-    if (need_dh)
-      for (std::size_t i = 0; i < pos->rows; ++i) {
-        const auto from = dh.row(i);
-        std::copy(from.begin(), from.end(), carry.row(rows[i]).begin());
-      }
-    if (src.requires_grad()) scatter_add(src.grad_ref(), ids, dx);
-    TensorPool::release(std::move(gy));
-    TensorPool::release(std::move(dx));
-    TensorPool::release(std::move(dh));
+    Var& src = sources[pos->source];
+    if (kernel != nullptr) {
+      Tensor& d = du[pos->source];
+      if (d.empty()) d = TensorPool::acquire(src.rows(), 3 * hid);
+      if (kernel(d.flat().data(), ids, carry.flat().data(), rows, ga,
+                 arena->flat().data(), hr, a.z, a.r, a.n, pos->rows, hid,
+                 params.weights(), params.grads()))
+        continue;
+      kernel = nullptr;  // no kernel for this width: no position takes it
+    }
+    composed_position_backward(
+        params, carry, rows, ga, src.value(), ids,
+        src.requires_grad() ? &src.grad_ref() : nullptr, *arena, hr,
+        pos->rows, a);
   }
-  if (initial_grad) {
+  for (std::size_t k = 0; k < du.size(); ++k) {
+    if (kernel != nullptr && !du[k].empty())
+      x_side_backward(params, du[k], sources[k].value(),
+                      sources[k].requires_grad() ? &sources[k].grad_ref()
+                                                 : nullptr);
+    TensorPool::release(std::move(du[k]));
+  }
+  if (initial.requires_grad()) {
     auto to = initial.grad_ref().flat();
     const auto from = carry.flat();
     for (std::size_t i = 0; i < to.size(); ++i) to[i] += from[i];

@@ -23,8 +23,10 @@
 // for this width (kernels::Backend::gru_project, gru_step and
 // gru_step_backward, AVX2 at H in {4, 8, 12, 16}), else matmul kernels
 // and fused gate/blend passes.  Both routes give the same bits on one
-// backend, values and gradients alike (DESIGN.md §K).  Without a tape the kernel saves
-// nothing; with one it also stores z, r and n for the backward.
+// backend for values and the h-side gradients; the kernel route sums the
+// x side of the backward (dx, the Wx and bias grads) once per x row, so
+// those agree to rounding (DESIGN.md §K).  Without a tape the kernel
+// saves nothing; with one it also stores z, r and n for the backward.
 #pragma once
 
 #include <memory>
@@ -142,10 +144,14 @@ class GRUCell {
 /// initial states, the sources and the cell's nine weights; messages()
 /// and states() read their rows from it by index.  The node's backward
 /// walks the positions in reverse with dL/dh in one (P x hidden_dim)
-/// carry.  Its values and grads equal those of gather_rows -> step ->
-/// scatter_rows per position bit for bit.  A cell with set_fused(false)
-/// records that op-by-op tape instead (with step_composed), the
-/// reference it always was.
+/// carry; with the backend's backward kernel it sums each source row's
+/// pre-activation grads over the positions and runs the x side once per
+/// source row at the end.  Its values and h-side grads equal those of
+/// gather_rows -> step -> scatter_rows per position bit for bit, and its
+/// x-side grads (sources, Wx, biases) to rounding where the kernel runs,
+/// bit for bit elsewhere.  A cell with set_fused(false) records that
+/// op-by-op tape instead (with step_composed), the reference it always
+/// was.
 class GruSweep {
  public:
   /// Starts from `initial` (P x hidden_dim).  `sources` are the Vars the

@@ -19,10 +19,11 @@
 // Only avx2+fma provides the optional whole-step GRU kernels, for narrow
 // hidden widths: `gru_project` and `gru_step` (the forward, which a taped
 // step also runs to save the activations its backward needs) and
-// `gru_step_backward`.
-// Their outputs and gradients are bitwise-equal to the same backend's
-// composition of matmul kernels and gru_gates / gru_blend passes
-// (DESIGN.md §K).
+// `gru_step_backward`, the h side of the backward, whose caller runs the
+// x side once per x row.  Their outputs, and the h-side gradients, are
+// bitwise-equal to the same backend's composition of matmul kernels and
+// gru_gates / gru_blend passes; the x-side gradients are summed per x
+// row first and agree to rounding (DESIGN.md §K).
 //
 // Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
 // x86-64, scalar otherwise — aarch64 included).  RNX_SIMD=scalar forces
@@ -157,21 +158,34 @@ struct Backend {
                    const std::uint32_t* u_rows, const double* h,
                    const std::uint32_t* h_rows, std::size_t rows,
                    std::size_t hid, const GruWeights& w, const GruActs* save);
-  /// Backward of one saved step: g is dL/dy (rows x hid), row i of the
-  /// step read x row x_rows[i] and h row h_rows[i] (null: row i), and
-  /// z/r/n are its saved activations, row i contiguous.  Adds dL/dx into
-  /// dx (rows x in) and dL/dh into dh (rows x hid), both contiguous and
-  /// either may be null, and the parameter gradients into dw, each cell
-  /// in the order the composed backward of the same backend uses.
-  /// Returns false, having touched nothing, when the backend has no
-  /// kernel for (in, hid).
-  bool (*gru_step_backward)(double* dx, double* dh, const GruGrads& dw,
-                            const double* g, const double* x,
-                            const std::uint32_t* x_rows, const double* h,
+  /// The h side of one saved step's backward.  Row i of the step read h
+  /// row h_rows[i] (hid wide; null: row i), and z/r/n are its saved
+  /// activations, row i contiguous.  Row i's upstream grad dL/dy is g row
+  /// i, or, when carry_rows is non-null, dh row carry_rows[i] + g row i.
+  ///   * du: row i's pre-activation grad [dz | dr | dn] (3*hid wide, the
+  ///     grads of the z, r and candidate sums before the sigmoid and tanh)
+  ///     is added into du row du_rows[i] (null: row i), rows in ascending
+  ///     i.  Rows that read one x row thus sum into one DU row, and the
+  ///     caller runs the x side once per x row: dx = DU [Wxz|Wxr|Wxn]^T,
+  ///     the Wx grads X^T DU, the bias grads DU's column sums.
+  ///   * dh: without carry_rows, dL/dh of row i is added into dh row i
+  ///     (dh may be null: not computed).  With carry_rows, dh is the
+  ///     sweep's carry (dL/dh per path state): row i reads its carry row
+  ///     into dL/dy first and then replaces it with its dL/dh, so the carry
+  ///     rows must be distinct.
+  ///   * dw: adds the Whz, Whr and Whn grads only.
+  /// Every cell it writes takes the operation order of the composed
+  /// backward of the same backend.  du must not overlap dh, g, h or the
+  /// activations, nor dh overlap g, h or the activations.  Indices are
+  /// trusted: callers validate them.  Returns false, having touched
+  /// nothing, when the backend has no kernel for `hid`.
+  bool (*gru_step_backward)(double* du, const std::uint32_t* du_rows,
+                            double* dh, const std::uint32_t* carry_rows,
+                            const double* g, const double* h,
                             const std::uint32_t* h_rows, const double* z,
                             const double* r, const double* n,
-                            std::size_t rows, std::size_t in,
-                            std::size_t hid, const GruWeights& w);
+                            std::size_t rows, std::size_t hid,
+                            const GruWeights& w, const GruGrads& dw);
 };
 
 /// The reference backend (always available).

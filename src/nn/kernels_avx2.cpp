@@ -815,31 +815,42 @@ bool gru_step(double* y, const std::uint32_t* y_rows, const double* u,
 }
 
 // ---------------------------------------------------------------------------
-// gru_step_backward: the backward of one saved step, hid = 4V, in = 4M.
+// gru_step_backward: the h side of one saved step's backward, hid = 4V.
 //
-// Bitwise contract: every gradient cell goes through the operation
-// sequence of gru.cpp's composed backward on this backend:
+// Each stepped row's pre-activation grad du = [daz | dar | dan] is added
+// into a per-x-row buffer DU, so the caller runs the x side (dx, the Wx
+// and bias grads) once per x row over DU with the matmul kernels instead
+// of once per stepped row here.  The kernel never reads x.
+//
+// Bitwise contract: every cell the kernel writes goes through the
+// operation sequence of gru.cpp's composed backward on this backend:
+//   * the row's upstream grad is g, or carry + g when the caller passes
+//     the sweep's carry (the sum the sweep formed before calling it);
 //   * dan = g (1-z) (1-n n) and daz = g (h-n) z (1-z), unfused, left to
 //     right; dar = drh h r (1-r) likewise;
-//   * drh = 0 + dan Whn^T; dx += 0 + dzr [Wxz|Wxr]^T, then dx += dan
-//     Wxn^T; dh += 0 + dzr [Whz|Whr]^T, then dh += g z + drh r.  Every
-//     dot runs in matmul_nt_acc's lane order: lane l sums the terms
-//     p = l mod 4 in ascending p as FMA, then (l0 + l1) + (l2 + l3).
-//     With in and hid multiples of 4 every output column is in a full
-//     4-column group, so no column takes matmul_nt_acc's scalar tail;
-//   * weight grads in matmul_tn_acc's per-cell order, one FMA per row,
-//     rows ascending.  Wxn and Whn accumulate onto the grad; the four
-//     z/r weights into a fresh block (from zero) that is then added to
-//     the grad, as the composed backward's stacked [x|h] panel does;
-//   * bias grads as column sums, rows ascending, onto the grad (an FMA
-//     with 1.0 rounds exactly like the add).
-// x and h rows taken by index are first copied into contiguous scratch
-// (same values, so no bit moves).  Phase 1 walks the rows once with dan
-// and dzr = [daz | dar] in registers, writes the input grads and stores
-// dan, dzr and r.*h.
-// Phase 2 sweeps the weight and bias grads with register accumulator
-// tiles, one L1-sized block of rows at a time; a cell's FMA chain
-// carries over from block to block through memory, unchanged.
+//   * drh = 0 + dan Whn^T; dh = (dh + (0 + dzr [Whz|Whr]^T)) + (g z +
+//     drh r), from 0 for a carry row, which the result then replaces.
+//     Every dot runs in matmul_nt_acc's lane order: lane l sums the terms
+//     p = l mod 4 in ascending p as FMA, then (l0 + l1) + (l2 + l3).  With
+//     hid and the cell's input width multiples of 4 every h column of the
+//     composed route's stacked [x|h] product is in a full 4-column group,
+//     so none takes matmul_nt_acc's scalar tail; at other input widths its
+//     last in mod 4 h columns do, and dh there agrees to rounding only;
+//   * du rows: DU row += [daz | dar | dan], one add per cell, rows
+//     ascending;
+//   * Whz/Whr/Whn grads in matmul_tn_acc's per-cell order, one FMA per
+//     row, rows ascending.  Whn accumulates onto its grad; Whz and Whr
+//     into a fresh (hid x 2 hid) block (from zero) that is then added to
+//     the grad, as the composed backward's stacked [x|h] panel does.
+// The x side (dx, the Wx grads and the bias grads) is summed per x row
+// first, so it differs from the per-stepped-row composed order by
+// rounding only.
+// Phase 1 walks the rows once with g, dan and dzr = [daz | dar] in
+// registers, writes dh and the DU rows and stores dan, dzr and r.*h.
+// Phase 2 sweeps the h-side weight grads with register accumulator
+// tiles, one L1-sized block of rows at a time, reading h rows by index; a
+// cell's FMA chain carries over from block to block through memory,
+// unchanged.
 // ---------------------------------------------------------------------------
 
 /// The four dots a . b_q (q < 4) in matmul_nt_acc's lane order; row(q, u)
@@ -854,34 +865,33 @@ inline __m256d nt_dot4(const __m256d (&a)[N], Row row) {
   return hsum4(acc[0], acc[1], acc[2], acc[3]);
 }
 
-// Phase 1 for row i, whose h row is hi.  The scratch rows are dan (hid),
-// dzr (2 hid) and rh (hid) wide.
+// Phase 1 for one row: gi, hi, zi, ri and ni are its rows of g, h, z, r
+// and n, du its DU row and dh its dh row (null: no dh).  With `carry`,
+// dh holds the carry, which is added to g and then replaced.  The
+// scratch rows are dan (hid), dzr (2 hid) and rh (hid) wide.
 template <std::size_t V>
-inline void gru_backward_row(double* dx, double* dh, const double* g,
-                             const double* hi, const double* z,
-                             const double* r, const double* n, std::size_t i,
-                             std::size_t in, const GruWeights& w,
+inline void gru_backward_row(double* du, double* dh, bool carry,
+                             const double* gi, const double* hi,
+                             const double* zi, const double* ri,
+                             const double* ni, const GruWeights& w,
                              double* dan_out, double* dzr_out,
                              double* rh_out) {
   constexpr std::size_t kHid = 4 * V;
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d zero = _mm256_setzero_pd();
-  const double* gi = g + i * kHid;
-  const double* zi = z + i * kHid;
-  const double* ri = r + i * kHid;
-  const double* ni = n + i * kHid;
 
-  __m256d dan[V], dzr[2 * V];
+  __m256d gv[V], dan[V], dzr[2 * V];
   for (std::size_t v = 0; v < V; ++v) {
-    const __m256d gv = _mm256_loadu_pd(gi + 4 * v);
+    gv[v] = _mm256_loadu_pd(gi + 4 * v);
+    if (carry) gv[v] = _mm256_add_pd(_mm256_loadu_pd(dh + 4 * v), gv[v]);
     const __m256d zv = _mm256_loadu_pd(zi + 4 * v);
     const __m256d nv = _mm256_loadu_pd(ni + 4 * v);
     const __m256d hv = _mm256_loadu_pd(hi + 4 * v);
     const __m256d omz = _mm256_sub_pd(one, zv);
-    dan[v] = _mm256_mul_pd(_mm256_mul_pd(gv, omz),
+    dan[v] = _mm256_mul_pd(_mm256_mul_pd(gv[v], omz),
                            _mm256_sub_pd(one, _mm256_mul_pd(nv, nv)));
     dzr[v] = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_mul_pd(gv, _mm256_sub_pd(hv, nv)), zv), omz);
+        _mm256_mul_pd(_mm256_mul_pd(gv[v], _mm256_sub_pd(hv, nv)), zv), omz);
   }
 
   // drh = 0 + dan Whn^T, then dar = drh h r (1-r).
@@ -899,51 +909,41 @@ inline void gru_backward_row(double* dx, double* dh, const double* g,
     _mm256_storeu_pd(rh_out + 4 * v, _mm256_mul_pd(rv, hv));
     _mm256_storeu_pd(dan_out + 4 * v, dan[v]);
   }
-  for (std::size_t u = 0; u < 2 * V; ++u)
+  for (std::size_t u = 0; u < 2 * V; ++u) {
     _mm256_storeu_pd(dzr_out + 4 * u, dzr[u]);
-
-  if (dx != nullptr) {
-    double* dxi = dx + i * in;
-    for (std::size_t j = 0; j < in; j += 4) {
-      const __m256d s1 = nt_dot4(dzr, [&](std::size_t q, std::size_t u) {
-        return u < V ? w.wxz + (j + q) * kHid + 4 * u
-                     : w.wxr + (j + q) * kHid + 4 * (u - V);
-      });
-      const __m256d s2 = nt_dot4(dan, [&](std::size_t q, std::size_t u) {
-        return w.wxn + (j + q) * kHid + 4 * u;
-      });
-      const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(dxi + j),
-                                        _mm256_add_pd(zero, s1));
-      _mm256_storeu_pd(dxi + j, _mm256_add_pd(acc, s2));
-    }
+    _mm256_storeu_pd(du + 4 * u,
+                     _mm256_add_pd(_mm256_loadu_pd(du + 4 * u), dzr[u]));
   }
-  if (dh != nullptr) {
-    double* dhi = dh + i * kHid;
-    for (std::size_t jg = 0; jg < V; ++jg) {
-      const std::size_t j = 4 * jg;
-      const __m256d s1 = nt_dot4(dzr, [&](std::size_t q, std::size_t u) {
-        return u < V ? w.whz + (j + q) * kHid + 4 * u
-                     : w.whr + (j + q) * kHid + 4 * (u - V);
-      });
-      const __m256d acc = _mm256_add_pd(_mm256_loadu_pd(dhi + j),
-                                        _mm256_add_pd(zero, s1));
-      const __m256d direct = _mm256_add_pd(
-          _mm256_mul_pd(_mm256_loadu_pd(gi + j), _mm256_loadu_pd(zi + j)),
-          _mm256_mul_pd(drh[jg], _mm256_loadu_pd(ri + j)));
-      _mm256_storeu_pd(dhi + j, _mm256_add_pd(acc, direct));
-    }
+  for (std::size_t v = 0; v < V; ++v)
+    _mm256_storeu_pd(du + 2 * kHid + 4 * v,
+                     _mm256_add_pd(_mm256_loadu_pd(du + 2 * kHid + 4 * v),
+                                   dan[v]));
+
+  if (dh == nullptr) return;
+  for (std::size_t jg = 0; jg < V; ++jg) {
+    const std::size_t j = 4 * jg;
+    const __m256d s1 = nt_dot4(dzr, [&](std::size_t q, std::size_t u) {
+      return u < V ? w.whz + (j + q) * kHid + 4 * u
+                   : w.whr + (j + q) * kHid + 4 * (u - V);
+    });
+    const __m256d acc = _mm256_add_pd(
+        carry ? zero : _mm256_loadu_pd(dh + j), _mm256_add_pd(zero, s1));
+    const __m256d direct =
+        _mm256_add_pd(_mm256_mul_pd(gv[jg], _mm256_loadu_pd(zi + j)),
+                      _mm256_mul_pd(drh[jg], _mm256_loadu_pd(ri + j)));
+    _mm256_storeu_pd(dh + j, _mm256_add_pd(acc, direct));
   }
 }
 
-// acc[t][u] += a[t * ai + p * as] * panel[p][4u .. 4u+3] for p < rows,
-// ascending, as FMA.
+// acc[t][u] += a[p][t] * panel[p][4u .. 4u+3] for p < rows, ascending,
+// as FMA.
 template <std::size_t U, std::size_t T>
-inline void tn_terms(__m256d (&acc)[T][U], const double* a, std::size_t as,
-                     std::size_t ai, const double* panel, std::size_t rows) {
+inline void tn_terms(__m256d (&acc)[T][U], const double* const* a,
+                     std::size_t t0, const double* panel, std::size_t rows) {
   for (std::size_t p = 0; p < rows; ++p) {
     __m256d va[T];
     for (std::size_t t = 0; t < T; ++t)
-      va[t] = _mm256_broadcast_sd(a + t * ai + p * as);
+      va[t] = _mm256_broadcast_sd(a[p] + t0 + t);
     for (std::size_t u = 0; u < U; ++u) {
       const __m256d b = _mm256_loadu_pd(panel + p * 4 * U + 4 * u);
       for (std::size_t t = 0; t < T; ++t)
@@ -952,139 +952,117 @@ inline void tn_terms(__m256d (&acc)[T][U], const double* a, std::size_t as,
   }
 }
 
-// Phase 2 tile: T consecutive gradient rows t of a row-major grad with
-// U vectors (4U doubles) per row, whose multiplier column is a + t * ai
-// (row stride as).  Starts from dst and stores back, so a sweep can
+// Phase 2 tile: gradient rows [t0, t0 + T) of a row-major grad with U
+// vectors (4U doubles) per row; row t's multiplier column is column t of
+// the multiplier rows a.  Starts from dst and stores back, so a sweep can
 // resume where the previous block of panel rows left off.  The
 // accumulators are touched only in plain loops (see fma_terms), so they
 // stay in registers.
 template <std::size_t U, std::size_t T>
-inline void tn_grad_tile(double* dst, const double* a, std::size_t as,
-                         std::size_t ai, const double* panel,
-                         std::size_t rows) {
+inline void tn_grad_tile(double* dst, const double* const* a, std::size_t t0,
+                         const double* panel, std::size_t rows) {
+  double* tile = dst + t0 * 4 * U;
   __m256d acc[T][U];
   for (std::size_t t = 0; t < T; ++t)
     for (std::size_t u = 0; u < U; ++u)
-      acc[t][u] = _mm256_loadu_pd(dst + t * 4 * U + 4 * u);
-  tn_terms<U, T>(acc, a, as, ai, panel, rows);
+      acc[t][u] = _mm256_loadu_pd(tile + t * 4 * U + 4 * u);
+  tn_terms<U, T>(acc, a, t0, panel, rows);
   for (std::size_t t = 0; t < T; ++t)
     for (std::size_t u = 0; u < U; ++u)
-      _mm256_storeu_pd(dst + t * 4 * U + 4 * u, acc[t][u]);
+      _mm256_storeu_pd(tile + t * 4 * U + 4 * u, acc[t][u]);
 }
 
-/// Gradient rows [0, count) in tiles, then singly.  Row i's multiplier
-/// column starts at a + i * ai.
+/// Gradient rows [0, count) in tiles, then singly: dst += a^T panel over
+/// the block's `rows` multiplier rows a[p] (count wide).
 template <std::size_t U>
-void tn_grad_rows(double* dst, std::size_t count, const double* a,
-                  std::size_t as, std::size_t ai, const double* panel,
-                  std::size_t rows) {
+void tn_grad_rows(double* dst, std::size_t count, const double* const* a,
+                  const double* panel, std::size_t rows) {
   // Up to 12 accumulators, at most 4 broadcasts per panel row.
   constexpr std::size_t kT = U >= 12 ? 1 : (12 / U > 4 ? 4 : 12 / U);
   const std::size_t tiled = count - count % kT;
-  for (std::size_t i = 0; i < tiled; i += kT)
-    tn_grad_tile<U, kT>(dst + i * 4 * U, a + i * ai, as, ai, panel, rows);
-  for (std::size_t i = tiled; i < count; ++i)
-    tn_grad_tile<U, 1>(dst + i * 4 * U, a + i * ai, as, ai, panel, rows);
+  for (std::size_t t = 0; t < tiled; t += kT)
+    tn_grad_tile<U, kT>(dst, a, t, panel, rows);
+  for (std::size_t t = tiled; t < count; ++t)
+    tn_grad_tile<U, 1>(dst, a, t, panel, rows);
 }
 
-/// Panel rows per phase 2 block: the block's slices of dzr, dan, x, h
-/// and r.*h stay in L1 (~18 KiB at hid = in = 12) while every gradient
-/// tile sweeps them.
+/// Panel rows per phase 2 block: the block's slices of dzr, dan, h and
+/// r.*h stay in L1 (~15 KiB at hid = 12) while every gradient tile sweeps
+/// them.
 constexpr std::size_t kGradRowBlock = 32;
 
-/// Rows idx of src (row width `width`) in a thread-local contiguous copy
-/// that phase 2 sweeps; src itself when idx is null.
-const double* contiguous_rows(std::vector<double>& copy, const double* src,
-                              const std::uint32_t* idx, std::size_t rows,
-                              std::size_t width) {
-  if (idx == nullptr) return src;
-  copy.resize(rows * width);
-  for (std::size_t i = 0; i < rows; ++i)
-    std::memcpy(copy.data() + i * width, src + idx[i] * width,
-                width * sizeof(double));
-  return copy.data();
-}
-
 template <std::size_t V>
-void gru_backward(double* dx, double* dh, const GruGrads& dw, const double* g,
-                  const double* x_src, const std::uint32_t* x_rows,
-                  const double* h_src, const std::uint32_t* h_rows,
+void gru_backward(double* du, const std::uint32_t* du_rows, double* dh,
+                  const std::uint32_t* carry_rows, const double* g,
+                  const double* h, const std::uint32_t* h_rows,
                   const double* z, const double* r, const double* n,
-                  std::size_t rows, std::size_t in, const GruWeights& w) {
+                  std::size_t rows, const GruWeights& w, const GruGrads& dw) {
   constexpr std::size_t kHid = 4 * V;
-  static thread_local std::vector<double> scratch, zr, x_copy, h_copy;
-  const double* x = contiguous_rows(x_copy, x_src, x_rows, rows, in);
-  const double* h = contiguous_rows(h_copy, h_src, h_rows, rows, kHid);
+  static thread_local std::vector<double> scratch, zr;
   scratch.resize(rows * 4 * kHid);
   double* dan = scratch.data();
   double* dzr = dan + rows * kHid;
   double* rh = dzr + rows * 2 * kHid;
-  for (std::size_t i = 0; i < rows; ++i)
-    gru_backward_row<V>(dx, dh, g, h + i * kHid, z, r, n, i, in, w,
-                        dan + i * kHid, dzr + i * 2 * kHid, rh + i * kHid);
+  const auto h_row = [&](std::size_t i) {
+    return h + (h_rows != nullptr ? h_rows[i] : i) * kHid;
+  };
+  const bool carry = carry_rows != nullptr;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t o = i * kHid;
+    double* dh_i =
+        dh == nullptr ? nullptr
+                      : dh + (carry ? carry_rows[i] : i) * kHid;
+    gru_backward_row<V>(du + (du_rows != nullptr ? du_rows[i] : i) * 3 * kHid,
+                        dh_i, carry, g + o, h_row(i), z + o, r + o, n + o, w,
+                        dan + o, dzr + 2 * o, rh + o);
+  }
 
-  // The z/r weight grads of the x rows, then of the h rows, as the
-  // fresh ((in + hid) x 2 hid) block of the composed backward, and one
-  // more row holding [bz | br], which accumulate onto their grads.
-  // Wxn, Whn and bn accumulate onto their grads in place.
-  zr.assign((in + kHid + 1) * 2 * kHid, 0.0);
-  double* zr_bias = zr.data() + (in + kHid) * 2 * kHid;
-  std::memcpy(zr_bias, dw.bz, kHid * sizeof(double));
-  std::memcpy(zr_bias + kHid, dw.br, kHid * sizeof(double));
-
-  static const double kOne = 1.0;
+  // The Whz/Whr grads as the fresh (hid x 2 hid) block of the composed
+  // backward's stacked panel; Whn accumulates onto its grad in place.
+  zr.assign(kHid * 2 * kHid, 0.0);
+  const double* h_b[kGradRowBlock];
+  const double* rh_b[kGradRowBlock];
   for (std::size_t p0 = 0; p0 < rows; p0 += kGradRowBlock) {
     const std::size_t pb =
         rows - p0 < kGradRowBlock ? rows - p0 : kGradRowBlock;
-    const double* dzr_b = dzr + p0 * 2 * kHid;
-    const double* dan_b = dan + p0 * kHid;
-    tn_grad_rows<2 * V>(zr.data(), in, x + p0 * in, in, 1, dzr_b, pb);
-    tn_grad_rows<2 * V>(zr.data() + in * 2 * kHid, kHid, h + p0 * kHid, kHid,
-                        1, dzr_b, pb);
-    tn_grad_rows<2 * V>(zr_bias, 1, &kOne, 0, 0, dzr_b, pb);
-    tn_grad_rows<V>(dw.wxn, in, x + p0 * in, in, 1, dan_b, pb);
-    tn_grad_rows<V>(dw.whn, kHid, rh + p0 * kHid, kHid, 1, dan_b, pb);
-    tn_grad_rows<V>(dw.bn, 1, &kOne, 0, 0, dan_b, pb);
+    for (std::size_t p = 0; p < pb; ++p) {
+      h_b[p] = h_row(p0 + p);
+      rh_b[p] = rh + (p0 + p) * kHid;
+    }
+    tn_grad_rows<2 * V>(zr.data(), kHid, h_b, dzr + p0 * 2 * kHid, pb);
+    tn_grad_rows<V>(dw.whn, kHid, rh_b, dan + p0 * kHid, pb);
   }
 
   // grad += block, the composed backward's add_block.
-  const auto add_half = [&](double* grad, const double* block,
-                            std::size_t count, std::size_t half) {
-    for (std::size_t i = 0; i < count; ++i)
-      for (std::size_t c = 0; c < kHid; ++c)
-        grad[i * kHid + c] += block[i * 2 * kHid + half * kHid + c];
-  };
-  add_half(dw.wxz, zr.data(), in, 0);
-  add_half(dw.wxr, zr.data(), in, 1);
-  add_half(dw.whz, zr.data() + in * 2 * kHid, kHid, 0);
-  add_half(dw.whr, zr.data() + in * 2 * kHid, kHid, 1);
-  std::memcpy(dw.bz, zr_bias, kHid * sizeof(double));
-  std::memcpy(dw.br, zr_bias + kHid, kHid * sizeof(double));
+  for (std::size_t i = 0; i < kHid; ++i)
+    for (std::size_t c = 0; c < kHid; ++c) {
+      dw.whz[i * kHid + c] += zr[i * 2 * kHid + c];
+      dw.whr[i * kHid + c] += zr[i * 2 * kHid + kHid + c];
+    }
 }
 
-bool gru_step_backward(double* dx, double* dh, const GruGrads& dw,
-                       const double* g, const double* x,
-                       const std::uint32_t* x_rows, const double* h,
-                       const std::uint32_t* h_rows, const double* z,
-                       const double* r, const double* n, std::size_t rows,
-                       std::size_t in, std::size_t hid, const GruWeights& w) {
-  if (in % 4 != 0) return false;
+bool gru_step_backward(double* du, const std::uint32_t* du_rows, double* dh,
+                       const std::uint32_t* carry_rows, const double* g,
+                       const double* h, const std::uint32_t* h_rows,
+                       const double* z, const double* r, const double* n,
+                       std::size_t rows, std::size_t hid, const GruWeights& w,
+                       const GruGrads& dw) {
   switch (hid) {
     case 4:
-      gru_backward<1>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
-                      w);
+      gru_backward<1>(du, du_rows, dh, carry_rows, g, h, h_rows, z, r, n,
+                      rows, w, dw);
       return true;
     case 8:
-      gru_backward<2>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
-                      w);
+      gru_backward<2>(du, du_rows, dh, carry_rows, g, h, h_rows, z, r, n,
+                      rows, w, dw);
       return true;
     case 12:
-      gru_backward<3>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
-                      w);
+      gru_backward<3>(du, du_rows, dh, carry_rows, g, h, h_rows, z, r, n,
+                      rows, w, dw);
       return true;
     case 16:
-      gru_backward<4>(dx, dh, dw, g, x, x_rows, h, h_rows, z, r, n, rows, in,
-                      w);
+      gru_backward<4>(du, du_rows, dh, carry_rows, g, h, h_rows, z, r, n,
+                      rows, w, dw);
       return true;
     default: return false;
   }

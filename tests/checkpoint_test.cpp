@@ -509,9 +509,13 @@ std::string file_bytes(const std::string& path) {
 // One NaN input used to turn every weight, the Adam moments and the next
 // checkpoint into NaN while fit reported a finite loss: the clip scaled
 // every gradient by max_norm / NaN.  Now the clip throws first.  A clean
-// epoch writes a checkpoint; resuming it on a set with one NaN traffic
-// rate throws std::domain_error at the first step and leaves the weights
-// and the checkpoint (which holds the moments) bit for bit as they were.
+// epoch writes a checkpoint; resuming it on a set with one infinite delay
+// label (it passes the label filter, which keeps labels > 0, and makes
+// the loss and so the gradient non-finite) throws std::domain_error at the
+// first step and leaves the weights and the checkpoint (which holds the
+// moments) bit for bit as they were.  A non-finite input feature no
+// longer reaches the gradient: Model::forward rejects it
+// (ModelInputGuards.*).
 TEST(TrainerGuards, NonFiniteGradientThrowsAndKeepsWeights) {
   util::set_log_level(util::LogLevel::kWarn);
   const fs::path dir = fs::temp_directory_path() /
@@ -522,7 +526,8 @@ TEST(TrainerGuards, NonFiniteGradientThrowsAndKeepsWeights) {
       data::generate_dataset(topo::nsfnet(), 4, gen, 41));
   const data::Scaler scaler = data::Scaler::fit(clean.samples(), 10);
   std::vector<data::Sample> samples = clean.samples();
-  samples[1].paths[0].traffic_bps = std::numeric_limits<double>::quiet_NaN();
+  samples[1].paths[0].mean_delay_s = std::numeric_limits<double>::infinity();
+  samples[1].paths[0].delivered = 1'000;  // above any min_delivered here
   const data::Dataset poisoned(std::move(samples));
 
   for (const std::size_t threads : {1, 2}) {

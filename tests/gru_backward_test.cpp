@@ -1,18 +1,24 @@
 // Gradient oracles for the taped GRU step.
 //
 //   * GruStepBackward: the backend's whole-step kernels (forward with
-//     saved activations, gru_step_backward) against the composed passes
-//     and backward of the same backend, bit for bit, for every kernel
-//     width, ragged row counts, every combination of x/h requires_grad
-//     and a second backward that accumulates onto non-zero grads; and
-//     the taped path-RNN sweep over shuffled positions against
-//     gather_rows -> step -> scatter_rows rebuilt from the public ops, on
-//     the scalar and the SIMD backend;
+//     saved activations, gru_step_backward and the per-x-row x side its
+//     caller runs) against the composed passes and backward of the same
+//     backend, for every kernel width, ragged row counts, every
+//     combination of x/h requires_grad and a second backward that
+//     accumulates onto non-zero grads; the raw kernel's DU rows and dh,
+//     with and without the sweep's carry, against the composed formulas
+//     bit for bit; and the taped path-RNN sweep over shuffled positions
+//     against gather_rows -> step -> scatter_rows rebuilt from the public
+//     ops, on the scalar and the SIMD backend;
 //   * GruSweep: the taped sweep over real NSFNET and GEANT2 plans against
-//     the same per-position tape, values and every grad bit for bit, for
-//     widths with and without a kernel, every requires_grad combination
-//     of its sources and a second round accumulating onto the grads of
-//     the first; and its guards;
+//     the same per-position tape, for widths with and without a kernel,
+//     every requires_grad combination of its sources and a second round
+//     accumulating onto the grads of the first; and its guards.
+//   Values, the initial-state and h grads and the Wh* grads match bit for
+//   bit everywhere; so does every grad on the scalar backend and at widths
+//   without a kernel.  Where the backward kernel runs, the x-side grads
+//   (source, Wx* and bias) are summed per x row and match to rounding
+//   (grad_rounding.hpp);
 //   * TrainGolden: a digest of every parameter gradient of
 //     Trainer::sample_loss over the ForwardOracle sweep (both model
 //     kinds, both node rules, mean aggregation on and off, widths with
@@ -21,7 +27,10 @@
 //     kernels' gradients to the composed ones bit for bit.  It was
 //     re-captured when the AVX2 sigmoid and tanh became one division per
 //     vector: 243,363 of the 270,816 digested losses and grads moved, by
-//     at most 3.9e-14 absolute.
+//     at most 3.9e-14 absolute.  It was re-captured again when the
+//     backward kernel's caller began summing the x side per source row:
+//     161,092 moved, by at most 7.1e-15 absolute (7.5e-15 of the
+//     tensor's largest |value|); the losses did not move.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,6 +53,7 @@
 #include "nn/ops.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
+#include "grad_rounding.hpp"
 
 namespace {
 
@@ -82,18 +92,53 @@ Tensor random_tensor(std::size_t r, std::size_t c, util::RngStream& rng) {
   return nn::uniform_init(r, c, -2.0, 2.0, rng);
 }
 
+/// Whether `b` runs the GRU backward kernel at this width (AVX2 at
+/// H in {4, 8, 12, 16}).  Where it does, the caller sums the x side of the
+/// backward per x row, so those grads differ from the per-row composed
+/// order by rounding.
+bool backward_kernel_runs(const Backend& b, std::size_t hid) {
+  return b.gru_step_backward != nullptr && hid % 4 == 0 && hid <= 16;
+}
+
 /// Every tensor a backward touched: the output, the inputs' grads (when
-/// they require grad) and the cell's parameter grads.
+/// they require grad) and the cell's parameter grads.  `rounded` marks
+/// the grads the kernel's route sums in another order (grad_rounding.hpp):
+/// a source's or x's grad, the Wx* and bias grads, and dh when the input
+/// width is not a multiple of 4.
 struct StepResult {
   std::vector<Tensor> tensors;
+  std::vector<bool> rounded;
 
-  [[nodiscard]] bool operator==(const StepResult& o) const {
-    if (tensors.size() != o.tensors.size()) return false;
-    for (std::size_t i = 0; i < tensors.size(); ++i)
-      if (!bitwise_equal(tensors[i], o.tensors[i])) return false;
-    return true;
+  void add(const Tensor& t, bool rounded_grad = false) {
+    tensors.push_back(t);
+    rounded.push_back(rounded_grad);
+  }
+  /// The cell's nine parameter grads, which are then zeroed.
+  void add_params(const nn::GRUCell& cell) {
+    for (auto& [name, p] : cell.named_params()) {
+      add(p.grad(), name.find(".wh") == std::string::npos);
+      p.zero_grad();
+    }
   }
 };
+
+/// got against the reference route's want, bit for bit, except that where
+/// `kernel_ran` (the backward kernel ran on got's route) the rounded grads
+/// need only be within_rounding.
+::testing::AssertionResult matches(const StepResult& got,
+                                   const StepResult& want, bool kernel_ran) {
+  if (got.tensors.size() != want.tensors.size())
+    return ::testing::AssertionFailure() << "tensor count differs";
+  for (std::size_t i = 0; i < got.tensors.size(); ++i) {
+    const auto ok =
+        kernel_ran && want.rounded[i]
+            ? test::within_rounding(got.tensors[i], want.tensors[i])
+            : ::testing::AssertionResult(
+                  bitwise_equal(got.tensors[i], want.tensors[i]));
+    if (!ok) return ::testing::AssertionFailure() << "tensor " << i << " " << ok.message();
+  }
+  return ::testing::AssertionSuccess();
+}
 
 /// One taped step with a non-uniform upstream gradient, back-propagated
 /// twice: the second sweep adds onto the grads of the first.
@@ -106,13 +151,11 @@ StepResult taped_step_twice(const nn::GRUCell& cell, const Tensor& xv,
   const Var loss = nn::sum_all(nn::mul(y, nn::constant(weight)));
   loss.backward();
   loss.backward();
-  StepResult out{{y.value()}};
-  if (x_grad) out.tensors.push_back(x.grad());
-  if (h_grad) out.tensors.push_back(h.grad());
-  for (auto& [name, p] : cell.named_params()) {
-    out.tensors.push_back(p.grad());
-    p.zero_grad();
-  }
+  StepResult out;
+  out.add(y.value());
+  if (x_grad) out.add(x.grad(), /*rounded_grad=*/true);
+  if (h_grad) out.add(h.grad(), cell.input_dim() % 4 != 0);
+  out.add_params(cell);
   return out;
 }
 
@@ -145,7 +188,7 @@ TEST(GruStepBackward, KernelMatchesComposedBackwardBitwise) {
               const ScopedBackendOverride pin(*simd);
               got = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
             }
-            EXPECT_TRUE(got == want);
+            EXPECT_TRUE(matches(got, want, /*kernel_ran=*/true));
           }
 }
 
@@ -158,8 +201,9 @@ nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
   return {p(0), p(1), p(2), p(3), p(4), p(5), p(6), p(7), p(8)};
 }
 
-// The raw entry declines a width or input width it has no kernel for
-// before touching any memory.
+// The raw entry declines a width it has no kernel for before touching any
+// memory.  It never reads x, so the input width does not matter: a cell
+// of 3 inputs and 12 state columns takes the kernel.
 TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
   const Backend* simd = nn::kernels::simd_backend();
   if (simd == nullptr || simd->gru_step_backward == nullptr)
@@ -167,13 +211,128 @@ TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
   util::RngStream rng(7100);
   for (const auto& [in, hid] :
        {std::pair<std::size_t, std::size_t>{10, 10}, {3, 12}, {12, 20}}) {
-    const nn::GRUCell cell(in, hid, rng);
-    const nn::kernels::GruGrads none{};
-    EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, none, nullptr,
-                                         nullptr, nullptr, nullptr, nullptr,
-                                         nullptr, nullptr, nullptr, 5, in,
-                                         hid, weights_of(cell)));
+    SCOPED_TRACE("in=" + std::to_string(in) + " hid=" + std::to_string(hid));
+    nn::GRUCell cell(in, hid, rng);
+    if (hid % 4 != 0 || hid > 16) {
+      const nn::kernels::GruGrads none{};
+      EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, nullptr,
+                                           nullptr, nullptr, nullptr, nullptr,
+                                           nullptr, nullptr, nullptr, 5, hid,
+                                           weights_of(cell), none));
+      continue;
+    }
+    // One row with no dh: the DU row and the h-side grads are written.
+    const Tensor h = random_tensor(1, hid, rng);
+    const Tensor g = random_tensor(1, hid, rng);
+    const Tensor acts = nn::uniform_init(3, hid, 0.1, 0.9, rng);
+    Tensor du(1, 3 * hid);
+    std::vector<Tensor> grads;
+    for (const auto& [name, p] : cell.named_params())
+      grads.emplace_back(p.rows(), p.cols());
+    const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
+    const nn::kernels::GruGrads dw{d(0), d(1), d(2), d(3), d(4),
+                                   d(5), d(6), d(7), d(8)};
+    EXPECT_TRUE(simd->gru_step_backward(
+        du.flat().data(), nullptr, nullptr, nullptr, g.flat().data(),
+        h.flat().data(), nullptr, acts.row(0).data(), acts.row(1).data(),
+        acts.row(2).data(), 1, hid, weights_of(cell), dw));
+    EXPECT_NE(du(0, 0), 0.0);
+    for (const std::size_t i : {0, 2, 3, 5, 6, 8})  // wx*, b*: untouched
+      EXPECT_TRUE(
+          bitwise_equal(grads[i], Tensor(grads[i].rows(), grads[i].cols())));
   }
+}
+
+// The raw kernel's DU rows and dh against the composed backward's
+// formulas on the same backend: dan = g (1-z) (1-n n), daz = g (h-n) z
+// (1-z), dar = drh h r (1-r) with drh = 0 + dan Whn^T, each row's
+// [daz | dar | dan] added into its DU row in row order (repeated DU rows
+// sum), and dh = (dh + (0 + [daz|dar] [Whz|Whr]^T)) + (g z + drh r).
+// With a carry, g is first carry + g and dh replaces the carry row (dh
+// from 0); without one, dh adds onto a non-zero buffer.
+TEST(GruStepBackward, DuRowsMatchComposedFormulasBitwise) {
+  const Backend* simd = nn::kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step_backward == nullptr)
+    GTEST_SKIP() << "no GRU backward kernel on this host";
+  constexpr std::size_t kSources = 5, kPaths = 40;
+  for (const std::size_t hid : {4, 8, 12, 16})
+    for (const std::size_t rows : {1, 3, 37})
+      for (const bool carry : {false, true}) {
+        SCOPED_TRACE("hid=" + std::to_string(hid) + " rows=" +
+                     std::to_string(rows) + " carry=" + std::to_string(carry));
+        util::RngStream rng(7150 + 31 * hid + rows + 1000 * carry);
+        nn::GRUCell cell(hid, hid, rng);
+        const nn::kernels::GruWeights w = weights_of(cell);
+        const Tensor g = random_tensor(rows, hid, rng);
+        const Tensor h = random_tensor(kPaths, hid, rng);
+        const Tensor z = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
+        const Tensor r = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
+        const Tensor n = nn::uniform_init(rows, hid, -0.95, 0.95, rng);
+        // dh rows: distinct carry rows of kPaths, or rows 0..rows-1.
+        std::vector<Index> dh_rows(kPaths), h_rows(rows), du_rows(rows);
+        std::iota(dh_rows.begin(), dh_rows.end(), Index{0});
+        for (std::size_t i = 0; i < kPaths; ++i)
+          std::swap(dh_rows[i], dh_rows[static_cast<std::size_t>(
+                                    rng.uniform_int(static_cast<std::int64_t>(i),
+                                                    kPaths - 1))]);
+        for (std::size_t i = 0; i < rows; ++i) {
+          h_rows[i] = static_cast<Index>(rng.uniform_int(0, kPaths - 1));
+          du_rows[i] = static_cast<Index>(rng.uniform_int(0, kSources - 1));
+          if (!carry) dh_rows[i] = static_cast<Index>(i);
+        }
+        const Tensor dh0 = random_tensor(kPaths, hid, rng);
+
+        // The formulas, row by row, on the backend's matmul_nt_acc.
+        Tensor gi(rows, hid), dan(rows, hid), dzr(rows, 2 * hid);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t c = 0; c < hid; ++c) {
+            gi(i, c) = carry ? dh0(dh_rows[i], c) + g(i, c) : g(i, c);
+            const double hv = h(h_rows[i], c);
+            dan(i, c) = gi(i, c) * (1.0 - z(i, c)) * (1.0 - n(i, c) * n(i, c));
+            dzr(i, c) = gi(i, c) * (hv - n(i, c)) * z(i, c) * (1.0 - z(i, c));
+          }
+        Tensor drh(rows, hid);
+        simd->matmul_nt_acc(drh.flat().data(), dan.flat().data(), w.whn, rows,
+                            hid, hid);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t c = 0; c < hid; ++c)
+            dzr(i, hid + c) = drh(i, c) * h(h_rows[i], c) * r(i, c) *
+                              (1.0 - r(i, c));
+        Tensor want_du(kSources, 3 * hid);
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t c = 0; c < 3 * hid; ++c)
+            want_du(du_rows[i], c) +=
+                c < 2 * hid ? dzr(i, c) : dan(i, c - 2 * hid);
+        Tensor w_zr(hid, 2 * hid), s1(rows, hid);
+        for (std::size_t j = 0; j < hid; ++j)
+          for (std::size_t c = 0; c < hid; ++c) {
+            w_zr(j, c) = w.whz[j * hid + c];
+            w_zr(j, hid + c) = w.whr[j * hid + c];
+          }
+        simd->matmul_nt_acc(s1.flat().data(), dzr.flat().data(),
+                            w_zr.flat().data(), rows, 2 * hid, hid);
+        Tensor want_dh = dh0;
+        for (std::size_t i = 0; i < rows; ++i)
+          for (std::size_t c = 0; c < hid; ++c) {
+            double& d = want_dh(dh_rows[i], c);
+            d = ((carry ? 0.0 : d) + (0.0 + s1(i, c))) +
+                (gi(i, c) * z(i, c) + drh(i, c) * r(i, c));
+          }
+
+        Tensor du(kSources, 3 * hid), dh = dh0;
+        std::vector<Tensor> grads;
+        for (const auto& [name, p] : cell.named_params())
+          grads.emplace_back(p.rows(), p.cols());
+        const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
+        ASSERT_TRUE(simd->gru_step_backward(
+            du.flat().data(), du_rows.data(), dh.flat().data(),
+            carry ? dh_rows.data() : nullptr, g.flat().data(),
+            h.flat().data(), h_rows.data(), z.flat().data(), r.flat().data(),
+            n.flat().data(), rows, hid, w,
+            {d(0), d(1), d(2), d(3), d(4), d(5), d(6), d(7), d(8)}));
+        EXPECT_TRUE(bitwise_equal(du, want_du));
+        EXPECT_TRUE(bitwise_equal(dh, want_dh));
+      }
 }
 
 // ---- the taped sweep against the triple it replaced --------------------------
@@ -241,15 +400,13 @@ StepResult unroll(const nn::GRUCell& cell, const Unroll& u,
   }
   loss = nn::add(loss, nn::sum_all(nn::mul(hidden, nn::constant(w_state))));
   loss.backward();
-  StepResult out{std::move(values)};
-  out.tensors.push_back(hidden.value());
-  out.tensors.push_back(loss.value());
-  out.tensors.push_back(src.grad());
-  out.tensors.push_back(start.grad());
-  for (auto& [name, p] : cell.named_params()) {
-    out.tensors.push_back(p.grad());
-    p.zero_grad();
-  }
+  StepResult out;
+  for (const Tensor& v : values) out.add(v);
+  out.add(hidden.value());
+  out.add(loss.value());
+  out.add(src.grad(), /*rounded_grad=*/true);
+  out.add(start.grad());
+  out.add_params(cell);
   return out;
 }
 
@@ -271,7 +428,7 @@ TEST(GruStepBackward, IndexedStepMatchesGatherStepScatterBitwise) {
             unroll(cell, u, src, hidden, w_state, w_msg, /*indexed=*/false);
         const StepResult got =
             unroll(cell, u, src, hidden, w_state, w_msg, /*indexed=*/true);
-        EXPECT_TRUE(got == want);
+        EXPECT_TRUE(matches(got, want, backward_kernel_runs(*backend, hid)));
       }
   }
 }
@@ -337,7 +494,7 @@ StepResult sweep_rounds(const SweepInputs& in, const core::MpPlan& plan,
   const Var nodes(in.nodes, mask.nodes);
   StepResult out;
   for (int round = 0; round < 2; ++round) {
-    out.tensors.clear();
+    out = StepResult{};
     Var loss = nn::add(nn::sum_all(nn::mul(links, links)),
                        nn::sum_all(nn::mul(nodes, nodes)));
     nn::GruSweep sw(in.cell, initial, {links, nodes}, plan.total_entries());
@@ -356,7 +513,7 @@ StepResult sweep_rounds(const SweepInputs& in, const core::MpPlan& plan,
         hidden = nn::scatter_rows(hidden, pos.path_rows, h2);
         msg = nn::segment_sum(h2, pos.elem_ids, elems);
       }
-      out.tensors.push_back(msg.value());
+      out.add(msg.value());
       loss = nn::add(loss, nn::sum_all(nn::mul(
                                msg, nn::constant(pos.is_node ? in.w_node
                                                              : in.w_link))));
@@ -364,15 +521,13 @@ StepResult sweep_rounds(const SweepInputs& in, const core::MpPlan& plan,
     if (sweep) hidden = sw.states();
     loss = nn::add(loss, nn::sum_all(nn::mul(hidden, nn::constant(in.w_state))));
     loss.backward();
-    out.tensors.push_back(hidden.value());
-    out.tensors.push_back(loss.value());
+    out.add(hidden.value());
+    out.add(loss.value());
   }
-  for (const Var* v : {&initial, &links, &nodes})
-    if (v->requires_grad()) out.tensors.push_back(v->grad());
-  for (auto& [name, p] : in.cell.named_params()) {
-    out.tensors.push_back(p.grad());
-    p.zero_grad();
-  }
+  if (initial.requires_grad()) out.add(initial.grad());
+  for (const Var* v : {&links, &nodes})
+    if (v->requires_grad()) out.add(v->grad(), /*rounded_grad=*/true);
+  out.add_params(in.cell);
   return out;
 }
 
@@ -402,7 +557,8 @@ TEST(GruSweep, MatchesPerPositionTapeOnPlansBitwise) {
                 const GradMask mask{g_initial, g_links, g_nodes};
                 const StepResult want = sweep_rounds(in, *plan, mask, false);
                 const StepResult got = sweep_rounds(in, *plan, mask, true);
-                EXPECT_TRUE(got == want);
+                EXPECT_TRUE(
+                    matches(got, want, backward_kernel_runs(*backend, hid)));
               }
         }
       }
@@ -529,7 +685,7 @@ TEST(TrainGolden, Avx2GradientDigest) {
               }
             }
           }
-  EXPECT_EQ(h, 0x0c8df01131aac8f9ull) << std::hex << "0x" << h;
+  EXPECT_EQ(h, 0xa1d0617295494c41ull) << std::hex << "0x" << h;
 }
 
 }  // namespace

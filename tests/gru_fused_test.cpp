@@ -3,7 +3,9 @@
 //
 // GruProject.*: the whole-step kernels (kernels::Backend::gru_project and
 // gru_step) against the same backend's matmul route (matmul_acc +
-// gru_gates + gru_blend), bitwise, on raw rows and through nn::GruSweep:
+// gru_gates + gru_blend), bitwise (through a taped nn::GruSweep, the
+// grads the backward sums per source row to rounding), on raw rows and
+// through nn::GruSweep:
 // contiguous and indexed rows, x rows repeated across rows and positions,
 // odd row counts, taped and untaped; sweeps whose sources are replaced
 // between iterations; and the sweep's source-width guard.
@@ -23,6 +25,7 @@
 #include "nn/ops.hpp"
 #include "nn/pool.hpp"
 #include "util/rng.hpp"
+#include "grad_rounding.hpp"
 
 namespace {
 
@@ -194,13 +197,6 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
          (a.size() == 0 ||  // empty tensors may hold null data pointers
           std::memcmp(a.flat().data(), b.flat().data(),
                       a.size() * sizeof(double)) == 0);
-}
-
-bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bitwise_equal(a[i], b[i])) return false;
-  return true;
 }
 
 /// `b` without its whole-step GRU kernels: every step runs b's matmul
@@ -384,10 +380,25 @@ struct Positions {
   }
 };
 
+/// What indexed_sweep returns: its tensors, and which grads the backward
+/// kernel's route sums in another order (grad_rounding.hpp): the source's,
+/// the Wx* and bias grads, and, when the input width is not a multiple of
+/// 4, every grad (each earlier position reads the carry a later one's dh
+/// wrote).
+struct SweepOut {
+  std::vector<Tensor> tensors;
+  std::vector<bool> rounded;
+
+  void add(const Tensor& t, bool rounded_grad = false) {
+    tensors.push_back(t);
+    rounded.push_back(rounded_grad);
+  }
+};
+
 /// One sweep over `ps`, then (taped) a backward of a loss over every
 /// position's messages and the final states: each message, the states,
 /// then the source's, the initial states' and the cell's grads.
-std::vector<Tensor> indexed_sweep(const GRUCell& cell, const Positions& ps,
+SweepOut indexed_sweep(const GRUCell& cell, const Positions& ps,
                                   const Tensor& src0, const Tensor& initial0,
                                   const Tensor& w_msg, const Tensor& w_state,
                                   bool taped) {
@@ -396,25 +407,26 @@ std::vector<Tensor> indexed_sweep(const GRUCell& cell, const Positions& ps,
   const Var src(src0, taped);
   const Var initial(initial0, taped);
   GruSweep sweep(cell, initial, {src}, ps.entries());
-  std::vector<Tensor> out;
+  SweepOut out;
   Var loss;
   for (std::size_t p = 0; p < ps.path_rows.size(); ++p) {
     sweep.step(src, ps.elem_ids[p], ps.path_rows[p]);
     const Var msg = sweep.messages(Positions::kElems);
-    out.push_back(msg.value());
+    out.add(msg.value());
     if (taped) {
       const Var term = sum_all(mul(msg, constant(w_msg)));
       loss = loss.defined() ? add(loss, term) : term;
     }
   }
   const Var states = sweep.states();
-  out.push_back(states.value());
+  out.add(states.value());
   if (!taped) return out;
   add(loss, sum_all(mul(states, constant(w_state)))).backward();
-  out.push_back(src.grad());
-  out.push_back(initial.grad());
+  const bool dh_rounded = cell.input_dim() % 4 != 0;
+  out.add(src.grad(), /*rounded_grad=*/true);
+  out.add(initial.grad(), dh_rounded);
   for (auto& [name, p] : cell.named_params()) {
-    out.push_back(p.grad());
+    out.add(p.grad(), dh_rounded || name.find(".wh") == std::string::npos);
     p.zero_grad();
   }
   return out;
@@ -438,7 +450,7 @@ TEST(GruProject, IndexedSweepMatchesMatmulRouteBitwise) {
           const Tensor initial = random_tensor(Positions::kPaths, hid, rng);
           const Tensor w_msg = random_tensor(Positions::kElems, hid, rng);
           const Tensor w_state = random_tensor(Positions::kPaths, hid, rng);
-          std::vector<Tensor> want, got;
+          SweepOut want, got;
           {
             const ScopedBackendOverride pin(composed);
             want = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
@@ -447,7 +459,17 @@ TEST(GruProject, IndexedSweepMatchesMatmulRouteBitwise) {
             const ScopedBackendOverride pin(*simd);
             got = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
           }
-          EXPECT_TRUE(bitwise_equal(got, want));
+          // Values and the Wh* grads bit for bit, the rounded grads to
+          // rounding.
+          ASSERT_EQ(got.tensors.size(), want.tensors.size());
+          for (std::size_t i = 0; i < got.tensors.size(); ++i) {
+            SCOPED_TRACE("tensor " + std::to_string(i));
+            if (want.rounded[i])
+              EXPECT_TRUE(rnx::test::within_rounding(got.tensors[i],
+                                                  want.tensors[i]));
+            else
+              EXPECT_TRUE(bitwise_equal(got.tensors[i], want.tensors[i]));
+          }
         }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -278,18 +279,17 @@ TEST(CompositeGradient, MessagePassingShapedExpression) {
 
 // One taped sweep over paths of three, two, one and no elements, reading
 // link and node states in turn, then its messages and final states.
-TEST(SweepGradient, PathSweepAllInputs) {
-  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+GradCheckReport path_sweep_all_inputs(std::size_t in, std::size_t hid) {
   RngStream rng(13);
-  GRUCell cell(3, 3, rng, "p");
-  Var initial = rand_param(4, 3, rng);
-  Var links = rand_param(3, 3, rng);
-  Var nodes = rand_param(2, 3, rng);
+  GRUCell cell(in, hid, rng, "p");
+  Var initial = rand_param(4, hid, rng);
+  Var links = rand_param(3, in, rng);
+  Var nodes = rand_param(2, in, rng);
   const std::vector<std::vector<Index>> rows{{0, 1, 2}, {0, 1}, {1}};
   const std::vector<std::vector<Index>> ids{{1, 0, 2}, {1, 1}, {0}};
   std::vector<Var> params{initial, links, nodes};
   for (auto& [n, v] : cell.named_params()) params.push_back(v);
-  auto rep = grad_check(
+  return grad_check(
       [&] {
         GruSweep sweep(cell, initial, {links, nodes}, 6);
         Var loss;
@@ -303,32 +303,72 @@ TEST(SweepGradient, PathSweepAllInputs) {
         return add(loss, mean_all(mul(sweep.states(), initial)));
       },
       params);
+}
+
+TEST(SweepGradient, PathSweepAllInputs) {
+  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+  const auto rep = path_sweep_all_inputs(3, 3);
   EXPECT_LT(rep.max_rel_err, kTol) << "entries=" << rep.entries;
 }
 
+// The same sweep on the SIMD backend at widths its whole-step kernels
+// take, so the backward kernel and the per-source x side run; an input
+// width of 3 shows the kernel does not depend on it.
+TEST(SweepGradient, PathSweepAllInputsNative) {
+  const kernels::Backend* simd = kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step_backward == nullptr)
+    GTEST_SKIP() << "no GRU backward kernel on this host";
+  const kernels::ScopedBackendOverride pin(*simd);
+  for (const auto& [in, hid] :
+       {std::pair<std::size_t, std::size_t>{3, 4}, {8, 8}}) {
+    const auto rep = path_sweep_all_inputs(in, hid);
+    EXPECT_LT(rep.max_rel_err, kTol)
+        << "in=" << in << " hid=" << hid << " entries=" << rep.entries;
+  }
+}
+
 // The training loss of the extended model, whose every path-RNN
-// iteration is one sweep node: all parameters, scalar backend.
-TEST(SweepGradient, ExtendedModelLoss) {
-  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+// iteration is one sweep node: all parameters.
+GradCheckReport extended_model_loss(std::size_t dim) {
   rnx::data::GeneratorConfig gen;
   gen.target_packets = 2'000;
   const auto samples =
       rnx::data::generate_dataset(rnx::topo::ring(5), 1, gen, 29);
   const auto scaler = rnx::data::Scaler::fit(samples);
   rnx::core::ModelConfig cfg;
-  cfg.state_dim = 4;
+  cfg.state_dim = dim;
   cfg.readout_hidden = 4;
   cfg.iterations = 2;
   const rnx::core::Model model(rnx::core::ModelKind::kExtended, cfg);
   std::vector<Var> params;
   for (auto& [n, v] : model.named_params()) params.push_back(v);
-  auto rep = grad_check(
+  return grad_check(
       [&] {
         return rnx::core::Trainer::sample_loss(model, samples[0], scaler, 1);
       },
       params);
+}
+
+TEST(SweepGradient, ExtendedModelLoss) {
+  const kernels::ScopedBackendOverride pin(kernels::scalar_backend());
+  const auto rep = extended_model_loss(4);
   EXPECT_GT(rep.entries, 300u);
   EXPECT_LT(rep.max_rel_err, 1e-6) << "entries=" << rep.entries;
+}
+
+// The same loss on the SIMD backend, at state widths its whole-step
+// kernels take.
+TEST(SweepGradient, ExtendedModelLossNative) {
+  const kernels::Backend* simd = kernels::simd_backend();
+  if (simd == nullptr || simd->gru_step_backward == nullptr)
+    GTEST_SKIP() << "no GRU backward kernel on this host";
+  const kernels::ScopedBackendOverride pin(*simd);
+  for (const std::size_t dim : {4, 8}) {
+    const auto rep = extended_model_loss(dim);
+    EXPECT_GT(rep.entries, 300u);
+    EXPECT_LT(rep.max_rel_err, 1e-6)
+        << "dim=" << dim << " entries=" << rep.entries;
+  }
 }
 
 }  // namespace
