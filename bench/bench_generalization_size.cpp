@@ -7,9 +7,17 @@
 // does accuracy survive a 6x size extrapolation, and how much plan
 // memory does one forward over the big graphs actually take?
 //
+// A second table times one untrained serving-shape forward (extended,
+// H=12, T=4) on BA-100 and BA-300 on 1, 2 and 4 lanes: a lone forward
+// splits its path rows over a pool's idle lanes (DESIGN.md §T), with
+// the split's capture arena reported next to it.
+//
 // BENCH_generalization_size.json carries the MRE-vs-size curve plus
-// per-size plan bytes.
+// per-size plan bytes, forward times and arena bytes.
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -20,12 +28,83 @@
 #include "core/model.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
+#include "nn/autograd.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
+
+using namespace rnx;
+
+namespace {
+
+/// Min of `reps` untaped forwards of `model` on `pool` (null: one lane),
+/// and the predictions of the last.
+double min_forward_ms(const core::Model& model, const data::Sample& s,
+                      const data::Scaler& sc, util::ThreadPool* pool,
+                      int reps, nn::Tensor& pred) {
+  const nn::NoGradGuard guard;
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pred = model.forward(s, sc, pool).value();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
+/// The forward-timing table: BA-100 and BA-300, 1/2/4 lanes.
+void time_split_forward(benchcfg::BenchResult& result) {
+  constexpr int kReps = 7;
+  core::ModelConfig mc;
+  mc.state_dim = 12;
+  mc.readout_hidden = 24;
+  mc.iterations = 4;
+  const core::Model model(core::ModelKind::kExtended, mc);
+  data::GeneratorConfig gen;
+  gen.target_packets = 20'000;  // labels unused: only the inputs matter
+
+  util::Table table({"BA nodes", "paths", "1 lane ms", "2 lanes ms",
+                     "4 lanes ms", "split arena bytes", "bitwise"});
+  for (const std::size_t n : {std::size_t{100}, std::size_t{300}}) {
+    util::RngStream trng(11'000 + n);
+    const topo::Topology topo = topo::barabasi_albert(n, 2, trng);
+    util::RngStream rng(12'000 + n);
+    const data::Sample s = data::generate_sample(topo, gen, rng);
+    const data::Scaler sc = data::Scaler::fit(std::vector<data::Sample>{s}, 0);
+    std::vector<std::string> row{std::to_string(n),
+                                 std::to_string(s.paths.size())};
+    nn::Tensor serial, split;
+    bool bitwise = true;
+    std::string tag = "n";
+    tag += std::to_string(n);
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      util::ThreadPool pool(lanes);
+      const double ms = min_forward_ms(model, s, sc, &pool, kReps,
+                                       lanes == 1 ? serial : split);
+      if (lanes > 1)
+        bitwise = bitwise && split.same_shape(serial) &&
+                  std::memcmp(split.flat().data(), serial.flat().data(),
+                              serial.size() * sizeof(double)) == 0;
+      row.push_back(util::Table::cell(ms, 1));
+      result.add(tag + "_forward_ms_" + std::to_string(lanes) + "lane", ms);
+    }
+    const std::size_t arena = model.split_arena_bytes(s);
+    row.push_back(std::to_string(arena));
+    row.push_back(bitwise ? "yes" : "NO");
+    result.add(tag + "_split_arena_bytes", static_cast<double>(arena));
+    table.add_row(row);
+  }
+  std::cout << "\nuntrained extended forward (H=12, T=4), min of " << kReps
+            << ", split over 1/2/4 pool lanes:\n";
+  table.print(std::cout);
+}
+
+}  // namespace
 
 int main() {
-  using namespace rnx;
   benchcfg::print_banner(
       "Extension: train small, serve huge (size generalization)");
   benchcfg::BenchResult result("generalization_size");
@@ -108,6 +187,7 @@ int main() {
                "scale-invariant inputs keep features in-distribution);\n"
                "plan bytes grow linearly in total path length, not in\n"
                "paths x links.\n";
+  time_split_forward(result);
   result.set_config(
       "extended RouteNet(state_dim 10, iters 3, scale-invariant), " +
       std::to_string(train.size()) + " train samples on BA{20..50}, " +

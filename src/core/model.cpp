@@ -71,15 +71,17 @@ std::vector<nn::Tensor> Model::forward_batch(
     errors->clear();
     errors->resize(samples.size());
   }
+  // A lone sample's forward splits over the pool instead.
+  util::ThreadPool* const split = samples.size() == 1 ? pool : nullptr;
   const auto eval_one = [&](std::size_t i) {
     if (skip != nullptr && (*skip)[i]) return;
     const nn::NoGradGuard guard;  // thread-local: set per lane
     if (errors == nullptr) {
-      out[i] = forward(*samples[i], scaler).value();
+      out[i] = forward(*samples[i], scaler, split).value();
       return;
     }
     try {
-      out[i] = forward(*samples[i], scaler).value();
+      out[i] = forward(*samples[i], scaler, split).value();
     } catch (...) {
       (*errors)[i] = std::current_exception();
     }
@@ -93,6 +95,10 @@ std::vector<nn::Tensor> Model::forward_batch(
 }
 
 namespace {
+
+// A forward over fewer paths runs on one lane: a lane wake-up would
+// cost more than it saves.
+constexpr std::size_t kMinSplitPaths = 32;
 
 // The bundle feature-gating contract (DESIGN.md §S): a model trained
 // with scenario features must not silently read zeros off a
@@ -305,7 +311,8 @@ std::string Model::name() const {
 }
 
 nn::Var Model::forward(const data::Sample& sample,
-                       const data::Scaler& scaler) const {
+                       const data::Scaler& scaler,
+                       util::ThreadPool* pool) const {
   std::shared_ptr<const MpPlan> plan_holder;
   const MpPlan& plan = plan_for(sample, plan_holder);
   const std::size_t dim = cfg_.state_dim;
@@ -321,6 +328,12 @@ nn::Var Model::forward(const data::Sample& sample,
     node_inv_count = inv_count_var(plan, Entity::kNode, dim);
   if (cfg_.link_mean_aggregation)
     link_inv_count = inv_count_var(plan, Entity::kLink, dim);
+  if (pool != nullptr && pool->size() > 1 && nn::grad_disabled() &&
+      cfg_.fused_gru && cfg_.iterations > 0 &&
+      plan.num_paths >= kMinSplitPaths)
+    return forward_split(plan, std::move(h_path), std::move(h_link),
+                         std::move(h_node), link_inv_count, node_inv_count,
+                         *pool);
   const bool positional_node_msgs =
       cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
 

@@ -65,8 +65,28 @@ class Model {
   /// sample's path order.  Differentiable; wrap in nn::NoGradGuard for
   /// inference.  Throws std::invalid_argument naming the entity when an
   /// input feature is not finite (the initial-state functions below).
+  ///
+  /// `pool` lets an untaped forward borrow idle lanes (DESIGN.md §T):
+  /// with two or more lanes, the path rows split into contiguous ranges
+  /// that lanes step through every position on their own, and the link
+  /// and node sums, entity updates and readout split by rows.  Each sum
+  /// is formed in the serial (position, row) order, so the predictions
+  /// equal the serial forward's bit for bit for any lane count.  Every
+  /// index and feature check runs before a lane starts, so a bad sample
+  /// throws what the serial forward throws.  The pool is taken with
+  /// try_parallel_for: a pool busy with another job runs the forward
+  /// inline.  Ignored while a tape records (the trainer passes none).
   [[nodiscard]] nn::Var forward(const data::Sample& sample,
-                                const data::Scaler& scaler) const;
+                                const data::Scaler& scaler,
+                                util::ThreadPool* pool = nullptr) const;
+
+  /// Bytes a split forward of `sample` allocates on top of the serial
+  /// forward's: the captured link-position states (and node-position
+  /// states under positional node messages) and the per-entity entry
+  /// lists.  0 when it allocates none of these: T <= 1, or the unfused
+  /// op-by-op route, which never splits.
+  [[nodiscard]] std::size_t split_arena_bytes(
+      const data::Sample& sample) const;
 
   /// "routenet" / "routenet-ext" (bench curve keys, log prefixes).
   [[nodiscard]] std::string name() const;
@@ -92,7 +112,8 @@ class Model {
   /// Batched inference: predictions (value tensors, one P x 1 per sample)
   /// for a span of samples, in order.  Runs under NoGradGuard; with a
   /// pool, samples are evaluated concurrently (forward() only reads the
-  /// weights, so lanes can share this model).
+  /// weights, so lanes can share this model), and a lone sample's
+  /// forward splits over the pool instead.
   [[nodiscard]] std::vector<nn::Tensor> forward_batch(
       std::span<const data::Sample> samples, const data::Scaler& scaler,
       util::ThreadPool* pool = nullptr) const;
@@ -132,6 +153,13 @@ class Model {
   /// either way).
   [[nodiscard]] const MpPlan& plan_for(
       const data::Sample& sample, std::shared_ptr<const MpPlan>& local) const;
+  /// The forward after its initial states and mean normalizers, split
+  /// over `pool` (core/split_forward.cpp).
+  [[nodiscard]] nn::Var forward_split(const MpPlan& plan, nn::Var h_path,
+                                      nn::Var h_link, nn::Var h_node,
+                                      const nn::Var& link_inv_count,
+                                      const nn::Var& node_inv_count,
+                                      util::ThreadPool& pool) const;
 
   ModelKind kind_;
   ModelConfig cfg_;

@@ -22,6 +22,16 @@ Tensor pooled_copy(const Tensor& src) {
   return copy;
 }
 
+/// dst (R x C) = rows idx of src (null: src's first R rows).
+Tensor gather(const Tensor& src, const Index* idx, std::size_t rows) {
+  Tensor dst = TensorPool::acquire_uninit(rows, src.cols());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto from = src.row(idx != nullptr ? idx[i] : i);
+    std::copy(from.begin(), from.end(), dst.row(i).begin());
+  }
+  return dst;
+}
+
 }  // namespace
 
 GRUCell::GRUCell(std::size_t input_dim, std::size_t hidden_dim,
@@ -62,14 +72,20 @@ Var GRUCell::step(const Var& x, const Var& h) const {
   return step_fused(x, h);
 }
 
+bool GRUCell::project_rows(double* u, const double* x, const Index* x_rows,
+                           std::size_t rows) const {
+  const auto& backend = kernels::active();
+  return backend.gru_project != nullptr && backend.gru_step != nullptr &&
+         backend.gru_project(u, x, x_rows, rows, in_, hid_, w_.weights());
+}
+
 bool GRUCell::project(Tensor& u, const double* x, const Index* x_rows,
                       std::size_t rows) const {
   const auto& backend = kernels::active();
   if (backend.gru_project == nullptr || backend.gru_step == nullptr)
     return false;
   Tensor out = TensorPool::acquire_uninit(rows, 3 * hid_);
-  if (!backend.gru_project(out.flat().data(), x, x_rows, rows, in_, hid_,
-                           w_.weights())) {
+  if (!project_rows(out.flat().data(), x, x_rows, rows)) {
     TensorPool::release(std::move(out));
     return false;
   }
@@ -123,7 +139,12 @@ void GRUCell::update_rows(const Var& src, std::span<const Index> elem_ids,
                           std::span<const Index> path_rows) const {
   // Copy-on-write: the caller's other handles keep the old states.
   if (hidden.node().use_count() > 1) hidden = Var(pooled_copy(hidden.value()));
-  Tensor& hv = hidden.mutable_value();
+  step_rows(src.value(), src_u, elem_ids, hidden.mutable_value(), path_rows);
+}
+
+void GRUCell::step_rows(const Tensor& src, const Tensor* src_u,
+                        std::span<const Index> elem_ids, Tensor& hv,
+                        std::span<const Index> path_rows) const {
   const std::size_t rows = path_rows.size();
   if (fused_) {
     // Row i's u: src's projection at elem_ids[i], or row i of the rows
@@ -131,7 +152,7 @@ void GRUCell::update_rows(const Var& src, std::span<const Index> elem_ids,
     Tensor read_u;
     const bool projected =
         src_u != nullptr ||
-        project(read_u, src.value().flat().data(), elem_ids.data(), rows);
+        project(read_u, src.flat().data(), elem_ids.data(), rows);
     const bool stepped =
         projected &&
         step_kernel(hv.flat().data(), path_rows.data(),
@@ -144,7 +165,8 @@ void GRUCell::update_rows(const Var& src, std::span<const Index> elem_ids,
 
   // No kernel for this backend or width: step the gathered rows, then
   // write them back in place.
-  const Var h2 = step(gather_rows(src, elem_ids), gather_rows(hidden, path_rows));
+  const Var h2 = step(Var(gather(src, elem_ids.data(), rows)),
+                      Var(gather(hv, path_rows.data(), rows)));
   for (std::size_t i = 0; i < rows; ++i) {
     const auto from = h2.value().row(i);
     std::copy(from.begin(), from.end(), hv.row(path_rows[i]).begin());
@@ -245,16 +267,6 @@ void colsum_block_acc(Tensor& bias_grad, const Tensor& g, std::size_t off) {
 /// bias_grad (1 x H) += column sums of g (R x H).
 void colsum_acc(Tensor& bias_grad, const Tensor& g) {
   colsum_block_acc(bias_grad, g, 0);
-}
-
-/// dst (R x C) = rows idx of src (null: src's first R rows).
-Tensor gather(const Tensor& src, const Index* idx, std::size_t rows) {
-  Tensor dst = TensorPool::acquire_uninit(rows, src.cols());
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto from = src.row(idx != nullptr ? idx[i] : i);
-    std::copy(from.begin(), from.end(), dst.row(i).begin());
-  }
-  return dst;
 }
 
 /// Composed forward of one step over contiguous rows: y, and z, r and n

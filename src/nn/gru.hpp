@@ -76,6 +76,30 @@ class GRUCell {
   void step_indexed(const Var& src, std::span<const Index> elem_ids,
                     Var& hidden, std::span<const Index> path_rows) const;
 
+  /// step_indexed's guards alone: the throws it documents, for a step
+  /// of a hidden state of hidden_rows rows on x rows of src.  A split
+  /// forward (core::Model) runs them for every position before any lane
+  /// steps a row.
+  void check_indexed(const Var& src, std::span<const Index> elem_ids,
+                     std::size_t hidden_rows,
+                     std::span<const Index> path_rows) const;
+
+  /// x's rows x_rows (null: its first `rows`) through the input weights,
+  /// [bz|br|bn] + x [Wxz|Wxr|Wxn] (kernels::Backend::gru_project), into
+  /// u (rows x 3*hidden_dim, row-major); false, with u untouched, when
+  /// the active backend has no whole-step kernel for this width.
+  bool project_rows(double* u, const double* x, const Index* x_rows,
+                    std::size_t rows) const;
+
+  /// step_indexed's update with trusted indices and no tape: hidden's
+  /// rows path_rows step in place on x = src[elem_ids], with no
+  /// copy-on-write.  src_u, when non-null, is all of src projected
+  /// (project_rows); null projects the rows read here.  Calls on
+  /// disjoint path_rows of one hidden tensor may run concurrently.
+  void step_rows(const Tensor& src, const Tensor* src_u,
+                 std::span<const Index> elem_ids, Tensor& hidden,
+                 std::span<const Index> path_rows) const;
+
   /// The op-by-op composition of the same function (reference path for
   /// gradcheck parity and the speedup ablation).
   [[nodiscard]] Var step_composed(const Var& x, const Var& h) const;
@@ -94,15 +118,7 @@ class GRUCell {
   friend class GruSweep;
 
   [[nodiscard]] Var step_fused(const Var& x, const Var& h) const;
-  /// step_indexed's guards: the throws it documents, over a hidden state
-  /// of hidden_rows rows.
-  void check_indexed(const Var& src, std::span<const Index> elem_ids,
-                     std::size_t hidden_rows,
-                     std::span<const Index> path_rows) const;
-  /// u = x's rows x_rows (null: its first `rows`) through the input
-  /// weights, [bz|br|bn] + x [Wxz|Wxr|Wxn] (kernels::Backend::gru_project),
-  /// in a pooled (rows x 3*hidden_dim) tensor; false, with u untouched,
-  /// when the active backend has no whole-step kernel for this width.
+  /// project_rows into a pooled (rows x 3*hidden_dim) tensor.
   bool project(Tensor& u, const double* x, const Index* x_rows,
                std::size_t rows) const;
   /// The backend's whole-step kernel (kernels::Backend::gru_step) on raw
@@ -111,9 +127,7 @@ class GRUCell {
   bool step_kernel(double* y, const Index* y_rows, const double* u,
                    const Index* u_rows, const double* h, const Index* h_rows,
                    std::size_t rows) const;
-  /// step_indexed's update after its guards: hidden's path_rows step on
-  /// x = src[elem_ids], in place.  src_u, when non-null, is all of src
-  /// projected (project()); null projects the rows read here.
+  /// step_rows after a copy-on-write of hidden.
   void update_rows(const Var& src, std::span<const Index> elem_ids,
                    const Tensor* src_u, Var& hidden,
                    std::span<const Index> path_rows) const;

@@ -21,6 +21,7 @@ enum class ServeError : std::uint8_t {
   kShutdown,       ///< scheduler is (or went) down
   kDraining,       ///< graceful drain in progress: new work refused
   kDeadlineExceeded,  ///< deadline already unmeetable at admission
+  kInvalidRequest,    ///< a sample fails admission validation
 };
 
 [[nodiscard]] constexpr const char* to_string(ServeError e) noexcept {
@@ -31,6 +32,7 @@ enum class ServeError : std::uint8_t {
     case ServeError::kShutdown: return "shutdown";
     case ServeError::kDraining: return "draining";
     case ServeError::kDeadlineExceeded: return "deadline-exceeded";
+    case ServeError::kInvalidRequest: return "invalid-request";
   }
   return "invalid";
 }

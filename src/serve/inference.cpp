@@ -32,10 +32,10 @@ std::vector<double> InferenceEngine::to_physical(
   return out;
 }
 
-std::vector<double> InferenceEngine::predict(
-    const data::Sample& sample) const {
+std::vector<double> InferenceEngine::predict(const data::Sample& sample,
+                                             util::ThreadPool* pool) const {
   const nn::NoGradGuard guard;
-  return to_physical(model_->forward(sample, scaler_).value());
+  return to_physical(model_->forward(sample, scaler_, pool).value());
 }
 
 std::vector<std::vector<double>> InferenceEngine::predict_batch(

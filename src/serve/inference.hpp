@@ -13,7 +13,9 @@
 // predict_batch() fans out on the caller's pool with try_parallel_for:
 // a caller that finds the pool busy runs its batch inline, so no caller
 // ever blocks idle.  Cross-request coalescing is serve::BatchScheduler's
-// job; it calls predict() once per sample, on the sample's own engine.
+// job; it calls predict() once per sample, on the sample's own engine,
+// and passes its pool to a lone sample's predict() so that forward
+// splits over the idle lanes.
 //
 // Only the engines a serve::ModelRegistry builds get a plan cache, the
 // registry's shared one (DESIGN.md §G).  Their model is exposed only as
@@ -49,8 +51,12 @@ class InferenceEngine {
 
   /// Per-path predictions for one scenario, in the sample's path order,
   /// in physical units (seconds or seconds^2 per the bundle's target).
-  /// Safe to call concurrently.
-  [[nodiscard]] std::vector<double> predict(const data::Sample& sample) const;
+  /// Safe to call concurrently.  A `pool` splits the forward over its
+  /// idle lanes (core::Model::forward), with the serial bits; a busy
+  /// pool runs it inline.  BatchScheduler passes its pool for a batch
+  /// of one sample.
+  [[nodiscard]] std::vector<double> predict(
+      const data::Sample& sample, util::ThreadPool* pool = nullptr) const;
 
   /// Batched request: one prediction vector per sample, fanned out over
   /// the caller's `pool` (serial when null, inline when the pool is

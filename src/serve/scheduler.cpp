@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,29 @@
 #include "util/thread_pool.hpp"
 
 namespace rnx::serve {
+
+namespace {
+
+// Admission validation: a request whose every sample has finite,
+// non-negative traffic, finite positive capacities and no empty path.
+// The forward would throw for a non-finite traffic or capacity anyway,
+// but only after the request took a batch slot, and it lets negative
+// and zero values and empty paths through to finite but meaningless
+// predictions.  Queue sizes are not checked: an original-kind model
+// never reads them.
+bool valid_request(std::span<const data::Sample> samples) {
+  for (const data::Sample& s : samples) {
+    for (const data::PathRecord& p : s.paths)
+      if (!std::isfinite(p.traffic_bps) || p.traffic_bps < 0.0 ||
+          p.links.empty())
+        return false;
+    for (const double c : s.link_capacity_bps)
+      if (!std::isfinite(c) || c <= 0.0) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 BatchScheduler::BatchScheduler(SchedulerConfig cfg, util::ThreadPool* pool)
     : cfg_(std::move(cfg)), pool_(pool) {
@@ -47,6 +71,7 @@ Submitted BatchScheduler::submit_impl(
   Submitted out;
   std::promise<PredictionSet> empty_done;
   bool notify = false;
+  const bool valid = valid_request(samples);  // outside the lock
   {
     const util::MutexLock lock(mu_);
     if (shutdown_) {
@@ -62,6 +87,10 @@ Submitted BatchScheduler::submit_impl(
       // refusing, not gone).
       out.error = ServeError::kDraining;
       ++stats_.shed;
+    } else if (!valid) {
+      out.error = ServeError::kInvalidRequest;
+      ++stats_.shed;
+      ++stats_.invalid;
     } else if (opts.deadline.count() < 0) {
       // Already unmeetable: refuse at admission rather than admitting a
       // request whose only possible outcome is expiry.
@@ -239,9 +268,12 @@ void BatchScheduler::execute(Batch batch) {
     if (util::fault_fires("serve.execute"))
       throw util::FaultInjectedError(
           "injected whole-batch execution failure (serve.execute)");
+    // A lone item's forward splits over the pool; a batch of several
+    // fans its items out over it instead.
+    util::ThreadPool* const split = items.size() == 1 ? pool_ : nullptr;
     const auto run = [&](std::size_t i) {
       try {
-        values[i] = items[i].engine->predict(*items[i].sample);
+        values[i] = items[i].engine->predict(*items[i].sample, split);
       } catch (...) {
         errors[i] = std::current_exception();  // fails its request only
       }

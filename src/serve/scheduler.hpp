@@ -5,14 +5,16 @@
 // InferenceEngine); a drainer coalesces the queue front into
 // micro-batches whatever the engines, fans each batch's samples over the
 // shared util::ThreadPool — every sample through its own request's
-// InferenceEngine::predict — and completes per-request futures.
+// InferenceEngine::predict, a lone sample's forward split over the pool
+// instead — and completes per-request futures.
 // Concurrent callers *pool their work* instead of waiting in line.
 //
 // Admission control: the pending queue is bounded (max_queue_depth
 // requests).  A request that arrives at a full queue is shed immediately
 // with ServeError::kOverloaded — submit() never blocks, so an overloaded
 // server degrades by refusing work, not by growing latency without
-// bound.
+// bound.  A request with an invalid sample is refused with
+// ServeError::kInvalidRequest.
 //
 // Batch formation (exact, pinned by tests/serve_scheduler_test.cpp):
 // requests wait in strict admission order; a batch is always formed from
@@ -31,7 +33,8 @@
 // written into its own output slot; no reduction ever crosses samples
 // (§T), so any grouping of requests into batches — mixed engines
 // included — and any lane count yields outputs bitwise-identical to
-// serial InferenceEngine::predict, the very function each sample runs.
+// serial InferenceEngine::predict, the very function each sample runs
+// (a lone sample's split forward keeps the serial bits, §T).
 // The test rig exercises exactly this: scripted clock, manual drain, and
 // bitwise comparison against the serial path.
 //
@@ -134,7 +137,10 @@ class BatchScheduler {
 
   /// Enqueue `samples` against `engine`.  Never blocks; a full queue
   /// sheds with kOverloaded, a downed scheduler with kShutdown, a
-  /// draining one with kDraining.  The caller keeps `samples` alive and
+  /// draining one with kDraining, and a request with a sample the
+  /// forward cannot answer meaningfully with kInvalidRequest: a
+  /// non-finite or negative traffic_bps, a capacity that is not finite
+  /// and positive, or a path with no links.  The caller keeps `samples` alive and
   /// unmodified until the future resolves (the batch references them in
   /// place — plan-cache keying is by sample address).  An empty span
   /// completes immediately.

@@ -7,7 +7,8 @@ namespace rnx::serve {
 void print_stats(std::ostream& os, const ServeStats& s) {
   os << "serve stats:\n"
      << "  requests   submitted " << s.submitted << ", admitted "
-     << s.admitted << ", shed " << s.shed << ", completed " << s.completed
+     << s.admitted << ", shed " << s.shed << " (invalid " << s.invalid
+     << "), completed " << s.completed
      << ", failed " << s.failed << ", cancelled " << s.cancelled
      << ", expired " << s.expired << ", in-flight " << s.in_flight() << "\n"
      << "  batches    " << s.batches << " (" << s.batch_samples

@@ -28,7 +28,8 @@ struct ServeStats {
   // -- request accounting (units: requests) ----------------------------
   std::uint64_t submitted = 0;  ///< accepted submit() calls (empty included)
   std::uint64_t admitted = 0;   ///< entered the queue (or completed empty)
-  std::uint64_t shed = 0;       ///< refused at admission (queue full)
+  std::uint64_t shed = 0;       ///< refused at admission (any reason)
+  std::uint64_t invalid = 0;    ///< of those shed: kInvalidRequest
   std::uint64_t completed = 0;  ///< future resolved with predictions
   std::uint64_t failed = 0;     ///< future resolved with a forward error
   std::uint64_t cancelled = 0;  ///< ShutdownError at shutdown, or a

@@ -2,7 +2,47 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace rnx::util {
+
+namespace {
+
+/// The CPU the calling thread runs on, or -1 where unknown.
+int current_cpu() noexcept {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+// A worker woken for a job on the CPU its caller runs on adds no
+// parallelism until the scheduler's balancer separates them, which can
+// take longer than a whole short job: a woken thread is placed on its
+// previous CPU when that is idle, else often on the waker's, and two
+// threads that once shared a CPU keep doing so.  Such a worker moves
+// off by excluding that CPU from its affinity for a moment; restoring
+// the mask leaves it where it landed.
+void leave_cpu(int cpu) noexcept {
+#if defined(__linux__)
+  if (cpu < 0 || sched_getcpu() != cpu) return;
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0 ||
+      !CPU_ISSET(cpu, &mask) || CPU_COUNT(&mask) < 2)
+    return;
+  cpu_set_t away = mask;
+  CPU_CLR(cpu, &away);
+  if (sched_setaffinity(0, sizeof(away), &away) == 0)
+    (void)sched_setaffinity(0, sizeof(mask), &mask);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) : lanes_(std::max<std::size_t>(threads, 1)) {
   workers_.reserve(lanes_ - 1);
@@ -24,6 +64,11 @@ std::size_t ThreadPool::hardware_threads() noexcept {
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
+std::uint64_t ThreadPool::jobs() const {
+  const MutexLock lock(mu_);
+  return generation_;
+}
+
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   MutexLock lock(mu_);
@@ -32,6 +77,10 @@ void ThreadPool::worker_loop() {
       cv_start_.wait(mu_);
     if (shutdown_) return;
     seen = generation_;
+    const int caller_cpu = caller_cpu_;
+    lock.unlock();
+    leave_cpu(caller_cpu);
+    lock.lock();
     while (generation_ == seen && next_ < count_) {
       // Snapshot the job function POINTER under the lock: fn_ is only
       // rebound between generations, but the pre-annotation code read it
@@ -73,6 +122,7 @@ void ThreadPool::run_job(std::size_t count,
                          const std::function<void(std::size_t)>& fn) {
   MutexLock lock(mu_);
   fn_ = &fn;
+  caller_cpu_ = current_cpu();
   count_ = count;
   next_ = 0;
   done_ = 0;

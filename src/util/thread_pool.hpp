@@ -5,7 +5,9 @@
 // counter (dynamic scheduling — per-sample work in training is very
 // uneven, so static chunking would idle workers).  The calling thread
 // participates, so a pool of size 1 degenerates to an inline loop with no
-// synchronization traffic beyond one atomic.
+// synchronization traffic beyond one atomic.  On Linux a worker that
+// wakes on its caller's CPU moves off it (thread_pool.cpp), so a short
+// job gets the parallelism it was split for.
 //
 // Determinism contract (DESIGN.md §T): the pool itself makes no ordering
 // promises — which worker runs which index is scheduling-dependent.
@@ -58,6 +60,10 @@ class ThreadPool {
   [[nodiscard]] bool try_parallel_for(std::size_t count,
                                       const std::function<void(std::size_t)>& fn);
 
+  /// Jobs run so far: parallel_for calls and accepted try_parallel_for
+  /// calls with count > 0.
+  [[nodiscard]] std::uint64_t jobs() const;
+
   /// Best-effort hardware concurrency, never 0.
   [[nodiscard]] static std::size_t hardware_threads() noexcept;
 
@@ -73,7 +79,7 @@ class ThreadPool {
   /// call, guarding no data of its own (the job state below is under
   /// mu_, which workers take and drop per index).
   Mutex job_mu_;  // rnx-lint: allow(guarded-by) — serializes, guards no field
-  Mutex mu_;
+  mutable Mutex mu_;
   CondVar cv_start_;
   CondVar cv_done_;
   std::uint64_t generation_ RNX_GUARDED_BY(mu_) = 0;  ///< bumped per job
@@ -81,6 +87,7 @@ class ThreadPool {
   // Current job; count_ == 0 between jobs, so late-waking workers skip.
   const std::function<void(std::size_t)>* fn_ RNX_GUARDED_BY(mu_) = nullptr;
   std::size_t count_ RNX_GUARDED_BY(mu_) = 0;
+  int caller_cpu_ RNX_GUARDED_BY(mu_) = -1;  ///< CPU of the job's caller
   std::size_t next_ RNX_GUARDED_BY(mu_) = 0;  ///< next index to claim
   std::size_t done_ RNX_GUARDED_BY(mu_) = 0;  ///< indices finished
   std::exception_ptr first_error_ RNX_GUARDED_BY(mu_);

@@ -22,6 +22,7 @@
 #include "data/dataset.hpp"
 #include "data/generator.hpp"
 #include "serve/inference.hpp"
+#include "serve/registry.hpp"
 #include "serve/scheduler.hpp"
 #include "topo/zoo.hpp"
 #include "util/log.hpp"
@@ -435,6 +436,70 @@ TEST(ServeScheduler, TwoEngineSoakAnswersEveryRequestExactlyOnce) {
   EXPECT_EQ(st.in_flight(), 0u);
   EXPECT_EQ(st.batch_samples, st.completed);  // single-sample requests
   EXPECT_GT(st.mean_batch_samples(), 1.0);
+}
+
+// A batch of one request's one sample splits its forward over the
+// registry's idle lane (one pool job, the split forward's) and resolves
+// to the serial predict() bit for bit; the counters are those of any
+// one-request batch.
+TEST(ServeScheduler, LoneRequestSplitsItsForwardOverThePool) {
+  serve::ModelRegistry registry(2);
+  registry.add("ext", make_bundle());
+  const serve::InferenceEngine& engine = registry.at("ext");
+  ScriptedClock clock;
+  serve::BatchScheduler sched(manual_cfg(clock), registry.pool());
+  util::ThreadPool& pool = *registry.pool();
+
+  const std::uint64_t jobs = pool.jobs();
+  serve::Submitted sub = sched.submit(registry, "ext", one(2));
+  ASSERT_TRUE(sub.admitted());
+  EXPECT_EQ(sched.flush(), 1u);
+  EXPECT_EQ(pool.jobs(), jobs + 1);
+  EXPECT_EQ(sub.result.get(),
+            (serve::PredictionSet{engine.predict(test_dataset()[2])}));
+
+  const serve::ServeStats st = sched.stats();
+  EXPECT_EQ(st.submitted, 1u);
+  EXPECT_EQ(st.admitted, 1u);
+  EXPECT_EQ(st.shed, 0u);
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.batch_samples, 1u);
+  EXPECT_EQ(st.peak_batch_samples, 1u);
+  EXPECT_EQ(st.in_flight(), 0u);
+}
+
+// Three one-sample requests form one batch that fans its items out over
+// the pool, as before: one pool job, each item a serial forward.
+TEST(ServeScheduler, MultiRequestBatchStillFansOutPerItem) {
+  serve::ModelRegistry registry(2);
+  registry.add("ext", make_bundle());
+  const serve::InferenceEngine& engine = registry.at("ext");
+  ScriptedClock clock;
+  serve::BatchScheduler sched(manual_cfg(clock), registry.pool());
+  util::ThreadPool& pool = *registry.pool();
+
+  const std::uint64_t jobs = pool.jobs();
+  std::vector<serve::Submitted> subs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    subs.push_back(sched.submit(registry, "ext", one(i)));
+    ASSERT_TRUE(subs.back().admitted());
+  }
+  EXPECT_EQ(sched.flush(), 1u);
+  EXPECT_EQ(pool.jobs(), jobs + 1);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(subs[i].result.get(),
+              (serve::PredictionSet{engine.predict(test_dataset()[i])}));
+
+  const serve::ServeStats st = sched.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.admitted, 3u);
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.batch_samples, 3u);
+  EXPECT_EQ(st.peak_batch_samples, 3u);
+  EXPECT_EQ(st.in_flight(), 0u);
 }
 
 }  // namespace
