@@ -14,12 +14,23 @@
 // The dataset-generator pin plays the same role one layer up: the
 // generator's RNG draw sequence must not change for default configs, or
 // cached/regenerated datasets stop being reproducible.
+//
+// The remaining pins cover what the two seed pins leave open, so an
+// event-loop rewrite (DESIGN.md S1) can be checked bit for bit: every
+// (policy, traffic) pair with three classes, a multi-hop run with
+// propagation delay (the hop-arrival path) whose CBR flows tie on event
+// time, and a mixed-topology, mixed-scenario generator stream.  Their
+// constants were captured from the std::priority_queue event loop that
+// preceded the 4-ary event queue.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "data/generator.hpp"
+#include "data/sample_io.hpp"
 #include "sim/simulator.hpp"
 #include "topo/traffic.hpp"
 #include "topo/zoo.hpp"
@@ -129,6 +140,103 @@ TEST(SimGolden, DefaultGeneratorDrawSequenceUnchanged) {
   // The default scenario is recorded with every sample now.
   EXPECT_TRUE(ds[0].scenario_recorded);
   EXPECT_EQ(ds[0].scenario, sim::ScenarioConfig{});
+}
+
+TEST(SimGolden, EveryScenarioPairBitwisePinned) {
+  struct Pin {
+    sim::SchedulerPolicy policy;
+    sim::TrafficProcess traffic;
+    std::uint64_t events;
+    std::uint64_t digest;
+  };
+  using P = sim::SchedulerPolicy;
+  using T = sim::TrafficProcess;
+  constexpr std::array<Pin, 9> kPins{{
+      {P::kFifo, T::kPoisson, 11896u, 0xee51e19db06c9f89ull},
+      {P::kFifo, T::kCbr, 11647u, 0xdaa9e13d98a9847eull},
+      {P::kFifo, T::kOnOff, 12665u, 0x3ef9fdf357d06ae2ull},
+      {P::kStrictPriority, T::kPoisson, 11903u, 0x8e1660604ec025acull},
+      {P::kStrictPriority, T::kCbr, 11640u, 0x5c4c7dc2a620753eull},
+      {P::kStrictPriority, T::kOnOff, 12650u, 0xf57a0240de394330ull},
+      {P::kDrr, T::kPoisson, 11877u, 0xa9370768b419d1dbull},
+      {P::kDrr, T::kCbr, 11651u, 0x17e83ae14b6c9bfbull},
+      {P::kDrr, T::kOnOff, 12628u, 0xf8ef37221631366aull},
+  }};
+  topo::Topology t = topo::nsfnet();
+  util::RngStream rng(5);
+  topo::randomize_queue_sizes(t, 0.5, rng);
+  const topo::RoutingScheme rs = topo::hop_count_routing(t);
+  topo::TrafficMatrix tm = topo::uniform_traffic(t.num_nodes(), 1.0, 2.0, rng);
+  topo::scale_to_max_utilization(tm, t, rs, 0.9);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(sim::to_string(pin.policy)) + "_" +
+                 std::string(sim::to_string(pin.traffic)));
+    sim::SimConfig cfg;
+    cfg.window_s = 0.3;
+    cfg.warmup_s = 0.03;
+    cfg.seed = 9;
+    cfg.scenario.policy = pin.policy;
+    cfg.scenario.traffic = pin.traffic;
+    cfg.scenario.priority_classes = 3;
+    cfg.flow_class = [](topo::NodeId s, topo::NodeId d) {
+      return static_cast<std::uint32_t>((s + 2 * d) % 3);
+    };
+    const sim::SimResult res = sim::Simulator(t, rs, tm, cfg).run();
+    EXPECT_EQ(res.total_events, pin.events);
+    EXPECT_EQ(digest(res), pin.digest);
+  }
+}
+
+// Four-hop line with propagation delay on every link, so packets reach
+// later hops through hop-arrival events.  Every flow is CBR at 1 Mb/s
+// with fixed 8000-bit packets: all share one period, and on the 1 Mb/s
+// first links that period equals the service time exactly, so each
+// flow's next generation and its previous packet's departure fall on the
+// same instant and only the insertion-order tie-break orders them.  The
+// one-packet queues make that order visible (admitted or dropped).
+TEST(SimGolden, PropagationDelayAndTimeTiesBitwisePinned) {
+  topo::Topology t = topo::line(5, 1e6);
+  t.set_all_queue_sizes(4);
+  t.set_queue_size(0, 1);
+  t.set_queue_size(2, 1);
+  for (topo::LinkId l = 0; l < t.num_links(); ++l) {
+    t.set_link_prop_delay(l, 1e-3 * static_cast<double>(1 + l % 3));
+    if (l % 2 == 1) t.set_link_capacity(l, 2.5e6);
+  }
+  const topo::RoutingScheme rs = topo::hop_count_routing(t);
+  topo::TrafficMatrix tm(5);
+  tm.set(0, 4, 1e6);
+  tm.set(1, 4, 1e6);
+  tm.set(4, 0, 1e6);
+  tm.set(3, 1, 1e6);
+  tm.set(2, 0, 1e6);
+  sim::SimConfig cfg;
+  cfg.window_s = 2.0;
+  cfg.warmup_s = 0.2;
+  cfg.seed = 13;
+  cfg.size_dist = sim::PacketSizeDist::kDeterministic;
+  cfg.scenario.traffic = sim::TrafficProcess::kCbr;
+  const sim::SimResult res = sim::Simulator(t, rs, tm, cfg).run();
+
+  EXPECT_EQ(res.total_events, 5790u);
+  EXPECT_EQ(digest(res), 0x52f54a6843978e00ull);
+}
+
+TEST(SimGolden, MixedGeneratorStreamBitwisePinned) {
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 2'000;
+  cfg.mixed_scenarios = true;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t n = 0;
+  data::generate_dataset_stream(
+      data::mixed_topology(), 16, cfg, 21, 1,
+      [&](std::size_t, data::Sample s) {
+        const std::uint64_t d = data::io::sample_digest(s);
+        h = fnv1a64_bytes(h, &d, sizeof(d));
+        ++n;
+      });
+  EXPECT_EQ(n, 16u);
+  EXPECT_EQ(h, 0xe3511889758b2fdeull);
 }
 
 }  // namespace
