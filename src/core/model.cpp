@@ -310,6 +310,16 @@ std::string Model::name() const {
   return kind_ == ModelKind::kOriginal ? "routenet" : "routenet-ext";
 }
 
+void Model::check_positions(const MpPlan& plan, const nn::Var& h_path,
+                            const nn::Var& h_link,
+                            const nn::Var& h_node) const {
+  for (std::size_t p = 0; p < plan.num_positions(); ++p) {
+    const PlanPosition pos = plan.position(p);
+    rnn_path_.check_indexed(pos.is_node ? h_node : h_link, pos.elem_ids,
+                            h_path.rows(), pos.path_rows);
+  }
+}
+
 nn::Var Model::forward(const data::Sample& sample,
                        const data::Scaler& scaler,
                        util::ThreadPool* pool) const {
@@ -336,6 +346,9 @@ nn::Var Model::forward(const data::Sample& sample,
                          *pool);
   const bool positional_node_msgs =
       cfg_.node_rule == NodeUpdateRule::kPositionalMessages;
+  // The sources keep their shapes across iterations, so one check of the
+  // plan's indices covers every sweep's steps.
+  if (cfg_.iterations > 0) check_positions(plan, h_path, h_link, h_node);
 
   for (std::size_t iter = 0; iter < cfg_.iterations; ++iter) {
     // The readout reads only the path states, so the last iteration
@@ -354,7 +367,8 @@ nn::Var Model::forward(const data::Sample& sample,
       // Extended plans interleave: even positions read node states, odd
       // positions link states (paper Fig. 1).
       const PlanPosition pos = plan.position(p);
-      sweep.step(pos.is_node ? h_node : h_link, pos.elem_ids, pos.path_rows);
+      sweep.step_unchecked(pos.is_node ? h_node : h_link, pos.elem_ids,
+                           pos.path_rows);
       if (last) continue;
       // Each active path messages the element it just consumed: its new
       // state, in row order.

@@ -153,6 +153,11 @@ class Model {
   /// either way).
   [[nodiscard]] const MpPlan& plan_for(
       const data::Sample& sample, std::shared_ptr<const MpPlan>& local) const;
+  /// The path RNN's index guards (GRUCell::check_indexed) over every
+  /// position of `plan`, in position order: run once per forward, before
+  /// any state is stepped, so no iteration re-checks the same spans.
+  void check_positions(const MpPlan& plan, const nn::Var& h_path,
+                       const nn::Var& h_link, const nn::Var& h_node) const;
   /// The forward after its initial states and mean normalizers, split
   /// over `pool` (core/split_forward.cpp).
   [[nodiscard]] nn::Var forward_split(const MpPlan& plan, nn::Var h_path,

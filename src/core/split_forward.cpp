@@ -248,11 +248,7 @@ nn::Var Model::forward_split(const MpPlan& plan, nn::Var h_path,
   const std::size_t paths = h_path.rows();
   // Every check the serial forward makes, in its order, before any lane
   // starts: a lane never throws mid-phase on a bad input.
-  for (std::size_t p = 0; p < plan.num_positions(); ++p) {
-    const PlanPosition pos = plan.position(p);
-    rnn_path_.check_indexed(pos.is_node ? h_node : h_link, pos.elem_ids, paths,
-                            pos.path_rows);
-  }
+  check_positions(plan, h_path, h_link, h_node);
   const bool paper_nodes =
       rnn_node_ && cfg_.node_rule == NodeUpdateRule::kSumPathStates;
   if (iters > 1 && paper_nodes) check_incidences(plan);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/simulator.hpp"
 #include "topo/traffic.hpp"
@@ -131,6 +132,11 @@ Sample generate_sample(const topo::Topology& base, const GeneratorConfig& cfg,
 
   sim::Simulator simulator(topo, routing, tm, sc);
   const sim::SimResult res = simulator.run();
+  // A truncated run's labels miss every packet still in flight.
+  if (res.truncated)
+    throw std::runtime_error("generate_sample: simulation of topology '" +
+                             topo.name() +
+                             "' hit the event cap before draining");
 
   Sample s;
   s.topo_name = topo.name();

@@ -56,7 +56,8 @@ struct GeneratorConfig {
 /// Deterministic in (base, cfg, rng state).  Throws
 /// std::invalid_argument if the drawn traffic matrix carries zero total
 /// demand (a zero-rate matrix would size an infinite measurement
-/// window).
+/// window), and std::runtime_error naming the topology if the simulation
+/// hits its event cap (SimResult::truncated) instead of draining.
 [[nodiscard]] Sample generate_sample(const topo::Topology& base,
                                      const GeneratorConfig& cfg,
                                      util::RngStream& rng);

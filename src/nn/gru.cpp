@@ -678,17 +678,34 @@ GruSweep::~GruSweep() {
   for (Tensor& u : projected_) TensorPool::release(std::move(u));
 }
 
-void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
-                    std::span<const Index> path_rows) {
+std::size_t GruSweep::source_index(const Var& src) const {
   const auto source = std::find_if(
       sources_.begin(), sources_.end(),
       [&](const Var& s) { return s.same_node(src); });
   if (source == sources_.end())
     throw std::invalid_argument("GruSweep::step: src is not a source");
-  const auto k = static_cast<std::size_t>(source - sources_.begin());
+  return static_cast<std::size_t>(source - sources_.begin());
+}
+
+void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
+                    std::span<const Index> path_rows) {
+  const std::size_t k = source_index(src);
+  cell_.check_indexed(src, elem_ids,
+                      tape_ == nullptr ? hidden_.rows() : tape_->paths,
+                      path_rows);
+  step_source(k, src, elem_ids, path_rows);
+}
+
+void GruSweep::step_unchecked(const Var& src, std::span<const Index> elem_ids,
+                              std::span<const Index> path_rows) {
+  step_source(source_index(src), src, elem_ids, path_rows);
+}
+
+void GruSweep::step_source(std::size_t k, const Var& src,
+                           std::span<const Index> elem_ids,
+                           std::span<const Index> path_rows) {
   const Tensor* u = k < projected_.size() ? &projected_[k] : nullptr;
   if (tape_ == nullptr) {
-    cell_.check_indexed(src, elem_ids, hidden_.rows(), path_rows);
     if (grad_disabled()) {
       cell_.update_rows(src, elem_ids, u, hidden_, path_rows);
     } else {
@@ -703,7 +720,6 @@ void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
   }
 
   Tape& t = *tape_;
-  cell_.check_indexed(src, elem_ids, t.paths, path_rows);
   const std::size_t off = t.path_rows.size(), rows = path_rows.size();
   if (rows > t.acts.z.rows() - off)
     throw std::invalid_argument("GruSweep::step: more rows than entries");

@@ -185,6 +185,14 @@ class GruSweep {
   void step(const Var& src, std::span<const Index> elem_ids,
             std::span<const Index> path_rows);
 
+  /// step() without GRUCell::check_indexed, for a caller that has already
+  /// run it on these spans with this sweep's P (as core::Model does once
+  /// per forward for all its iterations).  Still throws
+  /// std::invalid_argument when src is not a source or the steps exceed
+  /// `entries`.
+  void step_unchecked(const Var& src, std::span<const Index> elem_ids,
+                      std::span<const Index> path_rows);
+
   /// The last step's messages (num_elems x hidden_dim): row e sums the new
   /// states of the rows that read element e, in row order.  Reads the
   /// spans passed to that step.
@@ -195,6 +203,13 @@ class GruSweep {
 
  private:
   struct Tape;
+
+  /// sources_ index of src; throws std::invalid_argument if absent.
+  [[nodiscard]] std::size_t source_index(const Var& src) const;
+  /// The step itself, on source k.
+  void step_source(std::size_t k, const Var& src,
+                   std::span<const Index> elem_ids,
+                   std::span<const Index> path_rows);
 
   const GRUCell& cell_;
   std::vector<Var> sources_;

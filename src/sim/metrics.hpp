@@ -43,7 +43,10 @@ struct LinkStats {
 struct SimResult {
   std::vector<PathStats> paths;  ///< one per routed (src, dst), src-major
   std::vector<LinkStats> links;  ///< indexed by LinkId
-  std::uint64_t total_events = 0;
+  std::uint64_t total_events = 0;  ///< events processed
+  /// The run hit SimConfig::max_events before draining: packets still in
+  /// flight are missing from every statistic.
+  bool truncated = false;
   double sim_time_s = 0.0;  ///< simulated horizon (warmup + window)
 
   /// Index of the (src, dst) entry in paths, or throws.

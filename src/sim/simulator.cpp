@@ -1,12 +1,14 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -16,20 +18,7 @@ namespace rnx::sim {
 
 namespace {
 
-enum class EvType : std::uint8_t { kFlowGen, kHopArrival, kDeparture };
-
-struct Event {
-  double time;
-  std::uint64_t seq;  // tie-breaker: FIFO among simultaneous events
-  EvType type;
-  std::uint32_t idx;  // flow id (kFlowGen) or link id (others)
-  SimPacket pkt{};    // payload for kHopArrival
-
-  bool operator>(const Event& o) const noexcept {
-    if (time != o.time) return time > o.time;
-    return seq > o.seq;
-  }
-};
+enum EvKind : std::uint32_t { kFlowGen, kHopArrival, kDeparture };
 
 struct Flow {
   topo::NodeId src;
@@ -45,6 +34,8 @@ struct Port {
   std::unique_ptr<Scheduler> sched;     // waiting packets
   std::optional<SimPacket> in_service;  // transmitting packet, if any
   std::uint32_t capacity;    // max packets in system (service included)
+  double link_bps = 0.0;     // link capacity (bits/s)
+  double prop_s = 0.0;       // link propagation delay
   double service_start = 0;  // start time of current service
   // occupancy integration (measurement window only)
   double last_change = 0.0;
@@ -58,6 +49,37 @@ struct Port {
   }
 };
 
+/// Packets on one link's wire, in departure order.  A port's departures
+/// are time-ordered and its propagation delay is fixed, so its hop
+/// arrivals pop in the same order they were pushed.
+class WireFifo {
+ public:
+  void push(const SimPacket& pkt) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = pkt;
+    ++size_;
+  }
+  SimPacket pop() noexcept {
+    const SimPacket pkt = buf_[head_];
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+    return pkt;
+  }
+
+ private:
+  void grow() {
+    std::vector<SimPacket> bigger(std::max<std::size_t>(8, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i)
+      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    buf_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<SimPacket> buf_;  // power-of-two ring
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
 Simulator::Simulator(const topo::Topology& topo,
@@ -68,12 +90,23 @@ Simulator::Simulator(const topo::Topology& topo,
   if (topo.num_nodes() != routing.num_nodes() ||
       topo.num_nodes() != traffic.num_nodes())
     throw std::invalid_argument("Simulator: size mismatch between inputs");
-  if (cfg_.window_s <= 0.0 || cfg_.warmup_s < 0.0)
+  // Every event time is 0 plus non-negative finite gaps, the invariant
+  // the event queue's rank relies on (sim/event_queue.hpp): reject NaN
+  // and infinite inputs here rather than mis-order events later.
+  if (!(cfg_.window_s > 0.0) || !(cfg_.warmup_s >= 0.0) ||
+      !std::isfinite(cfg_.window_s + cfg_.warmup_s))
     throw std::invalid_argument("Simulator: bad time configuration");
-  if (cfg_.mean_packet_bits <= 0.0)
+  if (!(cfg_.mean_packet_bits > 0.0) || !std::isfinite(cfg_.mean_packet_bits))
     throw std::invalid_argument("Simulator: bad packet size");
   cfg_.scenario.validate();
   topo.validate();
+  for (topo::LinkId l = 0; l < topo.num_links(); ++l)
+    if (!(topo.link_capacity(l) > 0.0) ||
+        !(topo.link_prop_delay(l) >= 0.0) ||
+        !std::isfinite(topo.link_prop_delay(l)))
+      throw std::invalid_argument(
+          "Simulator: link " + std::to_string(l) +
+          " needs a positive capacity and a finite delay >= 0");
 }
 
 SimResult Simulator::run() {
@@ -102,6 +135,8 @@ SimResult Simulator::run() {
   for (topo::LinkId l = 0; l < topo_.num_links(); ++l) {
     ports[l].sched = make_scheduler(cfg_.scenario, cfg_.mean_packet_bits);
     ports[l].capacity = topo_.queue_size(topo_.graph().link(l).src);
+    ports[l].link_bps = topo_.link_capacity(l);
+    ports[l].prop_s = topo_.link_prop_delay(l);
   }
 
   // --- per-flow statistics ---------------------------------------------
@@ -110,9 +145,13 @@ SimResult Simulator::run() {
   std::vector<std::uint64_t> dropped(flows.size(), 0);
 
   // --- event loop -------------------------------------------------------
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
-  std::uint64_t seq = 0;
+  // Ids are flow indices (kFlowGen) or link indices (the others).
+  const auto max_id = static_cast<std::uint32_t>(
+      std::max<std::size_t>({flows.size(), ports.size(), 1}) - 1);
+  EventQueue queue(max_id);
+  std::vector<WireFifo> wires(ports.size());  // kHopArrival payloads
   std::uint64_t events = 0;
+  bool truncated = false;
 
   auto window_overlap = [&](double a, double b) {
     return std::max(0.0, std::min(b, w_end) - std::max(a, w_start));
@@ -127,8 +166,8 @@ SimResult Simulator::run() {
   auto start_service = [&](topo::LinkId l, double now) {
     Port& p = ports[l];
     p.service_start = now;
-    const double svc = p.in_service->size_bits / topo_.link_capacity(l);
-    heap.push(Event{now + svc, seq++, EvType::kDeparture, l});
+    const double svc = p.in_service->size_bits / p.link_bps;
+    queue.push(now + svc, kDeparture, l);
   };
 
   // Offer a packet to the port of its current hop; drop-tail if full.
@@ -154,73 +193,77 @@ SimResult Simulator::run() {
   auto schedule_gen = [&](std::uint32_t fi, double now) {
     Flow& f = flows[fi];
     const double next = f.arrivals->next(now, f.rng);
-    if (next < w_end) heap.push(Event{next, seq++, EvType::kFlowGen, fi});
+    if (next < w_end) queue.push(next, kFlowGen, fi);
   };
 
   // Prime every flow with its first arrival.
   for (std::uint32_t fi = 0; fi < flows.size(); ++fi) schedule_gen(fi, 0.0);
 
-  while (!heap.empty()) {
-    if (++events > cfg_.max_events) {
+  // Pushes made while handling an event reuse its heap slot (replace-top,
+  // sim/event_queue.hpp); the pop order, and so every result, is that of
+  // a plain (time, seq) priority queue.
+  while (!queue.empty()) {
+    if (events == cfg_.max_events) {
       util::log_warn("Simulator: event cap reached, truncating run");
+      truncated = true;
       break;
     }
-    const Event ev = heap.top();
-    heap.pop();
+    ++events;
+    const QueuedEvent ev = queue.take();
     const double now = ev.time;
 
-    switch (ev.type) {
-      case EvType::kFlowGen: {
-        Flow& f = flows[ev.idx];
+    switch (ev.kind) {
+      case kFlowGen: {
+        Flow& f = flows[ev.id];
         SimPacket pkt;
         pkt.gen_time = now;
-        pkt.flow = ev.idx;
+        pkt.flow = ev.id;
         pkt.hop = 0;
         pkt.cls = f.cls;
         pkt.measured = (now >= w_start && now < w_end);
         pkt.size_bits = cfg_.size_dist == PacketSizeDist::kExponential
                             ? f.rng.exponential(cfg_.mean_packet_bits)
                             : cfg_.mean_packet_bits;
-        if (pkt.measured) ++generated[ev.idx];
-        schedule_gen(ev.idx, now);
+        if (pkt.measured) ++generated[ev.id];
+        schedule_gen(ev.id, now);
         offer(pkt, now);
         break;
       }
-      case EvType::kDeparture: {
-        Port& p = ports[ev.idx];
+      case kDeparture: {
+        Port& p = ports[ev.id];
         integrate(p, now);
-        const SimPacket done = *p.in_service;
+        SimPacket pkt = *p.in_service;
         p.in_service.reset();
         p.busy_s += window_overlap(p.service_start, now);
         if (!p.sched->empty()) {
           p.in_service = p.sched->pop_next();
-          start_service(ev.idx, now);
+          start_service(ev.id, now);
         }
 
-        SimPacket pkt = done;
         const Flow& f = flows[pkt.flow];
-        const double prop = topo_.link_prop_delay(ev.idx);
-        const double arrive = now + prop;
+        const double arrive = now + p.prop_s;
         ++pkt.hop;
         if (pkt.hop == f.path->links.size()) {
           if (pkt.measured) delay[pkt.flow].add(arrive - pkt.gen_time);
-        } else if (prop == 0.0) {
+        } else if (p.prop_s == 0.0) {
           offer(pkt, arrive);  // fast path: no wire latency, no heap trip
         } else {
-          heap.push(Event{arrive, seq++, EvType::kHopArrival,
-                          f.path->links[pkt.hop], pkt});
+          wires[ev.id].push(pkt);
+          queue.push(arrive, kHopArrival, ev.id);
         }
         break;
       }
-      case EvType::kHopArrival:
-        offer(ev.pkt, now);
+      case kHopArrival:
+        offer(wires[ev.id].pop(), now);
         break;
     }
+    queue.settle();
   }
 
   // --- assemble results --------------------------------------------------
   SimResult res;
   res.total_events = events;
+  res.truncated = truncated;
   res.sim_time_s = w_end;
   res.paths.reserve(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {

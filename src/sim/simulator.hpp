@@ -25,7 +25,8 @@
 // Statistics are collected for the cohort of packets *generated* inside
 // the measurement window (after warm-up); the event loop drains fully, so
 // every measured packet is either delivered or dropped — an invariant the
-// tests assert.
+// tests assert.  The only exception is a run stopped by
+// SimConfig::max_events, which SimResult::truncated reports.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,9 @@ struct SimConfig {
   double mean_packet_bits = 8000.0;  ///< 1000-byte packets
   PacketSizeDist size_dist = PacketSizeDist::kExponential;
   std::uint64_t seed = 1;
-  std::uint64_t max_events = 500'000'000;  ///< hard safety cap
+  /// Hard safety cap on processed events; a run that reaches it stops
+  /// with SimResult::truncated set.
+  std::uint64_t max_events = 500'000'000;
   /// Scheduling policy / traffic process / class structure.  The default
   /// (FIFO + Poisson, one class) reproduces the seed simulator bitwise.
   ScenarioConfig scenario;

@@ -130,7 +130,29 @@ TEST(SimStress, EventCapTruncatesGracefully) {
   cfg.max_events = 5'000;  // far below what the run needs
   sim::Simulator s(t, rs, tm, cfg);
   const sim::SimResult res = s.run();  // must not hang or throw
-  EXPECT_LE(res.total_events, 5'001u);
+  EXPECT_LE(res.total_events, 5'000u);
+  EXPECT_TRUE(res.truncated);
+}
+
+TEST(SimStress, EventCapCountsOnlyProcessedEvents) {
+  topo::Topology t = topo::line(3, 1e6);
+  const topo::RoutingScheme rs = topo::hop_count_routing(t);
+  topo::TrafficMatrix tm(3);
+  tm.set(0, 2, 0.5e6);
+  sim::SimConfig cfg;
+  cfg.window_s = 2.0;
+  const sim::SimResult full = sim::Simulator(t, rs, tm, cfg).run();
+  EXPECT_FALSE(full.truncated);
+  expect_conservation(full);
+  // A cap equal to the drained run's count is not a truncation.
+  cfg.max_events = full.total_events;
+  const sim::SimResult exact = sim::Simulator(t, rs, tm, cfg).run();
+  EXPECT_FALSE(exact.truncated);
+  EXPECT_EQ(exact.total_events, full.total_events);
+  cfg.max_events = full.total_events - 1;
+  const sim::SimResult cut = sim::Simulator(t, rs, tm, cfg).run();
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.total_events, full.total_events - 1);
 }
 
 TEST(GeneratorStress, ExtremeUtilizationTargets) {

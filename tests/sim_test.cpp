@@ -6,6 +6,8 @@
 // composition, and the queue-size effect the paper's datasets rely on.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/mm1k.hpp"
 #include "sim/simulator.hpp"
 #include "topo/zoo.hpp"
@@ -230,6 +232,38 @@ TEST(SimConfigValidation, BadInputsThrow) {
   topo::TrafficMatrix wrong(3);
   cfg.mean_packet_bits = 8000.0;
   EXPECT_THROW(Simulator(t, rs, wrong, cfg), std::invalid_argument);
+}
+
+TEST(SimConfigValidation, NanAndInfiniteInputsThrow) {
+  const topo::RoutingScheme rs = topo::hop_count_routing(topo::line(2, 1e6));
+  topo::TrafficMatrix tm(2);
+  tm.set(0, 1, 1e5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    const topo::Topology t = topo::line(2, 1e6);
+    SimConfig cfg;
+    cfg.window_s = nan;
+    EXPECT_THROW(Simulator(t, rs, tm, cfg), std::invalid_argument);
+    cfg.window_s = inf;
+    EXPECT_THROW(Simulator(t, rs, tm, cfg), std::invalid_argument);
+    cfg.window_s = 1.0;
+    cfg.warmup_s = nan;
+    EXPECT_THROW(Simulator(t, rs, tm, cfg), std::invalid_argument);
+    cfg.warmup_s = 0.1;
+    cfg.mean_packet_bits = nan;
+    EXPECT_THROW(Simulator(t, rs, tm, cfg), std::invalid_argument);
+  }
+  {
+    topo::Topology t = topo::line(2, 1e6);
+    t.set_link_capacity(0, nan);
+    EXPECT_THROW(Simulator(t, rs, tm, SimConfig{}), std::invalid_argument);
+  }
+  {
+    topo::Topology t = topo::line(2, 1e6);
+    t.set_link_prop_delay(1, inf);
+    EXPECT_THROW(Simulator(t, rs, tm, SimConfig{}), std::invalid_argument);
+  }
 }
 
 TEST(SimDeterministicSizes, DeterministicPacketsReduceJitter) {
