@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -47,37 +48,6 @@ struct Port {
   [[nodiscard]] std::size_t occupancy() const noexcept {
     return sched->size() + (in_service.has_value() ? 1u : 0u);
   }
-};
-
-/// Packets on one link's wire, in departure order.  A port's departures
-/// are time-ordered and its propagation delay is fixed, so its hop
-/// arrivals pop in the same order they were pushed.
-class WireFifo {
- public:
-  void push(const SimPacket& pkt) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = pkt;
-    ++size_;
-  }
-  SimPacket pop() noexcept {
-    const SimPacket pkt = buf_[head_];
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-    return pkt;
-  }
-
- private:
-  void grow() {
-    std::vector<SimPacket> bigger(std::max<std::size_t>(8, 2 * buf_.size()));
-    for (std::size_t i = 0; i < size_; ++i)
-      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    buf_.swap(bigger);
-    head_ = 0;
-  }
-
-  std::vector<SimPacket> buf_;  // power-of-two ring
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace
@@ -149,7 +119,10 @@ SimResult Simulator::run() {
   const auto max_id = static_cast<std::uint32_t>(
       std::max<std::size_t>({flows.size(), ports.size(), 1}) - 1);
   EventQueue queue(max_id);
-  std::vector<WireFifo> wires(ports.size());  // kHopArrival payloads
+  // Packets on each link's wire, in departure order: a port's departures
+  // are time-ordered and its delay is fixed, so its hop arrivals come due
+  // in the order they were pushed.
+  std::vector<std::deque<SimPacket>> wires(ports.size());
   std::uint64_t events = 0;
   bool truncated = false;
 
@@ -248,13 +221,14 @@ SimResult Simulator::run() {
         } else if (p.prop_s == 0.0) {
           offer(pkt, arrive);  // fast path: no wire latency, no heap trip
         } else {
-          wires[ev.id].push(pkt);
+          wires[ev.id].push_back(pkt);
           queue.push(arrive, kHopArrival, ev.id);
         }
         break;
       }
       case kHopArrival:
-        offer(wires[ev.id].pop(), now);
+        offer(wires[ev.id].front(), now);
+        wires[ev.id].pop_front();
         break;
     }
     queue.settle();
