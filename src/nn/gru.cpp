@@ -689,21 +689,16 @@ std::size_t GruSweep::source_index(const Var& src) const {
 
 void GruSweep::step(const Var& src, std::span<const Index> elem_ids,
                     std::span<const Index> path_rows) {
-  const std::size_t k = source_index(src);
+  (void)source_index(src);  // a foreign src is reported before bad ids
   cell_.check_indexed(src, elem_ids,
                       tape_ == nullptr ? hidden_.rows() : tape_->paths,
                       path_rows);
-  step_source(k, src, elem_ids, path_rows);
+  step_unchecked(src, elem_ids, path_rows);
 }
 
 void GruSweep::step_unchecked(const Var& src, std::span<const Index> elem_ids,
                               std::span<const Index> path_rows) {
-  step_source(source_index(src), src, elem_ids, path_rows);
-}
-
-void GruSweep::step_source(std::size_t k, const Var& src,
-                           std::span<const Index> elem_ids,
-                           std::span<const Index> path_rows) {
+  const std::size_t k = source_index(src);
   const Tensor* u = k < projected_.size() ? &projected_[k] : nullptr;
   if (tape_ == nullptr) {
     if (grad_disabled()) {

@@ -206,10 +206,6 @@ class GruSweep {
 
   /// sources_ index of src; throws std::invalid_argument if absent.
   [[nodiscard]] std::size_t source_index(const Var& src) const;
-  /// The step itself, on source k.
-  void step_source(std::size_t k, const Var& src,
-                   std::span<const Index> elem_ids,
-                   std::span<const Index> path_rows);
 
   const GRUCell& cell_;
   std::vector<Var> sources_;
