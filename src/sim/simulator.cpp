@@ -35,8 +35,6 @@ struct Port {
   std::unique_ptr<Scheduler> sched;     // waiting packets
   std::optional<SimPacket> in_service;  // transmitting packet, if any
   std::uint32_t capacity;    // max packets in system (service included)
-  double link_bps = 0.0;     // link capacity (bits/s)
-  double prop_s = 0.0;       // link propagation delay
   double service_start = 0;  // start time of current service
   // occupancy integration (measurement window only)
   double last_change = 0.0;
@@ -105,8 +103,6 @@ SimResult Simulator::run() {
   for (topo::LinkId l = 0; l < topo_.num_links(); ++l) {
     ports[l].sched = make_scheduler(cfg_.scenario, cfg_.mean_packet_bits);
     ports[l].capacity = topo_.queue_size(topo_.graph().link(l).src);
-    ports[l].link_bps = topo_.link_capacity(l);
-    ports[l].prop_s = topo_.link_prop_delay(l);
   }
 
   // --- per-flow statistics ---------------------------------------------
@@ -139,7 +135,7 @@ SimResult Simulator::run() {
   auto start_service = [&](topo::LinkId l, double now) {
     Port& p = ports[l];
     p.service_start = now;
-    const double svc = p.in_service->size_bits / p.link_bps;
+    const double svc = p.in_service->size_bits / topo_.link_capacity(l);
     queue.push(now + svc, kDeparture, l);
   };
 
@@ -214,11 +210,12 @@ SimResult Simulator::run() {
         }
 
         const Flow& f = flows[pkt.flow];
-        const double arrive = now + p.prop_s;
+        const double prop = topo_.link_prop_delay(ev.id);
+        const double arrive = now + prop;
         ++pkt.hop;
         if (pkt.hop == f.path->links.size()) {
           if (pkt.measured) delay[pkt.flow].add(arrive - pkt.gen_time);
-        } else if (p.prop_s == 0.0) {
+        } else if (prop == 0.0) {
           offer(pkt, arrive);  // fast path: no wire latency, no heap trip
         } else {
           wires[ev.id].push_back(pkt);
