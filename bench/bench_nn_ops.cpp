@@ -16,12 +16,13 @@
 // terms, and its backward runs the x side once per source row; so they
 // stay comparable across versions of the kernels.
 //
-// Every kernel runs twice in-process — once pinned to the scalar
-// reference backend, once to the runtime-dispatched SIMD backend — via
-// nn::kernels::ScopedBackendOverride, so the emitted speedups compare
-// identical code paths on identical buffers.  BENCH_nn_ops.json records
-// the detected ISA, the dispatch reason and per-shape speedups (the
-// DESIGN.md §K target: >= 4x matmul/GRU on AVX2 hosts).
+// Every kernel runs in-process on every backend this CPU supports
+// (nn::kernels::supported_backends(): scalar, avx2+fma, avx512), each
+// pinned via nn::kernels::ScopedBackendOverride, so the emitted times
+// compare identical code paths on identical buffers.  BENCH_nn_ops.json
+// records the detected ISA, the dispatch reason, per-backend times
+// (<case>_<backend>_us) and per-shape speedups of the best backend over
+// scalar (the DESIGN.md §K target: >= 4x matmul/GRU on AVX2 hosts).
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -87,14 +88,24 @@ double time_per_iter(Fn&& fn, double min_seconds) {
   }
 }
 
+/// A backend's name as a JSON key part: "avx2+fma" -> "avx2_fma".
+std::string key_of(const Backend& b) {
+  std::string key = b.name;
+  std::replace(key.begin(), key.end(), '+', '_');
+  return key;
+}
+
 struct Case {
   std::string name;
   double flops_per_iter;  ///< for GFLOP/s reporting (0 = skip)
-  double scalar_s = 0.0;
-  double simd_s = 0.0;
+  /// Seconds per iteration on each supported backend, in
+  /// supported_backends() order: scalar first, the best backend last.
+  std::vector<double> secs;
 
+  [[nodiscard]] double scalar_s() const { return secs.front(); }
+  [[nodiscard]] double simd_s() const { return secs.back(); }
   [[nodiscard]] double speedup() const {
-    return simd_s > 0.0 ? scalar_s / simd_s : 1.0;
+    return simd_s() > 0.0 ? scalar_s() / simd_s() : 1.0;
   }
 };
 
@@ -105,12 +116,14 @@ int main() {
   const double budget = benchcfg::quick_mode() ? 0.05 : 0.25;
 
   const Backend& scalar = nn::kernels::scalar_backend();
-  const Backend* simd = nn::kernels::simd_backend();
-  const Backend& best = simd != nullptr ? *simd : scalar;
+  const auto backends = nn::kernels::supported_backends();
+  // supported_backends() lists the tables in dispatch order, best last.
+  const Backend& best = *backends.back();
   std::cout << "active backend: " << nn::kernels::active().name << " ("
             << nn::kernels::dispatch_reason() << ")\n"
-            << "comparing scalar vs " << best.name
-            << (simd == nullptr ? "  [no SIMD backend on this host]" : "")
+            << "comparing";
+  for (const Backend* b : backends) std::cout << " " << b->name;
+  std::cout << (backends.size() == 1 ? "  [no SIMD backend on this host]" : "")
             << "\n\n";
 
   benchcfg::BenchResult result("nn_ops");
@@ -120,16 +133,11 @@ int main() {
   result.note("dispatch_reason", nn::kernels::dispatch_reason());
 
   std::vector<Case> cases;
-  const auto run_both = [&](const std::string& name, double flops,
-                            auto&& fn) {
-    Case c{name, flops};
-    {
-      const nn::kernels::ScopedBackendOverride pin(scalar);
-      c.scalar_s = time_per_iter(fn, budget);
-    }
-    {
-      const nn::kernels::ScopedBackendOverride pin(best);
-      c.simd_s = time_per_iter(fn, budget);
+  const auto run_all = [&](const std::string& name, double flops, auto&& fn) {
+    Case c{name, flops, {}};
+    for (const Backend* b : backends) {
+      const nn::kernels::ScopedBackendOverride pin(*b);
+      c.secs.push_back(time_per_iter(fn, budget));
     }
     cases.push_back(c);
   };
@@ -138,25 +146,25 @@ int main() {
   {
     const Tensor a = rand_tensor(552, 16, 1), b = rand_tensor(16, 16, 2);
     Tensor c(552, 16);
-    run_both("matmul_552x16x16", 2.0 * 552 * 16 * 16,
+    run_all("matmul_552x16x16", 2.0 * 552 * 16 * 16,
              [&] { nn::matmul_acc(c, a, b); });
   }
   {
     const Tensor a = rand_tensor(256, 256, 3), b = rand_tensor(256, 256, 4);
     Tensor c(256, 256);
-    run_both("matmul_256x256x256", 2.0 * 256 * 256 * 256,
+    run_all("matmul_256x256x256", 2.0 * 256 * 256 * 256,
              [&] { nn::matmul_acc(c, a, b); });
   }
   {
     const Tensor a = rand_tensor(552, 16, 5), b = rand_tensor(552, 16, 6);
     Tensor c(16, 16);
-    run_both("matmul_tn_552x16x16", 2.0 * 552 * 16 * 16,
+    run_all("matmul_tn_552x16x16", 2.0 * 552 * 16 * 16,
              [&] { nn::matmul_tn_acc(c, a, b); });
   }
   {
     const Tensor a = rand_tensor(552, 16, 7), b = rand_tensor(16, 16, 8);
     Tensor c(552, 16);
-    run_both("matmul_nt_552x16x16", 2.0 * 552 * 16 * 16,
+    run_all("matmul_nt_552x16x16", 2.0 * 552 * 16 * 16,
              [&] { nn::matmul_nt_acc(c, a, b); });
   }
 
@@ -164,11 +172,11 @@ int main() {
   {
     const Tensor a = rand_tensor(552, 32, 9);
     Tensor y(552, 32);
-    run_both("sigmoid_552x32", 0.0, [&] {
+    run_all("sigmoid_552x32", 0.0, [&] {
       nn::kernels::active().vsigmoid(y.flat().data(), a.flat().data(),
                                      a.size());
     });
-    run_both("tanh_552x32", 0.0, [&] {
+    run_all("tanh_552x32", 0.0, [&] {
       nn::kernels::active().vtanh(y.flat().data(), a.flat().data(), a.size());
     });
   }
@@ -191,7 +199,7 @@ int main() {
     const nn::Var x(rand_tensor(rows, hid, 11), false);
     const nn::Var h(rand_tensor(rows, hid, 12), false);
     const nn::NoGradGuard guard;
-    run_both("gru_step_fwd_" + std::to_string(rows) + "x" +
+    run_all("gru_step_fwd_" + std::to_string(rows) + "x" +
                  std::to_string(hid),
              gru_flops(rows, hid), [&] { (void)cell.step(x, h); });
   }
@@ -207,7 +215,7 @@ int main() {
       elem_ids[i] = static_cast<nn::Index>((i * 7) % kLinks);
     }
     const nn::NoGradGuard guard;
-    run_both("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
+    run_all("gru_step_indexed_229x12", gru_flops(kActive, kHid), [&] {
       cell.step_indexed(links, elem_ids, hidden, path_rows);
     });
   }
@@ -234,7 +242,7 @@ int main() {
                                     d(gate_w[1]), nullptr, d(gate_b[1]),
                                     d(gate_w[2]), nullptr, d(gate_b[2])};
     Tensor u(kRows, 3 * kHid);
-    run_both("gru_project_98x12", 2.0 * kRows * kHid * 3 * kHid, [&] {
+    run_all("gru_project_98x12", 2.0 * kRows * kHid * 3 * kHid, [&] {
       const Backend& b = nn::kernels::active();
       if (b.gru_project != nullptr &&
           b.gru_project(u.flat().data(), x.flat().data(), nullptr, kRows,
@@ -277,16 +285,16 @@ int main() {
     const double flops = gru_flops(plan.total_entries(), kHid);
     {
       const nn::NoGradGuard guard;
-      run_both("gru_sweep_geant2x12", flops, [&] { sweep(false); });
+      run_all("gru_sweep_geant2x12", flops, [&] { sweep(false); });
     }
-    run_both("gru_sweep_fwdbwd_geant2x12", 3.0 * flops, [&] { sweep(true); });
+    run_all("gru_sweep_fwdbwd_geant2x12", 3.0 * flops, [&] { sweep(true); });
   }
   {
     util::RngStream rng(13);
     const nn::GRUCell cell(16, 16, rng);
     nn::Var x(rand_tensor(552, 16, 14), true);
     nn::Var h(rand_tensor(552, 16, 15), true);
-    run_both("gru_step_fwdbwd_552x16", 0.0, [&] {
+    run_all("gru_step_fwdbwd_552x16", 0.0, [&] {
       x.zero_grad();
       h.zero_grad();
       nn::Var loss = nn::mean_all(cell.step(x, h));
@@ -295,28 +303,29 @@ int main() {
   }
 
   // -- report ----------------------------------------------------------
-  std::cout << std::left << std::setw(26) << "kernel" << std::right
-            << std::setw(14) << "scalar us" << std::setw(14)
-            << (std::string(best.name) + " us") << std::setw(10) << "speedup"
-            << std::setw(16) << "scalar GFLOP/s" << std::setw(16)
-            << "simd GFLOP/s" << "\n";
+  // One time column per backend; speedup and GFLOP/s are scalar vs best.
+  std::cout << std::left << std::setw(26) << "kernel" << std::right;
+  for (const Backend* b : backends)
+    std::cout << std::setw(14) << (std::string(b->name) + " us");
+  std::cout << std::setw(10) << "speedup" << std::setw(16) << "scalar GFLOP/s"
+            << std::setw(16) << "simd GFLOP/s" << "\n";
   for (const Case& c : cases) {
     std::cout << std::left << std::setw(26) << c.name << std::right
-              << std::setw(14) << std::fixed << std::setprecision(2)
-              << c.scalar_s * 1e6 << std::setw(14) << c.simd_s * 1e6
-              << std::setw(10) << std::setprecision(2) << c.speedup();
+              << std::fixed << std::setprecision(2);
+    for (const double s : c.secs) std::cout << std::setw(14) << s * 1e6;
+    std::cout << std::setw(10) << c.speedup();
     if (c.flops_per_iter > 0.0)
-      std::cout << std::setw(16) << std::setprecision(2)
-                << c.flops_per_iter / c.scalar_s / 1e9 << std::setw(16)
-                << c.flops_per_iter / c.simd_s / 1e9;
+      std::cout << std::setw(16) << c.flops_per_iter / c.scalar_s() / 1e9
+                << std::setw(16) << c.flops_per_iter / c.simd_s() / 1e9;
     std::cout << "\n";
-    result.add(c.name + "_scalar_us", c.scalar_s * 1e6);
-    result.add(c.name + "_simd_us", c.simd_s * 1e6);
+    for (std::size_t i = 0; i < backends.size(); ++i)
+      result.add(c.name + "_" + key_of(*backends[i]) + "_us", c.secs[i] * 1e6);
+    result.add(c.name + "_simd_us", c.simd_s() * 1e6);
     result.add(c.name + "_speedup", c.speedup());
     if (c.flops_per_iter > 0.0) {
       result.add(c.name + "_scalar_gflops",
-                 c.flops_per_iter / c.scalar_s / 1e9);
-      result.add(c.name + "_simd_gflops", c.flops_per_iter / c.simd_s / 1e9);
+                 c.flops_per_iter / c.scalar_s() / 1e9);
+      result.add(c.name + "_simd_gflops", c.flops_per_iter / c.simd_s() / 1e9);
     }
   }
 
@@ -334,7 +343,7 @@ int main() {
   // sweep of the same plan.
   const auto simd_s = [&](const std::string& name) {
     for (const Case& c : cases)
-      if (c.name == name) return c.simd_s;
+      if (c.name == name) return c.simd_s();
     return 0.0;
   };
   result.add("gru_sweep_fwdbwd_over_untaped_geant2x12",

@@ -168,6 +168,53 @@ const Backend& scalar_backend() noexcept {
   return backend;
 }
 
+#if defined(__x86_64__) || defined(_M_X64)
+namespace avx512 {
+/// `avx2` with the AVX-512 entries in place (kernels_avx512.cpp).  Runs
+/// AVX-512 code: call it only once the CPU is known to support it.
+Backend table(const Backend& avx2) noexcept;
+}  // namespace avx512
+#endif
+
+const Backend* avx512_backend() noexcept {
+#if defined(__x86_64__) || defined(_M_X64)
+  // The check runs here, in a file built without AVX-512 flags.  GCC's and
+  // clang's cpu model reports the avx512 features only when the OS also
+  // saves the zmm and mask state (XCR0).
+  static const Backend* const backend = []() -> const Backend* {
+    const Backend* avx2 = avx2_backend();
+    if (avx2 == nullptr || !__builtin_cpu_supports("avx512f") ||
+        !__builtin_cpu_supports("avx512dq") ||
+        !__builtin_cpu_supports("avx512vl"))
+      return nullptr;
+    static const Backend table = avx512::table(*avx2);
+    return &table;
+  }();
+  return backend;
+#else
+  return nullptr;
+#endif
+}
+
+const Backend* simd_backend() noexcept {
+  if (const Backend* b = avx512_backend()) return b;
+  return avx2_backend();
+}
+
+std::span<const Backend* const> supported_backends() noexcept {
+  struct List {
+    const Backend* at[3];
+    std::size_t size;
+  };
+  static const List list = [] {
+    List l{{&scalar_backend(), nullptr, nullptr}, 1};
+    for (const Backend* b : {avx2_backend(), avx512_backend()})
+      if (b != nullptr) l.at[l.size++] = b;
+    return l;
+  }();
+  return {list.at, list.size};
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch: resolved once per process, overridable per thread for tests.
 // ---------------------------------------------------------------------------

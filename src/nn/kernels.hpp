@@ -15,24 +15,42 @@
 //                the transcendentals use a Cephes-style polynomial, so
 //                those results are pinned to a small-ulp bound instead
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
+//   * avx512   — the avx2+fma table with gru_project, gru_step, vsigmoid
+//                and vtanh at 8 doubles per instruction
+//                (kernels_avx512.cpp).  Every cell runs the AVX2
+//                kernel's exact operation sequence, so each output is
+//                bitwise-equal to avx2+fma's (a NaN's payload aside;
+//                tests/nn_kernels_cross_table_test.cpp).  The backward
+//                stays the AVX2 one: its dh dots follow matmul_nt_acc's
+//                4-lane order, which an 8-lane kernel would change.
 //
-// Only avx2+fma provides the optional whole-step GRU kernels, for narrow
-// hidden widths: `gru_project` and `gru_step` (the forward, which a taped
-// step also runs to save the activations its backward needs) and
+// Only the SIMD tables provide the optional whole-step GRU kernels, for
+// narrow hidden widths: `gru_project` and `gru_step` (the forward, which
+// a taped step also runs to save the activations its backward needs) and
 // `gru_step_backward`, the h side of the backward, whose caller runs the
 // x side once per x row.  Their outputs, and the h-side gradients, are
 // bitwise-equal to the same backend's composition of matmul kernels and
 // gru_gates / gru_blend passes; the x-side gradients are summed per x
 // row first and agree to rounding (DESIGN.md §K).
 //
-// Dispatch: the best backend the CPU supports wins (cpuid AVX2+FMA on
-// x86-64, scalar otherwise — aarch64 included).  RNX_SIMD=scalar forces
-// the reference backend; RNX_SIMD=native forces auto-detection (and is
-// the explicit spelling of the default); any other value throws.  The
-// decision is made once, on first use, and is immutable for the
+// Dispatch: the best backend the CPU supports wins — avx512 when the CPU
+// and OS support AVX-512F/DQ/VL, else avx2+fma when the CPU supports
+// AVX2+FMA (x86-64), else scalar (aarch64 included).  RNX_SIMD=scalar
+// forces the reference backend; RNX_SIMD=native forces auto-detection
+// (and is the explicit spelling of the default); any other value throws.
+// The decision is made once, on first use, and is immutable for the
 // process — except for ScopedBackendOverride, the thread-local hook the
-// parity tests and bench_nn_ops use to run both backends in one
-// process.
+// parity tests and bench_nn_ops use to run every backend in one process
+// (supported_backends() lists them).
+//
+// Linkage rule: each SIMD table's file is the only one compiled with its
+// ISA flags, and its code runs only once dispatch has checked the CPU.
+// So a SIMD file must not emit an inline entity with external linkage
+// (a header template such as std::vector's members, or a template shared
+// with another kernel file): the linker keeps one copy of each, and
+// could keep the AVX-512 one for a caller on a CPU without AVX-512.
+// Shared templates (kernels_vmath.hpp) have internal linkage; CI checks
+// that only kernels_avx512.cpp's functions use zmm registers.
 //
 // Alignment contract: Tensor buffers are 64-byte aligned (kTensorAlign)
 // so vector kernels never split a cache line at the base pointer.  Row
@@ -43,6 +61,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace rnx::nn::kernels {
 
@@ -86,7 +105,8 @@ struct GruActs {
 /// kernels accumulate into c.  Shapes follow nn::Tensor's matmul
 /// contracts (tensor.hpp).
 struct Backend {
-  /// Stable lowercase tag for logs / BENCH json ("scalar", "avx2+fma").
+  /// Stable lowercase tag for logs / BENCH json ("scalar", "avx2+fma",
+  /// "avx512").
   const char* name = "scalar";
 
   // -- dense: C (n x m) views, reduction length k -----------------------
@@ -192,10 +212,22 @@ struct Backend {
 [[nodiscard]] const Backend& scalar_backend() noexcept;
 
 /// The AVX2/FMA backend when this binary targets x86-64 AND this CPU
-/// supports AVX2+FMA, or nullptr when only scalar is available.
-/// Defined in kernels_avx2.cpp so only that file needs ISA compile
-/// flags.
+/// supports AVX2+FMA, else nullptr.  Defined in kernels_avx2.cpp so only
+/// that file needs its ISA compile flags.
+[[nodiscard]] const Backend* avx2_backend() noexcept;
+
+/// The AVX-512 backend when this binary targets x86-64 AND this CPU and
+/// its OS support AVX-512F/DQ/VL (and AVX2+FMA), else nullptr: the AVX2
+/// table with the AVX-512 gru_project, gru_step, vsigmoid and vtanh.
+[[nodiscard]] const Backend* avx512_backend() noexcept;
+
+/// The best SIMD backend this CPU can run (avx512, else avx2+fma), or
+/// nullptr when only scalar is available.  Auto-detection picks it.
 [[nodiscard]] const Backend* simd_backend() noexcept;
+
+/// Every backend this CPU can run: scalar first, then avx2+fma and
+/// avx512 where supported.  Parity tests and bench_nn_ops iterate it.
+[[nodiscard]] std::span<const Backend* const> supported_backends() noexcept;
 
 /// The backend every nn kernel call dispatches through: the thread's
 /// ScopedBackendOverride if one is active, else the process-wide choice

@@ -25,6 +25,8 @@
 #include <cstring>
 #include <vector>
 
+#include "nn/kernels_vmath.hpp"
+
 namespace rnx::nn::kernels {
 namespace avx2 {
 namespace {
@@ -392,72 +394,45 @@ void vrelu(double* y, const double* a, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// sigmoid and tanh as one ratio each of the same Cephes exp parts.  This
-// is where the GRU's elementwise time goes, and the divider bounds it,
-// so each costs one division per vector.  Both are a few ulp from the
-// libm reference, with no cancellation near 0.
+// sigmoid and tanh as one ratio each of the same Cephes exp parts
+// (kernels_vmath.hpp, shared with the AVX-512 table).  This is where the
+// GRU's elementwise time goes, and the divider bounds it, so each costs
+// one division per vector.  Both are a few ulp from the libm reference,
+// with no cancellation near 0.
 // ---------------------------------------------------------------------------
 
-constexpr double kMinLog = -708.396418532264078749;  // log(DBL_MIN), normal
-constexpr double kSigmoidMaxArg = 708.0;  // s·Q stays finite below this
-
-/// e^x = s (Q + P) / (Q - P), s = 2^n, where P / Q = tanh(r / 2) on the
-/// reduced argument r = x - n ln2, |r| <= ln2 / 2.  x must lie in
-/// [kMinLog, kSigmoidMaxArg] (or be NaN, which reaches P and Q).
-struct ExpParts {
-  __m256d p, q, s;
+/// kernels_vmath.hpp's vector ops at 4 doubles.
+struct Ops256 {
+  using V = __m256d;
+  static V set1(double x) { return _mm256_set1_pd(x); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
+  static V min(V a, V b) { return _mm256_min_pd(a, b); }
+  static V max(V a, V b) { return _mm256_max_pd(a, b); }
+  static V round(V x) {
+    return _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static V and_(V a, V b) { return _mm256_and_pd(a, b); }
+  static V andnot(V a, V b) { return _mm256_andnot_pd(a, b); }
+  static V or_(V a, V b) { return _mm256_or_pd(a, b); }
+  static V zero_where_greater(V y, V t, V c) {
+    return _mm256_andnot_pd(_mm256_cmp_pd(t, c, _CMP_GT_OQ), y);
+  }
+  // Direct exponent-field construction (|n| <= 1022, so the int32 path is
+  // exact).
+  static V pow2(V n) {
+    const __m256i n64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
+    return _mm256_castsi256_pd(
+        _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52));
+  }
 };
 
-inline ExpParts vexp_parts(__m256d x) {
-  // n = round(x * log2(e)); r = x - n*ln2 in two pieces for accuracy.
-  const __m256d vlog2e = _mm256_set1_pd(1.4426950408889634073599);
-  const __m256d n = _mm256_round_pd(
-      _mm256_mul_pd(x, vlog2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  x = _mm256_fnmadd_pd(n, _mm256_set1_pd(6.93145751953125e-1), x);
-  x = _mm256_fnmadd_pd(n, _mm256_set1_pd(1.42860682030941723212e-6), x);
-
-  const __m256d xx = _mm256_mul_pd(x, x);
-  __m256d px = _mm256_set1_pd(1.26177193074810590878e-4);
-  px = _mm256_fmadd_pd(px, xx, _mm256_set1_pd(3.02994407707441961300e-2));
-  px = _mm256_fmadd_pd(px, xx, _mm256_set1_pd(9.99999999999999999910e-1));
-  px = _mm256_mul_pd(px, x);
-  __m256d qx = _mm256_set1_pd(3.00198505138664455042e-6);
-  qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.52448340349684104192e-3));
-  qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.27265548208155028766e-1));
-  qx = _mm256_fmadd_pd(qx, xx, _mm256_set1_pd(2.0));
-
-  // 2^n via direct exponent-field construction (|n| <= 1022, so the
-  // int32 path is exact).
-  const __m256i n64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-  const __m256i pow2 =
-      _mm256_slli_epi64(_mm256_add_epi64(n64, _mm256_set1_epi64x(1023)), 52);
-  return {px, qx, _mm256_castsi256_pd(pow2)};
-}
-
-/// (s + 1) Q + (s - 1) P, the shared denominator: s e^r + 1 times Q - P.
-/// Rounding the P term and fusing the Q term (tanh's numerator too)
-/// measured the tighter of the two orders.
-inline __m256d exp_denominator(const ExpParts& e) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  return _mm256_fmadd_pd(_mm256_add_pd(e.s, one), e.q,
-                         _mm256_mul_pd(_mm256_sub_pd(e.s, one), e.p));
-}
-
-// sigma(x) = 1 / (1 + e^t), t = -x: (Q - P) / ((s + 1) Q + (s - 1) P).
-// t below kMinLog rounds s + 1 to 1 and s - 1 to -1, so the ratio is
-// exactly 1; t above kSigmoidMaxArg returns +0.  The constant goes first
-// in min/max, which return their second operand on NaN, so NaN
-// propagates.
-inline __m256d vsigmoid_pd(__m256d x) {
-  const __m256d t = _mm256_sub_pd(_mm256_setzero_pd(), x);
-  const __m256d tc = _mm256_max_pd(
-      _mm256_set1_pd(kMinLog),
-      _mm256_min_pd(_mm256_set1_pd(kSigmoidMaxArg), t));
-  const ExpParts e = vexp_parts(tc);
-  const __m256d y = _mm256_div_pd(_mm256_sub_pd(e.q, e.p), exp_denominator(e));
-  return _mm256_andnot_pd(
-      _mm256_cmp_pd(t, _mm256_set1_pd(kSigmoidMaxArg), _CMP_GT_OQ), y);
-}
+inline __m256d vsigmoid_pd(__m256d x) { return vsigmoid_v<Ops256>(x); }
+inline __m256d vtanh_pd(__m256d x) { return vtanh_v<Ops256>(x); }
 
 void vsigmoid(double* y, const double* a, std::size_t n) {
   std::size_t i = 0;
@@ -472,24 +447,6 @@ void vsigmoid(double* y, const double* a, std::size_t n) {
     _mm256_store_pd(out, vsigmoid_pd(_mm256_load_pd(buf)));
     for (std::size_t t = i; t < n; ++t) y[t] = out[t - i];
   }
-}
-
-// tanh a = (e^2a - 1) / (e^2a + 1) = ((s - 1) Q + (s + 1) P) / ((s + 1) Q
-// + (s - 1) P) on a = min(22, |x|), with x's sign OR-ed back in (so
-// tanh(-0) = -0).  tanh(22) rounds to 1, and there s - 1 and s + 1 round
-// to s, so the ratio is exactly 1.  Near 0, n = 0 and the ratio is P / Q
-// on r = 2a: no cancellation.  NaN propagates through min as in sigmoid.
-inline __m256d vtanh_pd(__m256d x) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d sign = _mm256_and_pd(x, sign_mask);
-  const __m256d a =
-      _mm256_min_pd(_mm256_set1_pd(22.0), _mm256_andnot_pd(sign_mask, x));
-  const ExpParts e = vexp_parts(_mm256_add_pd(a, a));
-  const __m256d num =
-      _mm256_fmadd_pd(_mm256_sub_pd(e.s, one), e.q,
-                      _mm256_mul_pd(_mm256_add_pd(e.s, one), e.p));
-  return _mm256_or_pd(_mm256_div_pd(num, exp_denominator(e)), sign);
 }
 
 void vtanh(double* y, const double* a, std::size_t n) {
@@ -1071,7 +1028,7 @@ bool gru_step_backward(double* du, const std::uint32_t* du_rows, double* dh,
 }  // namespace
 }  // namespace avx2
 
-const Backend* simd_backend() noexcept {
+const Backend* avx2_backend() noexcept {
   static const Backend backend = {
       "avx2+fma",
       &avx2::matmul_acc,
@@ -1102,7 +1059,7 @@ const Backend* simd_backend() noexcept {
 #else  // non-x86: this translation unit contributes only the stub.
 
 namespace rnx::nn::kernels {
-const Backend* simd_backend() noexcept { return nullptr; }
+const Backend* avx2_backend() noexcept { return nullptr; }
 }  // namespace rnx::nn::kernels
 
 #endif

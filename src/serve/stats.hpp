@@ -51,7 +51,9 @@ struct ServeStats {
   std::uint64_t latency_us_max = 0;
 
   // -- kernel backend (nn::kernels dispatch; static strings) ------------
-  const char* kernel_isa = "";     ///< active ISA tag, e.g. "avx2+fma"
+  /// The kernel table dispatch chose (nn::kernels::active().name):
+  /// "scalar", "avx2+fma" or "avx512".
+  const char* kernel_isa = "";
   const char* kernel_reason = "";  ///< why it was chosen (dispatch_reason)
 
   /// Requests admitted but not yet resolved.

@@ -1,5 +1,6 @@
 #include "topo/topology.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace rnx::topo {
@@ -12,8 +13,9 @@ Topology::Topology(std::string name, Graph graph)
       queue_pkts_(graph_.num_nodes(), kStandardQueuePackets) {}
 
 void Topology::set_link_capacity(LinkId l, double bits_per_sec) {
-  if (bits_per_sec <= 0.0)
-    throw std::invalid_argument("Topology: capacity must be positive");
+  if (!(bits_per_sec > 0.0) || !std::isfinite(bits_per_sec))
+    throw std::invalid_argument(
+        "Topology: capacity must be positive and finite");
   capacity_bps_.at(l) = bits_per_sec;
 }
 
@@ -23,8 +25,9 @@ void Topology::set_all_capacities(double bits_per_sec) {
 }
 
 void Topology::set_link_prop_delay(LinkId l, double seconds) {
-  if (seconds < 0.0)
-    throw std::invalid_argument("Topology: negative propagation delay");
+  if (!(seconds >= 0.0) || !std::isfinite(seconds))
+    throw std::invalid_argument(
+        "Topology: propagation delay must be non-negative and finite");
   prop_delay_s_.at(l) = seconds;
 }
 
@@ -39,10 +42,14 @@ void Topology::set_all_queue_sizes(std::uint32_t packets) {
 }
 
 void Topology::validate() const {
-  for (LinkId l = 0; l < graph_.num_links(); ++l)
-    if (capacity_bps_[l] <= 0.0)
+  for (LinkId l = 0; l < graph_.num_links(); ++l) {
+    if (!(capacity_bps_[l] > 0.0) || !std::isfinite(capacity_bps_[l]))
       throw std::logic_error("Topology: link " + std::to_string(l) +
-                             " has no capacity");
+                             " has no finite capacity");
+    if (!(prop_delay_s_[l] >= 0.0) || !std::isfinite(prop_delay_s_[l]))
+      throw std::logic_error("Topology: link " + std::to_string(l) +
+                             " has no finite propagation delay");
+  }
   for (NodeId n = 0; n < graph_.num_nodes(); ++n)
     if (queue_pkts_[n] == 0)
       throw std::logic_error("Topology: node " + std::to_string(n) +

@@ -54,8 +54,11 @@
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
 #include "grad_rounding.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
+
+using rnx::test::simd_tables;
 
 using namespace rnx;
 using nn::Index;
@@ -71,12 +74,8 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                       a.size() * sizeof(double)) == 0);
 }
 
-/// The scalar backend plus the SIMD backend when this host has one.
-std::vector<const Backend*> backends() {
-  std::vector<const Backend*> out{&nn::kernels::scalar_backend()};
-  if (const Backend* simd = nn::kernels::simd_backend()) out.push_back(simd);
-  return out;
-}
+/// Every kernel table this CPU can run.
+std::vector<const Backend*> backends() { return rnx::test::all_tables(); }
 
 /// `b` without its whole-step GRU kernels: the taped step then runs the
 /// composed passes and the composed backward on b's matmul kernels.
@@ -160,36 +159,40 @@ StepResult taped_step_twice(const nn::GRUCell& cell, const Tensor& xv,
 }
 
 TEST(GruStepBackward, KernelMatchesComposedBackwardBitwise) {
-  const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step_backward == nullptr)
-    GTEST_SKIP() << "no GRU backward kernel on this host";
-  const Backend composed = without_gru_kernels(*simd);
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t in : {hid, std::size_t{8}, std::size_t{3}})
-      for (const std::size_t rows : {0, 1, 2, 3, 229})
-        for (const bool x_grad : {false, true})
-          for (const bool h_grad : {false, true}) {
-            SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
-                         std::to_string(in) + " rows=" +
-                         std::to_string(rows) + " x_grad=" +
-                         std::to_string(x_grad) +
-                         " h_grad=" + std::to_string(h_grad));
-            util::RngStream rng(7000 + 97 * hid + 13 * in + rows);
-            const nn::GRUCell cell(in, hid, rng);
-            const Tensor xv = random_tensor(rows, in, rng);
-            const Tensor hv = random_tensor(rows, hid, rng);
-            const Tensor weight = random_tensor(rows, hid, rng);
-            StepResult want, got;
-            {
-              const ScopedBackendOverride pin(composed);
-              want = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step_backward != nullptr) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no GRU backward kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const Backend composed = without_gru_kernels(*simd);
+    for (const std::size_t hid : {4, 8, 12, 16})
+      for (const std::size_t in : {hid, std::size_t{8}, std::size_t{3}})
+        for (const std::size_t rows : {0, 1, 2, 3, 229})
+          for (const bool x_grad : {false, true})
+            for (const bool h_grad : {false, true}) {
+              SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                           std::to_string(in) + " rows=" +
+                           std::to_string(rows) + " x_grad=" +
+                           std::to_string(x_grad) +
+                           " h_grad=" + std::to_string(h_grad));
+              util::RngStream rng(7000 + 97 * hid + 13 * in + rows);
+              const nn::GRUCell cell(in, hid, rng);
+              const Tensor xv = random_tensor(rows, in, rng);
+              const Tensor hv = random_tensor(rows, hid, rng);
+              const Tensor weight = random_tensor(rows, hid, rng);
+              StepResult want, got;
+              {
+                const ScopedBackendOverride pin(composed);
+                want = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
+              }
+              {
+                const ScopedBackendOverride pin(*simd);
+                got = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
+              }
+              EXPECT_TRUE(matches(got, want, /*kernel_ran=*/true));
             }
-            {
-              const ScopedBackendOverride pin(*simd);
-              got = taped_step_twice(cell, xv, hv, weight, x_grad, h_grad);
-            }
-            EXPECT_TRUE(matches(got, want, /*kernel_ran=*/true));
-          }
+  }
 }
 
 /// The cell's parameters in GruWeights order.
@@ -205,41 +208,45 @@ nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
 // memory.  It never reads x, so the input width does not matter: a cell
 // of 3 inputs and 12 state columns takes the kernel.
 TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
-  const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step_backward == nullptr)
-    GTEST_SKIP() << "no GRU backward kernel on this host";
-  util::RngStream rng(7100);
-  for (const auto& [in, hid] :
-       {std::pair<std::size_t, std::size_t>{10, 10}, {3, 12}, {12, 20}}) {
-    SCOPED_TRACE("in=" + std::to_string(in) + " hid=" + std::to_string(hid));
-    nn::GRUCell cell(in, hid, rng);
-    if (hid % 4 != 0 || hid > 16) {
-      const nn::kernels::GruGrads none{};
-      EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, nullptr,
-                                           nullptr, nullptr, nullptr, nullptr,
-                                           nullptr, nullptr, nullptr, 5, hid,
-                                           weights_of(cell), none));
-      continue;
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step_backward != nullptr) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no GRU backward kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    util::RngStream rng(7100);
+    for (const auto& [in, hid] :
+         {std::pair<std::size_t, std::size_t>{10, 10}, {3, 12}, {12, 20}}) {
+      SCOPED_TRACE("in=" + std::to_string(in) + " hid=" + std::to_string(hid));
+      nn::GRUCell cell(in, hid, rng);
+      if (hid % 4 != 0 || hid > 16) {
+        const nn::kernels::GruGrads none{};
+        EXPECT_FALSE(simd->gru_step_backward(nullptr, nullptr, nullptr,
+                                             nullptr, nullptr, nullptr, nullptr,
+                                             nullptr, nullptr, nullptr, 5, hid,
+                                             weights_of(cell), none));
+        continue;
+      }
+      // One row with no dh: the DU row and the h-side grads are written.
+      const Tensor h = random_tensor(1, hid, rng);
+      const Tensor g = random_tensor(1, hid, rng);
+      const Tensor acts = nn::uniform_init(3, hid, 0.1, 0.9, rng);
+      Tensor du(1, 3 * hid);
+      std::vector<Tensor> grads;
+      for (const auto& [name, p] : cell.named_params())
+        grads.emplace_back(p.rows(), p.cols());
+      const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
+      const nn::kernels::GruGrads dw{d(0), d(1), d(2), d(3), d(4),
+                                     d(5), d(6), d(7), d(8)};
+      EXPECT_TRUE(simd->gru_step_backward(
+          du.flat().data(), nullptr, nullptr, nullptr, g.flat().data(),
+          h.flat().data(), nullptr, acts.row(0).data(), acts.row(1).data(),
+          acts.row(2).data(), 1, hid, weights_of(cell), dw));
+      EXPECT_NE(du(0, 0), 0.0);
+      for (const std::size_t i : {0, 2, 3, 5, 6, 8})  // wx*, b*: untouched
+        EXPECT_TRUE(
+            bitwise_equal(grads[i], Tensor(grads[i].rows(), grads[i].cols())));
     }
-    // One row with no dh: the DU row and the h-side grads are written.
-    const Tensor h = random_tensor(1, hid, rng);
-    const Tensor g = random_tensor(1, hid, rng);
-    const Tensor acts = nn::uniform_init(3, hid, 0.1, 0.9, rng);
-    Tensor du(1, 3 * hid);
-    std::vector<Tensor> grads;
-    for (const auto& [name, p] : cell.named_params())
-      grads.emplace_back(p.rows(), p.cols());
-    const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
-    const nn::kernels::GruGrads dw{d(0), d(1), d(2), d(3), d(4),
-                                   d(5), d(6), d(7), d(8)};
-    EXPECT_TRUE(simd->gru_step_backward(
-        du.flat().data(), nullptr, nullptr, nullptr, g.flat().data(),
-        h.flat().data(), nullptr, acts.row(0).data(), acts.row(1).data(),
-        acts.row(2).data(), 1, hid, weights_of(cell), dw));
-    EXPECT_NE(du(0, 0), 0.0);
-    for (const std::size_t i : {0, 2, 3, 5, 6, 8})  // wx*, b*: untouched
-      EXPECT_TRUE(
-          bitwise_equal(grads[i], Tensor(grads[i].rows(), grads[i].cols())));
   }
 }
 
@@ -251,88 +258,94 @@ TEST(GruStepBackward, BackendEntryDeclinesUnsupportedShapes) {
 // With a carry, g is first carry + g and dh replaces the carry row (dh
 // from 0); without one, dh adds onto a non-zero buffer.
 TEST(GruStepBackward, DuRowsMatchComposedFormulasBitwise) {
-  const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step_backward == nullptr)
-    GTEST_SKIP() << "no GRU backward kernel on this host";
-  constexpr std::size_t kSources = 5, kPaths = 40;
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t rows : {1, 3, 37})
-      for (const bool carry : {false, true}) {
-        SCOPED_TRACE("hid=" + std::to_string(hid) + " rows=" +
-                     std::to_string(rows) + " carry=" + std::to_string(carry));
-        util::RngStream rng(7150 + 31 * hid + rows + 1000 * carry);
-        nn::GRUCell cell(hid, hid, rng);
-        const nn::kernels::GruWeights w = weights_of(cell);
-        const Tensor g = random_tensor(rows, hid, rng);
-        const Tensor h = random_tensor(kPaths, hid, rng);
-        const Tensor z = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
-        const Tensor r = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
-        const Tensor n = nn::uniform_init(rows, hid, -0.95, 0.95, rng);
-        // dh rows: distinct carry rows of kPaths, or rows 0..rows-1.
-        std::vector<Index> dh_rows(kPaths), h_rows(rows), du_rows(rows);
-        std::iota(dh_rows.begin(), dh_rows.end(), Index{0});
-        for (std::size_t i = 0; i < kPaths; ++i)
-          std::swap(dh_rows[i], dh_rows[static_cast<std::size_t>(
-                                    rng.uniform_int(static_cast<std::int64_t>(i),
-                                                    kPaths - 1))]);
-        for (std::size_t i = 0; i < rows; ++i) {
-          h_rows[i] = static_cast<Index>(rng.uniform_int(0, kPaths - 1));
-          du_rows[i] = static_cast<Index>(rng.uniform_int(0, kSources - 1));
-          if (!carry) dh_rows[i] = static_cast<Index>(i);
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step_backward != nullptr) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no GRU backward kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    constexpr std::size_t kSources = 5, kPaths = 40;
+    for (const std::size_t hid : {4, 8, 12, 16})
+      for (const std::size_t rows : {1, 3, 37})
+        for (const bool carry : {false, true}) {
+          SCOPED_TRACE("hid=" + std::to_string(hid) +
+                       " rows=" + std::to_string(rows) +
+                       " carry=" + std::to_string(carry));
+          util::RngStream rng(7150 + 31 * hid + rows + 1000 * carry);
+          nn::GRUCell cell(hid, hid, rng);
+          const nn::kernels::GruWeights w = weights_of(cell);
+          const Tensor g = random_tensor(rows, hid, rng);
+          const Tensor h = random_tensor(kPaths, hid, rng);
+          const Tensor z = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
+          const Tensor r = nn::uniform_init(rows, hid, 0.05, 0.95, rng);
+          const Tensor n = nn::uniform_init(rows, hid, -0.95, 0.95, rng);
+          // dh rows: distinct carry rows of kPaths, or rows 0..rows-1.
+          std::vector<Index> dh_rows(kPaths), h_rows(rows), du_rows(rows);
+          std::iota(dh_rows.begin(), dh_rows.end(), Index{0});
+          for (std::size_t i = 0; i < kPaths; ++i)
+            std::swap(dh_rows[i],
+                      dh_rows[static_cast<std::size_t>(rng.uniform_int(
+                          static_cast<std::int64_t>(i), kPaths - 1))]);
+          for (std::size_t i = 0; i < rows; ++i) {
+            h_rows[i] = static_cast<Index>(rng.uniform_int(0, kPaths - 1));
+            du_rows[i] = static_cast<Index>(rng.uniform_int(0, kSources - 1));
+            if (!carry) dh_rows[i] = static_cast<Index>(i);
+          }
+          const Tensor dh0 = random_tensor(kPaths, hid, rng);
+
+          // The formulas, row by row, on the backend's matmul_nt_acc.
+          Tensor gi(rows, hid), dan(rows, hid), dzr(rows, 2 * hid);
+          for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t c = 0; c < hid; ++c) {
+              gi(i, c) = carry ? dh0(dh_rows[i], c) + g(i, c) : g(i, c);
+              const double hv = h(h_rows[i], c);
+              dan(i, c) =
+                  gi(i, c) * (1.0 - z(i, c)) * (1.0 - n(i, c) * n(i, c));
+              dzr(i, c) = gi(i, c) * (hv - n(i, c)) * z(i, c) * (1.0 - z(i, c));
+            }
+          Tensor drh(rows, hid);
+          simd->matmul_nt_acc(drh.flat().data(), dan.flat().data(), w.whn, rows,
+                              hid, hid);
+          for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t c = 0; c < hid; ++c)
+              dzr(i, hid + c) = drh(i, c) * h(h_rows[i], c) * r(i, c) *
+                                (1.0 - r(i, c));
+          Tensor want_du(kSources, 3 * hid);
+          for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t c = 0; c < 3 * hid; ++c)
+              want_du(du_rows[i], c) +=
+                  c < 2 * hid ? dzr(i, c) : dan(i, c - 2 * hid);
+          Tensor w_zr(hid, 2 * hid), s1(rows, hid);
+          for (std::size_t j = 0; j < hid; ++j)
+            for (std::size_t c = 0; c < hid; ++c) {
+              w_zr(j, c) = w.whz[j * hid + c];
+              w_zr(j, hid + c) = w.whr[j * hid + c];
+            }
+          simd->matmul_nt_acc(s1.flat().data(), dzr.flat().data(),
+                              w_zr.flat().data(), rows, 2 * hid, hid);
+          Tensor want_dh = dh0;
+          for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t c = 0; c < hid; ++c) {
+              double& d = want_dh(dh_rows[i], c);
+              d = ((carry ? 0.0 : d) + (0.0 + s1(i, c))) +
+                  (gi(i, c) * z(i, c) + drh(i, c) * r(i, c));
+            }
+
+          Tensor du(kSources, 3 * hid), dh = dh0;
+          std::vector<Tensor> grads;
+          for (const auto& [name, p] : cell.named_params())
+            grads.emplace_back(p.rows(), p.cols());
+          const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
+          ASSERT_TRUE(simd->gru_step_backward(
+              du.flat().data(), du_rows.data(), dh.flat().data(),
+              carry ? dh_rows.data() : nullptr, g.flat().data(),
+              h.flat().data(), h_rows.data(), z.flat().data(), r.flat().data(),
+              n.flat().data(), rows, hid, w,
+              {d(0), d(1), d(2), d(3), d(4), d(5), d(6), d(7), d(8)}));
+          EXPECT_TRUE(bitwise_equal(du, want_du));
+          EXPECT_TRUE(bitwise_equal(dh, want_dh));
         }
-        const Tensor dh0 = random_tensor(kPaths, hid, rng);
-
-        // The formulas, row by row, on the backend's matmul_nt_acc.
-        Tensor gi(rows, hid), dan(rows, hid), dzr(rows, 2 * hid);
-        for (std::size_t i = 0; i < rows; ++i)
-          for (std::size_t c = 0; c < hid; ++c) {
-            gi(i, c) = carry ? dh0(dh_rows[i], c) + g(i, c) : g(i, c);
-            const double hv = h(h_rows[i], c);
-            dan(i, c) = gi(i, c) * (1.0 - z(i, c)) * (1.0 - n(i, c) * n(i, c));
-            dzr(i, c) = gi(i, c) * (hv - n(i, c)) * z(i, c) * (1.0 - z(i, c));
-          }
-        Tensor drh(rows, hid);
-        simd->matmul_nt_acc(drh.flat().data(), dan.flat().data(), w.whn, rows,
-                            hid, hid);
-        for (std::size_t i = 0; i < rows; ++i)
-          for (std::size_t c = 0; c < hid; ++c)
-            dzr(i, hid + c) = drh(i, c) * h(h_rows[i], c) * r(i, c) *
-                              (1.0 - r(i, c));
-        Tensor want_du(kSources, 3 * hid);
-        for (std::size_t i = 0; i < rows; ++i)
-          for (std::size_t c = 0; c < 3 * hid; ++c)
-            want_du(du_rows[i], c) +=
-                c < 2 * hid ? dzr(i, c) : dan(i, c - 2 * hid);
-        Tensor w_zr(hid, 2 * hid), s1(rows, hid);
-        for (std::size_t j = 0; j < hid; ++j)
-          for (std::size_t c = 0; c < hid; ++c) {
-            w_zr(j, c) = w.whz[j * hid + c];
-            w_zr(j, hid + c) = w.whr[j * hid + c];
-          }
-        simd->matmul_nt_acc(s1.flat().data(), dzr.flat().data(),
-                            w_zr.flat().data(), rows, 2 * hid, hid);
-        Tensor want_dh = dh0;
-        for (std::size_t i = 0; i < rows; ++i)
-          for (std::size_t c = 0; c < hid; ++c) {
-            double& d = want_dh(dh_rows[i], c);
-            d = ((carry ? 0.0 : d) + (0.0 + s1(i, c))) +
-                (gi(i, c) * z(i, c) + drh(i, c) * r(i, c));
-          }
-
-        Tensor du(kSources, 3 * hid), dh = dh0;
-        std::vector<Tensor> grads;
-        for (const auto& [name, p] : cell.named_params())
-          grads.emplace_back(p.rows(), p.cols());
-        const auto d = [&](std::size_t i) { return grads[i].flat().data(); };
-        ASSERT_TRUE(simd->gru_step_backward(
-            du.flat().data(), du_rows.data(), dh.flat().data(),
-            carry ? dh_rows.data() : nullptr, g.flat().data(),
-            h.flat().data(), h_rows.data(), z.flat().data(), r.flat().data(),
-            n.flat().data(), rows, hid, w,
-            {d(0), d(1), d(2), d(3), d(4), d(5), d(6), d(7), d(8)}));
-        EXPECT_TRUE(bitwise_equal(du, want_du));
-        EXPECT_TRUE(bitwise_equal(dh, want_dh));
-      }
+  }
 }
 
 // ---- the taped sweep against the triple it replaced --------------------------
@@ -651,41 +664,44 @@ const data::Dataset& nsfnet_samples() {
 }
 
 TEST(TrainGolden, Avx2GradientDigest) {
-  const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "no AVX2 backend on this host";
-  const ScopedBackendOverride pin(*simd);
-  const data::Dataset& ds = nsfnet_samples();
-  const data::Scaler sc = data::Scaler::fit(ds.samples());
-  std::uint64_t h = kFnvOffset;
-  for (const core::ModelKind kind :
-       {core::ModelKind::kOriginal, core::ModelKind::kExtended})
-    for (const core::NodeUpdateRule rule :
-         {core::NodeUpdateRule::kSumPathStates,
-          core::NodeUpdateRule::kPositionalMessages})
-      for (const bool link_mean : {false, true})
-        for (const bool node_mean : {false, true})
-          for (const std::size_t dim : {4, 10, 12, 16}) {
-            core::ModelConfig cfg;
-            cfg.state_dim = dim;
-            cfg.readout_hidden = 8;
-            cfg.iterations = 3;
-            cfg.node_rule = rule;
-            cfg.link_mean_aggregation = link_mean;
-            cfg.node_mean_aggregation = node_mean;
-            const core::Model model(kind, cfg);
-            for (const auto& s : ds.samples()) {
-              const nn::Var loss = core::Trainer::sample_loss(
-                  model, s, sc, core::TrainConfig{}.min_delivered);
-              ASSERT_TRUE(loss.defined());
-              h = fnv1a64(h, loss.value());
-              loss.backward();
-              for (auto& [name, var] : model.named_params()) {
-                h = fnv1a64(h, var.grad());
-                var.zero_grad();
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "no AVX2 backend on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const ScopedBackendOverride pin(*simd);
+    const data::Dataset& ds = nsfnet_samples();
+    const data::Scaler sc = data::Scaler::fit(ds.samples());
+    std::uint64_t h = kFnvOffset;
+    for (const core::ModelKind kind :
+         {core::ModelKind::kOriginal, core::ModelKind::kExtended})
+      for (const core::NodeUpdateRule rule :
+           {core::NodeUpdateRule::kSumPathStates,
+            core::NodeUpdateRule::kPositionalMessages})
+        for (const bool link_mean : {false, true})
+          for (const bool node_mean : {false, true})
+            for (const std::size_t dim : {4, 10, 12, 16}) {
+              core::ModelConfig cfg;
+              cfg.state_dim = dim;
+              cfg.readout_hidden = 8;
+              cfg.iterations = 3;
+              cfg.node_rule = rule;
+              cfg.link_mean_aggregation = link_mean;
+              cfg.node_mean_aggregation = node_mean;
+              const core::Model model(kind, cfg);
+              for (const auto& s : ds.samples()) {
+                const nn::Var loss = core::Trainer::sample_loss(
+                    model, s, sc, core::TrainConfig{}.min_delivered);
+                ASSERT_TRUE(loss.defined());
+                h = fnv1a64(h, loss.value());
+                loss.backward();
+                for (auto& [name, var] : model.named_params()) {
+                  h = fnv1a64(h, var.grad());
+                  var.zero_grad();
+                }
               }
             }
-          }
-  EXPECT_EQ(h, 0xa1d0617295494c41ull) << std::hex << "0x" << h;
+    EXPECT_EQ(h, 0xa1d0617295494c41ull) << std::hex << "0x" << h;
+  }
 }
 
 }  // namespace

@@ -26,8 +26,11 @@
 #include "nn/pool.hpp"
 #include "util/rng.hpp"
 #include "grad_rounding.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
+
+using rnx::test::simd_tables;
 
 using namespace rnx::nn;
 using rnx::util::RngStream;
@@ -209,13 +212,9 @@ Backend matmul_route(const Backend& b) {
   return composed;
 }
 
-/// The SIMD backend when it has the whole-step kernels, else null.
-const Backend* step_kernel_backend() {
-  const Backend* simd = kernels::simd_backend();
-  return simd != nullptr && simd->gru_project != nullptr &&
-                 simd->gru_step != nullptr
-             ? simd
-             : nullptr;
+/// Whether `b` has the whole-step kernels.
+bool has_step_kernel(const Backend& b) {
+  return b.gru_project != nullptr && b.gru_step != nullptr;
 }
 
 /// One step's output and the activations it saves, each (rows x hid).
@@ -277,74 +276,80 @@ Tensor rows_of(const Tensor& src, const std::vector<Index>& idx) {
 // x_rows) or over the rows read (u read in order), then gru_step, against
 // the matmul route over the gathered rows.
 TEST(GruProject, KernelPairMatchesMatmulRouteBitwise) {
-  const Backend* simd = step_kernel_backend();
-  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
-  constexpr std::size_t kSrcRows = 7;
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t in : {hid, std::size_t{3}})
-      for (const std::size_t rows : {1, 2, 3, 5, 229})
-        for (const bool indexed : {false, true})
-          for (const bool save : {false, true}) {
-            SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
-                         std::to_string(in) + " rows=" + std::to_string(rows) +
-                         " indexed=" + std::to_string(indexed) +
-                         " save=" + std::to_string(save));
-            RngStream rng(8300 + 53 * hid + 7 * in + rows);
-            const GRUCell cell(in, hid, rng);
-            const auto params = cell.named_params();
-            const auto pw = [&](std::size_t i) {
-              return params[i].second.value().flat().data();
-            };
-            const kernels::GruWeights w{pw(0), pw(1), pw(2), pw(3), pw(4),
-                                        pw(5), pw(6), pw(7), pw(8)};
-            // Indexed: x rows repeat (kSrcRows source rows), h rows are a
-            // shuffled subset of a larger state.
-            const std::size_t x_src = indexed ? kSrcRows : rows;
-            const std::size_t h_src = indexed ? rows + 4 : rows;
-            const Tensor x = random_tensor(x_src, in, rng);
-            const Tensor h = random_tensor(h_src, hid, rng);
-            std::vector<Index> x_rows(rows), h_rows(h_src);
-            std::iota(x_rows.begin(), x_rows.end(), Index{0});
-            std::iota(h_rows.begin(), h_rows.end(), Index{0});
-            if (indexed) {
-              for (auto& e : x_rows)
-                e = static_cast<Index>(rng.uniform_int(0, kSrcRows - 1));
-              for (std::size_t i = h_src - 1; i > 0; --i)
-                std::swap(h_rows[i], h_rows[static_cast<std::size_t>(
-                                         rng.uniform_int(0, i))]);
-            }
-            h_rows.resize(rows);
-            const StepOut want = matmul_route_step(
-                *simd, cell, rows_of(x, x_rows), rows_of(h, h_rows));
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (has_step_kernel(*b)) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    constexpr std::size_t kSrcRows = 7;
+    for (const std::size_t hid : {4, 8, 12, 16})
+      for (const std::size_t in : {hid, std::size_t{3}})
+        for (const std::size_t rows : {1, 2, 3, 5, 229})
+          for (const bool indexed : {false, true})
+            for (const bool save : {false, true}) {
+              SCOPED_TRACE("hid=" + std::to_string(hid) +
+                           " in=" + std::to_string(in) +
+                           " rows=" + std::to_string(rows) +
+                           " indexed=" + std::to_string(indexed) +
+                           " save=" + std::to_string(save));
+              RngStream rng(8300 + 53 * hid + 7 * in + rows);
+              const GRUCell cell(in, hid, rng);
+              const auto params = cell.named_params();
+              const auto pw = [&](std::size_t i) {
+                return params[i].second.value().flat().data();
+              };
+              const kernels::GruWeights w{pw(0), pw(1), pw(2), pw(3), pw(4),
+                                          pw(5), pw(6), pw(7), pw(8)};
+              // Indexed: x rows repeat (kSrcRows source rows), h rows are a
+              // shuffled subset of a larger state.
+              const std::size_t x_src = indexed ? kSrcRows : rows;
+              const std::size_t h_src = indexed ? rows + 4 : rows;
+              const Tensor x = random_tensor(x_src, in, rng);
+              const Tensor h = random_tensor(h_src, hid, rng);
+              std::vector<Index> x_rows(rows), h_rows(h_src);
+              std::iota(x_rows.begin(), x_rows.end(), Index{0});
+              std::iota(h_rows.begin(), h_rows.end(), Index{0});
+              if (indexed) {
+                for (auto& e : x_rows)
+                  e = static_cast<Index>(rng.uniform_int(0, kSrcRows - 1));
+                for (std::size_t i = h_src - 1; i > 0; --i)
+                  std::swap(h_rows[i], h_rows[static_cast<std::size_t>(
+                                           rng.uniform_int(0, i))]);
+              }
+              h_rows.resize(rows);
+              const StepOut want = matmul_route_step(
+                  *simd, cell, rows_of(x, x_rows), rows_of(h, h_rows));
 
-            const Index* xi = indexed ? x_rows.data() : nullptr;
-            const Index* hi = indexed ? h_rows.data() : nullptr;
-            Tensor u_src(x_src, 3 * hid), u_read(rows, 3 * hid);
-            ASSERT_TRUE(simd->gru_project(u_src.flat().data(),
-                                          x.flat().data(), nullptr, x_src, in,
-                                          hid, w));
-            ASSERT_TRUE(simd->gru_project(u_read.flat().data(),
-                                          x.flat().data(), xi, rows, in, hid,
-                                          w));
-            for (const bool per_source : {false, true}) {
-              StepOut got{Tensor(rows, hid), Tensor(rows, hid),
-                          Tensor(rows, hid), Tensor(rows, hid)};
-              const kernels::GruActs acts{got.z.flat().data(),
-                                          got.r.flat().data(),
-                                          got.n.flat().data()};
-              ASSERT_TRUE(simd->gru_step(
-                  got.y.flat().data(), nullptr,
-                  (per_source ? u_src : u_read).flat().data(),
-                  per_source ? xi : nullptr, h.flat().data(), hi, rows, hid,
-                  w, save ? &acts : nullptr));
-              EXPECT_TRUE(bitwise_equal(got.y, want.y));
-              if (save) {
-                EXPECT_TRUE(bitwise_equal(got.z, want.z));
-                EXPECT_TRUE(bitwise_equal(got.r, want.r));
-                EXPECT_TRUE(bitwise_equal(got.n, want.n));
+              const Index* xi = indexed ? x_rows.data() : nullptr;
+              const Index* hi = indexed ? h_rows.data() : nullptr;
+              Tensor u_src(x_src, 3 * hid), u_read(rows, 3 * hid);
+              ASSERT_TRUE(simd->gru_project(u_src.flat().data(),
+                                            x.flat().data(), nullptr, x_src, in,
+                                            hid, w));
+              ASSERT_TRUE(simd->gru_project(u_read.flat().data(),
+                                            x.flat().data(), xi, rows, in, hid,
+                                            w));
+              for (const bool per_source : {false, true}) {
+                StepOut got{Tensor(rows, hid), Tensor(rows, hid),
+                            Tensor(rows, hid), Tensor(rows, hid)};
+                const kernels::GruActs acts{got.z.flat().data(),
+                                            got.r.flat().data(),
+                                            got.n.flat().data()};
+                ASSERT_TRUE(simd->gru_step(
+                    got.y.flat().data(), nullptr,
+                    (per_source ? u_src : u_read).flat().data(),
+                    per_source ? xi : nullptr, h.flat().data(), hi, rows, hid,
+                    w, save ? &acts : nullptr));
+                EXPECT_TRUE(bitwise_equal(got.y, want.y));
+                if (save) {
+                  EXPECT_TRUE(bitwise_equal(got.z, want.z));
+                  EXPECT_TRUE(bitwise_equal(got.r, want.r));
+                  EXPECT_TRUE(bitwise_equal(got.n, want.n));
+                }
               }
             }
-          }
+  }
 }
 
 /// Positions of a path RNN over kPaths path rows reading a source of
@@ -433,44 +438,51 @@ SweepOut indexed_sweep(const GRUCell& cell, const Positions& ps,
 }
 
 TEST(GruProject, IndexedSweepMatchesMatmulRouteBitwise) {
-  const Backend* simd = step_kernel_backend();
-  if (simd == nullptr) GTEST_SKIP() << "no whole-step GRU kernel on this host";
-  const Backend composed = matmul_route(*simd);
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t in : {hid, std::size_t{3}})
-      for (const std::size_t rows : {1, 3, 5, 37})
-        for (const bool taped : {false, true}) {
-          SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
-                       std::to_string(in) + " rows=" + std::to_string(rows) +
-                       " taped=" + std::to_string(taped));
-          RngStream rng(8100 + 53 * hid + 7 * in + rows);
-          const GRUCell cell(in, hid, rng);
-          const Positions ps(3, rows, rng);
-          const Tensor src = random_tensor(Positions::kElems, in, rng);
-          const Tensor initial = random_tensor(Positions::kPaths, hid, rng);
-          const Tensor w_msg = random_tensor(Positions::kElems, hid, rng);
-          const Tensor w_state = random_tensor(Positions::kPaths, hid, rng);
-          SweepOut want, got;
-          {
-            const ScopedBackendOverride pin(composed);
-            want = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (has_step_kernel(*b)) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const Backend composed = matmul_route(*simd);
+    for (const std::size_t hid : {4, 8, 12, 16})
+      for (const std::size_t in : {hid, std::size_t{3}})
+        for (const std::size_t rows : {1, 3, 5, 37})
+          for (const bool taped : {false, true}) {
+            SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
+                         std::to_string(in) + " rows=" + std::to_string(rows) +
+                         " taped=" + std::to_string(taped));
+            RngStream rng(8100 + 53 * hid + 7 * in + rows);
+            const GRUCell cell(in, hid, rng);
+            const Positions ps(3, rows, rng);
+            const Tensor src = random_tensor(Positions::kElems, in, rng);
+            const Tensor initial = random_tensor(Positions::kPaths, hid, rng);
+            const Tensor w_msg = random_tensor(Positions::kElems, hid, rng);
+            const Tensor w_state = random_tensor(Positions::kPaths, hid, rng);
+            SweepOut want, got;
+            {
+              const ScopedBackendOverride pin(composed);
+              want =
+                  indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
+            }
+            {
+              const ScopedBackendOverride pin(*simd);
+              got =
+                  indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
+            }
+            // Values and the Wh* grads bit for bit, the rounded grads to
+            // rounding.
+            ASSERT_EQ(got.tensors.size(), want.tensors.size());
+            for (std::size_t i = 0; i < got.tensors.size(); ++i) {
+              SCOPED_TRACE("tensor " + std::to_string(i));
+              if (want.rounded[i])
+                EXPECT_TRUE(rnx::test::within_rounding(got.tensors[i],
+                                                    want.tensors[i]));
+              else
+                EXPECT_TRUE(bitwise_equal(got.tensors[i], want.tensors[i]));
+            }
           }
-          {
-            const ScopedBackendOverride pin(*simd);
-            got = indexed_sweep(cell, ps, src, initial, w_msg, w_state, taped);
-          }
-          // Values and the Wh* grads bit for bit, the rounded grads to
-          // rounding.
-          ASSERT_EQ(got.tensors.size(), want.tensors.size());
-          for (std::size_t i = 0; i < got.tensors.size(); ++i) {
-            SCOPED_TRACE("tensor " + std::to_string(i));
-            if (want.rounded[i])
-              EXPECT_TRUE(rnx::test::within_rounding(got.tensors[i],
-                                                  want.tensors[i]));
-            else
-              EXPECT_TRUE(bitwise_equal(got.tensors[i], want.tensors[i]));
-          }
-        }
+  }
 }
 
 // Two iterations, as Model::forward runs them: the second sweep reads a
@@ -481,8 +493,7 @@ TEST(GruProject, IndexedSweepMatchesMatmulRouteBitwise) {
 TEST(GruProject, SweepsWithReplacedSourcesMatchPerPositionSteps) {
   // The backend with the kernels runs first, so no earlier sweep has
   // left only an empty projection behind for a stale read to hide in.
-  std::vector<const Backend*> backends;
-  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
+  std::vector<const Backend*> backends = rnx::test::simd_tables();
   backends.push_back(&kernels::scalar_backend());
   for (const Backend* backend : backends)
     for (const std::size_t hid : {4, 10, 12})
@@ -524,8 +535,7 @@ TEST(GruProject, SweepsWithReplacedSourcesMatchPerPositionSteps) {
 // A source of the wrong width is refused by the constructor, before any
 // source is projected: the pool lends nothing and no value changes.
 TEST(GruProject, SweepRejectsSourceWidthBeforeReading) {
-  std::vector<const Backend*> backends{&kernels::scalar_backend()};
-  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
+  const std::vector<const Backend*> backends = rnx::test::all_tables();
   RngStream rng(8400);
   const GRUCell cell(5, 12, rng);
   const Tensor start = random_tensor(6, 12, rng);

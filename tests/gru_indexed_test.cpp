@@ -36,8 +36,11 @@
 #include "serve/inference.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
+
+using rnx::test::simd_tables;
 
 using namespace rnx;
 using nn::Index;
@@ -53,12 +56,8 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                       a.size() * sizeof(double)) == 0);
 }
 
-/// The scalar backend plus the SIMD backend when this host has one.
-std::vector<const Backend*> backends() {
-  std::vector<const Backend*> out{&nn::kernels::scalar_backend()};
-  if (const Backend* simd = nn::kernels::simd_backend()) out.push_back(simd);
-  return out;
-}
+/// Every kernel table this CPU can run.
+std::vector<const Backend*> backends() { return rnx::test::all_tables(); }
 
 Tensor random_tensor(std::size_t r, std::size_t c, util::RngStream& rng) {
   return nn::uniform_init(r, c, -2.0, 2.0, rng);
@@ -170,63 +169,68 @@ nn::kernels::GruWeights weights_of(const nn::GRUCell& cell) {
 // runs once over the whole source; every gru_step call reads its rows by
 // element id.
 TEST(GruStepKernel, BackendEntryWidthsAndAliasing) {
-  const Backend* simd = nn::kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step == nullptr ||
-      simd->gru_project == nullptr)
-    GTEST_SKIP() << "no whole-step GRU kernel on this host";
-  const ScopedBackendOverride pin(*simd);
-  const auto p = [](const Var& v) { return v.value().flat().data(); };
-  for (const std::size_t hid : {4, 8, 12, 16}) {
-    SCOPED_TRACE("hid=" + std::to_string(hid));
-    util::RngStream rng(3000 + hid);
-    const nn::GRUCell cell(hid, hid, rng);
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step != nullptr && b->gru_project != nullptr)
+      simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no whole-step GRU kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const ScopedBackendOverride pin(*simd);
+    const auto p = [](const Var& v) { return v.value().flat().data(); };
+    for (const std::size_t hid : {4, 8, 12, 16}) {
+      SCOPED_TRACE("hid=" + std::to_string(hid));
+      util::RngStream rng(3000 + hid);
+      const nn::GRUCell cell(hid, hid, rng);
+      const nn::kernels::GruWeights w = weights_of(cell);
+      const Var src(random_tensor(Position::kElems, hid, rng));
+      const Tensor start = random_tensor(Position::kPaths, hid, rng);
+      const Position pos(229, rng);
+      const Tensor want = taped_reference(cell, src, Var(start), pos);
+
+      Tensor u(Position::kElems, 3 * hid);
+      ASSERT_TRUE(simd->gru_project(u.flat().data(), p(src), nullptr,
+                                    Position::kElems, hid, hid, w));
+      Tensor out_of_place = Tensor::zeros(Position::kPaths, hid);
+      ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(),
+                                 pos.path_rows.data(), u.flat().data(),
+                                 pos.elem_ids.data(), start.flat().data(),
+                                 pos.path_rows.data(), pos.path_rows.size(),
+                                 hid, w, nullptr));
+      Tensor in_place = start;
+      ASSERT_TRUE(simd->gru_step(in_place.flat().data(), pos.path_rows.data(),
+                                 u.flat().data(), pos.elem_ids.data(),
+                                 in_place.flat().data(), pos.path_rows.data(),
+                                 pos.path_rows.size(), hid, w, nullptr));
+      // Contiguous output: row i of y for the i-th stepped row.
+      Tensor contiguous = Tensor::zeros(pos.path_rows.size(), hid);
+      ASSERT_TRUE(simd->gru_step(contiguous.flat().data(), nullptr,
+                                 u.flat().data(), pos.elem_ids.data(),
+                                 start.flat().data(), pos.path_rows.data(),
+                                 pos.path_rows.size(), hid, w, nullptr));
+      EXPECT_TRUE(bitwise_equal(in_place, want));
+      for (std::size_t i = 0; i < pos.path_rows.size(); ++i)
+        for (std::size_t c = 0; c < hid; ++c) {
+          EXPECT_EQ(out_of_place(pos.path_rows[i], c),
+                    want(pos.path_rows[i], c));
+          EXPECT_EQ(contiguous(i, c), want(pos.path_rows[i], c));
+        }
+    }
+
+    // An unsupported width is declined before any memory is touched.
+    util::RngStream rng(3100);
+    const nn::GRUCell cell(10, 10, rng);
     const nn::kernels::GruWeights w = weights_of(cell);
-    const Var src(random_tensor(Position::kElems, hid, rng));
-    const Tensor start = random_tensor(Position::kPaths, hid, rng);
-    const Position pos(229, rng);
-    const Tensor want = taped_reference(cell, src, Var(start), pos);
-
-    Tensor u(Position::kElems, 3 * hid);
-    ASSERT_TRUE(simd->gru_project(u.flat().data(), p(src), nullptr,
-                                  Position::kElems, hid, hid, w));
-    Tensor out_of_place = Tensor::zeros(Position::kPaths, hid);
-    ASSERT_TRUE(simd->gru_step(out_of_place.flat().data(),
-                               pos.path_rows.data(), u.flat().data(),
-                               pos.elem_ids.data(), start.flat().data(),
-                               pos.path_rows.data(), pos.path_rows.size(),
-                               hid, w, nullptr));
-    Tensor in_place = start;
-    ASSERT_TRUE(simd->gru_step(in_place.flat().data(), pos.path_rows.data(),
-                               u.flat().data(), pos.elem_ids.data(),
-                               in_place.flat().data(), pos.path_rows.data(),
-                               pos.path_rows.size(), hid, w, nullptr));
-    // Contiguous output: row i of y for the i-th stepped row.
-    Tensor contiguous = Tensor::zeros(pos.path_rows.size(), hid);
-    ASSERT_TRUE(simd->gru_step(contiguous.flat().data(), nullptr,
-                               u.flat().data(), pos.elem_ids.data(),
-                               start.flat().data(), pos.path_rows.data(),
-                               pos.path_rows.size(), hid, w, nullptr));
-    EXPECT_TRUE(bitwise_equal(in_place, want));
-    for (std::size_t i = 0; i < pos.path_rows.size(); ++i)
-      for (std::size_t c = 0; c < hid; ++c) {
-        EXPECT_EQ(out_of_place(pos.path_rows[i], c), want(pos.path_rows[i], c));
-        EXPECT_EQ(contiguous(i, c), want(pos.path_rows[i], c));
-      }
+    EXPECT_FALSE(simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr,
+                                nullptr, 5, 10, w, nullptr));
+    const Tensor x = random_tensor(5, 10, rng);
+    const Tensor untouched = random_tensor(5, 30, rng);
+    Tensor u = untouched;
+    EXPECT_FALSE(simd->gru_project(u.flat().data(), x.flat().data(), nullptr, 5,
+                                   10, 10, w));
+    EXPECT_TRUE(bitwise_equal(u, untouched));
+    EXPECT_FALSE(simd->gru_project(nullptr, nullptr, nullptr, 5, 10, 10, w));
   }
-
-  // An unsupported width is declined before any memory is touched.
-  util::RngStream rng(3100);
-  const nn::GRUCell cell(10, 10, rng);
-  const nn::kernels::GruWeights w = weights_of(cell);
-  EXPECT_FALSE(simd->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr,
-                              nullptr, 5, 10, w, nullptr));
-  const Tensor x = random_tensor(5, 10, rng);
-  const Tensor untouched = random_tensor(5, 30, rng);
-  Tensor u = untouched;
-  EXPECT_FALSE(simd->gru_project(u.flat().data(), x.flat().data(), nullptr, 5,
-                                 10, 10, w));
-  EXPECT_TRUE(bitwise_equal(u, untouched));
-  EXPECT_FALSE(simd->gru_project(nullptr, nullptr, nullptr, 5, 10, 10, w));
 }
 
 TEST(GruStepKernel, IndexedStepValidatesBeforeReading) {

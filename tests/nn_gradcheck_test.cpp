@@ -19,10 +19,14 @@
 #include "nn/ops.hpp"
 #include "topo/zoo.hpp"
 #include "util/rng.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
 
+using rnx::test::simd_tables;
+
 using namespace rnx::nn;
+using kernels::Backend;
 using rnx::util::RngStream;
 
 constexpr double kTol = 1e-7;
@@ -315,15 +319,19 @@ TEST(SweepGradient, PathSweepAllInputs) {
 // take, so the backward kernel and the per-source x side run; an input
 // width of 3 shows the kernel does not depend on it.
 TEST(SweepGradient, PathSweepAllInputsNative) {
-  const kernels::Backend* simd = kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step_backward == nullptr)
-    GTEST_SKIP() << "no GRU backward kernel on this host";
-  const kernels::ScopedBackendOverride pin(*simd);
-  for (const auto& [in, hid] :
-       {std::pair<std::size_t, std::size_t>{3, 4}, {8, 8}}) {
-    const auto rep = path_sweep_all_inputs(in, hid);
-    EXPECT_LT(rep.max_rel_err, kTol)
-        << "in=" << in << " hid=" << hid << " entries=" << rep.entries;
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step_backward != nullptr) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no GRU backward kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const kernels::ScopedBackendOverride pin(*simd);
+    for (const auto& [in, hid] :
+         {std::pair<std::size_t, std::size_t>{3, 4}, {8, 8}}) {
+      const auto rep = path_sweep_all_inputs(in, hid);
+      EXPECT_LT(rep.max_rel_err, kTol)
+          << "in=" << in << " hid=" << hid << " entries=" << rep.entries;
+    }
   }
 }
 
@@ -359,15 +367,19 @@ TEST(SweepGradient, ExtendedModelLoss) {
 // The same loss on the SIMD backend, at state widths its whole-step
 // kernels take.
 TEST(SweepGradient, ExtendedModelLossNative) {
-  const kernels::Backend* simd = kernels::simd_backend();
-  if (simd == nullptr || simd->gru_step_backward == nullptr)
-    GTEST_SKIP() << "no GRU backward kernel on this host";
-  const kernels::ScopedBackendOverride pin(*simd);
-  for (const std::size_t dim : {4, 8}) {
-    const auto rep = extended_model_loss(dim);
-    EXPECT_GT(rep.entries, 300u);
-    EXPECT_LT(rep.max_rel_err, 1e-6)
-        << "dim=" << dim << " entries=" << rep.entries;
+  std::vector<const Backend*> simds;
+  for (const Backend* b : simd_tables())
+    if (b->gru_step_backward != nullptr) simds.push_back(b);
+  if (simds.empty()) GTEST_SKIP() << "no GRU backward kernel on this host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const kernels::ScopedBackendOverride pin(*simd);
+    for (const std::size_t dim : {4, 8}) {
+      const auto rep = extended_model_loss(dim);
+      EXPECT_GT(rep.entries, 300u);
+      EXPECT_LT(rep.max_rel_err, 1e-6)
+          << "dim=" << dim << " entries=" << rep.entries;
+    }
   }
 }
 

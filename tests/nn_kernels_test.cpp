@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -38,8 +39,11 @@
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
+
+using rnx::test::simd_tables;
 
 using namespace rnx::nn;
 using kernels::Backend;
@@ -62,44 +66,47 @@ const std::vector<std::size_t> kLens = {0,  1,  2,  3,  4,  5,  7, 8,
 // ---- linear elementwise kernels: bitwise across backends -------------------
 
 TEST(NnKernelsParity, LinearElementwiseBitwise) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
-  const Backend& scalar = kernels::scalar_backend();
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const Backend& scalar = kernels::scalar_backend();
 
-  for (const std::size_t n : kLens) {
-    const std::vector<double> a = rand_vec(n, 100 + n);
-    const std::vector<double> b = rand_vec(n, 200 + n);
-    const std::vector<double> y0 = rand_vec(n, 300 + n);
+    for (const std::size_t n : kLens) {
+      const std::vector<double> a = rand_vec(n, 100 + n);
+      const std::vector<double> b = rand_vec(n, 200 + n);
+      const std::vector<double> y0 = rand_vec(n, 300 + n);
 
-    const auto check = [&](const char* name, auto&& call) {
-      std::vector<double> ys = y0, yv = y0;
-      call(scalar, ys);
-      call(*simd, yv);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(ys[i], yv[i]) << name << " n=" << n << " i=" << i;
-    };
+      const auto check = [&](const char* name, auto&& call) {
+        std::vector<double> ys = y0, yv = y0;
+        call(scalar, ys);
+        call(*simd, yv);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(ys[i], yv[i]) << name << " n=" << n << " i=" << i;
+      };
 
-    check("vadd", [&](const Backend& k, std::vector<double>& y) {
-      k.vadd(y.data(), a.data(), b.data(), n);
-    });
-    check("vsub", [&](const Backend& k, std::vector<double>& y) {
-      k.vsub(y.data(), a.data(), b.data(), n);
-    });
-    check("vmul", [&](const Backend& k, std::vector<double>& y) {
-      k.vmul(y.data(), a.data(), b.data(), n);
-    });
-    check("vmacc", [&](const Backend& k, std::vector<double>& y) {
-      k.vmacc(y.data(), a.data(), b.data(), n);
-    });
-    check("vaxpy", [&](const Backend& k, std::vector<double>& y) {
-      k.vaxpy(y.data(), 1.7, a.data(), n);
-    });
-    check("vaffine", [&](const Backend& k, std::vector<double>& y) {
-      k.vaffine(y.data(), a.data(), -0.9, 0.3, n);
-    });
-    check("vrelu", [&](const Backend& k, std::vector<double>& y) {
-      k.vrelu(y.data(), a.data(), n);
-    });
+      check("vadd", [&](const Backend& k, std::vector<double>& y) {
+        k.vadd(y.data(), a.data(), b.data(), n);
+      });
+      check("vsub", [&](const Backend& k, std::vector<double>& y) {
+        k.vsub(y.data(), a.data(), b.data(), n);
+      });
+      check("vmul", [&](const Backend& k, std::vector<double>& y) {
+        k.vmul(y.data(), a.data(), b.data(), n);
+      });
+      check("vmacc", [&](const Backend& k, std::vector<double>& y) {
+        k.vmacc(y.data(), a.data(), b.data(), n);
+      });
+      check("vaxpy", [&](const Backend& k, std::vector<double>& y) {
+        k.vaxpy(y.data(), 1.7, a.data(), n);
+      });
+      check("vaffine", [&](const Backend& k, std::vector<double>& y) {
+        k.vaffine(y.data(), a.data(), -0.9, 0.3, n);
+      });
+      check("vrelu", [&](const Backend& k, std::vector<double>& y) {
+        k.vrelu(y.data(), a.data(), n);
+      });
+    }
   }
 }
 
@@ -135,36 +142,39 @@ double max_rel_diff(const std::vector<double>& x, const std::vector<double>& y,
 }
 
 TEST(NnKernelsParity, MatmulFamilyRelativeBound) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
-  const Backend& scalar = kernels::scalar_backend();
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const Backend& scalar = kernels::scalar_backend();
 
-  for (const MmShape& s : kMmShapes) {
-    // matmul_acc: a (n x k), b (k x m).  tn: a (k x n).  nt: b (m x k).
-    const std::vector<double> a_nk = rand_vec(s.n * s.k, 11 + s.n);
-    const std::vector<double> a_kn = rand_vec(s.k * s.n, 13 + s.k);
-    const std::vector<double> b_km = rand_vec(s.k * s.m, 17 + s.m);
-    const std::vector<double> b_mk = rand_vec(s.m * s.k, 19 + s.m);
-    // Accumulate into a non-trivial C: the kernels are += kernels, and
-    // parity must hold including the preloaded values.
-    const std::vector<double> c0 = rand_vec(s.n * s.m, 23 + s.n + s.m);
+    for (const MmShape& s : kMmShapes) {
+      // matmul_acc: a (n x k), b (k x m).  tn: a (k x n).  nt: b (m x k).
+      const std::vector<double> a_nk = rand_vec(s.n * s.k, 11 + s.n);
+      const std::vector<double> a_kn = rand_vec(s.k * s.n, 13 + s.k);
+      const std::vector<double> b_km = rand_vec(s.k * s.m, 17 + s.m);
+      const std::vector<double> b_mk = rand_vec(s.m * s.k, 19 + s.m);
+      // Accumulate into a non-trivial C: the kernels are += kernels, and
+      // parity must hold including the preloaded values.
+      const std::vector<double> c0 = rand_vec(s.n * s.m, 23 + s.n + s.m);
 
-    // FMA keeps one rounding per multiply-add instead of two, so the
-    // per-cell divergence grows with the k-long dot product.
-    const double tol =
-        1e-15 * static_cast<double>(std::max<std::size_t>(s.k, 1)) * 8.0;
+      // FMA keeps one rounding per multiply-add instead of two, so the
+      // per-cell divergence grows with the k-long dot product.
+      const double tol =
+          1e-15 * static_cast<double>(std::max<std::size_t>(s.k, 1)) * 8.0;
 
-    const auto check = [&](const char* name, auto member, const double* a,
-                           const double* b) {
-      std::vector<double> cs = c0, cv = c0;
-      (scalar.*member)(cs.data(), a, b, s.n, s.k, s.m);
-      ((*simd).*member)(cv.data(), a, b, s.n, s.k, s.m);
-      EXPECT_LE(max_rel_diff(cs, cv), tol)
-          << name << " n=" << s.n << " k=" << s.k << " m=" << s.m;
-    };
-    check("matmul_acc", &Backend::matmul_acc, a_nk.data(), b_km.data());
-    check("matmul_tn_acc", &Backend::matmul_tn_acc, a_kn.data(), b_km.data());
-    check("matmul_nt_acc", &Backend::matmul_nt_acc, a_nk.data(), b_mk.data());
+      const auto check = [&](const char* name, auto member, const double* a,
+                             const double* b) {
+        std::vector<double> cs = c0, cv = c0;
+        (scalar.*member)(cs.data(), a, b, s.n, s.k, s.m);
+        ((*simd).*member)(cv.data(), a, b, s.n, s.k, s.m);
+        EXPECT_LE(max_rel_diff(cs, cv), tol)
+            << name << " n=" << s.n << " k=" << s.k << " m=" << s.m;
+      };
+      check("matmul_acc", &Backend::matmul_acc, a_nk.data(), b_km.data());
+      check("matmul_tn_acc", &Backend::matmul_tn_acc, a_kn.data(), b_km.data());
+      check("matmul_nt_acc", &Backend::matmul_nt_acc, a_nk.data(), b_mk.data());
+    }
   }
 }
 
@@ -218,28 +228,31 @@ void expect_activations_close(const Backend& simd,
 }
 
 TEST(NnKernelsParity, SigmoidTanhCloseAndSaturating) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
 
-  for (const std::size_t n : kLens) {
-    // Wide range: every range-reduction step n, tiny arguments and the
-    // saturated tails all get hit.
-    std::vector<double> a = rand_vec(n, 400 + n, -40.0, 40.0);
-    if (n >= 4) {
-      a[0] = 0.0;
-      a[1] = 1e-9;
-      a[2] = 750.0;   // beyond exp range: must saturate, not NaN
-      a[3] = -750.0;
+    for (const std::size_t n : kLens) {
+      // Wide range: every range-reduction step n, tiny arguments and the
+      // saturated tails all get hit.
+      std::vector<double> a = rand_vec(n, 400 + n, -40.0, 40.0);
+      if (n >= 4) {
+        a[0] = 0.0;
+        a[1] = 1e-9;
+        a[2] = 750.0;   // beyond exp range: must saturate, not NaN
+        a[3] = -750.0;
+      }
+      expect_activations_close(*simd, a);
     }
-    expect_activations_close(*simd, a);
+    // Dense over the GRU's working range, where the gates live.
+    std::vector<double> dense;
+    for (int i = -20000; i <= 20000; ++i) dense.push_back(i * 1e-4);
+    expect_activations_close(*simd, dense);
+    // Both ends of the pinned range.
+    expect_activations_close(*simd, {-700.0, -690.5, -354.25, 354.25, 690.5,
+                                     700.0});
   }
-  // Dense over the GRU's working range, where the gates live.
-  std::vector<double> dense;
-  for (int i = -20000; i <= 20000; ++i) dense.push_back(i * 1e-4);
-  expect_activations_close(*simd, dense);
-  // Both ends of the pinned range.
-  expect_activations_close(*simd, {-700.0, -690.5, -354.25, 354.25, 690.5,
-                                   700.0});
 }
 
 // NaN propagates lane by lane, the infinities and out-of-range finite
@@ -252,9 +265,7 @@ TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
   const std::vector<double> a = {nan,  inf, -inf, 750.0, -750.0,
                                  0.5, -0.0, 0.0,  nan};
   const std::size_t n = a.size();
-  std::vector<const Backend*> backends{&kernels::scalar_backend()};
-  if (const Backend* simd = kernels::simd_backend()) backends.push_back(simd);
-  for (const Backend* k : backends) {
+  for (const Backend* k : rnx::test::all_tables()) {
     SCOPED_TRACE(k->name);
     std::vector<double> ys(n), yt(n);
     k->vsigmoid(ys.data(), a.data(), n);
@@ -287,87 +298,100 @@ TEST(NnKernelsParity, SigmoidTanhSpecialValues) {
 // ---- fused GRU kernels ----------------------------------------------------
 
 TEST(NnKernelsParity, GruGatesAndBlend) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
-  const Backend& scalar = kernels::scalar_backend();
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const Backend& scalar = kernels::scalar_backend();
 
-  for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{8}})
-    for (const std::size_t hid : {std::size_t{1}, std::size_t{5},
-                                  std::size_t{16}, std::size_t{17}}) {
-      const std::size_t n = rows * hid;
-      const std::vector<double> a_zr = rand_vec(rows * 2 * hid, 31 + n);
-      const std::vector<double> h = rand_vec(n, 37 + n);
-      const std::vector<double> an = rand_vec(n, 41 + n);
+    for (const std::size_t rows :
+         {std::size_t{1}, std::size_t{3}, std::size_t{8}})
+      for (const std::size_t hid : {std::size_t{1}, std::size_t{5},
+                                    std::size_t{16}, std::size_t{17}}) {
+        const std::size_t n = rows * hid;
+        const std::vector<double> a_zr = rand_vec(rows * 2 * hid, 31 + n);
+        const std::vector<double> h = rand_vec(n, 37 + n);
+        const std::vector<double> an = rand_vec(n, 41 + n);
 
-      std::vector<double> zs(n), rs(n), rhs(n), zv(n), rv(n), rhv(n);
-      scalar.gru_gates(zs.data(), rs.data(), rhs.data(), a_zr.data(), h.data(),
-                       rows, hid);
-      simd->gru_gates(zv.data(), rv.data(), rhv.data(), a_zr.data(), h.data(),
-                      rows, hid);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(zs[i], zv[i], 1e-12) << "z rows=" << rows << " hid=" << hid;
-        EXPECT_NEAR(rs[i], rv[i], 1e-12) << "r";
-        EXPECT_NEAR(rhs[i], rhv[i], 1e-12) << "rh";
+        std::vector<double> zs(n), rs(n), rhs(n), zv(n), rv(n), rhv(n);
+        scalar.gru_gates(zs.data(), rs.data(), rhs.data(), a_zr.data(),
+                         h.data(), rows, hid);
+        simd->gru_gates(zv.data(), rv.data(), rhv.data(), a_zr.data(),
+                        h.data(), rows, hid);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(zs[i], zv[i], 1e-12)
+              << "z rows=" << rows << " hid=" << hid;
+          EXPECT_NEAR(rs[i], rv[i], 1e-12) << "r";
+          EXPECT_NEAR(rhs[i], rhv[i], 1e-12) << "rh";
+        }
+
+        std::vector<double> ns(n), ys(n), nv(n), yv(n);
+        scalar.gru_blend(ns.data(), ys.data(), an.data(), zs.data(), h.data(),
+                         n);
+        simd->gru_blend(nv.data(), yv.data(), an.data(), zs.data(), h.data(),
+                        n);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(ns[i], nv[i], 1e-12) << "nout";
+          EXPECT_NEAR(ys[i], yv[i], 1e-12) << "y";
+        }
       }
-
-      std::vector<double> ns(n), ys(n), nv(n), yv(n);
-      scalar.gru_blend(ns.data(), ys.data(), an.data(), zs.data(), h.data(), n);
-      simd->gru_blend(nv.data(), yv.data(), an.data(), zs.data(), h.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(ns[i], nv[i], 1e-12) << "nout";
-        EXPECT_NEAR(ys[i], yv[i], 1e-12) << "y";
-      }
-    }
+  }
 }
 
 // The full fused GRU step through the op layer: scalar vs SIMD within a
 // forward bound loose enough for the transcendental divergence but tight
 // enough to catch any indexing or tail bug instantly.
 TEST(NnKernelsParity, GruStepForwardClose) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
 
-  RngStream rng(51);
-  const GRUCell cell(16, 16, rng);
-  const Var x(uniform_init(21, 16, -1.0, 1.0, rng), false);
-  const Var h(uniform_init(21, 16, -1.0, 1.0, rng), false);
-  const NoGradGuard guard;
+    RngStream rng(51);
+    const GRUCell cell(16, 16, rng);
+    const Var x(uniform_init(21, 16, -1.0, 1.0, rng), false);
+    const Var h(uniform_init(21, 16, -1.0, 1.0, rng), false);
+    const NoGradGuard guard;
 
-  Tensor ys, yv;
-  {
-    const ScopedBackendOverride pin(kernels::scalar_backend());
-    ys = cell.step(x, h).value();
+    Tensor ys, yv;
+    {
+      const ScopedBackendOverride pin(kernels::scalar_backend());
+      ys = cell.step(x, h).value();
+    }
+    {
+      const ScopedBackendOverride pin(*simd);
+      yv = cell.step(x, h).value();
+    }
+    ASSERT_EQ(ys.size(), yv.size());
+    for (std::size_t i = 0; i < ys.size(); ++i)
+      EXPECT_NEAR(ys.flat()[i], yv.flat()[i], 1e-11);
   }
-  {
-    const ScopedBackendOverride pin(*simd);
-    yv = cell.step(x, h).value();
-  }
-  ASSERT_EQ(ys.size(), yv.size());
-  for (std::size_t i = 0; i < ys.size(); ++i)
-    EXPECT_NEAR(ys.flat()[i], yv.flat()[i], 1e-11);
 }
 
 // ---- gradcheck under the SIMD backend -------------------------------------
 
 TEST(NnKernelsGradcheck, MatmulAndGruUnderSimd) {
-  const Backend* simd = kernels::simd_backend();
-  if (simd == nullptr) GTEST_SKIP() << "scalar-only host";
-  const ScopedBackendOverride pin(*simd);
+  const std::vector<const Backend*> simds = simd_tables();
+  if (simds.empty()) GTEST_SKIP() << "scalar-only host";
+  for (const Backend* simd : simds) {
+    SCOPED_TRACE(simd->name);
+    const ScopedBackendOverride pin(*simd);
 
-  RngStream rng(61);
-  Var a(uniform_init(5, 7, -1.0, 1.0, rng), true);
-  Var w(uniform_init(7, 4, -1.0, 1.0, rng), true);
-  std::vector<Var> params{a, w};
-  auto rep = grad_check([&] { return mean_all(matmul(a, w)); }, params);
-  EXPECT_LT(rep.max_rel_err, 1e-6);
+    RngStream rng(61);
+    Var a(uniform_init(5, 7, -1.0, 1.0, rng), true);
+    Var w(uniform_init(7, 4, -1.0, 1.0, rng), true);
+    std::vector<Var> params{a, w};
+    auto rep = grad_check([&] { return mean_all(matmul(a, w)); }, params);
+    EXPECT_LT(rep.max_rel_err, 1e-6);
 
-  GRUCell cell(3, 4, rng);
-  Var x(uniform_init(5, 3, -1.0, 1.0, rng), true);
-  Var h(uniform_init(5, 4, -1.0, 1.0, rng), true);
-  std::vector<Var> gparams{x, h};
-  for (auto& [name, v] : cell.named_params()) gparams.push_back(v);
-  auto grep = grad_check([&] { return sum_all(cell.step(x, h)); }, gparams);
-  EXPECT_LT(grep.max_rel_err, 1e-6);
+    GRUCell cell(3, 4, rng);
+    Var x(uniform_init(5, 3, -1.0, 1.0, rng), true);
+    Var h(uniform_init(5, 4, -1.0, 1.0, rng), true);
+    std::vector<Var> gparams{x, h};
+    for (auto& [name, v] : cell.named_params()) gparams.push_back(v);
+    auto grep = grad_check([&] { return sum_all(cell.step(x, h)); }, gparams);
+    EXPECT_LT(grep.max_rel_err, 1e-6);
+  }
 }
 
 // ---- alignment contract ---------------------------------------------------
@@ -397,6 +421,8 @@ TEST(NnKernelsDispatch, ReasonAndActiveAgreeWithEnv) {
   const Backend& act = kernels::active();
   const std::string reason = kernels::dispatch_reason();
   EXPECT_FALSE(reason.empty());
+  // CI's simd-backends job prints this line.
+  std::cout << "kernel table: " << act.name << " (" << reason << ")\n";
   if (mode == "scalar") {
     EXPECT_EQ(&act, &kernels::scalar_backend());
     EXPECT_NE(reason.find("RNX_SIMD"), std::string::npos) << reason;

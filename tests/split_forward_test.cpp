@@ -29,6 +29,7 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "kernel_tables.hpp"
 
 namespace {
 
@@ -111,10 +112,7 @@ core::Model make_model(const Variant& v) {
 }
 
 std::vector<const nn::kernels::Backend*> backends() {
-  std::vector<const nn::kernels::Backend*> out{&nn::kernels::scalar_backend()};
-  if (const nn::kernels::Backend* simd = nn::kernels::simd_backend())
-    out.push_back(simd);
-  return out;
+  return rnx::test::all_tables();
 }
 
 nn::Tensor predict(const core::Model& model, const data::Sample& s,
