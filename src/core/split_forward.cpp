@@ -15,8 +15,7 @@
 // serial segment_sum), added onto the running sum (accumulate), zero
 // rows of positions the entity is absent from included.  The entity
 // updates and the next iteration's input projections then run per
-// entity chunk (cut at equal summed entries, so the lanes reach the
-// barrier together), and a second barrier ends the iteration.  The last
+// entity chunk, and a second barrier ends the iteration.  The last
 // iteration runs the readout on each chunk's rows as soon as the chunk's
 // lane has stepped them.  Every value is therefore computed by the same
 // operations, in the same order, as in the serial forward, whichever
@@ -54,9 +53,7 @@ using nn::Tensor;
 /// finds work, with at least kMinChunkRows rows each.
 constexpr std::size_t kChunksPerLane = 4;
 constexpr std::size_t kMinChunkRows = 16;
-/// Entity rows (links or nodes) per chunk of an entity phase, on
-/// average: the phase has as many chunks as 32-row chunks would make, cut
-/// at equal summed entries (cut_by_entries).
+/// Entity rows (links or nodes) per chunk of an entity phase.
 constexpr std::size_t kEntityChunkRows = 32;
 /// Barrier polls before a waiting lane blocks.
 constexpr int kSpinPolls = 1000;
@@ -92,24 +89,6 @@ struct SumIndex {
     rows.resize(start[entities]);
     std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
     each([&](Index e, Index row) { rows[cursor[e]++] = row; });
-  }
-
-  /// Entity bounds of `chunks` chunks (chunks + 1 values from 0 to the
-  /// entity count) with about equal summed entries each: a chunk's cost
-  /// is its sums, whose length varies by entity, more than its rows.
-  [[nodiscard]] std::vector<std::size_t> cut_by_entries(
-      std::size_t chunks) const {
-    const std::size_t entities = start.size() - 1;
-    std::vector<std::size_t> bounds(chunks + 1, entities);
-    bounds[0] = 0;
-    for (std::size_t k = 1; k < chunks; ++k) {
-      const std::size_t target = rows.size() * k / chunks;
-      const auto e = static_cast<std::size_t>(
-          std::lower_bound(start.begin(), start.end() - 1, target) -
-          start.begin());
-      bounds[k] = std::max(bounds[k - 1], std::min(e, entities));
-    }
-    return bounds;
   }
 
   /// Entity e's sum into out (hid wide); m is hid doubles of scratch.
@@ -297,30 +276,12 @@ nn::Var Model::forward_split(const MpPlan& plan, nn::Var h_path,
   };
   const std::size_t chunk_rows =
       std::max(kMinChunkRows, chunks_of(paths, kChunksPerLane * lanes));
-  // As many entity chunks as 32-row chunks would make, shared between the
-  // kinds by summed entries (at least one each), each kind cut at equal
-  // entries.
-  const bool link_sums = layout.links.defined() && hl.rows() > 0;
-  const bool node_sums =
-      hn != nullptr && layout.nodes.defined() && hn->rows() > 0;
-  const std::size_t entity_chunks =
-      (link_sums ? chunks_of(hl.rows(), kEntityChunkRows) : 0) +
-      (node_sums ? chunks_of(hn->rows(), kEntityChunkRows) : 0);
-  std::size_t link_chunks = link_sums ? entity_chunks : 0;
-  if (link_sums && node_sums) {
-    const std::size_t links = layout.links.rows.size();
-    const std::size_t all = links + layout.nodes.rows.size();
-    link_chunks = std::clamp<std::size_t>(
-        all == 0 ? 1 : (entity_chunks * links + all / 2) / all, 1,
-        entity_chunks - 1);
-  }
-  const std::size_t node_chunks = entity_chunks - link_chunks;
-  const std::vector<std::size_t> link_bounds =
-      link_sums ? layout.links.cut_by_entries(link_chunks)
-                : std::vector<std::size_t>{};
-  const std::vector<std::size_t> node_bounds =
-      node_sums ? layout.nodes.cut_by_entries(node_chunks)
-                : std::vector<std::size_t>{};
+  const std::size_t link_chunks =
+      layout.links.defined() ? chunks_of(hl.rows(), kEntityChunkRows) : 0;
+  const std::size_t node_chunks =
+      hn != nullptr && layout.nodes.defined()
+          ? chunks_of(hn->rows(), kEntityChunkRows)
+          : 0;
   // Iteration t runs phase 2t (the path RNN; the readout in the last
   // iteration) and, but for the last, phase 2t + 1 (the entities).
   std::vector<Phase> phases(2 * iters - 1);
@@ -362,7 +323,6 @@ nn::Var Model::forward_split(const MpPlan& plan, nn::Var h_path,
                                 const nn::Var& inv_count, std::size_t a,
                                 std::size_t b) {
     const auto& backend = nn::kernels::active();
-    if (a == b) return;  // an entity with most of the entries took the chunk
     Tensor msg = nn::TensorPool::acquire_uninit(b - a, hid);
     std::vector<double> scratch(hid);
     for (std::size_t e = a; e < b; ++e) {
@@ -382,12 +342,14 @@ nn::Var Model::forward_split(const MpPlan& plan, nn::Var h_path,
     if (ph % 2 == 0) {
       run_paths(chunk, ph + 1 == phases.size());
     } else if (chunk < link_chunks) {
-      run_entities(layout.links, capture, rnn_link_, hl, ul, link_inv_count,
-                   link_bounds[chunk], link_bounds[chunk + 1]);
+      const std::size_t a = chunk * kEntityChunkRows;
+      run_entities(layout.links, capture, rnn_link_, hl, ul, link_inv_count, a,
+                   std::min(hl.rows(), a + kEntityChunkRows));
     } else {
-      const std::size_t c = chunk - link_chunks;
+      const std::size_t a = (chunk - link_chunks) * kEntityChunkRows;
       run_entities(layout.nodes, paper_nodes ? hp : capture, *rnn_node_, *hn,
-                   un, node_inv_count, node_bounds[c], node_bounds[c + 1]);
+                   un, node_inv_count, a,
+                   std::min(hn->rows(), a + kEntityChunkRows));
     }
   };
 

@@ -15,10 +15,10 @@
 //                the transcendentals use a Cephes-style polynomial, so
 //                those results are pinned to a small-ulp bound instead
 //                (tests/nn_kernels_test.cpp, DESIGN.md §K).
-//   * avx512   — the avx2+fma table with gru_project, gru_step, vsigmoid
-//                and vtanh at 8 doubles per instruction
-//                (kernels_avx512.cpp).  Every cell runs the AVX2
-//                kernel's exact operation sequence, so each output is
+//   * avx512   — the avx2+fma table with gru_step, vsigmoid and vtanh
+//                at 8 doubles per instruction (kernels_avx512.cpp).
+//                Every cell runs the AVX2 kernel's exact operation
+//                sequence, so each output is
 //                bitwise-equal to avx2+fma's (a NaN's payload aside;
 //                tests/nn_kernels_cross_table_test.cpp).  The backward
 //                stays the AVX2 one: its dh dots follow matmul_nt_acc's
@@ -50,7 +50,7 @@
 // with another kernel file): the linker keeps one copy of each, and
 // could keep the AVX-512 one for a caller on a CPU without AVX-512.
 // Shared templates (kernels_vmath.hpp) have internal linkage; CI checks
-// that only kernels_avx512.cpp's functions use zmm registers.
+// that only kernels_avx512.cpp's functions use AVX-512 registers.
 //
 // Alignment contract: Tensor buffers are 64-byte aligned (kTensorAlign)
 // so vector kernels never split a cache line at the base pointer.  Row
@@ -218,7 +218,7 @@ struct Backend {
 
 /// The AVX-512 backend when this binary targets x86-64 AND this CPU and
 /// its OS support AVX-512F/DQ/VL (and AVX2+FMA), else nullptr: the AVX2
-/// table with the AVX-512 gru_project, gru_step, vsigmoid and vtanh.
+/// table with the AVX-512 gru_step, vsigmoid and vtanh.
 [[nodiscard]] const Backend* avx512_backend() noexcept;
 
 /// The best SIMD backend this CPU can run (avx512, else avx2+fma), or

@@ -1,14 +1,13 @@
-// AVX-512 table: the path-GRU step kernels (gru_project, gru_step) and
-// vsigmoid / vtanh at 8 doubles per instruction.  Compiled with
-// -mavx512f -mavx512dq -mavx512vl -mavx2 -mfma -ffp-contract=off (see
-// CMakeLists.txt); every other entry of the table is the AVX2 one
-// (kernels.cpp composes the table, and only when the CPU and OS support
-// AVX-512F/DQ/VL).
+// AVX-512 table: the path-GRU step kernel (gru_step) and vsigmoid /
+// vtanh at 8 doubles per instruction.  Compiled with -mavx512f
+// -mavx512dq -mavx512vl -mavx2 -mfma -ffp-contract=off (see
+// CMakeLists.txt); every other entry of the table, gru_project included,
+// is the AVX2 one (kernels.cpp composes the table, and only when the CPU
+// and OS support AVX-512F/DQ/VL).
 //
 // Bitwise contract vs the AVX2 table (tests/nn_kernels_cross_table_test.cpp):
 // every output cell goes through the AVX2 kernel's exact operation
 // sequence, only 8 lanes at a time instead of 4:
-//   * gru_project: the bias, then the x terms p-ascending as FMA;
 //   * gru_step: the u cell, then the h terms (z, r) or the r.*h terms
 //     (candidate) p-ascending as FMA; sigmoid and tanh lane by lane
 //     (kernels_vmath.hpp, the same formulas the AVX2 table instantiates
@@ -26,7 +25,7 @@
 // containers or algorithms).  An inline entity with external linkage
 // would be emitted here with AVX-512 instructions as well as in other
 // files, and the linker could keep this copy for a caller on a CPU
-// without AVX-512.  CI checks that every function using zmm registers
+// without AVX-512.  CI checks that every function using AVX-512 registers
 // in the test binary is one of this file's.
 #include "nn/kernels.hpp"
 
@@ -114,19 +113,17 @@ void vtanh(double* y, const double* a, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// gru_project + gru_step at 8 lanes (kernels_avx2.cpp explains the split
-// and the contract; here only the register layout differs).
+// gru_step at 8 lanes (kernels_avx2.cpp explains the split and the
+// contract; here only the register layout differs).
 //
 // A unit is K rows whose W-wide segments sit side by side in kNV = K W / 8
-// zmm registers: one row's [z | r] (W = 2H, K = 1), a pair of rows'
-// candidates (W = H, K = 2) or a pair of u rows (W = 3H, K = 2).  W is a
-// multiple of 4, so each 4-lane half of a register lies in one row; a
-// register whose halves lie in two rows is loaded and stored by halves,
-// and its multiplier is the two rows' broadcasts blended.  The weights a
-// register multiplies are the same columns for every p, so the step packs
-// them once per call into a panel of K W doubles per p ([Whz | Whr] and
-// [Whn | Whn]); gru_project, whose input width is not bounded, reads them
-// from the weight rows by halves.
+// zmm registers: one row's [z | r] (W = 2H, K = 1) or a pair of rows'
+// candidates (W = H, K = 2).  W is a multiple of 4, so each 4-lane half
+// of a register lies in one row; a register whose halves lie in two rows
+// is loaded by halves, and its multiplier is the two rows' broadcasts
+// blended.  The weights a register multiplies are the same columns for
+// every p, so the step packs them once per call into a panel of K W
+// doubles per p ([Whz | Whr] and [Whn | Whn]).
 // ---------------------------------------------------------------------------
 
 template <std::size_t W, std::size_t K>
@@ -155,22 +152,6 @@ inline __m512d load_v(const double* const (&rows)[U::kK], std::size_t v) {
                             1);
 }
 
-/// Stores register v of a unit whose row k starts at rows[k], rows below
-/// `valid` only.
-template <class U>
-inline void store_v(double* const (&rows)[U::kK], std::size_t v, __m512d x,
-                    std::size_t valid) {
-  const std::size_t r0 = U::row(v, 0), r1 = U::row(v, 1);
-  double* lo = rows[r0] + U::col(v, 0);
-  if (U::whole(v)) {
-    if (r0 < valid) _mm512_storeu_pd(lo, x);
-    return;
-  }
-  if (r0 < valid) _mm256_storeu_pd(lo, _mm512_castpd512_pd256(x));
-  if (r1 < valid)
-    _mm256_storeu_pd(rows[r1] + U::col(v, 1), _mm512_extractf64x4_pd(x, 1));
-}
-
 /// The multiplier of register v: the broadcast of its row's term, or the
 /// two rows' broadcasts blended.
 template <class U>
@@ -179,26 +160,18 @@ inline __m512d term_v(const __m512d (&b)[U::kK], std::size_t v) {
   return _mm512_mask_blend_pd(0xF0, b[U::row(v, 0)], b[U::row(v, 1)]);
 }
 
-/// A packed panel: register v of reduction row p at p * 8 kNV + 8 v.
-template <class U>
-struct PackedPanel {
-  const double* w;
-  __m512d operator()(std::size_t p, std::size_t v) const {
-    return _mm512_loadu_pd(w + (p * U::kNV + v) * 8);
-  }
-};
-
-// acc[u][v] += sum over p < k of src[u][row][p] * panel(p, v), p ascending,
-// as FMA.  Every loop but p's has a compile-time trip count and is
-// unrolled, so the accumulators live in registers (see fma_terms in
-// kernels_avx2.cpp).
-template <class U, std::size_t R, class Panel>
+// acc[u][v] += sum over p < k of src[u][row][p] * panel register v of
+// reduction row p (at panel + p * 8 kNV + 8 v), p ascending, as FMA.
+// Every loop but p's has a compile-time trip count and is unrolled, so
+// the accumulators live in registers (see fma_terms in kernels_avx2.cpp).
+template <class U, std::size_t R>
 inline void fma_terms(__m512d (&acc)[R][U::kNV],
-                      const double* const (&src)[R][U::kK], const Panel& panel,
-                      std::size_t k) {
+                      const double* const (&src)[R][U::kK],
+                      const double* panel, std::size_t k) {
   for (std::size_t p = 0; p < k; ++p) {
     __m512d w[U::kNV];
-    for (std::size_t v = 0; v < U::kNV; ++v) w[v] = panel(p, v);
+    for (std::size_t v = 0; v < U::kNV; ++v)
+      w[v] = _mm512_loadu_pd(panel + (p * U::kNV + v) * 8);
     for (std::size_t u = 0; u < R; ++u) {
       __m512d b[U::kK];
       for (std::size_t k2 = 0; k2 < U::kK; ++k2)
@@ -215,85 +188,6 @@ inline void load_units(__m512d (&acc)[R][U::kNV],
                        const double* const (&rows)[R][U::kK]) {
   for (std::size_t u = 0; u < R; ++u)
     for (std::size_t v = 0; v < U::kNV; ++v) acc[u][v] = load_v<U>(rows[u], v);
-}
-
-// ---- gru_project -----------------------------------------------------------
-
-/// A pair of u rows, [z | r | n] each.
-template <std::size_t H>
-using ProjectUnit = Unit<3 * H, 2>;
-
-/// The x-weight panel read in place: u column c is column c % H of gate
-/// c / H.
-template <std::size_t H>
-struct ProjectPanel {
-  using U = ProjectUnit<H>;
-  const double* w[3];
-  const double* half(std::size_t p, std::size_t v, std::size_t s) const {
-    const std::size_t c = U::col(v, s);
-    return w[c / H] + p * H + c % H;
-  }
-  __m512d operator()(std::size_t p, std::size_t v) const {
-    const double* lo = half(p, v, 0);
-    const double* hi = half(p, v, 1);
-    // One gate's contiguous columns: one load.
-    if (U::whole(v) && U::col(v, 0) / H == U::col(v, 1) / H)
-      return _mm512_loadu_pd(lo);
-    return _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(lo)),
-                              _mm256_loadu_pd(hi), 1);
-  }
-};
-
-// R row pairs from row i0, `valid` (1..2R) of them real: u = [bz|br|bn] +
-// x [Wxz|Wxr|Wxn].  Rows past `valid` read row valid - 1's x and are not
-// stored.
-template <std::size_t H, std::size_t R>
-inline void project_block(double* u, const double* x,
-                          const std::uint32_t* x_rows, std::size_t i0,
-                          std::size_t valid, std::size_t in,
-                          const GruWeights& w) {
-  using U = ProjectUnit<H>;
-  const double* xr[R][2];
-  double* ur[R][2];
-  for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t k = 0; k < 2; ++k) {
-      const std::size_t j = 2 * r + k;
-      const std::size_t i = i0 + (j < valid ? j : valid - 1);
-      xr[r][k] = x + (x_rows != nullptr ? x_rows[i] : i) * in;
-      ur[r][k] = u + (i0 + j) * 3 * H;
-    }
-  // The biases are the weight panel's layout at one reduction row.
-  const ProjectPanel<H> bias{{w.bz, w.br, w.bn}};
-  __m512d acc[R][U::kNV];
-  for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t v = 0; v < U::kNV; ++v) acc[r][v] = bias(0, v);
-  fma_terms<U, R>(acc, xr, ProjectPanel<H>{{w.wxz, w.wxr, w.wxn}}, in);
-  for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t v = 0; v < U::kNV; ++v)
-      store_v<U>(ur[r], v, acc[r][v], valid - 2 * r);
-}
-
-template <std::size_t H, std::size_t R>
-void project_rows(double* u, const double* x, const std::uint32_t* x_rows,
-                  std::size_t rows, std::size_t in, const GruWeights& w) {
-  std::size_t i = 0;
-  for (; i + 2 * R <= rows; i += 2 * R)
-    project_block<H, R>(u, x, x_rows, i, 2 * R, in, w);
-  for (; i < rows; i += 2)
-    project_block<H, 1>(u, x, x_rows, i, rows - i < 2 ? rows - i : 2, in, w);
-}
-
-bool gru_project(double* u, const double* x, const std::uint32_t* x_rows,
-                 std::size_t rows, std::size_t in, std::size_t hid,
-                 const GruWeights& w) {
-  // Row pairs per block: 9-12 accumulators (3H / 4 per pair).
-  switch (hid) {
-    case 4: project_rows<4, 4>(u, x, x_rows, rows, in, w); return true;
-    case 8: project_rows<8, 2>(u, x, x_rows, rows, in, w); return true;
-    case 12: project_rows<12, 1>(u, x, x_rows, rows, in, w); return true;
-    case 16: project_rows<16, 1>(u, x, x_rows, rows, in, w); return true;
-    default: return false;
-  }
 }
 
 // ---- gru_step --------------------------------------------------------------
@@ -369,7 +263,6 @@ inline void step_group(double* y, const double* u, const double* h,
 
   // Gates: zr[j] = [z | r] of row j, then [z | r .* h].
   alignas(64) double zr[kGroup][2 * H];
-  const PackedPanel<ZR> zr_panel{panels.zr};
   for (std::size_t j0 = 0; j0 < count; j0 += RZ) {
     const double* src[RZ][1];
     const double* hs[RZ][1];
@@ -379,7 +272,7 @@ inline void step_group(double* y, const double* u, const double* h,
     }
     __m512d acc[RZ][ZR::kNV];
     load_units<ZR, RZ>(acc, src);
-    fma_terms<ZR, RZ>(acc, hs, zr_panel, H);
+    fma_terms<ZR, RZ>(acc, hs, panels.zr, H);
     for (std::size_t r = 0; r < RZ; ++r)
       for (std::size_t v = 0; v < ZR::kNV; ++v)
         _mm512_storeu_pd(zr[j0 + r] + 8 * v, acc[r][v]);
@@ -408,7 +301,6 @@ inline void step_group(double* y, const double* u, const double* h,
   // Candidate, on row pairs: cand rows are contiguous, so a pair's unit is
   // 2H contiguous doubles.
   alignas(64) double cand[kGroup][H];
-  const PackedPanel<NU> n_panel{panels.n};
   for (std::size_t j0 = 0; j0 < count; j0 += 2 * RN) {
     const double* src[RN][2];
     const double* rs[RN][2];
@@ -419,7 +311,7 @@ inline void step_group(double* y, const double* u, const double* h,
       }
     __m512d acc[RN][NU::kNV];
     load_units<NU, RN>(acc, src);
-    fma_terms<NU, RN>(acc, rs, n_panel, H);
+    fma_terms<NU, RN>(acc, rs, panels.n, H);
     for (std::size_t r = 0; r < RN; ++r)
       for (std::size_t v = 0; v < NU::kNV; ++v)
         _mm512_storeu_pd(cand[j0 + 2 * r] + 8 * v, acc[r][v]);
@@ -482,7 +374,6 @@ Backend table(const Backend& avx2) noexcept {
   b.name = "avx512";
   b.vsigmoid = &vsigmoid;
   b.vtanh = &vtanh;
-  b.gru_project = &gru_project;
   b.gru_step = &gru_step;
   return b;
 }

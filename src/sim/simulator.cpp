@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -60,7 +59,9 @@ Simulator::Simulator(const topo::Topology& topo,
     throw std::invalid_argument("Simulator: size mismatch between inputs");
   // Every event time is 0 plus non-negative finite gaps, the invariant
   // the event queue's rank relies on (sim/event_queue.hpp): reject NaN
-  // and infinite inputs here rather than mis-order events later.
+  // and infinite inputs here rather than mis-order events later.  The
+  // topology keeps its own capacities positive and finite and its
+  // propagation delays finite and >= 0 (Topology::validate).
   if (!(cfg_.window_s > 0.0) || !(cfg_.warmup_s >= 0.0) ||
       !std::isfinite(cfg_.window_s + cfg_.warmup_s))
     throw std::invalid_argument("Simulator: bad time configuration");
@@ -68,13 +69,6 @@ Simulator::Simulator(const topo::Topology& topo,
     throw std::invalid_argument("Simulator: bad packet size");
   cfg_.scenario.validate();
   topo.validate();
-  for (topo::LinkId l = 0; l < topo.num_links(); ++l)
-    if (!(topo.link_capacity(l) > 0.0) ||
-        !(topo.link_prop_delay(l) >= 0.0) ||
-        !std::isfinite(topo.link_prop_delay(l)))
-      throw std::invalid_argument(
-          "Simulator: link " + std::to_string(l) +
-          " needs a positive capacity and a finite delay >= 0");
 }
 
 SimResult Simulator::run() {

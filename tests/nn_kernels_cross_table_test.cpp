@@ -1,14 +1,12 @@
 // The AVX-512 kernel table against the AVX2 one, bit for bit (DESIGN.md
-// §K).  The AVX-512 table replaces gru_project, gru_step, vsigmoid and
-// vtanh and runs every cell through the AVX2 kernel's operation sequence,
-// so every output must equal the AVX2 table's exactly:
+// §K).  The AVX-512 table replaces gru_step, vsigmoid and vtanh and runs
+// every cell through the AVX2 kernel's operation sequence, so every
+// output must equal the AVX2 table's exactly:
 //
 //   * gru_step at every supported width and 0..40 rows (whole 16-row
 //     groups, ragged groups, odd row pairs), with the index arrays null
 //     and set, with y aliasing h, untaped and taped (the saved z, r and n
 //     too);
-//   * gru_project at the same row counts, contiguous and indexed, at
-//     input widths with and without a 4-column tail;
 //   * vsigmoid and vtanh at n = 0..40 over signed zeros, subnormals,
 //     values around both clamps (log DBL_MIN, 708, 22), +-inf and NaN,
 //     each value in every lane position.  A NaN output only has to be
@@ -148,39 +146,6 @@ TEST(Avx512Parity, GruStepBitwiseEqualsAvx2) {
   const Cell cell(10, 10, rng);
   EXPECT_FALSE(t.avx512->gru_step(nullptr, nullptr, nullptr, nullptr, nullptr,
                                   nullptr, 3, 10, cell.weights(), nullptr));
-}
-
-TEST(Avx512Parity, GruProjectBitwiseEqualsAvx2) {
-  const Tables t = tables();
-  if (t.avx512 == nullptr) GTEST_SKIP() << "no AVX-512 on this host";
-  ASSERT_NE(t.avx2, nullptr);
-  constexpr std::size_t kSources = 11;
-  for (const std::size_t hid : {4, 8, 12, 16})
-    for (const std::size_t in : {hid, std::size_t{3}, std::size_t{13}})
-      for (std::size_t rows = 0; rows <= kMaxRows; ++rows)
-        for (const bool indexed : {false, true}) {
-          SCOPED_TRACE("hid=" + std::to_string(hid) + " in=" +
-                       std::to_string(in) + " rows=" + std::to_string(rows) +
-                       " indexed=" + std::to_string(indexed));
-          RngStream rng(9100 + 101 * hid + 13 * in + rows);
-          const Cell cell(in, hid, rng);
-          const std::vector<double> x =
-              random_values((indexed ? kSources : rows) * in, rng);
-          std::vector<std::uint32_t> x_rows(rows);
-          for (std::size_t i = 0; i < rows; ++i)
-            x_rows[i] = static_cast<std::uint32_t>((i * 3 + 2) % kSources);
-          const auto run = [&](const Backend& b, std::vector<double>& u) {
-            // One row past the end shows a write past the last row.
-            u.assign((rows + 1) * 3 * hid, -5.0);
-            return b.gru_project(u.data(), x.data(),
-                                 indexed ? x_rows.data() : nullptr, rows, in,
-                                 hid, cell.weights());
-          };
-          std::vector<double> u2, u5;
-          ASSERT_TRUE(run(*t.avx2, u2));
-          ASSERT_TRUE(run(*t.avx512, u5));
-          EXPECT_EQ(first_bit_difference(u2, u5), -1);
-        }
 }
 
 /// Values at every special point of the two activations: signed zeros,
